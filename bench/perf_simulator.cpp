@@ -13,9 +13,7 @@
 #include <vector>
 
 #include "mpi/minimpi.hpp"
-#include "npb/npb.hpp"
 #include "sim/engine.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/fiber.hpp"
 
 namespace {
@@ -55,18 +53,13 @@ struct Rearm {
   }
 };
 
-/// Steady-state throughput of std::function events at a given heap size,
-/// through either scheduler backend: range(0) = pending events, range(1) =
-/// 0 for the 4-ary heap, 1 for the calendar queue. The two pop identical
-/// orders (sim_event_queue_test proves it), so this is a pure speed race.
+/// Steady-state throughput of std::function events at a given heap size:
+/// range(0) = pending events.
 void BM_EngineEventThroughput(benchmark::State& state) {
   const int pending = static_cast<int>(state.range(0));
   const long long budget = 16LL * pending;
-  sim::Engine::Options opts;
-  opts.scheduler = state.range(1) == 0 ? sim::SchedulerKind::Heap4 : sim::SchedulerKind::Calendar;
-  state.SetLabel(sim::to_string(opts.scheduler));
   for (auto _ : state) {
-    sim::Engine eng(opts);
+    sim::Engine eng;
     Rearm r{eng, budget, pending};
     for (int i = 0; i < pending; ++i) eng.schedule_at(i, [&r] { r.fire(); });
     eng.run();
@@ -74,13 +67,7 @@ void BM_EngineEventThroughput(benchmark::State& state) {
     state.SetItemsProcessed(state.items_processed() + pending + budget);
   }
 }
-BENCHMARK(BM_EngineEventThroughput)
-    ->Args({512, 0})
-    ->Args({2048, 0})
-    ->Args({10000, 0})
-    ->Args({512, 1})
-    ->Args({2048, 1})
-    ->Args({10000, 1});
+BENCHMARK(BM_EngineEventThroughput)->Arg(512)->Arg(2048)->Arg(10000);
 
 struct RawRearm {
   sim::Engine* eng;
@@ -97,15 +84,11 @@ void raw_fire(void* ctx) {
 
 /// Same wave shape through the raw fn-pointer event path — the path message
 /// deliveries ride — with zero allocation and no std::function dispatch.
-/// range(1) selects the scheduler backend as above.
 void BM_EngineRawEventThroughput(benchmark::State& state) {
   const int pending = static_cast<int>(state.range(0));
   const long long budget = 16LL * pending;
-  sim::Engine::Options opts;
-  opts.scheduler = state.range(1) == 0 ? sim::SchedulerKind::Heap4 : sim::SchedulerKind::Calendar;
-  state.SetLabel(sim::to_string(opts.scheduler));
   for (auto _ : state) {
-    sim::Engine eng(opts);
+    sim::Engine eng;
     RawRearm r{&eng, budget, pending};
     for (int i = 0; i < pending; ++i) {
       sim::EngineInternal::schedule_raw(eng, i, &raw_fire, &r);
@@ -115,13 +98,7 @@ void BM_EngineRawEventThroughput(benchmark::State& state) {
     state.SetItemsProcessed(state.items_processed() + pending + budget);
   }
 }
-BENCHMARK(BM_EngineRawEventThroughput)
-    ->Args({512, 0})
-    ->Args({2048, 0})
-    ->Args({10000, 0})
-    ->Args({512, 1})
-    ->Args({2048, 1})
-    ->Args({10000, 1});
+BENCHMARK(BM_EngineRawEventThroughput)->Arg(512)->Arg(2048)->Arg(10000);
 
 void BM_ProcessAdvance(benchmark::State& state) {
   for (auto _ : state) {
@@ -228,58 +205,6 @@ void BM_Allreduce64Ranks(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Allreduce64Ranks);
-
-/// Multi-LP engine scaling on a fig4-style NPB class-B run: 4096 simulated
-/// ranks of EP (compute-dominated — long conservative windows, barrier cost
-/// amortised) at range(0) LPs. items/s = aggregate simulated events per
-/// wall-clock second, the headline number for the parallel core. On a
-/// single-CPU host the LP threads share one core, so expect parity at best;
-/// the speedup target applies to multi-core runners.
-void BM_NpbLpScalingEp4096(benchmark::State& state) {
-  const int lp = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    auto cfg = npb::make_job(npb::benchmark("EP"), npb::Class::B, plat::vayu(), 4096,
-                             /*execute=*/false, /*seed=*/1);
-    cfg.max_ranks_per_node = 8;
-    cfg.lp = lp;
-    const auto res = mpi::run_job(cfg, [](mpi::RankEnv& env) {
-      npb::benchmark("EP").fn(env, npb::Class::B);
-    });
-    state.SetItemsProcessed(state.items_processed() +
-                            static_cast<std::int64_t>(res.events_processed));
-  }
-}
-BENCHMARK(BM_NpbLpScalingEp4096)
-    ->Arg(1)
-    ->Arg(4)
-    ->Iterations(1)
-    ->UseRealTime()  // items/s must count the worker threads' wall time, not coordinator CPU
-    ->Unit(benchmark::kMillisecond);
-
-/// Same sweep on a communication-heavy kernel: CG class B at 64 ranks, where
-/// nearly every timestep defers transfers to the coordinator. This bounds
-/// the window-protocol overhead (the price of determinism) rather than the
-/// best case.
-void BM_NpbLpScalingCg64(benchmark::State& state) {
-  const int lp = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    auto cfg = npb::make_job(npb::benchmark("CG"), npb::Class::B, plat::vayu(), 64,
-                             /*execute=*/false, /*seed=*/1);
-    cfg.max_ranks_per_node = 8;
-    cfg.lp = lp;
-    const auto res = mpi::run_job(cfg, [](mpi::RankEnv& env) {
-      npb::benchmark("CG").fn(env, npb::Class::B);
-    });
-    state.SetItemsProcessed(state.items_processed() +
-                            static_cast<std::int64_t>(res.events_processed));
-  }
-}
-BENCHMARK(BM_NpbLpScalingCg64)
-    ->Arg(1)
-    ->Arg(4)
-    ->Iterations(1)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 
 void BM_Allreduce256Ranks(benchmark::State& state) {
   for (auto _ : state) {

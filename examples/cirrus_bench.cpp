@@ -30,9 +30,7 @@
 #include "bench/registry.hpp"
 #include "core/options.hpp"
 #include "core/table.hpp"
-#include "mpi/minimpi.hpp"
 #include "obs/telemetry.hpp"
-#include "sim/event_queue.hpp"
 #include "valid/compare.hpp"
 #include "valid/manifest.hpp"
 #include "valid/paths.hpp"
@@ -60,8 +58,7 @@ int usage(int rc) {
                "                    [--suite paper|ext|gap|perf|all[,...]]\n"
                "                    [--targets a,b,c] [--check] [--ref FILE]\n"
                "                    [--manifest [FILE]] [--write-ref [FILE]]\n"
-               "                    [--perf-json FILE] [--jobs N] [--seed N]\n"
-               "                    [--lp N] [--sched heap4|calendar] [--verbose]\n");
+               "                    [--perf-json FILE] [--jobs N] [--seed N] [--verbose]\n");
   return rc;
 }
 
@@ -72,20 +69,10 @@ int main(int argc, char** argv) try {
   if (opts.has("help")) return usage(0);
   if (const auto bad = core::unknown_keys(
           opts, {"help", "list", "list-targets", "suite", "targets", "check", "ref",
-                 "manifest", "write-ref", "perf-json", "jobs", "seed", "lp", "sched",
-                 "verbose"});
+                 "manifest", "write-ref", "perf-json", "jobs", "seed", "verbose"});
       !bad.empty()) {
     std::fprintf(stderr, "cirrus_bench: unknown option --%s\n", bad.front().c_str());
     return usage(2);
-  }
-
-  // Engine knobs, applied process-wide: every target's JobConfig leaves
-  // lp/scheduler at their defaults, so setting the defaults here reaches all
-  // of them. Results are byte-identical for any --lp (that is what --check
-  // verifies); --sched is a pure performance knob.
-  if (const int lp = opts.get_int("lp", 0); lp > 0) mpi::set_default_lp(lp);
-  if (const auto sched = opts.get("sched"); sched) {
-    sim::set_default_scheduler(sim::scheduler_from_string(*sched));
   }
 
   if (opts.has("list")) {

@@ -51,7 +51,6 @@
 #include "obs/trace_export.hpp"
 #include "osu/osu.hpp"
 #include "serve/service.hpp"
-#include "sim/event_queue.hpp"
 
 namespace {
 
@@ -67,8 +66,6 @@ int usage(const char* prog) {
                "          --wf-sched heft|fifo (np = workers; a master rank is added)\n"
                "  common: --rpn ranks-per-node --seed S --eager bytes --ipm\n"
                "          --storage nfs|lustre|object (shared-storage backend)\n"
-               "          --lp N (parallel engine LPs; default $CIRRUS_LP or 1)\n"
-               "          --sched heap4|calendar (event scheduler; default $CIRRUS_SCHED)\n"
                "  topo:   --topo crossbar|fattree|vswitch|pgroups --oversub K --leaf N\n"
                "          --placement contig|scatter|pgroup\n"
                "  faults: --mtbf seconds --ckpt seconds --requeue seconds --horizon seconds\n"
@@ -85,10 +82,6 @@ serve::ExecOptions exec_options(const core::Options& opts) {
   exec.telemetry.sample_dt_s = opts.get_double("sample-dt", 0.0);
   exec.telemetry.enabled = opts.has("metrics") || opts.has("metrics-csv") ||
                            exec.telemetry.sample_dt_s > 0;
-  exec.lp = opts.get_int("lp", 0);  // 0: use $CIRRUS_LP (or 1)
-  if (exec.telemetry.enabled && (exec.lp > 1 || mpi::default_lp() > 1)) {
-    std::fputs("note: telemetry enabled; running single-LP (--lp ignored)\n", stderr);
-  }
   return exec;
 }
 
@@ -122,13 +115,12 @@ void print_result(const mpi::JobResult& r, const std::string& name,
   }
   if (const auto path = opts.get("trace"); path && r.trace) {
     std::ofstream out(*path);
-    if (r.telemetry || r.spans || r.sched_spans) {
-      // Enriched trace: causal spans (rank tracks + the scheduler meta
-      // track) and, with --metrics, counter tracks ride along with the
-      // event rows, flow arrows and instant markers.
+    if (r.telemetry || r.spans) {
+      // Enriched trace: causal spans and, with --metrics, counter tracks
+      // ride along with the event rows, flow arrows and instant markers.
       out << obs::enriched_chrome_json(r.trace.get(),
                                        r.telemetry ? &r.telemetry->sampler : nullptr,
-                                       r.spans.get(), r.sched_spans.get());
+                                       r.spans.get(), nullptr);
     } else {
       out << r.trace->to_chrome_json();
     }
@@ -168,10 +160,6 @@ void print_result(const mpi::JobResult& r, const std::string& name,
 int run_job_mode(const std::string& mode, const core::Options& opts) {
   auto req = core::RunRequest::from_options(opts);
   req.workload = mode;
-  if (!opts.has("sched")) {
-    // Preserve the $CIRRUS_SCHED environment default for CLI runs.
-    req.sched = sim::to_string(sim::default_scheduler());
-  }
   std::string error;
   if (!req.validate(&error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
@@ -228,7 +216,7 @@ int main(int argc, char** argv) {
           opts, {"platform", "gen",       "np",      "rpn",     "seed",    "execute",
                  "eager",    "ipm",       "trace",   "blame",   "metrics", "sample-dt", "metrics-csv",
                  "topo",     "oversub",   "leaf",    "placement", "mtbf",
-                 "ckpt",     "requeue",   "horizon", "lp",        "sched",
+                 "ckpt",     "requeue",   "horizon",
                  "bench",    "class",     "test",    "storage",   "wf-shape",
                  "wf-width", "wf-sched"});
       !bad.empty()) {

@@ -2,12 +2,12 @@
 // front end — `cirrus_run` flags, `cirrus_serve` HTTP queries, the load
 // generator — and the unit the result cache is keyed on.
 //
-// The struct holds exactly the knobs that affect the simulated result
-// (platform, workload, ranks, topology, faults, protocol thresholds,
-// scheduler, seed). Output toggles (traces, metrics) and pure performance
-// knobs (--lp, --jobs) are deliberately absent: two requests that differ
-// only in those produce byte-identical results, so they must canonicalise
-// to the same cache key.
+// The struct holds the knobs that affect the simulated result (platform,
+// workload, ranks, topology, faults, protocol thresholds, seed), plus one
+// inert field, `sched`, kept only for key stability (see below). Output
+// toggles (traces, metrics) and pure performance knobs (--jobs) are
+// deliberately absent: two requests that differ only in those produce
+// byte-identical results, so they must canonicalise to the same cache key.
 //
 // canonical_key() renders the request as `k=v` pairs, every key always
 // present (defaults filled in), keys sorted, values normalised — the
@@ -46,8 +46,10 @@ struct RunRequest {
   double oversub = 1.0;
   int leaf = 4;
   std::string placement = "contig";  ///< contig | scatter | pgroup
-  std::string sched = "heap4";       ///< heap4 | calendar (perf-neutral, kept
-                                     ///< in the key per the service contract)
+  /// heap4 | calendar. Inert: the engine has one scheduler, so both values
+  /// give byte-identical results. Still parsed, validated and emitted into
+  /// canonical_key() so every existing key and key hash stays unchanged.
+  std::string sched = "heap4";
   double mtbf_s = 0;               ///< per-node crash MTBF (0: no faults)
   double ckpt_s = 0;               ///< checkpoint interval
   double requeue_s = 60;           ///< restart delay after a crash

@@ -1,6 +1,5 @@
 #include "ipm/trace.hpp"
 
-#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <ostream>
@@ -132,33 +131,6 @@ void Trace::build_rank_index() const {
     rank_index_[r].push_back(static_cast<std::uint32_t>(i));
   }
   rank_index_valid_ = true;
-}
-
-void Trace::append(const Trace& other) {
-  events_.insert(events_.end(), other.events_.begin(), other.events_.end());
-  flows_.insert(flows_.end(), other.flows_.begin(), other.flows_.end());
-  instants_.insert(instants_.end(), other.instants_.begin(), other.instants_.end());
-  rank_index_valid_ = false;
-}
-
-void Trace::sort_canonical() {
-  std::stable_sort(events_.begin(), events_.end(), [](const TraceEvent& a, const TraceEvent& b) {
-    if (a.begin != b.begin) return a.begin < b.begin;
-    if (a.rank != b.rank) return a.rank < b.rank;
-    return a.end < b.end;
-  });
-  std::stable_sort(flows_.begin(), flows_.end(), [](const FlowEvent& a, const FlowEvent& b) {
-    if (a.send_time != b.send_time) return a.send_time < b.send_time;
-    if (a.src_rank != b.src_rank) return a.src_rank < b.src_rank;
-    return a.dst_rank < b.dst_rank;
-  });
-  std::stable_sort(instants_.begin(), instants_.end(),
-                   [](const InstantEvent& a, const InstantEvent& b) {
-                     if (a.t != b.t) return a.t < b.t;
-                     if (a.rank != b.rank) return a.rank < b.rank;
-                     return a.name < b.name;
-                   });
-  rank_index_valid_ = false;
 }
 
 std::vector<TraceEvent> Trace::for_rank(int rank) const {

@@ -51,14 +51,11 @@ struct InstantEvent {
   std::string name;
 };
 
-/// An append-only trace of one job.
+/// An append-only trace of one job, recorded in event order.
 ///
-/// Not thread-safe: under multi-LP execution each LP records into its own
-/// Trace shard (ranks never migrate between LPs, so a rank's spans all land
-/// in one shard in virtual-time order) and the coordinator merges the shards
-/// with append() + sort_canonical() once the run finishes. The per-process
-/// escaped-name cache inside the JSON writer is a magic static — safe to
-/// share across threads.
+/// Not thread-safe: one job's engine records into it from one thread. The
+/// per-process escaped-name cache inside the JSON writer is a magic static —
+/// safe to share across threads.
 class Trace {
  public:
   void add(const TraceEvent& ev) {
@@ -87,15 +84,6 @@ class Trace {
   /// lazily built per-rank index: the first call after an add() pays one
   /// O(events) pass, subsequent calls are O(result).
   [[nodiscard]] std::vector<TraceEvent> for_rank(int rank) const;
-
-  /// Appends every event/flow/instant of `other` (multi-LP shard merge).
-  void append(const Trace& other);
-
-  /// Sorts into the canonical order a single-LP run records in: spans by
-  /// (begin, rank, end), flows by (send_time, src_rank, dst_rank), instants
-  /// by (t, rank, name). Stable, so same-key entries keep shard order —
-  /// which is per-rank insertion order after an LP-index-ordered append().
-  void sort_canonical();
 
  private:
   void build_rank_index() const;

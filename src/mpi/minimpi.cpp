@@ -1,39 +1,14 @@
 #include "mpi/minimpi.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <map>
-#include <mutex>
 #include <tuple>
 #include <unordered_map>
 
-#include "sim/lp.hpp"
-
 namespace cirrus::mpi {
-
-namespace {
-std::atomic<int>& default_lp_slot() noexcept {
-  static std::atomic<int> slot{[] {
-    if (const char* env = std::getenv("CIRRUS_LP"); env != nullptr && *env != '\0') {
-      char* end = nullptr;
-      const long v = std::strtol(env, &end, 10);
-      if (end != env && *end == '\0' && v >= 1 && v <= 1024) return static_cast<int>(v);
-    }
-    return 1;
-  }()};
-  return slot;
-}
-}  // namespace
-
-int default_lp() noexcept { return default_lp_slot().load(std::memory_order_relaxed); }
-
-void set_default_lp(int lp) noexcept {
-  default_lp_slot().store(lp < 1 ? 1 : lp, std::memory_order_relaxed);
-}
 
 namespace detail {
 
@@ -246,32 +221,9 @@ class PooledBytes {
   std::vector<std::byte> buf_;
 };
 
-/// One deferred shared-model operation riding a sim::LpRequest (multi-LP
-/// mode only). Proc-resumed kinds (Transfer/Control/FsRead/FsWrite) live on
-/// the deferring fiber's stack: the coordinator fills the result field and
-/// resumes the fiber, which reads it and continues. RendezvousStart carries
-/// no fiber — it is heap-allocated and deleted by the service, which
-/// schedules both completion events itself.
-struct DeferCtx {
-  enum class Kind : char { Transfer, Control, FsRead, FsWrite, RendezvousStart };
-  Kind kind = Kind::Transfer;
-  int src_node = 0;
-  int dst_node = 0;
-  std::size_t bytes = 0;
-  bool open_file = false;
-  net::TransferTiming timing{};  // out: Transfer / RendezvousStart
-  sim::SimTime delay = 0;        // out: Control / FsRead / FsWrite
-  sim::SimTime queued = 0;       // out: FsRead / FsWrite head-of-line wait
-  std::shared_ptr<RequestState> sreq;  // RendezvousStart only
-  std::shared_ptr<RequestState> rreq;  // RendezvousStart only
-  int src_world = 0;
-  int dst_world = 0;
-};
-
 }  // namespace detail
 
 using detail::BufferPool;
-using detail::DeferCtx;
 using detail::Envelope;
 using detail::Mailbox;
 using detail::match_key;
@@ -287,9 +239,7 @@ class Job {
  public:
   explicit Job(const JobConfig& cfg)
       : config(cfg),
-        engine(sim::Engine::Options{.seed = cfg.seed,
-                                    .fiber_stack_bytes = cfg.fiber_stack_bytes,
-                                    .scheduler = cfg.scheduler}),
+        engine(sim::Engine::Options{.seed = cfg.seed, .fiber_stack_bytes = cfg.fiber_stack_bytes}),
         placement(plat::place_block(cfg.platform, cfg.np, cfg.max_ranks_per_node, cfg.traits,
                                     cfg.seed)),
         network(engine, cfg.platform, node_span(), cfg.seed),
@@ -298,47 +248,12 @@ class Job {
     for (int r = 0; r < cfg.np; ++r) recorders.emplace_back(r);
     procs.resize(static_cast<std::size_t>(cfg.np), nullptr);
     in_coll.assign(static_cast<std::size_t>(cfg.np), 0);
-
-    // LP resolution: partition the job's nodes over lp_n engines (balanced
-    // contiguous blocks — ranks of one node never split, so intra-node
-    // traffic stays engine-local). Telemetry hooks poll live engine state
-    // and are wired to engine 0 only, so profiling runs force lp = 1; a
-    // non-positive lookahead would stall the window protocol, same.
-    lookahead = network.min_internode_lookahead();
-    int want = config.lp > 0 ? config.lp : default_lp();
-    if (config.telemetry.enabled || lookahead <= 0) want = 1;
-    lp_n = std::clamp(want, 1, node_span());
-    engines.push_back(&engine);
-    for (int lp = 1; lp < lp_n; ++lp) {
-      extra_engines_.push_back(std::make_unique<sim::Engine>(
-          sim::Engine::Options{.seed = cfg.seed,
-                               .fiber_stack_bytes = cfg.fiber_stack_bytes,
-                               .scheduler = cfg.scheduler}));
-      engines.push_back(extra_engines_.back().get());
-    }
-    const int nodes = node_span();
-    rank_lp_.resize(static_cast<std::size_t>(cfg.np));
-    for (int r = 0; r < cfg.np; ++r) {
-      rank_lp_[static_cast<std::size_t>(r)] = node_of(r) * lp_n / nodes;
-    }
-    lp_.resize(static_cast<std::size_t>(lp_n));
     span_rec_.resize(static_cast<std::size_t>(cfg.np));  // default = inert
     if (cfg.enable_trace) {
-      if (lp_n == 1) {
-        trace = std::make_shared<ipm::Trace>();
-        spans = std::make_shared<obs::SpanSet>();
-        for (int r = 0; r < cfg.np; ++r) {
-          span_rec_[static_cast<std::size_t>(r)] = obs::SpanRecorder(spans.get(), r);
-        }
-      } else {
-        for (auto& sh : lp_) {
-          sh.trace = std::make_unique<ipm::Trace>();
-          sh.spans = std::make_unique<obs::SpanSet>();
-        }
-        for (int r = 0; r < cfg.np; ++r) {
-          span_rec_[static_cast<std::size_t>(r)] =
-              obs::SpanRecorder(lp_[static_cast<std::size_t>(lp_of(r))].spans.get(), r);
-        }
+      trace = std::make_shared<ipm::Trace>();
+      spans = std::make_shared<obs::SpanSet>();
+      for (int r = 0; r < cfg.np; ++r) {
+        span_rec_[static_cast<std::size_t>(r)] = obs::SpanRecorder(spans.get(), r);
       }
     }
 
@@ -358,12 +273,10 @@ class Job {
       network.set_link_fault_hooks(cfg.faults.fabric_bw_factor,
                                    cfg.faults.fabric_extra_latency_us);
     }
-    if (cfg.faults.kill_at_s >= 0 && lp_n == 1) {
+    if (cfg.faults.kill_at_s >= 0) {
       // Node crash / spot reclaim: the thrown exception unwinds engine.run()
       // (which drains all pending events first), killing every fiber. A job
       // that already finished must not be killed by the late fault event.
-      // Multi-LP runs register the kill as an LpGroup boundary instead (see
-      // run_job), which compensates this event in the published counts.
       engine.schedule_at(sim::from_seconds(cfg.faults.kill_at_s), [this] {
         if (finished_ranks < config.np) {
           record_instant(-1, "fault: job killed");
@@ -375,39 +288,32 @@ class Job {
 
   void record_span(int world_rank, sim::SimTime t0, ipm::TraceEvent::Kind kind,
                    ipm::CallKind call, std::size_t bytes, int peer) {
-    ipm::Trace* tr = trace_for(world_rank);
-    if (tr == nullptr) return;
-    tr->add(ipm::TraceEvent{.rank = world_rank,
-                            .begin = t0,
-                            .end = eng(world_rank).now(),
-                            .kind = kind,
-                            .call = call,
-                            .bytes = bytes,
-                            .peer = peer});
+    if (!trace) return;
+    trace->add(ipm::TraceEvent{.rank = world_rank,
+                               .begin = t0,
+                               .end = engine.now(),
+                               .kind = kind,
+                               .call = call,
+                               .bytes = bytes,
+                               .peer = peer});
   }
 
   /// Send→recv flow arrow for a just-matched envelope (trace-gated).
   /// Recorded in the receiver's context (the match happens there).
   void record_flow(const Envelope& env, int dst_world) {
-    ipm::Trace* tr = trace_for(dst_world);
-    if (tr == nullptr) return;
-    tr->add_flow(ipm::FlowEvent{.src_rank = env.src_world,
-                                .dst_rank = dst_world,
-                                .send_time = env.sent_at,
-                                .recv_time = eng(dst_world).now(),
-                                .bytes = env.bytes});
+    if (!trace) return;
+    trace->add_flow(ipm::FlowEvent{.src_rank = env.src_world,
+                                   .dst_rank = dst_world,
+                                   .send_time = env.sent_at,
+                                   .recv_time = engine.now(),
+                                   .bytes = env.bytes});
   }
 
-  /// Global markers (rank -1: kill, checkpoint commit) are recorded in rank
-  /// 0's context — every caller runs there (or on the coordinator).
+  /// Rank -1 marks a global instant (kill, checkpoint commit).
   void record_instant(int world_rank, std::string name) {
-    record_instant_at(world_rank, eng(world_rank < 0 ? 0 : world_rank).now(), std::move(name));
-  }
-
-  void record_instant_at(int world_rank, sim::SimTime t, std::string name) {
-    ipm::Trace* tr = trace_for(world_rank < 0 ? 0 : world_rank);
-    if (tr == nullptr) return;
-    tr->add_instant(ipm::InstantEvent{.rank = world_rank, .t = t, .name = std::move(name)});
+    if (!trace) return;
+    trace->add_instant(
+        ipm::InstantEvent{.rank = world_rank, .t = engine.now(), .name = std::move(name)});
   }
 
   /// Opens the job's live metrics: histogram handles on the match path,
@@ -418,14 +324,12 @@ class Job {
     h_message_bytes = t.registry.histogram("mpi_message_bytes");
     h_unexpected_depth = t.registry.histogram("mpi_unexpected_bucket_depth");
 
-    // Telemetry forces lp = 1 (Job ctor), so engine 0 and shard 0 see
-    // everything these gauges poll.
     t.registry.gauge("sim_heap_depth", {},
                      [this] { return static_cast<double>(engine.events_pending()); });
     t.registry.gauge("mpi_unexpected_depth", {},
-                     [this] { return static_cast<double>(lp_[0].counters.unexpected_now); });
+                     [this] { return static_cast<double>(counters.unexpected_now); });
     t.registry.gauge("mpi_posted_depth", {},
-                     [this] { return static_cast<double>(lp_[0].counters.posted_now); });
+                     [this] { return static_cast<double>(counters.posted_now); });
     const int nodes = node_span();
     for (int n = 0; n < nodes; ++n) {
       t.registry.gauge("net_nic_tx_busy_seconds", {{"node", std::to_string(n)}}, [this, n] {
@@ -446,7 +350,7 @@ class Job {
       t.sampler.add_channel("sim_heap_depth",
                             [this] { return static_cast<double>(engine.events_pending()); });
       t.sampler.add_channel("mpi_unexpected_depth",
-                            [this] { return static_cast<double>(lp_[0].counters.unexpected_now); });
+                            [this] { return static_cast<double>(counters.unexpected_now); });
       for (int n = 0; n < nodes; ++n) {
         t.sampler.add_channel(
             obs::MetricsRegistry::series_id("net_nic_tx_busy_s", {{"node", std::to_string(n)}}),
@@ -476,67 +380,47 @@ class Job {
   }
 
   Mailbox& mailbox(int comm_id, int world_rank) {
-    // Note: unordered_map guarantees value-address stability under rehash, so
-    // the returned reference (and pointers cached from it) stays valid — which
-    // is also why the multi-LP lock can be dropped before returning.
+    // unordered_map guarantees value-address stability under rehash, so the
+    // returned reference (and pointers cached from it) stays valid.
     const std::uint64_t key =
         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(comm_id)) << 32) |
         static_cast<std::uint32_t>(world_rank);
-    if (lp_n == 1) return mail_[key];
-    std::lock_guard<std::mutex> lk(registry_mu_);
     return mail_[key];
   }
 
-  struct MpiCounters;  // defined below, with the shard layout
+  struct MpiCounters;  // defined below
 
   /// Pooled in-flight envelope shells; addresses are stable (deque) so an
-  /// Envelope* can ride the engine's raw event path. Multi-LP runs allocate
-  /// plainly instead: shells are acquired on the sender's LP and released on
-  /// the receiver's, so per-LP free lists would drain one way and grow the
-  /// slab without bound (and a shared one would need a lock on the hot path).
-  Envelope* acquire_envelope(MpiCounters& c);
+  /// Envelope* can ride the engine's raw event path.
+  Envelope* acquire_envelope();
   void release_envelope(Envelope* env) {
-    buffers_for(env->dst_world).release(std::move(env->payload));
-    if (lp_n > 1) {
-      delete env;
-      return;
-    }
+    buffers.release(std::move(env->payload));
     *env = Envelope{};
     env_free_.push_back(env);
   }
 
   /// A fresh RequestState whose storage (state + shared_ptr control block)
-  /// is recycled through a per-job pool. The pool is single-threaded; under
-  /// multi-LP a state's last reference can die on another LP's thread, so
-  /// those runs use plain make_shared (atomic refcounts make that safe).
+  /// is recycled through a per-job pool.
   std::shared_ptr<RequestState> make_request() {
-    if (lp_n > 1) return std::make_shared<RequestState>();
     return std::allocate_shared<RequestState>(detail::RequestPoolAlloc<RequestState>(&rs_pool_));
   }
 
   /// Allocates a consistent communicator id for a (parent, seq, color) group.
   int split_comm_id(int parent_id, int seq, int color) {
-    std::lock_guard<std::mutex> lk(registry_mu_);
     auto [it, inserted] = split_ids_.try_emplace({parent_id, seq, color}, next_comm_id_);
     if (inserted) ++next_comm_id_;
     return it->second;
   }
 
-  /// Registers one rank on the board of an in-progress split. Ranks on
-  /// different LPs can register concurrently within one window, hence the
-  /// lock; the post-barrier read takes a copy under the same lock.
-  void split_register(int comm_id, int seq, std::array<int, 3> entry) {
-    std::lock_guard<std::mutex> lk(registry_mu_);
-    split_boards_[{comm_id, seq}].push_back(entry);
-  }
-  [[nodiscard]] std::vector<std::array<int, 3>> split_entries(int comm_id, int seq) {
-    std::lock_guard<std::mutex> lk(registry_mu_);
+  /// The registration board of an in-progress split: one {color, key, rank}
+  /// entry per rank of the parent communicator.
+  std::vector<std::array<int, 3>>& split_board(int comm_id, int seq) {
     return split_boards_[{comm_id, seq}];
   }
 
   JobConfig config;
-  sim::Engine engine;  ///< LP 0; extra LPs live in extra_engines_
-  std::shared_ptr<ipm::Trace> trace;  // null unless config.enable_trace or lp_n > 1
+  sim::Engine engine;
+  std::shared_ptr<ipm::Trace> trace;  // null unless config.enable_trace
   std::shared_ptr<obs::SpanSet> spans;  // same gating as trace
   std::vector<obs::SpanRecorder> span_rec_;  // per rank; inert when not tracing
   std::vector<plat::RankPlacement> placement;
@@ -545,14 +429,12 @@ class Job {
   std::vector<ipm::RankRecorder> recorders;
   std::vector<sim::Process*> procs;
   std::map<std::string, double> values;
-  /// Atomic: under multi-LP every rank fiber increments it from its own LP
-  /// thread, and boundary actions on the coordinator read it.
-  std::atomic<int> finished_ranks{0};
+  int finished_ranks = 0;
   /// Per-rank "inside a collective" flags (suppress inner p2p accounting).
   /// One byte per world rank: fibers interleave on one OS thread, so this
-  /// must be per-rank state, never thread-local. Distinct ranks touch
-  /// distinct bytes, so no synchronisation is needed across LPs.
+  /// must be per-rank state, never thread-local.
   std::vector<char> in_coll;
+  BufferPool buffers;  ///< recycled eager-payload / scratch storage
 
   /// Always-on intrinsic MPI-layer counters, maintained inline on the match
   /// and pool paths (plain adds, no indirection). Harvested into the obs
@@ -570,106 +452,23 @@ class Job {
     std::uint64_t envelopes_reused = 0;  ///< served from the envelope free list
     std::uint64_t checkpoints_committed = 0;
     std::uint64_t checkpoint_bytes = 0;
-    // Live queue depths (per shard, across its mailboxes) + high-water marks.
+    // Live queue depths (across the job's mailboxes) + high-water marks.
     std::uint64_t unexpected_now = 0;
     std::uint64_t unexpected_hwm = 0;
     std::uint64_t posted_now = 0;
     std::uint64_t posted_hwm = 0;
   };
+  MpiCounters counters;
 
-  /// Everything a logical process mutates without synchronisation. Each rank
-  /// is pinned to one LP for the whole job, so all of a rank's counter adds,
-  /// buffer churn, trace spans and reported values land in its LP's shard;
-  /// run_job merges the shards deterministically (LP-index order) at the end.
-  struct LpShard {
-    BufferPool buffers;          ///< recycled eager-payload / scratch storage
-    MpiCounters counters;
-    net::NetStats net;           ///< intranode traffic priced engine-locally
-    std::map<std::string, double> values;
-    std::unique_ptr<ipm::Trace> trace;      ///< multi-LP only; lp 1 uses Job::trace
-    std::unique_ptr<obs::SpanSet> spans;    ///< multi-LP only; lp 1 uses Job::spans
-  };
-
-  // --- LP topology (fixed after the ctor) ---
-  int lp_n = 1;
-  sim::SimTime lookahead = 0;      ///< conservative window bound (min NIC latency)
-  sim::LpGroup* group = nullptr;   ///< live only inside a multi-LP run_job
-  std::vector<sim::Engine*> engines;  ///< [0] = &engine, then extra_engines_
-  std::uint64_t boundary_events_ = 0;  ///< coordinator boundary actions, counted
-                                       ///< to match lp 1's in-engine fault events
-  std::vector<LpShard> lp_;
-
-  [[nodiscard]] int lp_of(int world_rank) const {
-    return rank_lp_[static_cast<std::size_t>(world_rank)];
-  }
-  [[nodiscard]] sim::Engine& eng(int world_rank) { return *engines[static_cast<std::size_t>(lp_of(world_rank))]; }
-  [[nodiscard]] const sim::Engine& eng(int world_rank) const {
-    return *engines[static_cast<std::size_t>(lp_of(world_rank))];
-  }
-  [[nodiscard]] MpiCounters& ctr(int world_rank) {
-    return lp_[static_cast<std::size_t>(lp_of(world_rank))].counters;
-  }
-  [[nodiscard]] BufferPool& buffers_for(int world_rank) {
-    return lp_[static_cast<std::size_t>(lp_of(world_rank))].buffers;
-  }
-  [[nodiscard]] net::NetStats& net_sink(int world_rank) {
-    return lp_[static_cast<std::size_t>(lp_of(world_rank))].net;
-  }
-  [[nodiscard]] ipm::Trace* trace_for(int world_rank) {
-    if (lp_n == 1) return trace.get();
-    return lp_[static_cast<std::size_t>(lp_of(world_rank))].trace.get();
-  }
   /// This rank's causal-span recorder (inert unless config.enable_trace).
   [[nodiscard]] obs::SpanRecorder& span_rec(int world_rank) {
     return span_rec_[static_cast<std::size_t>(world_rank)];
-  }
-  /// The job's trace as one object: lp 1's trace directly, or the LP shards
-  /// merged (LP-index order) and sorted into canonical single-LP order.
-  [[nodiscard]] std::shared_ptr<ipm::Trace> final_trace() {
-    if (lp_n == 1) return trace;
-    if (!config.enable_trace) return nullptr;
-    if (!trace) {
-      trace = std::make_shared<ipm::Trace>();
-      for (auto& sh : lp_) {
-        if (sh.trace) trace->append(*sh.trace);
-        sh.trace.reset();
-      }
-      trace->sort_canonical();
-    }
-    return trace;
-  }
-  /// The job's span set as one object, mirroring final_trace(): lp 1's set
-  /// directly, or the LP shards merged and canonically sorted.
-  [[nodiscard]] std::shared_ptr<obs::SpanSet> final_spans() {
-    if (lp_n == 1) return spans;
-    if (!config.enable_trace) return nullptr;
-    if (!spans) {
-      spans = std::make_shared<obs::SpanSet>();
-      for (auto& sh : lp_) {
-        if (sh.spans) spans->append(*sh.spans);
-        sh.spans.reset();
-      }
-      spans->sort_canonical();
-    }
-    return spans;
-  }
-  void report_value(int world_rank, const std::string& key, double v) {
-    if (lp_n == 1) {
-      values[key] = v;
-    } else {
-      lp_[static_cast<std::size_t>(lp_of(world_rank))].values[key] = v;
-    }
   }
 
   /// Telemetry handles — null no-ops unless config.telemetry.enabled, so the
   /// default cost on the match path is one predictable branch each.
   obs::Histogram h_message_bytes;
   obs::Histogram h_unexpected_depth;
-
-  /// Serialises CheckpointStore stage/commit across LP threads (the store is
-  /// shared job-wide state; its bookkeeping is not time-ordered, so a plain
-  /// lock preserves determinism of the committed payloads).
-  std::mutex ckpt_mu_;
 
  private:
   std::unordered_map<std::uint64_t, Mailbox> mail_;  // key: comm_id << 32 | world rank
@@ -679,21 +478,15 @@ class Job {
   std::deque<Envelope> env_slab_;
   std::vector<Envelope*> env_free_;
   detail::RequestPool rs_pool_;
-  /// Guards mail_ / split registries under multi-LP (rare-path structures:
-  /// mailbox creation and communicator splits, not per-message traffic).
-  std::mutex registry_mu_;
-  std::vector<std::unique_ptr<sim::Engine>> extra_engines_;
-  std::vector<int> rank_lp_;               // world rank -> owning LP index
 };
 
-inline detail::Envelope* Job::acquire_envelope(MpiCounters& c) {
-  ++c.envelopes_acquired;
-  if (lp_n > 1) return new Envelope();
+inline detail::Envelope* Job::acquire_envelope() {
+  ++counters.envelopes_acquired;
   if (env_free_.empty()) {
     env_slab_.emplace_back();
     return &env_slab_.back();
   }
-  ++c.envelopes_reused;
+  ++counters.envelopes_reused;
   Envelope* env = env_free_.back();
   env_free_.pop_back();
   return env;
@@ -747,21 +540,6 @@ void complete_request(sim::Engine& e, const std::shared_ptr<RequestState>& st) {
   }
 }
 
-/// Suspends the calling rank fiber while the LP coordinator services its
-/// order-sensitive shared-model call (network pricing, file-system queueing)
-/// in canonical (time, LP, defer-order) order — defer() stamps the key. The
-/// defer stalls the engine at the current time so no later local event runs
-/// before the fiber resumes. Multi-LP only; the single-LP path calls the
-/// shared model directly.
-void defer_and_wait(Job& job, int world_rank, detail::DeferCtx& ctx) {
-  sim::LpRequest r;
-  r.t = job.eng(world_rank).now();
-  r.proc = job.procs[static_cast<std::size_t>(world_rank)];
-  r.ctx = &ctx;
-  job.group->defer(job.lp_of(world_rank), r, /*stall=*/true);
-  r.proc->suspend();
-}
-
 /// Kicks off the wire transfer of a matched rendezvous pair. Runs in the
 /// engine context at the moment both sides are known.
 void start_rendezvous_transfer(Job& job, Envelope& env, const PostedRecv& pr, int dst_world) {
@@ -774,42 +552,11 @@ void start_rendezvous_transfer(Job& job, Envelope& env, const PostedRecv& pr, in
   auto sreq = env.sreq;
   auto rreq = pr.rreq;
   rreq->sys_frac = env.sys_frac;
-  sim::Engine& se = job.eng(env.src_world);
-  sim::Engine& de = job.eng(dst_world);
-  if (job.lp_n > 1 && env.src_node != dst_node) {
-    // Internode pricing consumes the shared network RNG — defer it to the
-    // coordinator. No fiber is suspended here (the match runs inside an
-    // event, not a rank fiber) and both completions land at >= t + lookahead,
-    // past every engine's window horizon, so no stall is needed either.
-    auto* ctx = new detail::DeferCtx();
-    ctx->kind = detail::DeferCtx::Kind::RendezvousStart;
-    ctx->src_node = env.src_node;
-    ctx->dst_node = dst_node;
-    ctx->bytes = env.bytes;
-    ctx->sreq = std::move(sreq);
-    ctx->rreq = std::move(rreq);
-    ctx->src_world = env.src_world;
-    ctx->dst_world = dst_world;
-    sim::LpRequest r;
-    r.t = de.now();
-    r.proc = nullptr;
-    r.ctx = ctx;
-    job.group->defer(job.lp_of(dst_world), r, /*stall=*/false);
-    return;
-  }
-  net::TransferTiming timing;
-  sim::SimTime cts = 0;
-  if (job.lp_n > 1) {
-    // Same node => same LP: price locally against the engine-owned intranode
-    // model (no fabric, no RNG) into this LP's stats shard.
-    timing = job.network.intranode_transfer_at(de.now(), env.bytes, job.net_sink(dst_world));
-    cts = job.network.intranode_control_delay(job.net_sink(dst_world));
-  } else {
-    timing = job.network.transfer(env.src_node, dst_node, env.bytes);
-    cts = job.network.control_delay(dst_node, env.src_node);
-  }
-  se.schedule_at(timing.sender_free + cts, [&se, sreq] { complete_request(se, sreq); });
-  de.schedule_at(timing.arrival + cts, [&de, rreq] { complete_request(de, rreq); });
+  sim::Engine& e = job.engine;
+  const net::TransferTiming timing = job.network.transfer(env.src_node, dst_node, env.bytes);
+  const sim::SimTime cts = job.network.control_delay(dst_node, env.src_node);
+  e.schedule_at(timing.sender_free + cts, [&e, sreq] { complete_request(e, sreq); });
+  e.schedule_at(timing.arrival + cts, [&e, rreq] { complete_request(e, rreq); });
 }
 
 /// Completes a matched (envelope, posted recv) pair at the receiver.
@@ -822,9 +569,9 @@ void consume_match(Job& job, int dst_world, Envelope&& env, const PostedRecv& pr
       std::memcpy(pr.buf, env.payload.data(), std::min(env.bytes, pr.bytes));
     }
     pr.rreq->sys_frac = env.sys_frac;
-    complete_request(job.eng(dst_world), pr.rreq);
+    complete_request(job.engine, pr.rreq);
   }
-  job.buffers_for(dst_world).release(std::move(env.payload));
+  job.buffers.release(std::move(env.payload));
 }
 
 /// Delivers an envelope at the receiver: match the earliest-posted matching
@@ -847,21 +594,21 @@ void deliver(Job& job, Envelope&& env) {
   if (exact != nullptr && (wild == nullptr || exact->seq < wild->seq)) {
     PostedRecv pr = std::move(exact_it->second.front());
     detail::bucket_pop(mb.posted_exact, exact_it, mb.spare_recv);
-    ++job.ctr(dst_world).recvs_matched_posted;
-    --job.ctr(dst_world).posted_now;
+    ++job.counters.recvs_matched_posted;
+    --job.counters.posted_now;
     consume_match(job, dst_world, std::move(env), pr);
   } else if (wild != nullptr) {
     PostedRecv pr = std::move(*wild_it);
     mb.posted_wild.erase(wild_it);
-    ++job.ctr(dst_world).recvs_matched_posted;
-    --job.ctr(dst_world).posted_now;
+    ++job.counters.recvs_matched_posted;
+    --job.counters.posted_now;
     consume_match(job, dst_world, std::move(env), pr);
   } else {
     env.seq = mb.next_arrival_seq++;
     auto& bucket =
         detail::bucket_get(mb.unexpected, match_key(env.src, env.tag), mb.spare_env);
     bucket.push_back(std::move(env));
-    auto& c = job.ctr(dst_world);
+    auto& c = job.counters;
     ++c.unexpected_enqueued;
     if (++c.unexpected_now > c.unexpected_hwm) c.unexpected_hwm = c.unexpected_now;
     job.h_unexpected_depth.observe(bucket.size());
@@ -875,48 +622,6 @@ void deliver_event(void* ctx) {
   Job& job = *env->job;
   deliver(job, std::move(*env));
   job.release_envelope(env);
-}
-
-/// Coordinator-side service for one deferred shared-model call. Requests
-/// arrive in canonical (time, rank, seq) order, so the shared network /
-/// file-system RNG and queue state advance in a reproducible sequence
-/// regardless of how many LPs raced to defer. The explicit-time `*_at`
-/// entry points price against the request's timestamp, not the model's
-/// clock, so servicing order within one window never shifts timing.
-void service_request(Job& job, sim::LpRequest& r) {
-  auto* ctx = static_cast<detail::DeferCtx*>(r.ctx);
-  switch (ctx->kind) {
-    case detail::DeferCtx::Kind::Transfer:
-      ctx->timing = job.network.transfer_at(r.t, ctx->src_node, ctx->dst_node, ctx->bytes);
-      break;
-    case detail::DeferCtx::Kind::Control:
-      ctx->delay = job.network.control_delay_at(r.t, ctx->src_node, ctx->dst_node);
-      break;
-    case detail::DeferCtx::Kind::FsRead:
-      ctx->delay = job.fs.read_at(r.t, ctx->bytes, ctx->open_file);
-      ctx->queued = job.fs.last_op().queued;
-      break;
-    case detail::DeferCtx::Kind::FsWrite:
-      ctx->delay = job.fs.write_at(r.t, ctx->bytes, ctx->open_file);
-      ctx->queued = job.fs.last_op().queued;
-      break;
-    case detail::DeferCtx::Kind::RendezvousStart: {
-      // Mirrors the single-LP call order exactly: transfer(src, dst) first,
-      // then the clear-to-send control message (dst, src) — the RNG draws
-      // must happen in that sequence to stay bit-identical.
-      const auto timing = job.network.transfer_at(r.t, ctx->src_node, ctx->dst_node, ctx->bytes);
-      const sim::SimTime cts =
-          job.network.control_delay_at(r.t, ctx->dst_node, ctx->src_node);
-      sim::Engine& se = job.eng(ctx->src_world);
-      sim::Engine& de = job.eng(ctx->dst_world);
-      auto sreq = std::move(ctx->sreq);
-      auto rreq = std::move(ctx->rreq);
-      se.schedule_at(timing.sender_free + cts, [&se, sreq] { complete_request(se, sreq); });
-      de.schedule_at(timing.arrival + cts, [&de, rreq] { complete_request(de, rreq); });
-      delete ctx;
-      break;
-    }
-  }
 }
 
 }  // namespace
@@ -959,17 +664,13 @@ void Comm::p2p_send(int dst, int tag, const void* data, std::size_t bytes, ipm::
   const int src_node = job.node_of(src_world);
   const int dst_node = job.node_of(dst_world);
   sim::Process& proc = *job.procs[static_cast<std::size_t>(src_world)];
-  sim::Engine& se = job.eng(src_world);
+  sim::Engine& se = job.engine;
   const sim::SimTime t0 = se.now();
-  Job::MpiCounters& mc = job.ctr(src_world);
-  // Whether this send needs the shared (coordinator-serviced) network model:
-  // internode traffic under multi-LP. Same-node peers share an LP, so their
-  // traffic prices locally without touching shared state.
-  const bool deferred = job.lp_n > 1 && src_node != dst_node;
+  Job::MpiCounters& mc = job.counters;
 
   const double sys_frac = job.network.sys_frac(src_node, dst_node);
 
-  Envelope* env = job.acquire_envelope(mc);
+  Envelope* env = job.acquire_envelope();
   env->job = &job;
   env->mailbox = &peer_mailbox(dst);
   env->dst_world = dst_world;
@@ -996,27 +697,14 @@ void Comm::p2p_send(int dst, int tag, const void* data, std::size_t bytes, ipm::
   RequestState stack_rs;
   std::shared_ptr<RequestState> sreq;
   if (eager) {
-    net::TransferTiming timing;
-    if (!deferred) {
-      timing = job.lp_n > 1
-                   ? job.network.intranode_transfer_at(t0, bytes, job.net_sink(src_world))
-                   : job.network.transfer(src_node, dst_node, bytes);
-    } else {
-      detail::DeferCtx ctx;
-      ctx.kind = detail::DeferCtx::Kind::Transfer;
-      ctx.src_node = src_node;
-      ctx.dst_node = dst_node;
-      ctx.bytes = bytes;
-      defer_and_wait(job, src_world, ctx);
-      timing = ctx.timing;
-    }
+    const net::TransferTiming timing = job.network.transfer(src_node, dst_node, bytes);
     if (data != nullptr) {
       const auto* p = static_cast<const std::byte*>(data);
-      env->payload = job.buffers_for(src_world).acquire();
+      env->payload = job.buffers.acquire();
       env->payload.assign(p, p + bytes);
       env->has_data = true;
     }
-    sim::EngineInternal::schedule_raw(job.eng(dst_world), timing.arrival, &deliver_event, env);
+    sim::EngineInternal::schedule_raw(job.engine, timing.arrival, &deliver_event, env);
     if (timing.sender_free > t0) {
       se.wake_at(proc, timing.sender_free);
       proc.suspend();
@@ -1038,19 +726,8 @@ void Comm::p2p_send(int dst, int tag, const void* data, std::size_t bytes, ipm::
     env->rendezvous = true;
     env->sender_data = static_cast<const std::byte*>(data);
     env->sreq = sreq;
-    sim::SimTime cd = 0;
-    if (!deferred) {
-      cd = job.lp_n > 1 ? job.network.intranode_control_delay(job.net_sink(src_world))
-                        : job.network.control_delay(src_node, dst_node);
-    } else {
-      detail::DeferCtx ctx;
-      ctx.kind = detail::DeferCtx::Kind::Control;
-      ctx.src_node = src_node;
-      ctx.dst_node = dst_node;
-      defer_and_wait(job, src_world, ctx);
-      cd = ctx.delay;
-    }
-    sim::EngineInternal::schedule_raw(job.eng(dst_world), t0 + cd, &deliver_event, env);
+    const sim::SimTime cd = job.network.control_delay(src_node, dst_node);
+    sim::EngineInternal::schedule_raw(job.engine, t0 + cd, &deliver_event, env);
   }
 
   if (blocking && sreq != nullptr) {
@@ -1070,7 +747,7 @@ Request Comm::p2p_recv(int src, int tag, void* data, std::size_t bytes, ipm::Cal
   assert((src == kAnySource || (src >= 0 && src < size())) && "recv: source out of range");
   Job& job = *job_;
   const int my_world = world_rank_of(rank_);
-  sim::Engine& me = job.eng(my_world);
+  sim::Engine& me = job.engine;
   const sim::SimTime t0 = me.now();
 
   // A blocking receive cannot return before its completion wake, so its state
@@ -1091,7 +768,7 @@ Request Comm::p2p_recv(int src, int tag, void* data, std::size_t bytes, ipm::Cal
     auto it = mb.unexpected.find(match_key(src, tag));
     if (it != mb.unexpected.end() && !it->second.empty()) bucket_it = it;
   } else {
-    ++job.ctr(my_world).wildcard_scans;
+    ++job.counters.wildcard_scans;
     std::uint64_t best_seq = 0;
     for (auto it = mb.unexpected.begin(); it != mb.unexpected.end(); ++it) {
       if (it->second.empty()) continue;
@@ -1106,8 +783,8 @@ Request Comm::p2p_recv(int src, int tag, void* data, std::size_t bytes, ipm::Cal
   if (bucket_it != mb.unexpected.end()) {
     Envelope env = std::move(bucket_it->second.front());
     detail::bucket_pop(mb.unexpected, bucket_it, mb.spare_env);
-    ++job.ctr(my_world).recvs_matched_unexpected;
-    --job.ctr(my_world).unexpected_now;
+    ++job.counters.recvs_matched_unexpected;
+    --job.counters.unexpected_now;
     job.record_flow(env, my_world);
     if (env.rendezvous) {
       PostedRecv pr{src, tag, static_cast<std::byte*>(data), bytes, rreq, 0};
@@ -1119,7 +796,7 @@ Request Comm::p2p_recv(int src, int tag, void* data, std::size_t bytes, ipm::Cal
       rreq->sys_frac = env.sys_frac;
       complete_request(me, rreq);
     }
-    job.buffers_for(my_world).release(std::move(env.payload));
+    job.buffers.release(std::move(env.payload));
   } else {
     PostedRecv pr{src, tag, static_cast<std::byte*>(data), bytes, rreq, mb.next_post_seq++};
     if (src != kAnySource && tag != kAnyTag) {
@@ -1128,7 +805,7 @@ Request Comm::p2p_recv(int src, int tag, void* data, std::size_t bytes, ipm::Cal
     } else {
       mb.posted_wild.push_back(std::move(pr));
     }
-    auto& c = job.ctr(my_world);
+    auto& c = job.counters;
     ++c.recvs_posted;
     if (++c.posted_now > c.posted_hwm) c.posted_hwm = c.posted_now;
   }
@@ -1178,7 +855,7 @@ Request Comm::irecv_bytes(int src, int tag, void* data, std::size_t bytes) {
 
 void Comm::wait(Request& req) {
   Job& job = *job_;
-  sim::Engine& me = job.eng(world_rank_of(rank_));
+  sim::Engine& me = job.engine;
   const sim::SimTime t0 = me.now();
   wait_internal(req);
   if (!in_collective() && req.state_) {
@@ -1196,7 +873,7 @@ void Comm::waitall(std::span<Request> reqs) {
 void Comm::sendrecv_bytes(int dst, int stag, const void* sdata, std::size_t sbytes, int src,
                           int rtag, void* rdata, std::size_t rbytes) {
   Job& job = *job_;
-  sim::Engine& me = job.eng(world_rank_of(rank_));
+  sim::Engine& me = job.engine;
   const sim::SimTime t0 = me.now();
   double sys = 0;
   {
@@ -1249,17 +926,17 @@ namespace {
 struct CollTimer {
   CollTimer(Comm& c, Job& job, int world_rank, ipm::CallKind kind, std::size_t bytes)
       : job_(job), world_rank_(world_rank), kind_(kind), bytes_(bytes),
-        t0_(job.eng(world_rank).now()), outermost_(!c.in_collective()) {
+        t0_(job.engine.now()), outermost_(!c.in_collective()) {
     (void)c;
   }
   ~CollTimer() {
     if (outermost_) {
       job_.recorders[static_cast<std::size_t>(world_rank_)].add_mpi(
-          kind_, bytes_, job_.eng(world_rank_).now() - t0_,
+          kind_, bytes_, job_.engine.now() - t0_,
           job_.config.platform.nic.sys_frac * 0.7);
       job_.record_span(world_rank_, t0_, ipm::TraceEvent::Kind::Mpi, kind_, bytes_, -1);
       job_.span_rec(world_rank_)
-          .record(t0_, job_.eng(world_rank_).now(), "mpi.collective", ipm::to_string(kind_));
+          .record(t0_, job_.engine.now(), "mpi.collective", ipm::to_string(kind_));
     }
   }
   Job& job_;
@@ -1297,7 +974,7 @@ void Comm::bcast_bytes(void* data, std::size_t bytes, int root) {
     const std::size_t each = bytes / static_cast<std::size_t>(np);
     const std::size_t remainder = bytes - each * static_cast<std::size_t>(np);
     auto* bytes_ptr = static_cast<std::byte*>(data);
-    PooledBytes piece = data != nullptr ? PooledBytes(job_->buffers_for(world_rank_of(rank_)), each) : PooledBytes();
+    PooledBytes piece = data != nullptr ? PooledBytes(job_->buffers, each) : PooledBytes();
     scatter_bytes(data, data != nullptr ? piece.data() : nullptr, each, root);
     allgather_bytes(data != nullptr ? piece.data() : nullptr, data, each);
     if (remainder > 0) {
@@ -1340,8 +1017,8 @@ void Comm::reduce_bytes(const void* in, void* out, std::size_t bytes, int root,
   CollTimer timer(*this, *job_, world_rank_of(rank_), ipm::CallKind::Reduce, bytes);
   CollGuard guard(job_->in_coll[static_cast<std::size_t>(world_rank_of(rank_))]);
   const bool have_data = in != nullptr;
-  PooledBytes acc = have_data ? PooledBytes(job_->buffers_for(world_rank_of(rank_)), bytes) : PooledBytes();
-  PooledBytes scratch = have_data ? PooledBytes(job_->buffers_for(world_rank_of(rank_)), bytes) : PooledBytes();
+  PooledBytes acc = have_data ? PooledBytes(job_->buffers, bytes) : PooledBytes();
+  PooledBytes scratch = have_data ? PooledBytes(job_->buffers, bytes) : PooledBytes();
   if (have_data) std::memcpy(acc.data(), in, bytes);
   if (np > 1) {
     const int tag = next_tag();
@@ -1374,8 +1051,8 @@ void Comm::allreduce_bytes(const void* in, void* out, std::size_t bytes,
   CollTimer timer(*this, *job_, world_rank_of(rank_), ipm::CallKind::Allreduce, bytes);
   CollGuard guard(job_->in_coll[static_cast<std::size_t>(world_rank_of(rank_))]);
   const bool have_data = in != nullptr;
-  PooledBytes acc = have_data ? PooledBytes(job_->buffers_for(world_rank_of(rank_)), bytes) : PooledBytes();
-  PooledBytes scratch = have_data ? PooledBytes(job_->buffers_for(world_rank_of(rank_)), bytes) : PooledBytes();
+  PooledBytes acc = have_data ? PooledBytes(job_->buffers, bytes) : PooledBytes();
+  PooledBytes scratch = have_data ? PooledBytes(job_->buffers, bytes) : PooledBytes();
   if (have_data) std::memcpy(acc.data(), in, bytes);
   if (np > 1) {
     const int tag = next_tag();
@@ -1531,7 +1208,7 @@ void Comm::gather_bytes(const void* in, void* out, std::size_t bytes_each, int r
     if ((vrank & m) == 0) span = std::min(2 * m, np - vrank);
   }
   PooledBytes scratch =
-      have_data ? PooledBytes(job_->buffers_for(world_rank_of(rank_)), static_cast<std::size_t>(span) * bytes_each)
+      have_data ? PooledBytes(job_->buffers, static_cast<std::size_t>(span) * bytes_each)
                 : PooledBytes();
   if (have_data) std::memcpy(scratch.data(), in, bytes_each);
   int held = 1;
@@ -1579,7 +1256,7 @@ void Comm::scatter_bytes(const void* in, void* out, std::size_t bytes_each, int 
     my_span = np;
     if (have_data) {
       const auto* i = static_cast<const std::byte*>(in);
-      scratch.reset(job_->buffers_for(world_rank_of(rank_)), static_cast<std::size_t>(np) * bytes_each);
+      scratch.reset(job_->buffers, static_cast<std::size_t>(np) * bytes_each);
       for (int v = 0; v < np; ++v) {
         std::memcpy(scratch.data() + static_cast<std::size_t>(v) * bytes_each,
                     i + static_cast<std::size_t>(real(v)) * bytes_each, bytes_each);
@@ -1588,7 +1265,7 @@ void Comm::scatter_bytes(const void* in, void* out, std::size_t bytes_each, int 
   } else {
     first_mask = vrank & (-vrank);  // lowest set bit
     my_span = std::min(first_mask, np - vrank);
-    if (have_data) scratch.reset(job_->buffers_for(world_rank_of(rank_)), static_cast<std::size_t>(my_span) * bytes_each);
+    if (have_data) scratch.reset(job_->buffers, static_cast<std::size_t>(my_span) * bytes_each);
     recv_bytes(real(vrank - first_mask), tag, have_data ? scratch.data() : nullptr,
          static_cast<std::size_t>(my_span) * bytes_each);
   }
@@ -1616,7 +1293,7 @@ void Comm::reduce_scatter_block_bytes(const void* in, void* out, std::size_t byt
     // Fallback: full reduce at rank 0, then scatter.
     PooledBytes full;
     if (have_data && rank_ == 0) {
-      full.reset(job_->buffers_for(world_rank_of(rank_)), bytes_each * static_cast<std::size_t>(np));
+      full.reset(job_->buffers, bytes_each * static_cast<std::size_t>(np));
     }
     reduce_bytes(in, rank_ == 0 ? full.data() : nullptr, bytes_each * static_cast<std::size_t>(np),
                  0, op);
@@ -1625,9 +1302,9 @@ void Comm::reduce_scatter_block_bytes(const void* in, void* out, std::size_t byt
   }
   PooledBytes buf, tmp;
   if (have_data) {
-    buf.reset(job_->buffers_for(world_rank_of(rank_)), bytes_each * static_cast<std::size_t>(np));
+    buf.reset(job_->buffers, bytes_each * static_cast<std::size_t>(np));
     std::memcpy(buf.data(), in, bytes_each * static_cast<std::size_t>(np));
-    tmp.reset(job_->buffers_for(world_rank_of(rank_)), bytes_each * static_cast<std::size_t>(np / 2 == 0 ? 1 : np / 2));
+    tmp.reset(job_->buffers, bytes_each * static_cast<std::size_t>(np / 2 == 0 ? 1 : np / 2));
   }
   const int tag = next_tag();
   int lo = 0;
@@ -1653,8 +1330,8 @@ void Comm::scan_bytes(const void* in, void* out, std::size_t bytes,
   CollTimer timer(*this, *job_, world_rank_of(rank_), ipm::CallKind::Reduce, bytes);
   CollGuard guard(job_->in_coll[static_cast<std::size_t>(world_rank_of(rank_))]);
   const bool have_data = in != nullptr;
-  PooledBytes acc = have_data ? PooledBytes(job_->buffers_for(world_rank_of(rank_)), bytes) : PooledBytes();
-  PooledBytes scratch = have_data ? PooledBytes(job_->buffers_for(world_rank_of(rank_)), bytes) : PooledBytes();
+  PooledBytes acc = have_data ? PooledBytes(job_->buffers, bytes) : PooledBytes();
+  PooledBytes scratch = have_data ? PooledBytes(job_->buffers, bytes) : PooledBytes();
   if (have_data) std::memcpy(acc.data(), in, bytes);
   if (np > 1) {
     // Hillis–Steele inclusive scan: log2 rounds; rank r receives from
@@ -1719,17 +1396,15 @@ void Comm::allgatherv_bytes(const void* in, void* out,
 
 std::unique_ptr<Comm> Comm::split(int color, int key) {
   Job& job = *job_;
-  const sim::SimTime t0 = job.eng(world_rank_of(rank_)).now();
+  const sim::SimTime t0 = job.engine.now();
   const int seq = coll_seq_;  // consumed by this split (barrier uses the next)
-  job.split_register(comm_id_, seq, {color, key, rank_});
+  job.split_board(comm_id_, seq).push_back({color, key, rank_});
   barrier();
   {
     CollGuard guard(job_->in_coll[static_cast<std::size_t>(world_rank_of(rank_))]);
     // After the barrier every rank has registered; derive groups
-    // deterministically (identical on all ranks). The board is read as a
-    // copy: registrations for a later split on the same comm may already be
-    // racing in from other LPs.
-    const std::vector<std::array<int, 3>> board = job.split_entries(comm_id_, seq);
+    // deterministically (identical on all ranks).
+    const std::vector<std::array<int, 3>>& board = job.split_board(comm_id_, seq);
     std::vector<std::array<int, 3>> mine;
     for (const auto& e : board) {
       if (e[0] == color) mine.push_back(e);
@@ -1753,7 +1428,7 @@ std::unique_ptr<Comm> Comm::split(int color, int key) {
       if (mine[idx][2] == rank_) my_new_rank = static_cast<int>(idx);
     }
     job.recorders[static_cast<std::size_t>(world_rank_of(rank_))].add_mpi(
-        ipm::CallKind::Split, 0, job.eng(world_rank_of(rank_)).now() - t0, 0.1);
+        ipm::CallKind::Split, 0, job.engine.now() - t0, 0.1);
     return std::unique_ptr<Comm>(new Comm(job, new_id, std::move(group), my_new_rank));
   }
 }
@@ -1777,7 +1452,7 @@ int RankEnv::size() const noexcept { return job_->config.np; }
 
 void RankEnv::compute(double ref_seconds) {
   if (ref_seconds <= 0) return;
-  const sim::SimTime t0 = job_->eng(world_rank_).now();
+  const sim::SimTime t0 = job_->engine.now();
   sim::SimTime t = plat::compute_time(
       job_->config.platform, job_->placement[static_cast<std::size_t>(world_rank_)],
       job_->config.traits, ref_seconds, rng_);
@@ -1809,25 +1484,10 @@ void record_storage_spans(Job& job, int world_rank, sim::SimTime t0, sim::SimTim
 }  // namespace
 
 void RankEnv::io_read(std::size_t bytes, bool open_file) {
-  sim::Engine& me = job_->eng(world_rank_);
+  sim::Engine& me = job_->engine;
   const sim::SimTime t0 = me.now();
-  sim::SimTime done;
-  sim::SimTime queued = 0;
-  if (job_->lp_n > 1) {
-    // The file system is shared queueing state — service it in canonical
-    // order on the coordinator so concurrent readers on different LPs see a
-    // reproducible congestion sequence.
-    detail::DeferCtx ctx;
-    ctx.kind = detail::DeferCtx::Kind::FsRead;
-    ctx.bytes = bytes;
-    ctx.open_file = open_file;
-    defer_and_wait(*job_, world_rank_, ctx);
-    done = ctx.delay;
-    queued = ctx.queued;
-  } else {
-    done = job_->fs.read(bytes, open_file);
-    queued = job_->fs.last_op().queued;
-  }
+  const sim::SimTime done = job_->fs.read(bytes, open_file);
+  const sim::SimTime queued = job_->fs.last_op().queued;
   sim::Process& proc = *job_->procs[static_cast<std::size_t>(world_rank_)];
   if (done > t0) {
     me.wake_at(proc, done);
@@ -1840,22 +1500,10 @@ void RankEnv::io_read(std::size_t bytes, bool open_file) {
 }
 
 void RankEnv::io_write(std::size_t bytes, bool open_file) {
-  sim::Engine& me = job_->eng(world_rank_);
+  sim::Engine& me = job_->engine;
   const sim::SimTime t0 = me.now();
-  sim::SimTime done;
-  sim::SimTime queued = 0;
-  if (job_->lp_n > 1) {
-    detail::DeferCtx ctx;
-    ctx.kind = detail::DeferCtx::Kind::FsWrite;
-    ctx.bytes = bytes;
-    ctx.open_file = open_file;
-    defer_and_wait(*job_, world_rank_, ctx);
-    done = ctx.delay;
-    queued = ctx.queued;
-  } else {
-    done = job_->fs.write(bytes, open_file);
-    queued = job_->fs.last_op().queued;
-  }
+  const sim::SimTime done = job_->fs.write(bytes, open_file);
+  const sim::SimTime queued = job_->fs.last_op().queued;
   sim::Process& proc = *job_->procs[static_cast<std::size_t>(world_rank_)];
   if (done > t0) {
     me.wake_at(proc, done);
@@ -1871,18 +1519,18 @@ void RankEnv::annotate(const std::string& name) { job_->record_instant(world_ran
 
 std::uint32_t RankEnv::span_begin(std::string_view category, std::string label) {
   return job_->span_rec(world_rank_)
-      .begin(job_->eng(world_rank_).now(), category, std::move(label));
+      .begin(job_->engine.now(), category, std::move(label));
 }
 
 void RankEnv::span_end(std::uint32_t id) {
-  job_->span_rec(world_rank_).end(id, job_->eng(world_rank_).now());
+  job_->span_rec(world_rank_).end(id, job_->engine.now());
 }
 
 bool RankEnv::checkpointing() const noexcept { return job_->config.checkpoint_store != nullptr; }
 
 bool RankEnv::interruption_imminent() const noexcept {
   const double warn = job_->config.faults.warn_at_s;
-  return warn >= 0 && sim::to_seconds(job_->eng(world_rank_).now()) >= warn;
+  return warn >= 0 && sim::to_seconds(job_->engine.now()) >= warn;
 }
 
 bool RankEnv::maybe_checkpoint(int step, const void* data, std::size_t bytes) {
@@ -1908,19 +1556,15 @@ bool RankEnv::maybe_checkpoint(int step, const void* data, std::size_t bytes) {
 void RankEnv::checkpoint(int step, const void* data, std::size_t bytes) {
   CheckpointStore* store = job_->config.checkpoint_store;
   if (store == nullptr) return;
-  {
-    std::lock_guard<std::mutex> lk(job_->ckpt_mu_);
-    store->stage(world_rank_, job_->config.np, step, data, bytes);
-  }
-  job_->ctr(world_rank_).checkpoint_bytes += bytes;
+  store->stage(world_rank_, job_->config.np, step, data, bytes);
+  job_->counters.checkpoint_bytes += bytes;
   io_write(bytes, /*open_file=*/true);
   world_->barrier();
   // The barrier proves every rank's write completed; only then does the
   // staged set become the restart point.
   if (world_rank_ == 0) {
-    std::lock_guard<std::mutex> lk(job_->ckpt_mu_);
     store->commit(now_seconds());
-    ++job_->ctr(world_rank_).checkpoints_committed;
+    ++job_->counters.checkpoints_committed;
     job_->record_instant(-1, "checkpoint commit (step " + std::to_string(step) + ")");
   }
 }
@@ -1946,11 +1590,11 @@ const plat::RankPlacement& RankEnv::placement() const noexcept {
 const plat::Platform& RankEnv::platform() const noexcept { return job_->config.platform; }
 
 void RankEnv::report(const std::string& key, double value) {
-  job_->report_value(world_rank_, key, value);
+  job_->values[key] = value;
 }
 
 double RankEnv::now_seconds() const noexcept {
-  return sim::to_seconds(job_->eng(world_rank_).now());
+  return sim::to_seconds(job_->engine.now());
 }
 
 // ---------------------------------------------------------------------------
@@ -1960,73 +1604,24 @@ double RankEnv::now_seconds() const noexcept {
 namespace {
 
 /// One finished job's intrinsic counter under its canonical series id.
-/// `lp_invariant` marks values that are pure functions of the virtual event
-/// stream — identical for any LP count (and any --jobs worker count), so
-/// they feed the process-wide GlobalCounters totals. Non-invariant entries
-/// describe execution mechanics (queue depth high-water marks, pool reuse,
-/// fiber switches) that legitimately vary with the partitioning; they are
-/// still published to a profiling run's own registry.
+/// `global` marks values that are pure functions of the virtual event
+/// stream — identical for any --jobs worker count — so they feed the
+/// process-wide GlobalCounters totals. The others describe execution
+/// mechanics (queue depth high-water marks, pool reuse, fiber switches);
+/// they are published to a profiling run's own registry only.
 struct IntrinsicCounter {
   const char* name;
   std::uint64_t value;
-  bool lp_invariant;
+  bool global;
 };
 
 std::vector<IntrinsicCounter> intrinsic_counters(const Job& job) {
-  // Engine stats: event-stream sums add across LPs; high-water marks and
-  // execution-mechanics counters (fiber switches, slab reuse, deadlock
-  // scans) depend on how work was partitioned, so they take the max / plain
-  // sum and are flagged non-invariant below.
-  sim::Engine::Stats es = job.engine.stats();
-  std::uint64_t events_total = job.engine.events_processed();
-  for (std::size_t i = 1; i < job.engines.size(); ++i) {
-    const sim::Engine::Stats& s = job.engines[i]->stats();
-    es.wake_events += s.wake_events;
-    es.callback_events += s.callback_events;
-    es.raw_events += s.raw_events;
-    es.fiber_switches += s.fiber_switches;
-    es.heap_hwm = std::max(es.heap_hwm, s.heap_hwm);
-    es.slab_slots_hwm = std::max(es.slab_slots_hwm, s.slab_slots_hwm);
-    es.slab_reuses += s.slab_reuses;
-    es.deadlock_scans += s.deadlock_scans;
-    events_total += job.engines[i]->events_processed();
-  }
-  // Coordinator boundary actions (multi-LP fault kill) stand in for the
-  // in-engine events the single-LP path runs; count them identically.
-  events_total += job.boundary_events_;
-  es.callback_events += job.boundary_events_;
-
-  // Network totals: the shared internode model plus every LP's local
-  // intranode sink (single-LP runs have one empty sink).
-  net::NetStats ns = job.network.stats();
+  const sim::Engine::Stats& es = job.engine.stats();
+  const net::NetStats& ns = job.network.stats();
   const storage::Stats& ss = job.fs.stats();
-  Job::MpiCounters mc;
-  for (const Job::LpShard& sh : job.lp_) {
-    ns.transfers_internode += sh.net.transfers_internode;
-    ns.transfers_intranode += sh.net.transfers_intranode;
-    ns.bytes_internode += sh.net.bytes_internode;
-    ns.bytes_intranode += sh.net.bytes_intranode;
-    ns.routed_hops += sh.net.routed_hops;
-    ns.incast_collisions += sh.net.incast_collisions;
-    ns.jitter_spikes += sh.net.jitter_spikes;
-    ns.control_messages += sh.net.control_messages;
-    const Job::MpiCounters& c = sh.counters;
-    mc.sends_eager += c.sends_eager;
-    mc.sends_rendezvous += c.sends_rendezvous;
-    mc.recvs_matched_posted += c.recvs_matched_posted;
-    mc.recvs_matched_unexpected += c.recvs_matched_unexpected;
-    mc.recvs_posted += c.recvs_posted;
-    mc.unexpected_enqueued += c.unexpected_enqueued;
-    mc.wildcard_scans += c.wildcard_scans;
-    mc.envelopes_acquired += c.envelopes_acquired;
-    mc.envelopes_reused += c.envelopes_reused;
-    mc.checkpoints_committed += c.checkpoints_committed;
-    mc.checkpoint_bytes += c.checkpoint_bytes;
-    mc.unexpected_hwm = std::max(mc.unexpected_hwm, c.unexpected_hwm);
-    mc.posted_hwm = std::max(mc.posted_hwm, c.posted_hwm);
-  }
+  const Job::MpiCounters& mc = job.counters;
   return {
-      {"sim_events_total", events_total, true},
+      {"sim_events_total", job.engine.events_processed(), true},
       {"sim_events_wake", es.wake_events, true},
       {"sim_events_callback", es.callback_events, true},
       {"sim_events_raw", es.raw_events, true},
@@ -2056,9 +1651,9 @@ std::vector<IntrinsicCounter> intrinsic_counters(const Job& job) {
       {"mpi_envelopes_reused", mc.envelopes_reused, false},
       {"mpi_checkpoints_committed", mc.checkpoints_committed, true},
       {"mpi_checkpoint_bytes", mc.checkpoint_bytes, true},
-      // Storage-layer service counters: requests are serviced in canonical
-      // order (coordinator-side under multi-LP), so every field — including
-      // the queueing times — is a pure function of the event stream.
+      // Storage-layer service counters: requests are serviced in event
+      // order, so every field — including the queueing times — is a pure
+      // function of the event stream.
       {"storage_reads", ss.reads, true},
       {"storage_writes", ss.writes, true},
       {"storage_opens", ss.opens, true},
@@ -2080,73 +1675,27 @@ JobResult run_job(const JobConfig& config, const std::function<void(RankEnv&)>& 
     job.setup_telemetry(*telemetry);
   }
   for (int r = 0; r < config.np; ++r) {
-    job.eng(r).spawn(config.name + "/rank" + std::to_string(r), [&job, &body, r](sim::Process& p) {
+    job.engine.spawn(config.name + "/rank" + std::to_string(r), [&job, &body, r](sim::Process& p) {
       job.procs[static_cast<std::size_t>(r)] = &p;
       RankEnv env(job, r);
       body(env);
-      job.recorders[static_cast<std::size_t>(r)].finish(job.eng(r).now());
+      job.recorders[static_cast<std::size_t>(r)].finish(job.engine.now());
       ++job.finished_ranks;
     });
   }
-  std::shared_ptr<obs::SpanSet> sched_spans;
-  if (job.lp_n == 1) {
-    job.engine.run();
-  } else {
-    sim::LpGroup::Options lp_opts;
-    lp_opts.lookahead = job.lookahead;
-    obs::SpanRecorder sched_rec;  // inert unless tracing
-    if (config.enable_trace) {
-      // Scheduler meta spans on track -1: every barrier window and service
-      // round. Both hooks run on the coordinator only, so the recorder
-      // needs no lock. Window geometry depends on the LP split — these
-      // spans are diagnostic, not part of the LP-invariant span set.
-      sched_spans = std::make_shared<obs::SpanSet>();
-      sched_rec = obs::SpanRecorder(sched_spans.get(), -1);
-      lp_opts.on_window = [&sched_rec](sim::SimTime t_next, sim::SimTime horizon,
-                                       std::size_t rounds) {
-        if (horizon == sim::Engine::kNoEvent) horizon = t_next;
-        sched_rec.record(t_next, horizon, "sim.window", std::to_string(rounds) + " rounds");
-      };
-      lp_opts.on_round = [&sched_rec](sim::SimTime first, sim::SimTime last,
-                                      std::size_t count) {
-        sched_rec.record(first, last, "sim.round", std::to_string(count) + " reqs");
-      };
-    }
-    sim::LpGroup group(job.engines, lp_opts);
-    job.group = &group;
-    if (config.faults.kill_at_s >= 0) {
-      // The single-LP path runs the kill as an in-engine event; here it is a
-      // coordinator boundary so it observes every LP quiesced at the kill
-      // time. boundary_events_ keeps the published event counts identical.
-      const sim::SimTime kt = sim::from_seconds(config.faults.kill_at_s);
-      group.add_boundary(kt, [&job, kt] {
-        ++job.boundary_events_;
-        if (job.finished_ranks < job.config.np) {
-          job.record_instant_at(-1, kt, "fault: job killed");
-          throw JobKilledError(sim::to_seconds(kt), job.final_trace());
-        }
-      });
-    }
-    try {
-      group.run([&job](sim::LpRequest& r) { service_request(job, r); });
-    } catch (...) {
-      job.group = nullptr;
-      throw;
-    }
-    job.group = nullptr;
-  }
+  job.engine.run();
 
-  // Publish intrinsic counters: LP-invariant ones into the process-wide
+  // Publish intrinsic counters: the event-stream ones into the process-wide
   // totals (one short lock per job; keeps the totals byte-identical for any
-  // --lp / --jobs), all of them into the job's own registry when profiling.
+  // --jobs), all of them into the job's own registry when profiling.
   const auto intrinsic = intrinsic_counters(job);
   {
-    std::vector<std::pair<std::string, std::uint64_t>> invariant;
-    invariant.reserve(intrinsic.size());
+    std::vector<std::pair<std::string, std::uint64_t>> global;
+    global.reserve(intrinsic.size());
     for (const auto& c : intrinsic) {
-      if (c.lp_invariant) invariant.emplace_back(c.name, c.value);
+      if (c.global) global.emplace_back(c.name, c.value);
     }
-    obs::GlobalCounters::instance().add(invariant);
+    obs::GlobalCounters::instance().add(global);
   }
   if (telemetry != nullptr) {
     for (const auto& c : intrinsic) telemetry->registry.counter(c.name).inc(c.value);
@@ -2156,26 +1705,14 @@ JobResult run_job(const JobConfig& config, const std::function<void(RankEnv&)>& 
   }
 
   JobResult result;
-  result.events_processed = 0;
-  for (const sim::Engine* e : job.engines) result.events_processed += e->events_processed();
-  result.events_processed += job.boundary_events_;
+  result.events_processed = job.engine.events_processed();
   result.ipm = ipm::JobReport(std::move(job.recorders));
   result.elapsed_seconds = result.ipm.wall_seconds();
   result.values = std::move(job.values);
-  if (job.lp_n > 1) {
-    // Shard values merge in LP-index order; a key reported by ranks on
-    // several LPs resolves to the highest LP's writer rather than the last
-    // program-order writer (documented in DESIGN.md — reports are
-    // conventionally rank-0-only, where the two orders coincide).
-    for (auto& sh : job.lp_) {
-      for (auto& [k, v] : sh.values) result.values[k] = v;
-    }
-  }
   result.storage_stats = job.fs.stats();
   result.storage_name = job.fs.model().name;
-  result.trace = job.final_trace();
-  result.spans = job.final_spans();
-  result.sched_spans = std::move(sched_spans);
+  result.trace = job.trace;
+  result.spans = job.spans;
   result.topology = job.network.topology_ptr();
   result.link_stats = job.network.link_stats();
   result.nic_stats = job.network.nic_stats();

@@ -39,12 +39,6 @@ namespace cirrus::mpi {
 inline constexpr int kAnySource = -2;
 inline constexpr int kAnyTag = -2;
 
-/// Process-wide default LP (logical process / worker thread) count for jobs
-/// whose JobConfig::lp is 0. Initialised once from the CIRRUS_LP environment
-/// variable (unset or unparsable: 1); overridable by drivers via --lp.
-int default_lp() noexcept;
-void set_default_lp(int lp) noexcept;
-
 /// Reduction operators for the typed collective wrappers.
 enum class Op { Sum, Max, Min, Prod };
 
@@ -407,17 +401,6 @@ struct JobConfig {
   /// How the job's logical nodes map onto fabric nodes (contiguous is the
   /// identity and therefore event-neutral).
   topo::Placement placement = topo::Placement::Contiguous;
-  /// Logical processes (worker threads) the simulation is partitioned over.
-  /// 0: use mpi::default_lp() (the CIRRUS_LP / --lp setting). 1: the classic
-  /// single-threaded engine, bit-identical to previous releases. >1: nodes
-  /// are sharded across that many engines run under the conservative-window
-  /// protocol (sim::LpGroup); results are byte-identical to lp=1 (see
-  /// DESIGN.md — "Multi-LP determinism"). Clamped to the job's node count;
-  /// forced to 1 when telemetry is enabled.
-  int lp = 0;
-  /// Pending-event structure for every engine of this job (heap4/calendar —
-  /// a pure performance knob; event order is identical either way).
-  sim::SchedulerKind scheduler = sim::default_scheduler();
   /// Shared-storage backend this job's I/O goes through (RankEnv::io_read /
   /// io_write, checkpoints). Nfs reproduces the legacy single-server
   /// plat::FsModel semantics bit for bit; Lustre/Object use the platform's
@@ -466,12 +449,11 @@ struct JobResult {
   std::shared_ptr<const ipm::Trace> trace;
   /// Causal spans recorded alongside the trace (null unless enable_trace):
   /// storage queue/service splits, collective phases, workload-opened spans
-  /// (wf task stages). Canonically sorted; byte-identical for any --lp.
+  /// (wf task stages), in recording order.
   std::shared_ptr<const obs::SpanSet> spans;
-  /// Scheduler meta spans (multi-LP traced runs only): one span per barrier
-  /// window and per service round on track -1. Diagnostic — the window
-  /// geometry is a function of the LP split, so unlike `spans` this is NOT
-  /// LP-invariant and stays out of blame attribution.
+  /// Always null: nothing records scheduler meta spans. Kept because the
+  /// perfbench harness passes it to the four-argument
+  /// obs::enriched_chrome_json.
   std::shared_ptr<const obs::SpanSet> sched_spans;
   /// The fabric the job ran over (never null; the crossbar has no links).
   std::shared_ptr<const topo::Topology> topology;

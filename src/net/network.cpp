@@ -59,33 +59,19 @@ sim::SimTime Network::wire_latency(bool internode) {
   return sim::from_micros(us);
 }
 
-TransferTiming Network::intranode_transfer_at(sim::SimTime now, std::size_t bytes,
-                                              NetStats& sink) const {
-  ++sink.transfers_intranode;
-  sink.bytes_intranode += bytes;
-  // Shared-memory transport: a copy at shm bandwidth after a small latency.
-  const sim::SimTime copy =
-      sim::from_seconds(static_cast<double>(bytes) / platform_.shm.bandwidth_Bps);
-  const sim::SimTime lat = sim::from_micros(platform_.shm.latency_us);
-  // The sender performs the copy (one-copy shared-memory protocol).
-  return TransferTiming{.sender_free = now + copy, .arrival = now + copy + lat};
-}
-
-sim::SimTime Network::intranode_control_delay(NetStats& sink) const {
-  ++sink.control_messages;
-  return sim::from_micros(platform_.shm.latency_us);
-}
-
 TransferTiming Network::transfer(int src_node, int dst_node, std::size_t bytes) {
-  return transfer_at(engine_.now(), src_node, dst_node, bytes);
-}
-
-TransferTiming Network::transfer_at(sim::SimTime now, int src_node, int dst_node,
-                                    std::size_t bytes) {
+  const sim::SimTime now = engine_.now();
   const sim::SimTime overhead = sim::from_micros(platform_.nic.per_msg_overhead_us);
 
   if (src_node == dst_node) {
-    return intranode_transfer_at(now, bytes, stats_);
+    ++stats_.transfers_intranode;
+    stats_.bytes_intranode += bytes;
+    // Shared-memory transport: a copy at shm bandwidth after a small latency.
+    const sim::SimTime copy =
+        sim::from_seconds(static_cast<double>(bytes) / platform_.shm.bandwidth_Bps);
+    const sim::SimTime lat = sim::from_micros(platform_.shm.latency_us);
+    // The sender performs the copy (one-copy shared-memory protocol).
+    return TransferTiming{.sender_free = now + copy, .arrival = now + copy + lat};
   }
 
   ++stats_.transfers_internode;
@@ -190,14 +176,10 @@ TransferTiming Network::transfer_at(sim::SimTime now, int src_node, int dst_node
 }
 
 sim::SimTime Network::control_delay(int src_node, int dst_node) {
-  return control_delay_at(engine_.now(), src_node, dst_node);
-}
-
-sim::SimTime Network::control_delay_at(sim::SimTime now, int src_node, int dst_node) {
   ++stats_.control_messages;
   sim::SimTime d = wire_latency(src_node != dst_node);
   if (src_node != dst_node) {
-    d += extra_latency(src_node, dst_node, sim::to_seconds(now));
+    d += extra_latency(src_node, dst_node, sim::to_seconds(engine_.now()));
     if (topo_ != nullptr) {
       // Control messages ride the same static route but reserve nothing:
       // they only pay each hop's base latency.
@@ -215,29 +197,20 @@ sim::SimTime Network::control_delay_at(sim::SimTime now, int src_node, int dst_n
 FileSystem::FileSystem(sim::Engine& engine, const plat::FsModel& model)
     : engine_(engine), model_(model) {}
 
-sim::SimTime FileSystem::request(sim::SimTime now, std::size_t bytes, double bw_Bps,
-                                 bool open_file) {
+sim::SimTime FileSystem::request(std::size_t bytes, double bw_Bps, bool open_file) {
   sim::SimTime service = sim::from_seconds(static_cast<double>(bytes) / bw_Bps);
   if (open_file) service += sim::from_seconds(model_.open_latency_ms * 1e-3);
-  const sim::SimTime start = std::max(now, server_free_);
+  const sim::SimTime start = std::max(engine_.now(), server_free_);
   server_free_ = start + service;
   return server_free_;
 }
 
 sim::SimTime FileSystem::read(std::size_t bytes, bool open_file) {
-  return request(engine_.now(), bytes, model_.read_Bps, open_file);
+  return request(bytes, model_.read_Bps, open_file);
 }
 
 sim::SimTime FileSystem::write(std::size_t bytes, bool open_file) {
-  return request(engine_.now(), bytes, model_.write_Bps, open_file);
-}
-
-sim::SimTime FileSystem::read_at(sim::SimTime now, std::size_t bytes, bool open_file) {
-  return request(now, bytes, model_.read_Bps, open_file);
-}
-
-sim::SimTime FileSystem::write_at(sim::SimTime now, std::size_t bytes, bool open_file) {
-  return request(now, bytes, model_.write_Bps, open_file);
+  return request(bytes, model_.write_Bps, open_file);
 }
 
 }  // namespace cirrus::net

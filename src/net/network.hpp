@@ -106,34 +106,6 @@ class Network {
   /// reservation.
   sim::SimTime control_delay(int src_node, int dst_node);
 
-  /// Explicit-time variants for the multi-LP coordinator, which prices
-  /// transfers for all LPs in canonical order at a window barrier — after
-  /// the engines' clocks have individually moved on — and therefore passes
-  /// the call's original timestamp instead of reading engine.now(). The
-  /// legacy methods above are exactly transfer_at(engine.now(), ...) etc.,
-  /// so single-LP pricing is bit-identical.
-  TransferTiming transfer_at(sim::SimTime now, int src_node, int dst_node, std::size_t bytes);
-  sim::SimTime control_delay_at(sim::SimTime now, int src_node, int dst_node);
-
-  /// Intra-node (shared-memory) pricing with counters routed to `sink`.
-  /// Touches no NIC ports, no fabric links and no RNG — a node's ranks all
-  /// live on one LP, so this is safe to call concurrently from different LP
-  /// threads as long as each passes its own sink. `const`: the only mutable
-  /// state it would have touched is the counter block the caller supplies.
-  TransferTiming intranode_transfer_at(sim::SimTime now, std::size_t bytes,
-                                       NetStats& sink) const;
-  sim::SimTime intranode_control_delay(NetStats& sink) const;
-
-  /// Conservative lower bound on the one-way internode delay of *any*
-  /// message or control packet: the NIC's base wire latency. Jitter,
-  /// per-message overhead, fabric hops, queueing and fault-injected latency
-  /// only ever add to it. This is the lookahead bound L of the conservative
-  /// multi-LP protocol: an internode interaction initiated at time s cannot
-  /// be observed by another node before s + L.
-  [[nodiscard]] sim::SimTime min_internode_lookahead() const noexcept {
-    return sim::from_micros(platform_.nic.latency_us);
-  }
-
   [[nodiscard]] const plat::Platform& platform() const noexcept { return platform_; }
 
   /// Fraction of communication time that IPM should book as system time for
@@ -223,16 +195,10 @@ class FileSystem {
   sim::SimTime read(std::size_t bytes, bool open_file);
   sim::SimTime write(std::size_t bytes, bool open_file);
 
-  /// Explicit-time variants for the multi-LP coordinator (the server queue
-  /// is shared by every node, so requests must be serialised in canonical
-  /// order). read(b, o) is exactly read_at(engine.now(), b, o).
-  sim::SimTime read_at(sim::SimTime now, std::size_t bytes, bool open_file);
-  sim::SimTime write_at(sim::SimTime now, std::size_t bytes, bool open_file);
-
   [[nodiscard]] const plat::FsModel& model() const noexcept { return model_; }
 
  private:
-  sim::SimTime request(sim::SimTime now, std::size_t bytes, double bw_Bps, bool open_file);
+  sim::SimTime request(std::size_t bytes, double bw_Bps, bool open_file);
 
   sim::Engine& engine_;
   plat::FsModel model_;

@@ -14,8 +14,8 @@
 // [earliest event begin, completion], so by_category sums to the makespan
 // exactly and fractions() sums to 1.0 up to float rounding (<< 1e-9). Every
 // tie-break is total (documented per rule in the .cpp), so the result is a
-// pure function of the trace — byte-identical under any `--jobs`/`--lp`
-// split on jitter-free platforms, like the trace itself.
+// pure function of the trace — byte-identical under any `--jobs` count,
+// like the trace itself.
 #pragma once
 
 #include <array>

@@ -2,21 +2,10 @@
 
 #include <algorithm>
 #include <ostream>
-#include <tuple>
 
 #include "obs/json_writer.hpp"
 
 namespace cirrus::obs {
-
-void SpanSet::append(const SpanSet& other) {
-  spans_.insert(spans_.end(), other.spans_.begin(), other.spans_.end());
-}
-
-void SpanSet::sort_canonical() {
-  std::sort(spans_.begin(), spans_.end(), [](const Span& a, const Span& b) {
-    return std::tie(a.begin, a.track, a.id) < std::tie(b.begin, b.track, b.id);
-  });
-}
 
 std::vector<Span> SpanSet::for_track(int track) const {
   std::vector<Span> out;

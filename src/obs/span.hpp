@@ -4,17 +4,13 @@
 // a category ("storage.queue", "mpi.collective", "wf.task", ...), an optional
 // free-form label, and a parent link forming a per-track tree. Span ids are
 // per-track ordinals assigned in recording order: a rank's spans are recorded
-// by its own fiber in virtual-time program order, which the conservative LP
-// protocol keeps invariant under any `--lp` split, so ids — and therefore the
-// whole serialized tree — are byte-identical for any LP count and any
-// `--jobs` sweep parallelism on jitter-free platforms.
+// by its own fiber in virtual-time program order, so ids — and therefore the
+// whole serialized tree — are byte-identical for any `--jobs` sweep
+// parallelism.
 //
 // Recording follows the MetricsRegistry nullable-handle idiom: a
 // default-constructed SpanRecorder is inert, every call on it compiles to a
 // null check, and instrumented code never branches on "is tracing on".
-// Under multi-LP execution each LP records into its own SpanSet shard (one
-// recorder per rank, ranks never migrate) and the coordinator merges shards
-// with append() + sort_canonical(), mirroring ipm::Trace.
 #pragma once
 
 #include <cstdint>
@@ -27,19 +23,19 @@
 
 namespace cirrus::obs {
 
-/// One recorded interval. (track, id) is unique within a merged SpanSet;
+/// One recorded interval. (track, id) is unique within a SpanSet;
 /// parent == 0 means a root span of its track.
 struct Span {
   std::uint32_t id = 0;
   std::uint32_t parent = 0;
-  int track = 0;  ///< rank, or -1 for coordinator/scheduler meta spans
+  int track = 0;  ///< rank
   sim::SimTime begin = 0;
   sim::SimTime end = 0;
   std::string category;
   std::string label;
 };
 
-/// Append-only collection of spans. Not thread-safe; shard per LP and merge.
+/// Append-only collection of spans, in recording order. Not thread-safe.
 class SpanSet {
  public:
   void add(Span s) { spans_.push_back(std::move(s)); }
@@ -47,14 +43,6 @@ class SpanSet {
   [[nodiscard]] const std::vector<Span>& spans() const noexcept { return spans_; }
   [[nodiscard]] std::size_t size() const noexcept { return spans_.size(); }
   [[nodiscard]] bool empty() const noexcept { return spans_.empty(); }
-
-  /// Appends every span of `other` (multi-LP shard merge).
-  void append(const SpanSet& other);
-
-  /// Sorts by (begin, track, id) — the order a single-LP run records in
-  /// (each track's ids ascend with begin; across tracks begin then track
-  /// breaks ties). Stable not required: the key is unique per set.
-  void sort_canonical();
 
   /// Spans of one track, in id order.
   [[nodiscard]] std::vector<Span> for_track(int track) const;

@@ -16,9 +16,10 @@ namespace cirrus::obs {
 /// argument may be null; with both null the result is an empty array.
 std::string enriched_chrome_json(const ipm::Trace* trace, const Sampler* sampler);
 
-/// Same, with causal span sets merged in as additional "X" rows on the rank
-/// tracks (`spans`, cat "span") and the scheduler meta track (`sched_spans`,
-/// tid -1). Any argument may be null.
+/// Same, with causal span sets merged in as additional "X" rows on their
+/// tracks (cat "span"). Any argument may be null. `sched_spans` is written
+/// after `spans`; its usual source, mpi::JobResult::sched_spans, is always
+/// null, and the parameter stays for the perfbench harness, which passes it.
 std::string enriched_chrome_json(const ipm::Trace* trace, const Sampler* sampler,
                                  const SpanSet* spans, const SpanSet* sched_spans);
 

@@ -308,17 +308,31 @@ std::string generation_name(const std::string& base, int generation) {
                               std::to_string(generation) + " model");
 }
 
+namespace {
+int ranks_per_node(const Platform& p, int max_ranks_per_node) {
+  return max_ranks_per_node > 0 ? std::min(max_ranks_per_node, p.hw_threads_per_node)
+                                : p.hw_threads_per_node;
+}
+}  // namespace
+
+std::string placement_error(const Platform& p, int np, int max_ranks_per_node) {
+  const int per_node = ranks_per_node(p, max_ranks_per_node);
+  const long long nodes_needed = (static_cast<long long>(np) + per_node - 1) / per_node;
+  if (nodes_needed <= p.nodes) return {};
+  return "job of " + std::to_string(np) + " ranks at " + std::to_string(per_node) +
+         "/node does not fit on " + p.name + " (" + std::to_string(p.nodes) +
+         " nodes: at most " + std::to_string(static_cast<long long>(p.nodes) * per_node) +
+         " ranks)";
+}
+
 std::vector<RankPlacement> place_block(const Platform& p, int np, int max_ranks_per_node,
                                        const WorkloadTraits& traits, std::uint64_t seed) {
   if (np <= 0) throw std::invalid_argument("place_block: np must be positive");
-  const int per_node =
-      max_ranks_per_node > 0 ? std::min(max_ranks_per_node, p.hw_threads_per_node)
-                             : p.hw_threads_per_node;
-  const int nodes_needed = (np + per_node - 1) / per_node;
-  if (nodes_needed > p.nodes) {
-    throw std::invalid_argument("place_block: job of " + std::to_string(np) + " ranks at " +
-                                std::to_string(per_node) + "/node does not fit on " + p.name);
+  if (const std::string why = placement_error(p, np, max_ranks_per_node); !why.empty()) {
+    throw std::invalid_argument("place_block: " + why);
   }
+  const int per_node = ranks_per_node(p, max_ranks_per_node);
+  const int nodes_needed = (np + per_node - 1) / per_node;
 
   std::vector<RankPlacement> out(static_cast<std::size_t>(np));
   // Ranks fill node 0's slots first, then node 1, ... (block placement, the

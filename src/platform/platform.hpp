@@ -183,11 +183,15 @@ struct RankPlacement {
 /// Places `np` ranks on the platform, filling each node's hardware threads in
 /// order before moving to the next node (the scheduler behaviour in the
 /// paper). `max_ranks_per_node` < hw_threads_per_node gives the paper's
-/// "EC2-4" style undersubscribed placements. Throws if the job does not fit.
-/// NUMA factors are drawn deterministically from `seed` on NUMA-masked
-/// platforms.
+/// "EC2-4" style undersubscribed placements. Throws std::invalid_argument
+/// carrying placement_error() if the job does not fit. NUMA factors are drawn
+/// deterministically from `seed` on NUMA-masked platforms.
 std::vector<RankPlacement> place_block(const Platform& p, int np, int max_ranks_per_node,
                                        const WorkloadTraits& traits, std::uint64_t seed);
+
+/// Why place_block would reject `np` (>= 1) ranks at `max_ranks_per_node`
+/// on `p`, naming the platform's rank limit; empty when the job fits.
+std::string placement_error(const Platform& p, int np, int max_ranks_per_node);
 
 /// Simulated duration of `ref_seconds` of reference work for one rank.
 /// `ref_seconds` are defined as wall seconds of that work on an unloaded DCC

@@ -15,7 +15,6 @@
 #include "obs/json_writer.hpp"
 #include "obs/jsonlite.hpp"
 #include "osu/osu.hpp"
-#include "sim/event_queue.hpp"
 #include "storage/storage.hpp"
 #include "topo/topo.hpp"
 #include "wf/dag.hpp"
@@ -60,11 +59,9 @@ mpi::JobConfig to_job_config(const core::RunRequest& req, const ExecOptions& exe
   cfg.topology.oversubscription = req.oversub;
   cfg.topology.leaf_radix = req.leaf;
   cfg.placement = topo::placement_from_string(req.placement);
-  cfg.scheduler = sim::scheduler_from_string(req.sched);
   cfg.storage_backend = storage::backend_from_string(req.storage);
   cfg.enable_trace = exec.enable_trace;
   cfg.telemetry = exec.telemetry;
-  cfg.lp = exec.lp;
   return cfg;
 }
 
@@ -115,11 +112,9 @@ RunOutcome execute(const core::RunRequest& req, const ExecOptions& exec) {
     cfg.eager_threshold_bytes = base.eager_threshold_bytes;
     cfg.topology = base.topology;
     cfg.placement = base.placement;
-    cfg.scheduler = base.scheduler;
     cfg.storage_backend = base.storage_backend;
     cfg.enable_trace = base.enable_trace;
     cfg.telemetry = base.telemetry;
-    cfg.lp = base.lp;
     auto out = run_with_faults(cfg, req, [&info, cls](mpi::RankEnv& env) {
       const auto res = info.fn(env, cls);
       if (env.rank() == 0) {
@@ -350,14 +345,6 @@ Service::Service(Options opts)
   req_cache_stats_ = registry_.counter("serve_requests_total", {{"route", "cache_stats"}});
   req_spans_ = registry_.counter("serve_requests_total", {{"route", "spans"}});
   req_other_ = registry_.counter("serve_requests_total", {{"route", "other"}});
-  dur_query_ = registry_.histogram("serve_request_duration_seconds", {{"route", "query"}});
-  dur_advise_ = registry_.histogram("serve_request_duration_seconds", {{"route", "advise"}});
-  dur_healthz_ = registry_.histogram("serve_request_duration_seconds", {{"route", "healthz"}});
-  dur_metrics_ = registry_.histogram("serve_request_duration_seconds", {{"route", "metrics"}});
-  dur_cache_stats_ =
-      registry_.histogram("serve_request_duration_seconds", {{"route", "cache_stats"}});
-  dur_spans_ = registry_.histogram("serve_request_duration_seconds", {{"route", "spans"}});
-  dur_other_ = registry_.histogram("serve_request_duration_seconds", {{"route", "other"}});
   resp_ok_ = registry_.counter("serve_responses_total", {{"class", "ok"}});
   resp_client_err_ = registry_.counter("serve_responses_total", {{"class", "client_error"}});
   resp_server_err_ = registry_.counter("serve_responses_total", {{"class", "server_error"}});
@@ -366,8 +353,6 @@ Service::Service(Options opts)
   cache_miss_ = registry_.counter("serve_cache_requests_total", {{"result", "miss"}});
   verify_ok_ = registry_.counter("serve_verify_total", {{"result", "ok"}});
   verify_mismatch_ = registry_.counter("serve_verify_total", {{"result", "mismatch"}});
-  lat_hit_us_ = registry_.histogram("serve_request_latency_us", {{"cache", "hit"}});
-  lat_miss_us_ = registry_.histogram("serve_request_latency_us", {{"cache", "miss"}});
   queue_wait_us_ = registry_.histogram("serve_queue_wait_us");
   registry_.gauge("serve_inflight_jobs", {}, [this] { return double(gate_.in_flight()); });
   registry_.gauge("serve_cache_entries", {},
@@ -390,12 +375,6 @@ bool Service::should_verify(std::uint64_t key_hash, std::uint64_t nth_hit) const
 
 HttpResponse Service::serve_blob(const std::string& key, const std::string& hash_hex,
                                  const std::function<std::string()>& compute, TraceCtx& ctx) {
-  const auto start = std::chrono::steady_clock::now();
-  const auto elapsed_us = [&start] {
-    return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
-                                          std::chrono::steady_clock::now() - start)
-                                          .count());
-  };
   const auto envelope = [&](const char* cache_status, const std::string& blob) {
     const std::uint64_t b = ctx.now_us();
     Writer w;
@@ -461,7 +440,6 @@ HttpResponse Service::serve_blob(const std::string& key, const std::string& hash
                       {{"X-Cirrus-Cache", "hit"}, {"X-Cirrus-Key", hash_hex}}};
     std::lock_guard<std::mutex> lock(metrics_mu_);
     resp_ok_.inc();
-    lat_hit_us_.observe(elapsed_us());
     return resp;
   }
 
@@ -505,7 +483,6 @@ HttpResponse Service::serve_blob(const std::string& key, const std::string& hash
                     {{"X-Cirrus-Cache", "miss"}, {"X-Cirrus-Key", hash_hex}}};
   std::lock_guard<std::mutex> lock(metrics_mu_);
   resp_ok_.inc();
-  lat_miss_us_.observe(elapsed_us());
   return resp;
 }
 
@@ -555,6 +532,17 @@ bool request_kvs(const HttpRequest& req,
   return true;
 }
 
+/// False + `error` (naming the platform's rank limit) when the request's
+/// ranks do not fit its platform: a client error, caught before compute
+/// so place_block never throws inside it. osu runs a fixed two-rank probe;
+/// a workflow adds its master rank to the `np` workers.
+bool fits_platform(const core::RunRequest& run, std::string* error) {
+  if (run.workload == "osu") return true;
+  const int ranks = run.workload == "wf" ? run.np + 1 : run.np;
+  *error = plat::placement_error(plat::by_name(run.resolved_platform()), ranks, run.rpn);
+  return error->empty();
+}
+
 }  // namespace
 
 HttpResponse Service::handle_query(const HttpRequest& req, TraceCtx& ctx) {
@@ -567,7 +555,7 @@ HttpResponse Service::handle_query(const HttpRequest& req, TraceCtx& ctx) {
     return {400, "application/json", error_body(error), {}};
   }
   core::RunRequest run;
-  if (!core::RunRequest::parse(kvs, run, &error)) {
+  if (!core::RunRequest::parse(kvs, run, &error) || !fits_platform(run, &error)) {
     std::lock_guard<std::mutex> lock(metrics_mu_);
     resp_client_err_.inc();
     return {400, "application/json", error_body(error), {}};
@@ -740,28 +728,25 @@ void Service::finish_trace(TraceCtx& ctx, const HttpResponse& resp) {
   {
     std::lock_guard<std::mutex> lock(metrics_mu_);
     obs::Counter* req_ctr = &req_other_;
-    obs::Histogram* dur = &dur_other_;
     if (ctx.rec.route == "query") {
       req_ctr = &req_query_;
-      dur = &dur_query_;
     } else if (ctx.rec.route == "advise") {
       req_ctr = &req_advise_;
-      dur = &dur_advise_;
     } else if (ctx.rec.route == "healthz") {
       req_ctr = &req_healthz_;
-      dur = &dur_healthz_;
     } else if (ctx.rec.route == "metrics") {
       req_ctr = &req_metrics_;
-      dur = &dur_metrics_;
     } else if (ctx.rec.route == "cache_stats") {
       req_ctr = &req_cache_stats_;
-      dur = &dur_cache_stats_;
     } else if (ctx.rec.route == "spans") {
       req_ctr = &req_spans_;
-      dur = &dur_spans_;
     }
     req_ctr->inc();
-    dur->observe(ctx.rec.total_us);
+    // One observation per request; the registry re-opens the series' cell.
+    registry_
+        .histogram("serve_request_duration_us",
+                   {{"route", ctx.rec.route}, {"cache", ctx.rec.cache}})
+        .observe(ctx.rec.total_us);
   }
   const bool slow = opts_.slow_ms > 0 &&
                     ctx.rec.total_us >= static_cast<std::uint64_t>(opts_.slow_ms) * 1000;

@@ -48,12 +48,10 @@ namespace cirrus::serve {
 // ---------------------------------------------------------------------------
 
 /// Front-end toggles that do not affect simulated results (and therefore
-/// live outside the RunRequest / cache key): tracing, telemetry, engine
-/// parallelism.
+/// live outside the RunRequest / cache key): tracing and telemetry.
 struct ExecOptions {
   bool enable_trace = false;
   obs::TelemetryConfig telemetry;
-  int lp = 0;  ///< 0: process default
 };
 
 /// Everything one executed request produced. `result` carries the full
@@ -211,12 +209,7 @@ class Service {
   obs::Counter resp_ok_, resp_client_err_, resp_server_err_, resp_rejected_;
   obs::Counter cache_hit_, cache_miss_;
   obs::Counter verify_ok_, verify_mismatch_;
-  obs::Histogram lat_hit_us_, lat_miss_us_, queue_wait_us_;
-  /// serve_request_duration_seconds{route=...}: log2 buckets over integer
-  /// microseconds (the registry's histograms bucket integers; the metric
-  /// name follows the Prometheus duration convention).
-  obs::Histogram dur_query_, dur_advise_, dur_healthz_, dur_metrics_, dur_cache_stats_,
-      dur_spans_, dur_other_;
+  obs::Histogram queue_wait_us_;
   std::uint64_t hit_seq_ = 0;  // under metrics_mu_
 
   std::atomic<std::uint64_t> trace_seq_{0};

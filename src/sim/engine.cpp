@@ -1,7 +1,6 @@
 #include "sim/engine.hpp"
 
 #include <cassert>
-#include <climits>
 #include <sstream>
 #include <utility>
 
@@ -27,7 +26,7 @@ void Process::suspend() {
   state_ = State::Running;
 }
 
-Engine::Engine(const Options& opts) : opts_(opts), rng_(opts.seed), queue_(opts.scheduler) {}
+Engine::Engine(const Options& opts) : opts_(opts), rng_(opts.seed) {}
 
 Engine::~Engine() = default;
 
@@ -51,19 +50,7 @@ void Engine::free_slot(std::uint32_t idx) noexcept {
 }
 
 void Engine::push_entry(SimTime when, std::uintptr_t payload) {
-  // The sched stamp is the virtual time of the scheduling action: this
-  // engine's clock, or — when the multi-LP coordinator is servicing a call
-  // on another engine's behalf — the service's virtual time and ordinal.
-  // Local pushes record the dispatching event's own scheduling time (`pt`,
-  // one more genealogy level) and inherit its ordinal: service ordinals are
-  // monotone in the canonical order, so a chain of local events carries its
-  // last service touch forward and equal-(when, t, pt) events from
-  // different lineages still compare the way a one-engine run executed
-  // them. Single-LP runs never see a nonzero ordinal and their stamps are
-  // nondecreasing in push order, so the pop order reduces to (when, seq).
-  const SchedStamp sched =
-      stamp_armed_ ? stamp_override_ : SchedStamp{now_, current_sched_.t, current_sched_.sub};
-  queue_.push(when, sched, next_seq_++, payload);
+  queue_.push(when, next_seq_++, payload);
   if (queue_.size() > stats_.heap_hwm) stats_.heap_hwm = queue_.size();
 }
 
@@ -148,7 +135,6 @@ void Engine::dispatch_one() {
   const EventQueue::Entry entry = queue_.pop();
   assert(entry.when >= now_);
   now_ = entry.when;
-  current_sched_ = entry.sched;
   ++events_processed_;
   const unsigned tag = payload_tag(entry.payload);
   if (tag == 0u) {
@@ -185,21 +171,6 @@ void Engine::run() {
   }
   // The queue drained; every process must have run to completion.
   throw_if_blocked();
-}
-
-Engine::WindowStatus Engine::run_window(SimTime horizon) {
-  try {
-    while (!queue_.empty()) {
-      const SimTime next = queue_.top_when();
-      if (stall_armed_ && next > stall_time_) return WindowStatus::Stalled;
-      if (next >= horizon) return WindowStatus::Horizon;
-      dispatch_one();
-    }
-  } catch (...) {
-    drain_pending();
-    throw;
-  }
-  return stall_armed_ ? WindowStatus::Stalled : WindowStatus::Drained;
 }
 
 void Engine::throw_if_blocked() {

@@ -4,24 +4,13 @@
 // Events are executed in strict (time, sequence) order, so a given program +
 // seed always produces bit-identical virtual timings.
 //
-// Scheduling order is maintained by a pluggable pending-event structure
-// (sim/event_queue.hpp: a 4-ary min-heap over SoA storage, or a calendar
-// queue — both pop the identical (time, seq) order); callback state lives in
-// a chunked slab whose slots are recycled through a free list and whose
-// addresses never move. Process wake-ups — the dominant event kind
-// (Process::advance, message completions) — carry only a Process pointer and
-// never touch the allocator; generic callbacks keep their std::function in
-// the slab slot, whose storage is reused across events.
-//
-// Multi-LP mode (sim/lp.hpp) runs several engines, one per worker thread,
-// under a conservative barrier-window protocol. For that, the engine exposes
-// a bounded variant of run() — run_window() — plus a stall latch
-// (arm_stall) raised when an executing fiber must wait for an external
-// service before virtual time may pass its current timestamp, and
-// resume_direct(), a fiber-level resume that bypasses the event queue (used
-// by the window coordinator so a resolved service call continues exactly
-// where a single-LP run would have continued inline). Single-LP execution
-// uses none of these paths and is bit-identical to previous releases.
+// Pending events sit in a 4-ary min-heap over SoA storage
+// (sim/event_queue.hpp); callback state lives in a chunked slab whose slots
+// are recycled through a free list and whose addresses never move. Process
+// wake-ups — the dominant event kind (Process::advance, message
+// completions) — carry only a Process pointer and never touch the
+// allocator; generic callbacks keep their std::function in the slab slot,
+// whose storage is reused across events.
 #pragma once
 
 #include <array>
@@ -89,9 +78,6 @@ class Engine {
   struct Options {
     std::uint64_t seed = 1;
     std::size_t fiber_stack_bytes = Fiber::kDefaultStackBytes;
-    /// Pending-event structure. Both choices pop the identical (time, seq)
-    /// order, so results are bit-identical either way.
-    SchedulerKind scheduler = SchedulerKind::Heap4;
   };
 
   /// Intrinsic self-profiling counters, maintained inline by the hot loop
@@ -109,16 +95,6 @@ class Engine {
     std::uint64_t deadlock_scans = 0;   ///< end-of-run blocked-process scans
   };
 
-  /// Why run_window() returned.
-  enum class WindowStatus {
-    Drained,  ///< no pending events at all
-    Horizon,  ///< next event's timestamp is >= the window horizon
-    Stalled,  ///< the stall latch is armed and the next event is past it
-  };
-
-  /// next_event_time() when the queue is empty: no event, "time = +inf".
-  static constexpr SimTime kNoEvent = INT64_MAX;
-
   Engine() : Engine(Options{}) {}
   explicit Engine(const Options& opts);
   ~Engine();
@@ -131,7 +107,6 @@ class Engine {
   [[nodiscard]] std::uint64_t events_processed() const noexcept { return events_processed_; }
   [[nodiscard]] std::size_t events_pending() const noexcept { return queue_.size(); }
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  [[nodiscard]] SchedulerKind scheduler() const noexcept { return queue_.kind(); }
 
   /// Creates a process whose body starts executing (at the current virtual
   /// time) once run() reaches its start event. The reference stays valid for
@@ -157,74 +132,6 @@ class Engine {
   /// engine is left in a defined state: all pending events are drained
   /// (their callbacks destroyed, never run) before the rethrow.
   void run();
-
-  // --- multi-LP support (coordinated by sim/lp.hpp) ------------------------
-  //
-  // These entry points are only meaningful under an external window
-  // coordinator; Engine::run() above never consults the stall latch.
-
-  /// Timestamp of the next pending event, or kNoEvent. Used by the window
-  /// coordinator to derive the adaptive horizon (min over engines + L).
-  [[nodiscard]] SimTime next_event_time() {
-    return queue_.empty() ? kNoEvent : queue_.top_when();
-  }
-
-  /// Executes pending events with timestamp < `horizon` in (time, seq)
-  /// order. Stops early — without popping — when the stall latch is armed
-  /// and the next event lies after the stall time (events *at* the stall
-  /// time still run, matching the single-LP order where they were already
-  /// queued behind the stalling call). Exception behaviour matches run().
-  /// Performs no deadlock scan; the coordinator owns end-of-run detection
-  /// (use throw_if_blocked()).
-  WindowStatus run_window(SimTime horizon);
-
-  /// Arms the stall latch at time `t` (normally now(): an executing fiber
-  /// just parked on an external service whose result may land back at or
-  /// just after `t`). Re-arming at the same time is a no-op; the latch
-  /// holds the earliest armed time.
-  void arm_stall(SimTime t) noexcept {
-    if (!stall_armed_ || t < stall_time_) stall_time_ = t;
-    stall_armed_ = true;
-  }
-  void clear_stall() noexcept { stall_armed_ = false; }
-  [[nodiscard]] bool stall_armed() const noexcept { return stall_armed_; }
-  [[nodiscard]] SimTime stall_time() const noexcept { return stall_time_; }
-
-  /// Fiber-level resume outside the event system: switches straight into a
-  /// process blocked in Process::suspend(), with no queue entry and no
-  /// events_processed tick — the single-LP execution it mirrors ran the same
-  /// code inline inside one event. Must not be called while another process
-  /// of this engine is running.
-  void resume_direct(Process& p) { enter(p); }
-
-  /// Scheduling-time stamp override, armed by the window coordinator during
-  /// service rounds. Every event pushed while the override is armed carries
-  /// `s` — the service's virtual time plus its global service ordinal — as
-  /// its `sched` key instead of this engine's {now(), 0}. A delivery
-  /// scheduled *onto* a parked engine thus sorts, at equal timestamps,
-  /// exactly where the single-LP run (which scheduled it inline at that
-  /// time, in that service order) would have placed it. Never armed in
-  /// single-LP mode, where the stamp is always {now(), 0} and the pop order
-  /// provably reduces to plain (when, seq).
-  void arm_sched_stamp(SchedStamp s) noexcept {
-    stamp_override_ = s;
-    stamp_armed_ = true;
-  }
-  void clear_sched_stamp() noexcept { stamp_armed_ = false; }
-
-  /// Scheduling-time stamp of the event currently being dispatched. The
-  /// window coordinator reads this when an executing fiber defers an
-  /// external service call: (time, sched) identifies where in the global
-  /// equal-time order the single-LP run would have priced the call.
-  [[nodiscard]] SchedStamp current_sched() const noexcept { return current_sched_; }
-
-  /// The end-of-run blocked-process scan of run(), callable by an external
-  /// coordinator once every engine in the group has drained.
-  void throw_if_blocked();
-
-  /// Exception-path cleanup for an external coordinator: destroys all
-  /// pending events without running them (what run() does before rethrow).
-  void abort_pending() noexcept { drain_pending(); }
 
   /// Number of processes that have been spawned (finished or not).
   [[nodiscard]] std::size_t process_count() const noexcept { return processes_.size(); }
@@ -274,6 +181,9 @@ class Engine {
   }
   /// Destroys all pending events without running them (exception cleanup).
   void drain_pending() noexcept;
+  /// The end-of-run blocked-process scan: throws DeadlockError naming the
+  /// processes that never finished.
+  void throw_if_blocked();
 
   /// Internal non-allocating variant of schedule_at: the event is a plain
   /// function pointer plus an 8-aligned context pointer, packed into the
@@ -298,11 +208,6 @@ class Engine {
   std::array<void (*)(void*), 6> raw_table_{};  // distinct raw event functions
   std::vector<std::unique_ptr<Process>> processes_;
   Process* current_ = nullptr;
-  bool stall_armed_ = false;
-  SimTime stall_time_ = 0;
-  bool stamp_armed_ = false;
-  SchedStamp stamp_override_{};
-  SchedStamp current_sched_{};
 };
 
 /// Backdoor for the simulator's own subsystems (minimpi message delivery):

@@ -1,142 +1,38 @@
 #include "sim/event_queue.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <cctype>
-#include <cstdlib>
-#include <stdexcept>
 
 namespace cirrus::sim {
 
-const char* to_string(SchedulerKind k) noexcept {
-  switch (k) {
-    case SchedulerKind::Heap4: return "heap4";
-    case SchedulerKind::Calendar: return "calendar";
-  }
-  return "?";
-}
+// Hole-based sifts over the parallel arrays. Comparisons read the `when`
+// lane and fall through to `seq` only on exact ties, so a sift pass streams
+// one densely packed 8-byte key lane.
 
-SchedulerKind scheduler_from_string(const std::string& s) {
-  std::string low;
-  low.reserve(s.size());
-  for (const char c : s) low.push_back(static_cast<char>(std::tolower(c)));
-  if (low == "heap" || low == "heap4" || low == "h") return SchedulerKind::Heap4;
-  if (low == "calendar" || low == "cal" || low == "c") return SchedulerKind::Calendar;
-  throw std::invalid_argument("unknown scheduler: " + s + " (expected heap4 or calendar)");
-}
-
-namespace {
-std::atomic<SchedulerKind>& default_scheduler_slot() noexcept {
-  static std::atomic<SchedulerKind> slot{[] {
-    if (const char* env = std::getenv("CIRRUS_SCHED"); env != nullptr && *env != '\0') {
-      try {
-        return scheduler_from_string(env);
-      } catch (const std::invalid_argument&) {
-        // Unparsable env var: fall through to the built-in default.
-      }
-    }
-    return SchedulerKind::Heap4;
-  }()};
-  return slot;
-}
-}  // namespace
-
-SchedulerKind default_scheduler() noexcept {
-  return default_scheduler_slot().load(std::memory_order_relaxed);
-}
-
-void set_default_scheduler(SchedulerKind k) noexcept {
-  default_scheduler_slot().store(k, std::memory_order_relaxed);
-}
-
-namespace {
-constexpr std::size_t kMinBuckets = 16;
-}
-
-EventQueue::EventQueue(SchedulerKind kind) : kind_(kind) {
-  if (kind_ == SchedulerKind::Calendar) {
-    buckets_.resize(kMinBuckets);
-    mask_ = kMinBuckets - 1;
-    width_ = kNsPerUs;  // provisional; the first resize adapts it
-  }
-}
-
-void EventQueue::push(SimTime when, SchedStamp sched, std::uint64_t seq,
-                      std::uintptr_t payload) {
-  if (kind_ == SchedulerKind::Heap4) {
-    heap_push(when, sched, seq, payload);
-  } else {
-    cal_push(when, sched, seq, payload);
-  }
-  ++size_;
-}
-
-SimTime EventQueue::top_when() {
-  assert(size_ != 0);
-  if (kind_ == SchedulerKind::Heap4) return when_[0];
-  cal_locate_min();
-  return buckets_[min_bucket_].when[min_index_];
-}
-
-EventQueue::Entry EventQueue::pop() {
-  assert(size_ != 0);
-  --size_;
-  return kind_ == SchedulerKind::Heap4 ? heap_pop() : cal_pop();
-}
-
-void EventQueue::clear() noexcept {
-  when_.clear();
-  sched_.clear();
-  seq_.clear();
-  payload_.clear();
-  for (auto& b : buckets_) {
-    b.when.clear();
-    b.sched.clear();
-    b.seq.clear();
-    b.payload.clear();
-  }
-  size_ = 0;
-  last_pop_ = 0;
-  min_valid_ = false;
-}
-
-// ---------------------------------------------------------------------------
-// Heap4: hole-based sifts over the four parallel arrays. Comparisons read
-// the `when` lane and fall through to `sched`/`seq` only on exact ties, so a
-// sift pass streams one densely packed 8-byte key lane.
-// ---------------------------------------------------------------------------
-
-void EventQueue::heap_push(SimTime when, SchedStamp sched, std::uint64_t seq,
-                           std::uintptr_t payload) {
+void EventQueue::push(SimTime when, std::uint64_t seq, std::uintptr_t payload) {
   std::size_t pos = when_.size();
   when_.push_back(when);
-  sched_.push_back(sched);
   seq_.push_back(seq);
   payload_.push_back(payload);
   while (pos > 0) {
     const std::size_t parent = (pos - 1) >> 2;
-    if (key_before(when_[parent], sched_[parent], seq_[parent], when, sched, seq)) break;
+    if (key_before(when_[parent], seq_[parent], when, seq)) break;
     when_[pos] = when_[parent];
-    sched_[pos] = sched_[parent];
     seq_[pos] = seq_[parent];
     payload_[pos] = payload_[parent];
     pos = parent;
   }
   when_[pos] = when;
-  sched_[pos] = sched;
   seq_[pos] = seq;
   payload_[pos] = payload;
 }
 
-EventQueue::Entry EventQueue::heap_pop() {
-  const Entry top{when_[0], sched_[0], seq_[0], payload_[0]};
+EventQueue::Entry EventQueue::pop() {
+  assert(!empty());
+  const Entry top{when_[0], seq_[0], payload_[0]};
   const SimTime lwhen = when_.back();
-  const SchedStamp lsched = sched_.back();
   const std::uint64_t lseq = seq_.back();
   const std::uintptr_t lpayload = payload_.back();
   when_.pop_back();
-  sched_.pop_back();
   seq_.pop_back();
   payload_.pop_back();
   const std::size_t n = when_.size();
@@ -150,174 +46,17 @@ EventQueue::Entry EventQueue::heap_pop() {
       for (std::size_t c = first_child + 1; c < end; ++c) {
         if (before(c, best)) best = c;
       }
-      if (!key_before(when_[best], sched_[best], seq_[best], lwhen, lsched, lseq)) break;
+      if (!key_before(when_[best], seq_[best], lwhen, lseq)) break;
       when_[pos] = when_[best];
-      sched_[pos] = sched_[best];
       seq_[pos] = seq_[best];
       payload_[pos] = payload_[best];
       pos = best;
     }
     when_[pos] = lwhen;
-    sched_[pos] = lsched;
     seq_[pos] = lseq;
     payload_[pos] = lpayload;
   }
   return top;
-}
-
-// ---------------------------------------------------------------------------
-// Calendar queue. Invariant: last_pop_ is a floor on every pending timestamp
-// (the engine never schedules into the past), so the forward day scan that
-// starts at last_pop_'s day cannot skip an earlier event.
-// ---------------------------------------------------------------------------
-
-void EventQueue::cal_push(SimTime when, SchedStamp sched, std::uint64_t seq,
-                          std::uintptr_t payload) {
-  if (size_ + 1 > 2 * (mask_ + 1)) cal_resize(2 * (mask_ + 1));
-  Bucket& b = buckets_[bucket_of(when)];
-  b.when.push_back(when);
-  b.sched.push_back(sched);
-  b.seq.push_back(seq);
-  b.payload.push_back(payload);
-  if (min_valid_) {
-    const SimTime mw = buckets_[min_bucket_].when[min_index_];
-    const SchedStamp msch = buckets_[min_bucket_].sched[min_index_];
-    const std::uint64_t ms = buckets_[min_bucket_].seq[min_index_];
-    if (key_before(when, sched, seq, mw, msch, ms)) {
-      min_bucket_ = bucket_of(when);
-      min_index_ = b.when.size() - 1;
-    }
-  }
-}
-
-EventQueue::Entry EventQueue::cal_pop() {
-  cal_locate_min();
-  Bucket& b = buckets_[min_bucket_];
-  const Entry out{b.when[min_index_], b.sched[min_index_], b.seq[min_index_],
-                  b.payload[min_index_]};
-  // Swap-with-last removal; the bin is unsorted so order inside it is free.
-  b.when[min_index_] = b.when.back();
-  b.sched[min_index_] = b.sched.back();
-  b.seq[min_index_] = b.seq.back();
-  b.payload[min_index_] = b.payload.back();
-  b.when.pop_back();
-  b.sched.pop_back();
-  b.seq.pop_back();
-  b.payload.pop_back();
-  last_pop_ = out.when;
-  min_valid_ = false;
-  if (size_ != 0 && mask_ + 1 > kMinBuckets && size_ < (mask_ + 1) / 4) {
-    cal_resize((mask_ + 1) / 2);
-  }
-  return out;
-}
-
-void EventQueue::cal_locate_min() {
-  if (min_valid_) return;
-  const std::size_t nbuckets = mask_ + 1;
-  std::uint64_t day = static_cast<std::uint64_t>(last_pop_) / width_;
-  for (std::size_t step = 0; step < nbuckets; ++step, ++day) {
-    const Bucket& b = buckets_[day & mask_];
-    const std::uint64_t day_end = (day + 1) * width_;
-    bool found = false;
-    SimTime best_when = 0;
-    SchedStamp best_sched{};
-    std::uint64_t best_seq = 0;
-    std::size_t best_i = 0;
-    for (std::size_t i = 0; i < b.when.size(); ++i) {
-      const SimTime w = b.when[i];
-      if (static_cast<std::uint64_t>(w) >= day_end) continue;  // a later year
-      if (!found || key_before(w, b.sched[i], b.seq[i], best_when, best_sched, best_seq)) {
-        found = true;
-        best_when = w;
-        best_sched = b.sched[i];
-        best_seq = b.seq[i];
-        best_i = i;
-      }
-    }
-    if (found) {
-      min_bucket_ = day & mask_;
-      min_index_ = best_i;
-      min_valid_ = true;
-      return;
-    }
-  }
-  // One whole empty year: everything pending lives far ahead. Direct search.
-  bool found = false;
-  SimTime best_when = 0;
-  SchedStamp best_sched{};
-  std::uint64_t best_seq = 0;
-  for (std::size_t bi = 0; bi < nbuckets; ++bi) {
-    const Bucket& b = buckets_[bi];
-    for (std::size_t i = 0; i < b.when.size(); ++i) {
-      const SimTime w = b.when[i];
-      if (!found || key_before(w, b.sched[i], b.seq[i], best_when, best_sched, best_seq)) {
-        found = true;
-        best_when = w;
-        best_sched = b.sched[i];
-        best_seq = b.seq[i];
-        min_bucket_ = bi;
-        min_index_ = i;
-      }
-    }
-  }
-  assert(found && "cal_locate_min on an empty calendar");
-  min_valid_ = true;
-}
-
-void EventQueue::cal_resize(std::size_t nbuckets) {
-  std::vector<Bucket> old;
-  old.swap(buckets_);
-  // Recycle previously retired bins so repeated grow/shrink cycles settle
-  // into steady-state storage instead of churning the allocator.
-  if (spare_.size() >= nbuckets) {
-    buckets_.swap(spare_);
-    buckets_.resize(nbuckets);
-    for (auto& b : buckets_) {
-      b.when.clear();
-      b.sched.clear();
-      b.seq.clear();
-      b.payload.clear();
-    }
-  } else {
-    buckets_.resize(nbuckets);
-  }
-  mask_ = nbuckets - 1;
-
-  // Width from the live population: the pending span divided by the count
-  // approximates the mean inter-event gap, putting O(1) events in each day.
-  SimTime lo = 0, hi = 0;
-  bool any = false;
-  for (const auto& b : old) {
-    for (const SimTime w : b.when) {
-      if (!any) {
-        lo = hi = w;
-        any = true;
-      } else {
-        lo = std::min(lo, w);
-        hi = std::max(hi, w);
-      }
-    }
-  }
-  if (any && size_ > 1) {
-    width_ = static_cast<std::uint64_t>(hi - lo) / size_ + 1;
-  }
-
-  for (auto& b : old) {
-    for (std::size_t i = 0; i < b.when.size(); ++i) {
-      Bucket& dst = buckets_[bucket_of(b.when[i])];
-      dst.when.push_back(b.when[i]);
-      dst.sched.push_back(b.sched[i]);
-      dst.seq.push_back(b.seq[i]);
-      dst.payload.push_back(b.payload[i]);
-    }
-    b.when.clear();
-    b.sched.clear();
-    b.seq.clear();
-    b.payload.clear();
-  }
-  spare_.swap(old);
-  min_valid_ = false;
 }
 
 }  // namespace cirrus::sim

@@ -1,208 +1,68 @@
-// SoA pending-event storage for the simulation engine, with two
-// interchangeable scheduler backends.
+// SoA pending-event storage for the simulation engine: a 4-ary implicit
+// min-heap.
 //
 // The engine's correctness contract is a *total order*: events pop in strict
-// (when, sched, seq) order, whatever structure holds them. `sched` is the
-// virtual time at which the event was *scheduled*; in a single engine it is
-// nondecreasing in seq (an engine only schedules at its current time, which
-// never goes backwards), so the order is identical to plain (when, seq) and
-// every golden value is preserved bit-for-bit. The lane matters only under
-// the multi-LP coordinator (sim/lp.hpp), where events scheduled by *other*
-// engines' service actions carry the service's virtual time — recovering, at
-// equal `when`, the relative order the one-engine run would have produced.
-// Both backends honour the order exactly, so they are freely interchangeable
-// without disturbing a single golden value — the scheduler is a pure
-// performance knob.
+// (when, seq) order, where `seq` is the engine's push counter. Equal
+// timestamps therefore run in the order they were scheduled, and a given
+// program + seed pops the identical sequence on every run.
 //
-//   * Heap4 — a 4-ary implicit min-heap over struct-of-arrays storage. The
-//     sort key (when, then sched/seq on ties) and the payload live in four
-//     parallel arrays mirrored by heap position. Sift loops compare only the
-//     `when` lane — 8 bytes per entry instead of 32, so four times as many
-//     keys per cache line as the old array-of-structs heap — and touch the
-//     sched/seq lanes only on exact timestamp ties (rare with
-//     integer-nanosecond timestamps). O(log4 n) push/pop; the default, and
-//     the stronger choice for the mixed push/pop patterns of full minimpi
-//     jobs.
-//
-//   * Calendar — a classic calendar queue (Brown 1988): an array of day
-//     buckets, each an unsorted SoA bin covering a fixed slice of virtual
-//     time; pop scans the current day's bin for the (when, sched, seq)
-//     minimum and walks forward a day at a time. Amortised O(1) push/pop
-//     when event times are roughly uniform (large homogeneous message
-//     workloads); degrades — but never reorders — when they are not. Bucket
-//     count and width adapt to the live event population; bucket storage is
-//     recycled across resizes rather than reallocated.
-//
-// Selection is at runtime (`SchedulerKind`), plumbed through
-// `sim::Engine::Options`, `mpi::JobConfig::scheduler`, the `--sched` flag
-// and the CIRRUS_SCHED environment variable; `bench/perf_simulator.cpp`
-// races the two head-to-head.
+// The sort key and the payload live in three parallel arrays mirrored by
+// heap position. Sift loops compare only the `when` lane — 8 bytes per
+// entry, so eight keys per cache line — and touch the `seq` lane only on
+// exact timestamp ties (rare with integer-nanosecond timestamps).
+// O(log4 n) push/pop.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sim/time.hpp"
 
 namespace cirrus::sim {
 
-/// Which pending-event structure the engine schedules from.
-enum class SchedulerKind : char {
-  Heap4 = 'h',     ///< 4-ary min-heap, SoA storage (default)
-  Calendar = 'c',  ///< calendar queue, adaptive day width
-};
-
-const char* to_string(SchedulerKind k) noexcept;
-/// Parses "heap" / "heap4" / "calendar" (case-insensitive); throws
-/// std::invalid_argument otherwise.
-SchedulerKind scheduler_from_string(const std::string& s);
-
-/// Process-wide default scheduler, consumed by JobConfig construction.
-/// Initialised once from the CIRRUS_SCHED environment variable (unset or
-/// unparsable: Heap4); overridable by drivers via the --sched flag.
-SchedulerKind default_scheduler() noexcept;
-void set_default_scheduler(SchedulerKind k) noexcept;
-
-/// Scheduling-genealogy stamp of an event, compared lexicographically:
-///
-///   * `t`  — the virtual time the scheduling action happened at;
-///   * `pt` — the scheduling time of the *scheduler itself* (the event whose
-///     execution pushed this one), i.e. one more genealogy level;
-///   * `sub` — the global service ordinal under the multi-LP coordinator
-///     (0 for every action an engine performs on its own, so always 0 in
-///     single-LP mode). Chains of local events inherit their last service
-///     touch's ordinal.
-///
-/// In a single engine the stamp is provably nondecreasing in push order: `t`
-/// is the engine clock, and within one timestamp T the pushers execute in
-/// ascending own-`t` order, which is what `pt` records — so (when, stamp,
-/// seq) order reduces exactly to (when, seq) and golden results are
-/// bit-identical. Under the multi-LP coordinator the stamp orders equal-time
-/// events of *different* engines the way the one-engine run executed them,
-/// to two genealogy levels plus service lineage.
-struct SchedStamp {
-  SimTime t = 0;
-  SimTime pt = 0;
-  std::uint64_t sub = 0;
-};
-
-[[nodiscard]] constexpr bool operator<(const SchedStamp& a, const SchedStamp& b) noexcept {
-  if (a.t != b.t) return a.t < b.t;
-  if (a.pt != b.pt) return a.pt < b.pt;
-  return a.sub < b.sub;
-}
-[[nodiscard]] constexpr bool operator==(const SchedStamp& a, const SchedStamp& b) noexcept {
-  return a.t == b.t && a.pt == b.pt && a.sub == b.sub;
-}
-
-/// The pending-event set: push any (when, sched, seq, payload), pop in
-/// strict (when, sched, seq) order. Not thread-safe; one queue per engine.
+/// The pending-event set: push any (when, seq, payload), pop in strict
+/// (when, seq) order. Not thread-safe; one queue per engine.
 class EventQueue {
  public:
   struct Entry {
     SimTime when;
-    SchedStamp sched;  ///< scheduling-time stamp (sched.t <= when)
     std::uint64_t seq;
     std::uintptr_t payload;
   };
 
-  explicit EventQueue(SchedulerKind kind = SchedulerKind::Heap4);
+  [[nodiscard]] bool empty() const noexcept { return when_.empty(); }
+  [[nodiscard]] std::size_t size() const noexcept { return when_.size(); }
 
-  [[nodiscard]] SchedulerKind kind() const noexcept { return kind_; }
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  void push(SimTime when, std::uint64_t seq, std::uintptr_t payload);
 
-  void push(SimTime when, SchedStamp sched, std::uint64_t seq, std::uintptr_t payload);
-
-  /// Timestamp of the next event to pop. Precondition: !empty().
-  /// O(1) for Heap4; the calendar locates (and caches) its minimum, so a
-  /// peek followed by pop costs one scan, not two.
-  [[nodiscard]] SimTime top_when();
-
-  /// Removes and returns the (when, sched, seq)-least entry.
-  /// Precondition: !empty().
+  /// Removes and returns the (when, seq)-least entry. Precondition: !empty().
   Entry pop();
 
   /// Visits every pending entry in unspecified order (exception-cleanup
   /// drains: the engine frees callback slots), then empties the queue.
   template <typename Fn>
   void drain(Fn&& fn) {
-    if (kind_ == SchedulerKind::Heap4) {
-      for (std::size_t i = 0; i < size_; ++i) {
-        fn(Entry{when_[i], sched_[i], seq_[i], payload_[i]});
-      }
-    } else {
-      for (const auto& b : buckets_) {
-        for (std::size_t i = 0; i < b.when.size(); ++i) {
-          fn(Entry{b.when[i], b.sched[i], b.seq[i], b.payload[i]});
-        }
-      }
-    }
-    clear();
+    for (std::size_t i = 0; i < when_.size(); ++i) fn(Entry{when_[i], seq_[i], payload_[i]});
+    when_.clear();
+    seq_.clear();
+    payload_.clear();
   }
-
-  void clear() noexcept;
 
  private:
-  /// The total order. `when` decides almost always; exact timestamp ties
-  /// fall through to the scheduling stamp, then to the push sequence number.
-  [[nodiscard]] static bool key_before(SimTime wa, const SchedStamp& sa, std::uint64_t qa,
-                                       SimTime wb, const SchedStamp& sb,
+  /// The total order: `when` decides almost always; exact timestamp ties
+  /// fall through to the push sequence number.
+  [[nodiscard]] static bool key_before(SimTime wa, std::uint64_t qa, SimTime wb,
                                        std::uint64_t qb) noexcept {
-    if (wa != wb) return wa < wb;
-    if (!(sa == sb)) return sa < sb;
-    return qa < qb;
+    return wa != wb ? wa < wb : qa < qb;
   }
-
-  // --- Heap4 backend -------------------------------------------------------
   [[nodiscard]] bool before(std::size_t a, std::size_t b) const noexcept {
-    return key_before(when_[a], sched_[a], seq_[a], when_[b], sched_[b], seq_[b]);
+    return key_before(when_[a], seq_[a], when_[b], seq_[b]);
   }
-  void heap_push(SimTime when, SchedStamp sched, std::uint64_t seq, std::uintptr_t payload);
-  Entry heap_pop();
 
-  // --- Calendar backend ----------------------------------------------------
-  /// One day bucket: an unsorted SoA bin of events.
-  struct Bucket {
-    std::vector<SimTime> when;
-    std::vector<SchedStamp> sched;
-    std::vector<std::uint64_t> seq;
-    std::vector<std::uintptr_t> payload;
-  };
-
-  void cal_push(SimTime when, SchedStamp sched, std::uint64_t seq, std::uintptr_t payload);
-  Entry cal_pop();
-  /// Index of the bucket holding `when` in the current calendar geometry.
-  [[nodiscard]] std::size_t bucket_of(SimTime when) const noexcept {
-    return static_cast<std::size_t>(static_cast<std::uint64_t>(when) / width_) & mask_;
-  }
-  /// Finds the (when, sched, seq)-minimum entry; caches its location. Advances
-  /// cursor_ day by day from the current position, falling back to a full
-  /// scan after one empty wrap (events far in the future).
-  void cal_locate_min();
-  /// Rebuilds the calendar with `nbuckets` buckets sized from the live
-  /// event spacing.
-  void cal_resize(std::size_t nbuckets);
-
-  SchedulerKind kind_;
-  std::size_t size_ = 0;
-
-  // Heap4: four parallel arrays mirrored by heap position.
+  // Three parallel arrays mirrored by heap position.
   std::vector<SimTime> when_;
-  std::vector<SchedStamp> sched_;
   std::vector<std::uint64_t> seq_;
   std::vector<std::uintptr_t> payload_;
-
-  // Calendar state.
-  std::vector<Bucket> buckets_;
-  std::vector<Bucket> spare_;      ///< recycled bucket storage across resizes
-  std::uint64_t width_ = 1;        ///< bucket width in ns (>= 1)
-  std::size_t mask_ = 0;           ///< nbuckets - 1 (nbuckets is a power of 2)
-  SimTime last_pop_ = 0;           ///< floor for the forward day scan
-  bool min_valid_ = false;         ///< cached minimum location below
-  std::size_t min_bucket_ = 0;
-  std::size_t min_index_ = 0;
 };
 
 }  // namespace cirrus::sim

@@ -78,23 +78,15 @@ Service::Service(sim::Engine& engine, Model model) : engine_(engine), model_(std
 }
 
 sim::SimTime Service::read(std::size_t bytes, bool open_file) {
-  return read_at(engine_.now(), bytes, open_file);
+  ++stats_.reads;
+  stats_.bytes_read += bytes;
+  return request(engine_.now(), bytes, model_.read_Bps, open_file);
 }
 
 sim::SimTime Service::write(std::size_t bytes, bool open_file) {
-  return write_at(engine_.now(), bytes, open_file);
-}
-
-sim::SimTime Service::read_at(sim::SimTime now, std::size_t bytes, bool open_file) {
-  ++stats_.reads;
-  stats_.bytes_read += bytes;
-  return request(now, bytes, model_.read_Bps, open_file);
-}
-
-sim::SimTime Service::write_at(sim::SimTime now, std::size_t bytes, bool open_file) {
   ++stats_.writes;
   stats_.bytes_written += bytes;
-  return request(now, bytes, model_.write_Bps, open_file);
+  return request(engine_.now(), bytes, model_.write_Bps, open_file);
 }
 
 sim::SimTime Service::request(sim::SimTime now, std::size_t bytes, double bw_Bps,

@@ -21,10 +21,9 @@
 //              bandwidth, no locality and no open() distinct from the
 //              request itself.
 //
-// Requests are serviced in call order (in multi-LP runs the coordinator
-// replays them in canonical order — see minimpi's DeferCtx), so all
-// completion times, and therefore all results built on them, are
-// bit-identical for any --lp / --jobs count.
+// Requests are serviced in call order, which is the engine's event order,
+// so all completion times, and therefore all results built on them, are
+// bit-identical for any --jobs count.
 #pragma once
 
 #include <cstddef>
@@ -68,9 +67,8 @@ struct Model {
 /// come from plat::Platform::storage.
 Model model_for(const plat::Platform& p, Backend backend);
 
-/// Service counters. All fields are pure functions of the request stream
-/// (canonical order), so they are LP-invariant and feed the process-wide
-/// intrinsic counter totals.
+/// Service counters. All fields are pure functions of the request stream,
+/// so they feed the process-wide intrinsic counter totals.
 struct Stats {
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
@@ -100,12 +98,6 @@ class Service {
   /// charges the backend's metadata cost (see Model::open_latency_ms).
   sim::SimTime read(std::size_t bytes, bool open_file);
   sim::SimTime write(std::size_t bytes, bool open_file);
-
-  /// Explicit-time variants for the multi-LP coordinator, which serialises
-  /// the shared queue in canonical order. read(b, o) on the engine's clock
-  /// is exactly read_at(engine.now(), b, o).
-  sim::SimTime read_at(sim::SimTime now, std::size_t bytes, bool open_file);
-  sim::SimTime write_at(sim::SimTime now, std::size_t bytes, bool open_file);
 
   [[nodiscard]] const Model& model() const noexcept { return model_; }
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }

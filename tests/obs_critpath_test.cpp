@@ -3,7 +3,7 @@
 // Synthetic traces first (hand-built DAGs with known answers), then the
 // properties the ISSUE pins: fractions sum to 1 exactly (integer-nanosecond
 // partition), the result is byte-identical for any `--jobs` sweep
-// parallelism and any `--lp` engine split, and the blame splits of the
+// parallelism, and the blame splits of the
 // paper's probe configurations are physically sensible (EP is compute-bound;
 // CG@64 on DCC blames the GigE fabric over compute).
 #include <gtest/gtest.h>
@@ -57,14 +57,14 @@ TEST(Critpath, SingleRankPureCompute) {
 TEST(Critpath, FlowJumpChargesFabricAndFollowsSender) {
   // rank 0: compute [0,60], send [60,70].  rank 1: compute [0,10],
   // recv-wait [10,80], compute [80,100].  The message flies 60 -> 80.
+  // Added in (begin, rank, end) order, the order the engine records in.
   ipm::Trace tr;
   tr.add(evt(0, 0, 60, ipm::TraceEvent::Kind::Compute));
-  tr.add(evt(0, 60, 70, ipm::TraceEvent::Kind::Mpi, ipm::CallKind::Send, 512, 1));
   tr.add(evt(1, 0, 10, ipm::TraceEvent::Kind::Compute));
   tr.add(evt(1, 10, 80, ipm::TraceEvent::Kind::Mpi, ipm::CallKind::Recv, 512, 0));
+  tr.add(evt(0, 60, 70, ipm::TraceEvent::Kind::Mpi, ipm::CallKind::Send, 512, 1));
   tr.add(evt(1, 80, 100, ipm::TraceEvent::Kind::Compute));
   tr.add_flow(ipm::FlowEvent{0, 1, 60, 80, 512});
-  tr.sort_canonical();
 
   const Blame b = obs::critpath::attribute(tr);
   EXPECT_EQ(b.makespan, 100);
@@ -87,7 +87,6 @@ TEST(Critpath, BarrierWithoutFlowIsLookahead) {
   ipm::Trace tr;
   tr.add(evt(0, 0, 50, ipm::TraceEvent::Kind::Mpi, ipm::CallKind::Barrier));
   tr.add(evt(0, 50, 100, ipm::TraceEvent::Kind::Compute));
-  tr.sort_canonical();
   const Blame b = obs::critpath::attribute(tr);
   EXPECT_EQ(cat(b, Category::Compute), 50);
   EXPECT_EQ(cat(b, Category::BarrierLookahead), 50);
@@ -115,7 +114,6 @@ TEST(Critpath, GapsAreChargedToOther) {
   ipm::Trace tr;
   tr.add(evt(0, 0, 40, ipm::TraceEvent::Kind::Compute));
   tr.add(evt(0, 70, 100, ipm::TraceEvent::Kind::Compute));
-  tr.sort_canonical();
   const Blame b = obs::critpath::attribute(tr);
   EXPECT_EQ(cat(b, Category::Compute), 70);
   EXPECT_EQ(cat(b, Category::Other), 30);
@@ -131,23 +129,16 @@ struct ProbeResult {
   Blame blame;
 };
 
-ProbeResult run_probe(const core::RunRequest& req, int lp = 1) {
+ProbeResult run_probe(const core::RunRequest& req) {
   serve::ExecOptions exec;
   exec.enable_trace = true;
-  exec.lp = lp;
   auto out = serve::execute(req, exec);
   ProbeResult r;
   r.blame = obs::critpath::attribute(*out.result.trace, out.result.spans.get());
   r.blame_text = r.blame.format();
   std::ostringstream os;
   bool first = true;
-  if (out.result.spans) {
-    // Exporters canonicalise before writing; do the same so the multi-LP
-    // shard-merge recording order doesn't leak into the comparison.
-    obs::SpanSet sorted = *out.result.spans;
-    sorted.sort_canonical();
-    sorted.write_chrome_events(os, first);
-  }
+  if (out.result.spans) out.result.spans->write_chrome_events(os, first);
   r.spans_json = os.str();
   return r;
 }
@@ -220,23 +211,6 @@ TEST(CritpathDeterminism, ByteIdenticalAcrossJobs1And8) {
     EXPECT_EQ(serial[i].blame_text, parallel[i].blame_text) << i;
     EXPECT_EQ(serial[i].spans_json, parallel[i].spans_json) << i;
     EXPECT_FALSE(serial[i].spans_json.empty()) << i;
-  }
-}
-
-TEST(CritpathDeterminism, ByteIdenticalAcrossLp1And4) {
-  for (const auto& req : {paper_request("npb", "CG", "dcc", 16), [] {
-         core::RunRequest req;
-         req.workload = "wf";
-         req.wf_shape = "montage";
-         req.platform = "dcc";
-         req.np = 8;
-         return req;
-       }()}) {
-    const auto lp1 = run_probe(req, 1);
-    const auto lp4 = run_probe(req, 4);
-    EXPECT_EQ(lp1.blame_text, lp4.blame_text) << req.workload;
-    EXPECT_EQ(lp1.spans_json, lp4.spans_json) << req.workload;
-    EXPECT_FALSE(lp1.spans_json.empty()) << req.workload;
   }
 }
 

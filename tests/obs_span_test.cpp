@@ -1,6 +1,6 @@
 // SpanSet / SpanRecorder unit tests: the nullable-handle idiom, nesting and
-// LIFO close discipline, per-track ordinal ids, shard merge canonicalisation
-// and the Chrome trace-event emission.
+// LIFO close discipline, per-track ordinal ids and the Chrome trace-event
+// emission.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -77,40 +77,6 @@ TEST(SpanRecorder, OutOfOrderEndClosesChildrenAtSameInstant) {
   rec.end(inner, 99);  // already closed: ignored
   EXPECT_EQ(set.for_track(0)[1].end, 10);
   rec.end(0, 99);  // id 0 is never valid: ignored
-}
-
-TEST(SpanSet, AppendPlusSortCanonicalMatchesSingleShardOrder) {
-  // One recorder per shard (the multi-LP layout), ranks interleaved in time.
-  SpanSet shard0, shard1;
-  SpanRecorder r0(&shard0, 0);
-  SpanRecorder r2(&shard1, 2);
-  r0.record(0, 4, "x", "a");
-  r2.record(1, 2, "x", "b");
-  r0.record(4, 8, "x", "c");
-  r2.record(4, 5, "x", "d");
-
-  SpanSet merged;
-  merged.append(shard1);  // worst-case order: later shard first
-  merged.append(shard0);
-  merged.sort_canonical();
-
-  // Single-shard reference: same spans recorded into one set in time order.
-  SpanSet single;
-  SpanRecorder s0(&single, 0);
-  SpanRecorder s2(&single, 2);
-  s0.record(0, 4, "x", "a");
-  s2.record(1, 2, "x", "b");
-  s0.record(4, 8, "x", "c");
-  s2.record(4, 5, "x", "d");
-  single.sort_canonical();
-
-  ASSERT_EQ(merged.size(), single.size());
-  for (std::size_t i = 0; i < merged.size(); ++i) {
-    EXPECT_EQ(merged.spans()[i].id, single.spans()[i].id) << i;
-    EXPECT_EQ(merged.spans()[i].track, single.spans()[i].track) << i;
-    EXPECT_EQ(merged.spans()[i].begin, single.spans()[i].begin) << i;
-    EXPECT_EQ(merged.spans()[i].label, single.spans()[i].label) << i;
-  }
 }
 
 TEST(SpanSet, ChromeEventsAreStrictJsonRows) {

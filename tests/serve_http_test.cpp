@@ -134,6 +134,13 @@ TEST_F(ServeTest, ErrorPaths) {
   ASSERT_TRUE(unknown.has_value());
   EXPECT_EQ(unknown->status, 400);
   EXPECT_NE(unknown->body.find("unknown key"), std::string::npos);
+
+  // More ranks than the platform holds is a client error naming the limit.
+  const auto too_big = client_.request("GET", "/query?bench=EP&class=S&np=100000");
+  ASSERT_TRUE(too_big.has_value());
+  EXPECT_EQ(too_big->status, 400);
+  EXPECT_NE(too_big->body.find("does not fit"), std::string::npos);
+  EXPECT_NE(too_big->body.find("at most"), std::string::npos);
 }
 
 TEST_F(ServeTest, MetricsExposition) {
@@ -148,7 +155,8 @@ TEST_F(ServeTest, MetricsExposition) {
   EXPECT_NE(resp->body.find("serve_cache_requests_total{result=\"miss\"} 1"),
             std::string::npos);
   EXPECT_NE(resp->body.find("serve_requests_total{route=\"query\"} 2"), std::string::npos);
-  EXPECT_NE(resp->body.find("serve_request_latency_us"), std::string::npos);
+  EXPECT_NE(resp->body.find("serve_request_duration_us_count{cache=\"hit\",route=\"query\"} 1"),
+            std::string::npos);
 }
 
 TEST_F(ServeTest, VerifyModeReExecutesHits) {

@@ -12,6 +12,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/jsonlite.hpp"
@@ -164,14 +165,20 @@ TEST_F(ServeTraceTest, PerRouteCountersAndDurationHistograms) {
   EXPECT_NE(body.find("serve_requests_total{route=\"query\"} 1"), std::string::npos);
   EXPECT_NE(body.find("serve_requests_total{route=\"spans\"} 1"), std::string::npos);
   EXPECT_NE(body.find("serve_requests_total{route=\"other\"} 1"), std::string::npos);
-  // log2 duration histogram per route (Prometheus histogram triple).
-  for (const char* route : {"query", "healthz", "cache_stats", "spans", "other"}) {
-    const std::string count =
-        std::string("serve_request_duration_seconds_count{route=\"") + route + "\"}";
+  // One log2 duration histogram in microseconds (Prometheus triple), one
+  // series per (route, cache outcome); "-" marks routes without a cache.
+  const std::pair<const char*, const char*> series[] = {
+      {"query", "miss"}, {"healthz", "-"}, {"cache_stats", "-"}, {"spans", "-"}, {"other", "-"}};
+  for (const auto& [route, cache] : series) {
+    const std::string count = std::string("serve_request_duration_us_count{cache=\"") + cache +
+                              "\",route=\"" + route + "\"} ";
     EXPECT_NE(body.find(count), std::string::npos) << route;
   }
-  EXPECT_NE(body.find("serve_request_duration_seconds_bucket{"), std::string::npos);
-  EXPECT_NE(body.find("serve_request_duration_seconds_sum{"), std::string::npos);
+  EXPECT_NE(body.find("serve_request_duration_us_bucket{"), std::string::npos);
+  EXPECT_NE(body.find("serve_request_duration_us_sum{"), std::string::npos);
+  // The two histograms it replaced are gone.
+  EXPECT_EQ(body.find("serve_request_duration_seconds"), std::string::npos);
+  EXPECT_EQ(body.find("serve_request_latency_us"), std::string::npos);
 }
 
 TEST_F(ServeTraceTest, AccessLogIsJsonLines) {

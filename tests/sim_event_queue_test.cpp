@@ -1,11 +1,13 @@
-// Unit tests for the SoA event queue: the calendar-queue backend must pop
-// exactly the same (when, sched, seq) sequence as the 4-ary heap for any
-// input — the scheduler is a pure performance knob, never an observable.
+// Unit tests for the engine's 4-ary event heap: it must pop exactly the
+// (when, seq) order a brute-force sort of the same entries gives, whatever
+// the push pattern — dense timestamp ties included.
 #include "sim/event_queue.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -13,150 +15,97 @@
 
 namespace sim = cirrus::sim;
 using sim::EventQueue;
-using sim::SchedulerKind;
 using sim::SimTime;
 
 namespace {
 
-/// Pops everything, asserting both queues agree entry by entry.
-void expect_identical_drain(EventQueue& heap, EventQueue& cal) {
-  ASSERT_EQ(heap.size(), cal.size());
-  std::uint64_t popped = 0;
-  while (!heap.empty()) {
-    ASSERT_EQ(heap.top_when(), cal.top_when()) << "divergence after " << popped << " pops";
-    const auto h = heap.pop();
-    const auto c = cal.pop();
-    ASSERT_EQ(h.when, c.when) << "divergence after " << popped << " pops";
-    ASSERT_TRUE(h.sched == c.sched) << "divergence after " << popped << " pops";
-    ASSERT_EQ(h.seq, c.seq) << "divergence after " << popped << " pops";
-    ASSERT_EQ(h.payload, c.payload) << "divergence after " << popped << " pops";
-    ++popped;
-  }
-  EXPECT_TRUE(cal.empty());
+using Entry = EventQueue::Entry;
+
+bool key_less(const Entry& a, const Entry& b) {
+  return std::tie(a.when, a.seq) < std::tie(b.when, b.seq);
+}
+
+/// A timestamp from a tiny range, so most pushes tie with others.
+SimTime dense_when(sim::Rng& rng, SimTime base) {
+  return base + static_cast<SimTime>(rng.u64() % 8);
 }
 
 }  // namespace
 
-TEST(EventQueue, SchedulerKindRoundTrips) {
-  EXPECT_EQ(sim::scheduler_from_string("heap4"), SchedulerKind::Heap4);
-  EXPECT_EQ(sim::scheduler_from_string("heap"), SchedulerKind::Heap4);
-  EXPECT_EQ(sim::scheduler_from_string("CALENDAR"), SchedulerKind::Calendar);
-  EXPECT_EQ(sim::scheduler_from_string("cal"), SchedulerKind::Calendar);
-  EXPECT_STREQ(sim::to_string(SchedulerKind::Heap4), "heap4");
-  EXPECT_STREQ(sim::to_string(SchedulerKind::Calendar), "calendar");
-  EXPECT_THROW(sim::scheduler_from_string("fifo"), std::invalid_argument);
+TEST(EventQueue, DrainMatchesSortedReferenceUnderDenseTies) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    EventQueue q;
+    sim::Rng rng(seed);
+    std::vector<Entry> ref;
+    // Sequence numbers are unique, as the engine's push counter makes them;
+    // pushing them out of order checks the tie-break is seq, not arrival.
+    const int n = 1 + static_cast<int>(rng.u64() % 3000);
+    std::vector<std::uint64_t> seqs(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) seqs[static_cast<std::size_t>(i)] = static_cast<std::uint64_t>(i);
+    for (int i = n - 1; i > 0; --i) {
+      std::swap(seqs[static_cast<std::size_t>(i)],
+                seqs[static_cast<std::size_t>(rng.u64() % static_cast<std::uint64_t>(i + 1))]);
+    }
+    for (int i = 0; i < n; ++i) {
+      const Entry e{dense_when(rng, 0), seqs[static_cast<std::size_t>(i)],
+                    static_cast<std::uintptr_t>(i)};
+      q.push(e.when, e.seq, e.payload);
+      ref.push_back(e);
+    }
+    std::sort(ref.begin(), ref.end(), key_less);
+    ASSERT_EQ(q.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      const Entry got = q.pop();
+      ASSERT_EQ(got.when, ref[i].when) << "seed " << seed << " pop " << i;
+      ASSERT_EQ(got.seq, ref[i].seq) << "seed " << seed << " pop " << i;
+      ASSERT_EQ(got.payload, ref[i].payload) << "seed " << seed << " pop " << i;
+    }
+    EXPECT_TRUE(q.empty());
+  }
 }
 
-TEST(EventQueue, BothBackendsPopTimeOrdered) {
-  for (const auto kind : {SchedulerKind::Heap4, SchedulerKind::Calendar}) {
-    EventQueue q(kind);
-    sim::Rng rng(7);
+TEST(EventQueue, InterleavedPushPopMatchesSortedReference) {
+  // The engine's pattern: pops advance a clock, pushes land at or after it
+  // with a monotone seq. The reference is the sorted set of pending entries.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    EventQueue q;
+    sim::Rng rng(seed * 7919);
+    std::vector<Entry> pending;
     std::uint64_t seq = 0;
-    for (int i = 0; i < 1000; ++i) {
-      const SimTime when = static_cast<SimTime>(rng.u64() % 1'000'000);
-      q.push(when, {when, 0}, seq++, 0);
-    }
-    SimTime prev = -1;
-    while (!q.empty()) {
-      const auto e = q.pop();
-      EXPECT_GE(e.when, prev);
-      prev = e.when;
-    }
-  }
-}
-
-TEST(EventQueue, CalendarMatchesHeapOnRandomStream) {
-  // Interleaved pushes and pops over a clustered timestamp distribution
-  // (mixed scales stress the calendar's adaptive bucket width).
-  EventQueue heap(SchedulerKind::Heap4);
-  EventQueue cal(SchedulerKind::Calendar);
-  sim::Rng rng(42);
-  std::uint64_t seq = 0;
-  SimTime now = 0;
-  for (int round = 0; round < 200; ++round) {
-    const int pushes = 1 + static_cast<int>(rng.u64() % 40);
-    for (int i = 0; i < pushes; ++i) {
-      // Mix of near-future, far-future and same-timestamp events.
-      const std::uint64_t r = rng.u64();
-      SimTime when = now;
-      switch (r % 4) {
-        case 0: when = now + static_cast<SimTime>(r % 100); break;
-        case 1: when = now + static_cast<SimTime>(r % 100'000); break;
-        case 2: when = now + static_cast<SimTime>(r % 100'000'000); break;
-        case 3: when = now; break;  // exact tie: seq must arbitrate
+    SimTime now = 0;
+    for (int round = 0; round < 300; ++round) {
+      const int pushes = static_cast<int>(rng.u64() % 12);
+      for (int i = 0; i < pushes; ++i) {
+        // Mostly ties at or near `now`, occasionally far in the future.
+        const SimTime when =
+            rng.u64() % 16 == 0 ? now + static_cast<SimTime>(rng.u64() % 1'000'000)
+                                : dense_when(rng, now);
+        q.push(when, seq, static_cast<std::uintptr_t>(seq));
+        pending.push_back(Entry{when, seq, static_cast<std::uintptr_t>(seq)});
+        ++seq;
       }
-      // The engine stamps sched = scheduling-time now, which is monotone in
-      // seq; mimic that here (and tie sched == now for the exact-tie case so
-      // seq arbitrates).
-      heap.push(when, {now, 0}, seq, seq * 8);
-      cal.push(when, {now, 0}, seq, seq * 8);
-      ++seq;
-    }
-    const int pops = static_cast<int>(rng.u64() % (heap.size() + 1));
-    for (int i = 0; i < pops && !heap.empty(); ++i) {
-      ASSERT_EQ(heap.top_when(), cal.top_when());
-      const auto h = heap.pop();
-      const auto c = cal.pop();
-      ASSERT_EQ(h.when, c.when);
-      ASSERT_EQ(h.seq, c.seq);
-      now = h.when;  // monotone pop floor, as the engine guarantees
+      const int pops = static_cast<int>(rng.u64() % 12);
+      for (int i = 0; i < pops && !pending.empty(); ++i) {
+        const auto min = std::min_element(pending.begin(), pending.end(), key_less);
+        const Entry got = q.pop();
+        ASSERT_EQ(got.when, min->when) << "seed " << seed << " round " << round;
+        ASSERT_EQ(got.seq, min->seq) << "seed " << seed << " round " << round;
+        ASSERT_EQ(got.payload, min->payload);
+        now = got.when;
+        pending.erase(min);
+      }
+      ASSERT_EQ(q.size(), pending.size());
     }
   }
-  expect_identical_drain(heap, cal);
 }
 
-TEST(EventQueue, CalendarMatchesHeapOnAllTies) {
-  // Every event at one timestamp and sched: pop order must be pure seq order.
-  EventQueue heap(SchedulerKind::Heap4);
-  EventQueue cal(SchedulerKind::Calendar);
-  for (std::uint64_t s = 0; s < 500; ++s) {
-    heap.push(12345, {12000, 0}, s, s);
-    cal.push(12345, {12000, 0}, s, s);
-  }
-  std::uint64_t expect = 0;
-  while (!heap.empty()) {
-    const auto h = heap.pop();
-    const auto c = cal.pop();
-    ASSERT_EQ(h.seq, expect);
-    ASSERT_EQ(c.seq, expect);
-    ++expect;
-  }
-}
-
-TEST(EventQueue, SchedArbitratesEqualTimestamps) {
-  // At equal `when`, the scheduling-time lane outranks seq: an event
-  // scheduled earlier in virtual time pops first even if pushed later.
-  // This is what lets the multi-LP coordinator slot cross-engine deliveries
-  // into the exact equal-time order a one-engine run produces.
-  for (const auto kind : {SchedulerKind::Heap4, SchedulerKind::Calendar}) {
-    EventQueue q(kind);
-    q.push(1000, {900, 850, 0}, 0, 10);  // local wake, scheduled at t=900
-    q.push(1000, {700, 600, 0}, 1, 20);  // delivery priced at t=700, pushed later
-    q.push(1000, {900, 850, 0}, 2, 30);  // same stamp as the first: seq arbitrates
-    q.push(1000, {700, 600, 2}, 3, 40);  // same (t, pt), later service ordinal
-    q.push(1000, {700, 600, 1}, 4, 50);  // same (t, pt), earlier service ordinal
-    q.push(1000, {700, 500, 9}, 5, 60);  // same t, earlier parent: outranks ordinals
-    ASSERT_EQ(q.pop().payload, 60u) << sim::to_string(kind);
-    ASSERT_EQ(q.pop().payload, 20u) << sim::to_string(kind);
-    ASSERT_EQ(q.pop().payload, 50u) << sim::to_string(kind);
-    ASSERT_EQ(q.pop().payload, 40u) << sim::to_string(kind);
-    ASSERT_EQ(q.pop().payload, 10u) << sim::to_string(kind);
-    ASSERT_EQ(q.pop().payload, 30u) << sim::to_string(kind);
-  }
-}
-
-TEST(EventQueue, CalendarSurvivesSparseFarFuture) {
-  // A lone event far beyond the bucket year exercises the full-scan
-  // fallback in cal_locate_min.
-  EventQueue heap(SchedulerKind::Heap4);
-  EventQueue cal(SchedulerKind::Calendar);
-  std::uint64_t seq = 0;
-  for (SimTime t : {SimTime{10}, SimTime{20}, SimTime{30}}) {
-    heap.push(t, {t, 0}, seq, 0);
-    cal.push(t, {t, 0}, seq, 0);
-    ++seq;
-  }
-  heap.push(9'000'000'000'000LL, {30, 0}, seq, 0);
-  cal.push(9'000'000'000'000LL, {30, 0}, seq, 0);
-  expect_identical_drain(heap, cal);
+TEST(EventQueue, DrainVisitsEveryEntryThenEmpties) {
+  EventQueue q;
+  for (std::uint64_t i = 0; i < 100; ++i) q.push(static_cast<SimTime>(i % 5), i, i);
+  std::vector<std::uintptr_t> seen;
+  q.drain([&seen](const Entry& e) { seen.push_back(e.payload); });
+  EXPECT_TRUE(q.empty());
+  std::sort(seen.begin(), seen.end());
+  ASSERT_EQ(seen.size(), 100U);
+  for (std::size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i);
 }

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
+#include <vector>
 
 #include "apps/metum/metum.hpp"
 #include "mpi/minimpi.hpp"
@@ -61,22 +63,30 @@ TEST(StorageService, NfsIsBitIdenticalToLegacyFileSystem) {
         {2'000'000, 512, true, true},   {50'000'000, 123457, false, false},
         {3'000'000'000, 1, true, true}, {3'000'000'001, 8 << 20, false, true},
     };
+    // Each op is issued from an engine event at its timestamp, so both
+    // models price it on their engine's clock.
+    std::vector<sim::SimTime> a, b;
     for (const auto& op : ops) {
-      const sim::SimTime a = op.write ? legacy.write_at(op.at, op.bytes, op.open)
-                                      : legacy.read_at(op.at, op.bytes, op.open);
-      const sim::SimTime b = op.write ? nfs.write_at(op.at, op.bytes, op.open)
-                                      : nfs.read_at(op.at, op.bytes, op.open);
-      EXPECT_EQ(a, b) << p.name << " bytes=" << op.bytes;
+      eng_legacy.schedule_at(op.at, [&legacy, &a, op] {
+        a.push_back(op.write ? legacy.write(op.bytes, op.open) : legacy.read(op.bytes, op.open));
+      });
+      eng_nfs.schedule_at(op.at, [&nfs, &b, op] {
+        b.push_back(op.write ? nfs.write(op.bytes, op.open) : nfs.read(op.bytes, op.open));
+      });
     }
+    eng_legacy.run();
+    eng_nfs.run();
+    ASSERT_EQ(a.size(), std::size(ops));
+    EXPECT_EQ(a, b) << p.name;
   }
 }
 
 TEST(StorageService, StatsCountOperationsAndBytes) {
   sim::Engine eng;
   storage::Service svc(eng, storage::model_for(plat::dcc(), storage::Backend::Nfs));
-  svc.read_at(0, 1000, true);
-  svc.write_at(0, 500, false);
-  svc.read_at(0, 200, true);
+  svc.read(1000, true);
+  svc.write(500, false);
+  svc.read(200, true);
   const auto& s = svc.stats();
   EXPECT_EQ(s.reads, 2U);
   EXPECT_EQ(s.writes, 1U);
@@ -96,7 +106,7 @@ TEST(StorageService, LustreStripesAcrossServers) {
   storage::Service lustre(eng, model);
 
   const std::size_t big = model.stripe_bytes * static_cast<std::size_t>(model.servers);
-  const sim::SimTime striped = lustre.read_at(0, big, false);
+  const sim::SimTime striped = lustre.read(big, false);
   // All stripes run in parallel: total time ~ one stripe's serialisation,
   // far below big/one-server-bandwidth.
   const sim::SimTime serial = sim::from_seconds(static_cast<double>(big) / model.read_Bps);
@@ -108,10 +118,10 @@ TEST(StorageService, LustreOpenPaysMdsOnce) {
   sim::Engine eng;
   const auto model = storage::model_for(p, storage::Backend::Lustre);
   storage::Service lustre(eng, model);
-  const sim::SimTime no_open = lustre.read_at(0, 0, false);
+  const sim::SimTime no_open = lustre.read(0, false);
   EXPECT_EQ(no_open, 0);
   storage::Service fresh(eng, model);
-  const sim::SimTime with_open = fresh.read_at(0, 0, true);
+  const sim::SimTime with_open = fresh.read(0, true);
   EXPECT_EQ(with_open, sim::from_seconds(model.open_latency_ms * 1e-3));
 }
 
@@ -123,7 +133,7 @@ TEST(StorageService, ObjectStorePaysPerRequestLatencyButScalesOut) {
   const auto model = storage::model_for(p, storage::Backend::Object);
   storage::Service object(eng, model);
 
-  const sim::SimTime first = object.read_at(0, 0, false);
+  const sim::SimTime first = object.read(0, false);
   EXPECT_EQ(first, sim::from_seconds(model.open_latency_ms * 1e-3));
 
   // n_servers concurrent requests at t=0 all finish at the same time (one
@@ -131,18 +141,18 @@ TEST(StorageService, ObjectStorePaysPerRequestLatencyButScalesOut) {
   storage::Service fresh(eng, model);
   const std::size_t bytes = 1 << 20;
   sim::SimTime done = 0;
-  for (int i = 0; i < model.servers; ++i) done = fresh.read_at(0, bytes, false);
+  for (int i = 0; i < model.servers; ++i) done = fresh.read(bytes, false);
   const sim::SimTime one = sim::from_seconds(model.open_latency_ms * 1e-3) +
                            sim::from_seconds(static_cast<double>(bytes) / model.read_Bps);
   EXPECT_EQ(done, one);
-  EXPECT_EQ(fresh.read_at(0, bytes, false), 2 * one);
+  EXPECT_EQ(fresh.read(bytes, false), 2 * one);
 }
 
 // Job-level sanity on a workload with real file I/O (MetUM reads its start
 // dump through the shared filesystem): each backend is deterministic across
-// LP counts, and swapping the backend genuinely moves I/O completion times.
+// repeat runs, and swapping the backend genuinely moves I/O completion times.
 TEST(StorageService, JobLevelBackendSwapIsDeterministic) {
-  const auto run = [](storage::Backend b, int lp) {
+  const auto run = [](storage::Backend b) {
     mpi::JobConfig cfg;
     cfg.platform = plat::dcc();
     cfg.np = 4;
@@ -150,20 +160,19 @@ TEST(StorageService, JobLevelBackendSwapIsDeterministic) {
     cfg.execute = false;
     cfg.traits = cirrus::metum::traits();
     cfg.storage_backend = b;
-    cfg.lp = lp;
     return mpi::run_job(cfg, [](mpi::RankEnv& env) { cirrus::metum::run(env); });
   };
   std::map<storage::Backend, double> elapsed;
   for (const auto b :
        {storage::Backend::Nfs, storage::Backend::Lustre, storage::Backend::Object}) {
-    const auto lp1 = run(b, 1);
-    const auto lp4 = run(b, 4);
-    EXPECT_EQ(lp1.events_processed, lp4.events_processed) << storage::to_string(b);
-    EXPECT_EQ(lp1.elapsed_seconds, lp4.elapsed_seconds) << storage::to_string(b);
-    EXPECT_EQ(lp1.storage_stats.reads, lp4.storage_stats.reads);
-    EXPECT_EQ(lp1.storage_stats.busy, lp4.storage_stats.busy);
-    EXPECT_GT(lp1.storage_stats.reads, 0U);
-    elapsed[b] = lp1.elapsed_seconds;
+    const auto first = run(b);
+    const auto again = run(b);
+    EXPECT_EQ(first.events_processed, again.events_processed) << storage::to_string(b);
+    EXPECT_EQ(first.elapsed_seconds, again.elapsed_seconds) << storage::to_string(b);
+    EXPECT_EQ(first.storage_stats.reads, again.storage_stats.reads);
+    EXPECT_EQ(first.storage_stats.busy, again.storage_stats.busy);
+    EXPECT_GT(first.storage_stats.reads, 0U);
+    elapsed[b] = first.elapsed_seconds;
   }
   // The object store's per-request latency is paid on every dump read.
   EXPECT_NE(elapsed[storage::Backend::Nfs], elapsed[storage::Backend::Object]);

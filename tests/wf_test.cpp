@@ -1,6 +1,6 @@
 // Tests for the workflow subsystem: DAG generator, HEFT/FIFO planners, the
 // master/worker runtime, and ext7 manifest determinism across sweep worker
-// counts and LP counts.
+// counts.
 #include "wf/dag.hpp"
 
 #include <gtest/gtest.h>
@@ -129,7 +129,6 @@ TEST(WfRuntime, DiamondRunsEndToEndAndIsDeterministic) {
   cfg.seed = 3;
   cfg.execute = false;
   cfg.storage_backend = storage::Backend::Lustre;
-  cfg.lp = 1;
 
   const auto a = wf::run(dag, plan, cfg);
   EXPECT_EQ(a.tasks, static_cast<std::uint64_t>(dag.n_tasks()));
@@ -148,12 +147,6 @@ TEST(WfRuntime, DiamondRunsEndToEndAndIsDeterministic) {
   EXPECT_EQ(a.makespan_s, b.makespan_s);
   EXPECT_EQ(a.job.events_processed, b.job.events_processed);
   EXPECT_EQ(a.staged_bytes, b.staged_bytes);
-
-  auto cfg4 = cfg;
-  cfg4.lp = 4;
-  const auto c = wf::run(dag, plan, cfg4);
-  EXPECT_EQ(a.makespan_s, c.makespan_s);
-  EXPECT_EQ(a.job.events_processed, c.job.events_processed);
 }
 
 TEST(WfRuntime, FifoRunCoversAllTasksToo) {
@@ -187,21 +180,18 @@ TEST(WfRuntime, MalformedPlansAreRejected) {
 }
 
 // The ext7 bench must serialise to a byte-identical manifest whether the
-// sweep runs on 1 or 8 host workers and whether jobs run on 1 or 4 LPs —
-// the same guarantee the paper suites carry.
-TEST(WfBench, Ext7ManifestIsByteIdenticalAcrossJobsAndLp) {
+// sweep runs on 1 or 8 host workers — the same guarantee the paper suites
+// carry.
+TEST(WfBench, Ext7ManifestIsByteIdenticalAcrossJobs) {
   const auto* target = cirrus::bench::find_target("ext7");
   ASSERT_NE(target, nullptr);
 
-  const auto manifest = [&](int jobs, int lp) {
-    const int prev_lp = mpi::default_lp();
-    mpi::set_default_lp(lp);
+  const auto manifest = [&](int jobs) {
     const std::string jobs_str = std::to_string(jobs);
     const char* argv[] = {"ext7", "--jobs", jobs_str.c_str()};
     const core::Options opts(3, argv);
     valid::RunReport report;
     EXPECT_EQ(target->fn(opts, report), 0);
-    mpi::set_default_lp(prev_lp);
     report.target = "ext7";
     report.host_ms = 0;  // the one host-dependent field
     valid::ManifestContext ctx;
@@ -212,8 +202,7 @@ TEST(WfBench, Ext7ManifestIsByteIdenticalAcrossJobsAndLp) {
     return valid::manifest_json(ctx, {report}, {});
   };
 
-  const std::string base = manifest(1, 1);
-  EXPECT_EQ(base, manifest(8, 1));
-  EXPECT_EQ(base, manifest(1, 4));
+  const std::string base = manifest(1);
+  EXPECT_EQ(base, manifest(8));
   EXPECT_NE(base.find("montage_makespan_s"), std::string::npos);
 }
