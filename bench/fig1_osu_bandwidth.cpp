@@ -28,6 +28,7 @@ CIRRUS_BENCH_TARGET(fig1, "paper",
     s.name = platform.name + " (" + platform.interconnect + ")";
     for (const auto& pt : osu::bandwidth(platform, sizes)) {
       s.points.emplace_back(static_cast<double>(pt.bytes), pt.mb_per_s);
+      report.events += pt.events;
     }
     fig.series.push_back(std::move(s));
   }

@@ -29,6 +29,7 @@ CIRRUS_BENCH_TARGET(fig2, "paper",
     s.name = platform.name + " (" + platform.interconnect + ")";
     for (const auto& pt : osu::latency(platform, sizes)) {
       s.points.emplace_back(static_cast<double>(pt.bytes), pt.usec);
+      report.events += pt.events;
     }
     fig.series.push_back(std::move(s));
   }

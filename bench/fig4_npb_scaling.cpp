@@ -15,6 +15,7 @@
 // parallel driver (`--jobs N` or CIRRUS_JOBS; `--jobs 1` forces serial) —
 // each point is its own deterministic single-threaded simulation, so the
 // output is identical for every jobs value.
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -54,15 +55,20 @@ CIRRUS_BENCH_TARGET_BLAME(fig4, "paper",
   }
 
   // ...simulate them concurrently (each its own engine)...
-  const std::vector<double> elapsed = core::run_sweep<double>(
+  struct Run {
+    double elapsed = 0;
+    std::uint64_t events = 0;
+  };
+  const std::vector<Run> runs = core::run_sweep<Run>(
       points.size(),
       [&](std::size_t i) {
         const Point& p = points[i];
-        return npb::run_benchmark(p.bench->name, npb::Class::B, *p.platform, p.np,
-                                  /*execute=*/false)
-            .elapsed_seconds;
+        const auto r = npb::run_benchmark(p.bench->name, npb::Class::B, *p.platform, p.np,
+                                          /*execute=*/false);
+        return Run{r.elapsed_seconds, r.events_processed};
       },
       jobs);
+  for (const Run& r : runs) report.events += r.events;
 
   // ...and assemble the figures in the original deterministic order.
   std::size_t idx = 0;
@@ -79,7 +85,7 @@ CIRRUS_BENCH_TARGET_BLAME(fig4, "paper",
       double t1 = 0;
       for (const int np : b.valid_np) {
         if (np > platform.total_slots()) continue;
-        const double t = elapsed[idx++];
+        const double t = runs[idx++].elapsed;
         if (np == 1) t1 = t;
         s.points.emplace_back(np, t1 / t);
       }

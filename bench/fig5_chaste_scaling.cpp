@@ -9,6 +9,7 @@
 //
 // Sweep points run concurrently on the parallel driver (`--jobs N` or
 // CIRRUS_JOBS); the output is identical for every jobs value.
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -39,6 +40,7 @@ CIRRUS_BENCH_TARGET_BLAME(
   struct Times {
     double total = 0;
     double ksp = 0;
+    std::uint64_t events = 0;
   };
   const std::vector<Times> times = core::run_sweep<Times>(
       points.size(),
@@ -51,9 +53,10 @@ CIRRUS_BENCH_TARGET_BLAME(
         cfg.execute = false;
         cfg.name = std::string("chaste.") + p.platform + "." + std::to_string(p.np);
         auto r = mpi::run_job(cfg, [](mpi::RankEnv& env) { chaste::run(env); });
-        return Times{r.elapsed_seconds, r.ipm.section_wall_seconds("KSp")};
+        return Times{r.elapsed_seconds, r.ipm.section_wall_seconds("KSp"), r.events_processed};
       },
       opts.get_int("jobs", 0));
+  for (const Times& t : times) report.events += t.events;
 
   core::Figure fig;
   fig.id = "fig5";

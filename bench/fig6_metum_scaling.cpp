@@ -8,6 +8,7 @@
 //
 // Sweep points run concurrently on the parallel driver (`--jobs N` or
 // CIRRUS_JOBS); the output is identical for every jobs value.
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -22,7 +23,13 @@
 
 namespace {
 
-double warmed(const cirrus::plat::Platform& platform, int np, int max_rpn) {
+/// One MetUM run's warmed time and its simulator event count.
+struct Warmed {
+  double seconds = 0;
+  std::uint64_t events = 0;
+};
+
+Warmed warmed(const cirrus::plat::Platform& platform, int np, int max_rpn) {
   cirrus::mpi::JobConfig cfg;
   cfg.platform = platform;
   cfg.np = np;
@@ -31,7 +38,7 @@ double warmed(const cirrus::plat::Platform& platform, int np, int max_rpn) {
   cfg.execute = false;
   cfg.name = "metum." + platform.name + "." + std::to_string(np);
   auto r = cirrus::mpi::run_job(cfg, [](cirrus::mpi::RankEnv& env) { cirrus::metum::run(env); });
-  return r.values.at("um_warmed_seconds");
+  return Warmed{r.values.at("um_warmed_seconds"), r.events_processed};
 }
 
 }  // namespace
@@ -79,10 +86,11 @@ CIRRUS_BENCH_TARGET_BLAME(
     }
   }
 
-  const std::vector<double> warmed_times = core::run_sweep<double>(
+  const std::vector<Warmed> warmed_times = core::run_sweep<Warmed>(
       points.size(),
       [&](std::size_t i) { return warmed(points[i].platform, points[i].np, points[i].rpn); },
       opts.get_int("jobs", 0));
+  for (const Warmed& w : warmed_times) report.events += w.events;
 
   core::Figure fig;
   fig.id = "fig6";
@@ -96,7 +104,7 @@ CIRRUS_BENCH_TARGET_BLAME(
     double t8 = 0;
     while (idx < points.size() && points[idx].config == &c) {
       const int np = points[idx].np;
-      const double t = warmed_times[idx++];
+      const double t = warmed_times[idx++].seconds;
       if (np == 8) {
         t8 = t;
         std::printf("%s t8 = %.0f s (paper %s)\n", c.label, t8, c.paper_t8);

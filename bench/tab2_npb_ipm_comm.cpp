@@ -8,6 +8,7 @@
 //
 // Sweep points run concurrently on the parallel driver (`--jobs N` or
 // CIRRUS_JOBS); the table is identical for every jobs value.
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -37,14 +38,20 @@ CIRRUS_BENCH_TARGET(tab2, "paper",
     }
   }
 
-  const std::vector<double> comm_pct = core::run_sweep<double>(
+  struct Run {
+    double comm_pct = 0;
+    std::uint64_t events = 0;
+  };
+  const std::vector<Run> runs = core::run_sweep<Run>(
       points.size(),
       [&](std::size_t i) {
         const Point& p = points[i];
-        return npb::run_benchmark(p.bench, npb::Class::B, *p.platform, p.np, /*execute=*/false)
-            .ipm.comm_pct();
+        const auto r =
+            npb::run_benchmark(p.bench, npb::Class::B, *p.platform, p.np, /*execute=*/false);
+        return Run{r.ipm.comm_pct(), r.events_processed};
       },
       opts.get_int("jobs", 0));
+  for (const Run& r : runs) report.events += r.events;
 
   core::Table t({"np", "CG dcc", "CG ec2", "CG vayu", "FT dcc", "FT ec2", "FT vayu", "IS dcc",
                  "IS ec2", "IS vayu"});
@@ -54,8 +61,8 @@ CIRRUS_BENCH_TARGET(tab2, "paper",
     for (std::size_t b = 0; b < std::size(benches); ++b) {
       for (std::size_t p = 0; p < platforms.size(); ++p) {
         report.add(std::string("comm_pct_") + benches[b], platforms[p].name, np,
-                   comm_pct[idx], "%");
-        t.add(comm_pct[idx++], 1);
+                   runs[idx].comm_pct, "%");
+        t.add(runs[idx++].comm_pct, 1);
       }
     }
   }

@@ -66,6 +66,49 @@ inline std::uint64_t match_key(int src, int tag) noexcept {
          static_cast<std::uint32_t>(tag);
 }
 
+/// FIFO over a power-of-two ring of slots. Popping never frees and pushing
+/// reuses the slots, so a queue that has reached its working depth stops
+/// touching the allocator (std::deque frees and reallocates a node every few
+/// elements as a FIFO walks through it).
+template <typename T>
+class Fifo {
+ public:
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] T& front() noexcept { return slots_[head_]; }
+  [[nodiscard]] const T& front() const noexcept { return slots_[head_]; }
+
+  void push_back(T&& v) {
+    if (size_ == slots_.size()) grow();
+    slots_[(head_ + size_) & (slots_.size() - 1)] = std::move(v);
+    ++size_;
+  }
+  /// Moves the head out and removes it (the queue must not be empty).
+  T pop_front() {
+    T v = std::move(slots_[head_]);
+    head_ = (head_ + 1) & (slots_.size() - 1);
+    --size_;
+    return v;
+  }
+
+ private:
+  void grow() {
+    std::vector<T> next(slots_.empty() ? 2 : 2 * slots_.size());
+    for (std::size_t i = 0; i < size_; ++i) {
+      next[i] = std::move(slots_[(head_ + i) & (slots_.size() - 1)]);
+    }
+    slots_.swap(next);
+    head_ = 0;
+  }
+
+  std::vector<T> slots_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+};
+
+template <typename V>
+using BucketMap = std::unordered_map<std::uint64_t, Fifo<V>>;
+
 /// One rank's receive state on one communicator.
 ///
 /// MPI matching is FIFO per (source, tag) with wildcard receives ordered
@@ -75,43 +118,50 @@ inline std::uint64_t match_key(int src, int tag) noexcept {
 /// per-mailbox sequence numbers arbitrate exact-vs-wildcard so the outcome
 /// is identical to scanning one combined queue in arrival/post order.
 struct Mailbox {
-  std::unordered_map<std::uint64_t, std::deque<Envelope>> unexpected;
-  std::unordered_map<std::uint64_t, std::deque<PostedRecv>> posted_exact;
-  std::deque<PostedRecv> posted_wild;  // src and/or tag wildcarded
+  BucketMap<Envelope> unexpected;
+  BucketMap<PostedRecv> posted_exact;
+  // Wildcarded receives (src and/or tag), in post order. Short by nature;
+  // erasing from a vector keeps its capacity.
+  std::vector<PostedRecv> posted_wild;
   std::uint64_t next_arrival_seq = 0;
   std::uint64_t next_post_seq = 0;
-  // Emptied buckets are erased (collectives allocate a fresh tag per call, so
-  // stale keys would otherwise accumulate without bound) but their deque
-  // allocations are parked here and re-used for the next bucket.
-  std::vector<std::deque<Envelope>> spare_env;
-  std::vector<std::deque<PostedRecv>> spare_recv;
+  // Emptied buckets leave their map (collectives allocate a fresh tag per
+  // call, so stale keys would otherwise accumulate without bound) as
+  // extracted node handles: the hash node and its Fifo's slots are re-keyed
+  // and re-inserted for the next bucket, so steady-state matching never
+  // allocates.
+  std::vector<BucketMap<Envelope>::node_type> spare_env;
+  std::vector<BucketMap<PostedRecv>::node_type> spare_recv;
 };
 
-/// Bucket accessor that recycles deque storage through `spare`.
+/// Most emptied buckets a mailbox keeps per side for re-use.
+inline constexpr std::size_t kMaxSpareBuckets = 8;
+
+/// The bucket for `key`, re-keying a spare node when the key is new.
 template <typename V>
-std::deque<V>& bucket_get(std::unordered_map<std::uint64_t, std::deque<V>>& m, std::uint64_t key,
-                          std::vector<std::deque<V>>& spare) {
-  auto it = m.find(key);
-  if (it == m.end()) {
-    if (!spare.empty()) {
-      it = m.emplace(key, std::move(spare.back())).first;
-      spare.pop_back();
-    } else {
-      it = m.emplace(key, std::deque<V>()).first;
-    }
-  }
-  return it->second;
+Fifo<V>& bucket_get(BucketMap<V>& m, std::uint64_t key,
+                    std::vector<typename BucketMap<V>::node_type>& spare) {
+  if (auto it = m.find(key); it != m.end()) return it->second;
+  if (spare.empty()) return m.try_emplace(key).first->second;
+  auto node = std::move(spare.back());
+  spare.pop_back();
+  node.key() = key;
+  return m.insert(std::move(node)).position->second;
 }
 
-/// Pops a bucket's head; an emptied bucket is erased with its storage parked.
-template <typename V, typename It>
-void bucket_pop(std::unordered_map<std::uint64_t, std::deque<V>>& m, It it,
-                std::vector<std::deque<V>>& spare) {
-  it->second.pop_front();
+/// Pops a bucket's head; an emptied bucket leaves the map as a spare node.
+template <typename V>
+V bucket_pop(BucketMap<V>& m, typename BucketMap<V>::iterator it,
+             std::vector<typename BucketMap<V>::node_type>& spare) {
+  V v = it->second.pop_front();
   if (it->second.empty()) {
-    if (spare.size() < 8) spare.push_back(std::move(it->second));
-    m.erase(it);
+    if (spare.size() < kMaxSpareBuckets) {
+      spare.push_back(m.extract(it));
+    } else {
+      m.erase(it);
+    }
   }
+  return v;
 }
 
 /// Recycles byte buffers (eager payloads, collective scratch) so steady-state
@@ -119,6 +169,9 @@ void bucket_pop(std::unordered_map<std::uint64_t, std::deque<V>>& m, It it,
 /// one pool per Job, one engine thread per Job.
 class BufferPool {
  public:
+  /// Keeps at most `max_pooled` idle buffers.
+  explicit BufferPool(std::size_t max_pooled) : max_pooled_(max_pooled) {}
+
   /// An empty vector whose capacity is recycled; fill with assign/resize.
   std::vector<std::byte> acquire() {
     if (free_.empty()) return {};
@@ -134,12 +187,12 @@ class BufferPool {
     return v;
   }
   void release(std::vector<std::byte>&& v) noexcept {
-    if (v.capacity() == 0 || free_.size() >= kMaxPooled) return;
+    if (v.capacity() == 0 || free_.size() >= max_pooled_) return;
     free_.push_back(std::move(v));
   }
 
  private:
-  static constexpr std::size_t kMaxPooled = 128;
+  std::size_t max_pooled_;
   std::vector<std::vector<std::byte>> free_;
 };
 
@@ -221,6 +274,32 @@ class PooledBytes {
   std::vector<std::byte> buf_;
 };
 
+/// Pooled objects with stable addresses (chunked deque storage), so a T* can
+/// be the context of a raw engine event. Single-threaded, one slab per Job.
+template <typename T>
+class Slab {
+ public:
+  /// True when acquire() will hand back a released object.
+  [[nodiscard]] bool has_free() const noexcept { return !free_.empty(); }
+  T* acquire() {
+    if (free_.empty()) return &storage_.emplace_back();
+    T* p = free_.back();
+    free_.pop_back();
+    return p;
+  }
+  void release(T* p) { free_.push_back(p); }
+
+ private:
+  std::deque<T> storage_;
+  std::vector<T*> free_;
+};
+
+/// A rendezvous completion in flight (see Job::schedule_completion).
+struct Completion {
+  Job* job = nullptr;
+  std::shared_ptr<RequestState> req;
+};
+
 }  // namespace detail
 
 using detail::BufferPool;
@@ -236,6 +315,11 @@ using detail::RequestState;
 // ---------------------------------------------------------------------------
 
 class Job {
+  // Declared first, so destroyed last: queued envelopes, posted receives and
+  // completion records may still hold pooled RequestStates when a killed or
+  // deadlocked job is torn down.
+  detail::RequestPool rs_pool_;
+
  public:
   explicit Job(const JobConfig& cfg)
       : config(cfg),
@@ -243,7 +327,10 @@ class Job {
         placement(plat::place_block(cfg.platform, cfg.np, cfg.max_ranks_per_node, cfg.traits,
                                     cfg.seed)),
         network(engine, cfg.platform, node_span(), cfg.seed),
-        fs(engine, storage::model_for(cfg.platform, cfg.storage_backend)) {
+        fs(engine, storage::model_for(cfg.platform, cfg.storage_backend)),
+        // Enough idle buffers for every rank's collective scratch (two) plus
+        // its eager payloads in flight, so steady state never reallocates.
+        buffers(std::max<std::size_t>(128, 4 * static_cast<std::size_t>(cfg.np))) {
     recorders.reserve(static_cast<std::size_t>(cfg.np));
     for (int r = 0; r < cfg.np; ++r) recorders.emplace_back(r);
     procs.resize(static_cast<std::size_t>(cfg.np), nullptr);
@@ -390,13 +477,26 @@ class Job {
 
   struct MpiCounters;  // defined below
 
-  /// Pooled in-flight envelope shells; addresses are stable (deque) so an
-  /// Envelope* can ride the engine's raw event path.
-  Envelope* acquire_envelope();
+  /// Pooled in-flight envelope shells; addresses are stable so an Envelope*
+  /// can ride the engine's raw event path.
+  Envelope* acquire_envelope() {
+    ++counters.envelopes_acquired;
+    if (envelopes_.has_free()) ++counters.envelopes_reused;
+    return envelopes_.acquire();
+  }
   void release_envelope(Envelope* env) {
     buffers.release(std::move(env->payload));
     *env = Envelope{};
-    env_free_.push_back(env);
+    envelopes_.release(env);
+  }
+
+  /// Completes `req` at virtual time `when` through a pooled record riding
+  /// the raw event path. The record holds its own reference, so the state
+  /// stays alive until the event fires even if the caller drops its Request.
+  void schedule_completion(sim::SimTime when, std::shared_ptr<RequestState> req);
+  void release_completion(detail::Completion* c) {
+    c->req.reset();
+    completions_.release(c);
   }
 
   /// A fresh RequestState whose storage (state + shared_ptr control block)
@@ -475,22 +575,9 @@ class Job {
   std::map<std::tuple<int, int, int>, int> split_ids_;
   std::map<std::pair<int, int>, std::vector<std::array<int, 3>>> split_boards_;
   int next_comm_id_ = 1;
-  std::deque<Envelope> env_slab_;
-  std::vector<Envelope*> env_free_;
-  detail::RequestPool rs_pool_;
+  detail::Slab<Envelope> envelopes_;
+  detail::Slab<detail::Completion> completions_;
 };
-
-inline detail::Envelope* Job::acquire_envelope() {
-  ++counters.envelopes_acquired;
-  if (env_free_.empty()) {
-    env_slab_.emplace_back();
-    return &env_slab_.back();
-  }
-  ++counters.envelopes_reused;
-  Envelope* env = env_free_.back();
-  env_free_.pop_back();
-  return env;
-}
 
 // ---------------------------------------------------------------------------
 // CheckpointStore.
@@ -540,27 +627,45 @@ void complete_request(sim::Engine& e, const std::shared_ptr<RequestState>& st) {
   }
 }
 
+/// Raw engine-event trampoline for a rendezvous completion: ctx is a pooled
+/// Completion*, returned to the pool once its request is complete.
+void complete_event(void* ctx) {
+  auto* c = static_cast<detail::Completion*>(ctx);
+  Job& job = *c->job;
+  complete_request(job.engine, c->req);
+  job.release_completion(c);
+}
+
+}  // namespace
+
+void Job::schedule_completion(sim::SimTime when, std::shared_ptr<RequestState> req) {
+  detail::Completion* c = completions_.acquire();
+  c->job = this;
+  c->req = std::move(req);
+  sim::EngineInternal::schedule_raw(engine, when, &complete_event, c);
+}
+
+namespace {
+
 /// Kicks off the wire transfer of a matched rendezvous pair. Runs in the
-/// engine context at the moment both sides are known.
-void start_rendezvous_transfer(Job& job, Envelope& env, const PostedRecv& pr, int dst_world) {
+/// engine context at the moment both sides are known; both requests are
+/// handed to their completion events.
+void start_rendezvous_transfer(Job& job, Envelope& env, PostedRecv& pr, int dst_world) {
   // The sender's buffer is stable until its request completes, and both
   // completions are in the future, so the payload can be captured now.
   if (env.sender_data != nullptr && pr.buf != nullptr) {
     std::memcpy(pr.buf, env.sender_data, std::min(env.bytes, pr.bytes));
   }
   const int dst_node = job.node_of(dst_world);
-  auto sreq = env.sreq;
-  auto rreq = pr.rreq;
-  rreq->sys_frac = env.sys_frac;
-  sim::Engine& e = job.engine;
+  pr.rreq->sys_frac = env.sys_frac;
   const net::TransferTiming timing = job.network.transfer(env.src_node, dst_node, env.bytes);
   const sim::SimTime cts = job.network.control_delay(dst_node, env.src_node);
-  e.schedule_at(timing.sender_free + cts, [&e, sreq] { complete_request(e, sreq); });
-  e.schedule_at(timing.arrival + cts, [&e, rreq] { complete_request(e, rreq); });
+  job.schedule_completion(timing.sender_free + cts, std::move(env.sreq));
+  job.schedule_completion(timing.arrival + cts, std::move(pr.rreq));
 }
 
 /// Completes a matched (envelope, posted recv) pair at the receiver.
-void consume_match(Job& job, int dst_world, Envelope&& env, const PostedRecv& pr) {
+void consume_match(Job& job, int dst_world, Envelope&& env, PostedRecv& pr) {
   job.record_flow(env, dst_world);
   if (env.rendezvous) {
     start_rendezvous_transfer(job, env, pr, dst_world);
@@ -592,8 +697,7 @@ void deliver(Job& job, Envelope&& env) {
   const PostedRecv* wild = wild_it != mb.posted_wild.end() ? &*wild_it : nullptr;
 
   if (exact != nullptr && (wild == nullptr || exact->seq < wild->seq)) {
-    PostedRecv pr = std::move(exact_it->second.front());
-    detail::bucket_pop(mb.posted_exact, exact_it, mb.spare_recv);
+    PostedRecv pr = detail::bucket_pop(mb.posted_exact, exact_it, mb.spare_recv);
     ++job.counters.recvs_matched_posted;
     --job.counters.posted_now;
     consume_match(job, dst_world, std::move(env), pr);
@@ -781,8 +885,7 @@ Request Comm::p2p_recv(int src, int tag, void* data, std::size_t bytes, ipm::Cal
     }
   }
   if (bucket_it != mb.unexpected.end()) {
-    Envelope env = std::move(bucket_it->second.front());
-    detail::bucket_pop(mb.unexpected, bucket_it, mb.spare_env);
+    Envelope env = detail::bucket_pop(mb.unexpected, bucket_it, mb.spare_env);
     ++job.counters.recvs_matched_unexpected;
     --job.counters.unexpected_now;
     job.record_flow(env, my_world);

@@ -149,7 +149,8 @@ BenchResult run_is(mpi::RankEnv& env, Class cls) {
     }
     std::size_t recv_total = 0;
     for (auto c : recv_counts) recv_total += c;
-    std::vector<std::int32_t> recv_buf(recv_total / sizeof(std::int32_t));
+    // Model mode moves sized but dataless messages: no receive buffer.
+    std::vector<std::int32_t> recv_buf(env.execute() ? recv_total / sizeof(std::int32_t) : 0);
     comm.alltoallv_bytes(env.execute() ? send_buf.data() : nullptr, send_counts,
                          env.execute() ? recv_buf.data() : nullptr, recv_counts);
 

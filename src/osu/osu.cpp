@@ -67,7 +67,7 @@ std::vector<BandwidthPoint> bandwidth(const plat::Platform& platform,
         env.report("mbps", total_bytes / elapsed / 1e6);
       }
     });
-    out.push_back(BandwidthPoint{bytes, result.values.at("mbps")});
+    out.push_back(BandwidthPoint{bytes, result.values.at("mbps"), result.events_processed});
   }
   return out;
 }
@@ -97,7 +97,7 @@ std::vector<LatencyPoint> latency(const plat::Platform& platform,
         env.report("usec", elapsed / (2.0 * (iterations - skip)) * 1e6);
       }
     });
-    out.push_back(LatencyPoint{bytes, result.values.at("usec")});
+    out.push_back(LatencyPoint{bytes, result.values.at("usec"), result.events_processed});
   }
   return out;
 }

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "platform/platform.hpp"
@@ -19,11 +20,13 @@ namespace cirrus::osu {
 struct BandwidthPoint {
   std::size_t bytes = 0;
   double mb_per_s = 0;
+  std::uint64_t events = 0;  ///< simulator events of this size's run
 };
 
 struct LatencyPoint {
   std::size_t bytes = 0;
   double usec = 0;
+  std::uint64_t events = 0;  ///< simulator events of this size's run
 };
 
 /// The message-size sweep used in the paper's plots: powers of two from 1 B

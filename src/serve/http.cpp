@@ -172,10 +172,11 @@ void HttpServer::accept_loop() {
     }
     std::thread([this, fd] {
       serve_connection(fd);
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        open_fds_.erase(fd);
-      }
+      // Everything happens under mu_: stop() cannot see active_ reach zero
+      // (and ~HttpServer destroy cv_) until this thread has released the
+      // lock, after its last touch of the server.
+      std::lock_guard<std::mutex> lock(mu_);
+      open_fds_.erase(fd);
       ::close(fd);
       active_.fetch_sub(1);
       cv_.notify_all();

@@ -5,12 +5,15 @@
 // seed always produces bit-identical virtual timings.
 //
 // Pending events sit in a 4-ary min-heap over SoA storage
-// (sim/event_queue.hpp); callback state lives in a chunked slab whose slots
-// are recycled through a free list and whose addresses never move. Process
-// wake-ups — the dominant event kind (Process::advance, message
-// completions) — carry only a Process pointer and never touch the
-// allocator; generic callbacks keep their std::function in the slab slot,
-// whose storage is reused across events.
+// (sim/event_queue.hpp). Three event kinds share it:
+//  * process wake-ups (Process::advance, eager completions) carry only a
+//    Process pointer;
+//  * raw events carry a function pointer and a context pointer — minimpi
+//    schedules every message arrival and rendezvous completion this way;
+//  * generic std::function callbacks live in a chunked slab whose slots are
+//    recycled through a free list and whose addresses never move. Inside a
+//    job only timers (fault kill, telemetry sampling) use them.
+// Wake and raw events never touch the allocator.
 #pragma once
 
 #include <array>
@@ -210,9 +213,9 @@ class Engine {
   Process* current_ = nullptr;
 };
 
-/// Backdoor for the simulator's own subsystems (minimpi message delivery):
-/// exposes the raw fn-pointer event path, which schedules without constructing
-/// a std::function. Not part of the public API.
+/// Backdoor for the simulator's own subsystems (minimpi message delivery and
+/// rendezvous completions): exposes the raw fn-pointer event path, which
+/// schedules without constructing a std::function. Not part of the public API.
 struct EngineInternal {
   static void schedule_raw(Engine& e, SimTime when, void (*fn)(void*), void* ctx) {
     e.schedule_raw(when, fn, ctx);

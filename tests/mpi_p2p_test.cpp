@@ -176,6 +176,27 @@ TEST(P2P, RendezvousSenderBlocksUntilReceiverArrives) {
   EXPECT_GT(r.values.at("rendezvous_done"), r.values.at("receiver_arrived"));
 }
 
+TEST(P2P, DroppedRendezvousRequestsCompleteOrDieWithTheJob) {
+  // Both ends drop their non-blocking rendezvous requests at once. The
+  // queued completions keep the request states alive until they fire, and a
+  // job killed while they are still queued tears down cleanly.
+  auto config = cfg(2, plat::dcc());
+  config.max_ranks_per_node = 1;  // over GigE: the transfer takes milliseconds
+  const auto body = [](mpi::RankEnv& env) {
+    auto& c = env.world();
+    const std::size_t big = 4 << 20;
+    if (c.rank() == 0) {
+      (void)c.isend_bytes(1, 1, nullptr, big);
+    } else {
+      (void)c.irecv_bytes(0, 1, nullptr, big);
+    }
+    env.compute(1.0);
+  };
+  EXPECT_GT(mpi::run_job(config, body).elapsed_seconds, 0.0);
+  config.faults.kill_at_s = 0.005;  // after the match, before the completions
+  EXPECT_THROW(mpi::run_job(config, body), mpi::JobKilledError);
+}
+
 TEST(P2P, IsendIrecvWaitall) {
   auto r = mpi::run_job(cfg(2), [](mpi::RankEnv& env) {
     auto& c = env.world();
