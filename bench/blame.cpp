@@ -14,8 +14,7 @@ obs::critpath::Blame run_blame_probe(const core::RunRequest& req, const std::str
   if (!out.result.trace) {
     throw std::runtime_error("blame probe for " + label + " produced no trace");
   }
-  const auto blame =
-      obs::critpath::attribute(*out.result.trace, out.result.spans.get());
+  const auto blame = obs::critpath::attribute(*out.result.trace);
   valid::add_blame(report, blame, label, req.np);
   return blame;
 }

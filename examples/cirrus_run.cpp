@@ -12,9 +12,9 @@
 //                 (generation qualifier: "--platform vayu --gen 2020" runs on
 //                 the gen-2020 model of that machine)  --np N  --rpn ranks-per-node
 //                 --seed S  --execute  --eager BYTES  --ipm (full summary)
-//                 --trace FILE (write a chrome://tracing JSON span trace;
-//                 with --metrics the trace gains counter tracks, fault
-//                 instants and send->recv flow arrows)
+//                 --trace FILE (write a chrome://tracing JSON trace: rank
+//                 intervals, send->recv flow arrows, fault instants and
+//                 causal spans; with --metrics it gains counter tracks)
 //                 --blame (critical-path blame attribution: walk the span/
 //                 event DAG backwards from completion and print the makespan
 //                 split into compute / mpi-wait / fabric-serialization /
@@ -115,20 +115,13 @@ void print_result(const mpi::JobResult& r, const std::string& name,
   }
   if (const auto path = opts.get("trace"); path && r.trace) {
     std::ofstream out(*path);
-    if (r.telemetry || r.spans) {
-      // Enriched trace: causal spans and, with --metrics, counter tracks
-      // ride along with the event rows, flow arrows and instant markers.
-      out << obs::enriched_chrome_json(r.trace.get(),
-                                       r.telemetry ? &r.telemetry->sampler : nullptr,
-                                       r.spans.get(), nullptr);
-    } else {
-      out << r.trace->to_chrome_json();
-    }
+    out << obs::enriched_chrome_json(r.trace.get(),
+                                     r.telemetry ? &r.telemetry->sampler : nullptr);
     std::printf("wrote %zu trace events to %s (open in chrome://tracing)\n",
                 r.trace->size(), path->c_str());
   }
   if (opts.has("blame") && r.trace) {
-    const auto blame = obs::critpath::attribute(*r.trace, r.spans.get());
+    const auto blame = obs::critpath::attribute(*r.trace);
     std::fputs(blame.format().c_str(), stdout);
   }
   if (r.telemetry) {

@@ -152,24 +152,6 @@ double FaultSchedule::link_extra_latency_us(int node, double t_s) const noexcept
 
 namespace {
 
-void merge_trace(ipm::Trace& dst, const ipm::Trace& src, double offset_s) {
-  const sim::SimTime off = sim::from_seconds(offset_s);
-  for (ipm::TraceEvent ev : src.events()) {
-    ev.begin += off;
-    ev.end += off;
-    dst.add(ev);
-  }
-  for (ipm::FlowEvent f : src.flows()) {
-    f.send_time += off;
-    f.recv_time += off;
-    dst.add_flow(f);
-  }
-  for (ipm::InstantEvent inst : src.instants()) {
-    inst.t += off;
-    dst.add_instant(std::move(inst));
-  }
-}
-
 /// Installs the attempt-local fault configuration: the schedule's absolute
 /// clock shifted by `offset_s` (the virtual time already consumed by earlier
 /// attempts plus restart delays).
@@ -205,7 +187,9 @@ ResilientRun run_resilient(const mpi::JobConfig& config,
   mpi::CheckpointStore local_store;
   mpi::CheckpointStore* store =
       config.checkpoint_store != nullptr ? config.checkpoint_store : &local_store;
-  auto merged = config.enable_trace ? std::make_shared<ipm::Trace>() : nullptr;
+  // One trace for the whole run: each attempt's set, shifted once onto the
+  // global clock (killed attempts contribute their partial timelines).
+  auto merged = config.enable_trace ? std::make_shared<obs::SpanSet>() : nullptr;
   cloud::Provisioner provisioner(opts.provision_seed);
 
   double global_t = 0;  // virtual time consumed so far (runs + restart delays)
@@ -220,7 +204,7 @@ ResilientRun run_resilient(const mpi::JobConfig& config,
       out.cost_usd += opts.hourly_usd * r.elapsed_seconds / 3600.0;
       out.makespan_s = global_t + r.elapsed_seconds;
       out.attempts = attempt;
-      if (merged && r.trace) merge_trace(*merged, *r.trace, global_t);
+      if (merged && r.trace) merged->merge(*r.trace, sim::from_seconds(global_t));
       out.result = std::move(r);
       break;
     } catch (const mpi::JobKilledError& killed) {
@@ -229,7 +213,7 @@ ResilientRun run_resilient(const mpi::JobConfig& config,
       const double kept = std::max(0.0, store->last_commit_s());
       out.lost_work_s += ran - kept;
       out.cost_usd += opts.hourly_usd * ran / 3600.0;
-      if (merged && killed.trace) merge_trace(*merged, *killed.trace, global_t);
+      if (merged && killed.trace) merged->merge(*killed.trace, sim::from_seconds(global_t));
       double delay = opts.requeue_delay_s;
       if (!opts.instance_type.empty()) {
         delay = provisioner.provision(opts.instance_type, opts.instances, opts.placement_group)
@@ -247,10 +231,7 @@ ResilientRun run_resilient(const mpi::JobConfig& config,
       {"fault_checkpoints_taken", static_cast<std::uint64_t>(out.checkpoints_taken)},
       {"fault_checkpoint_bytes", static_cast<std::uint64_t>(out.checkpoint_bytes)},
   });
-  if (merged) {
-    out.trace = merged;
-    out.result.trace = merged;
-  }
+  if (merged) out.result.trace = std::move(merged);
   return out;
 }
 

@@ -123,7 +123,10 @@ struct ResilientOptions {
 
 /// Outcome of a resilient (checkpoint/restart) execution.
 struct ResilientRun {
-  mpi::JobResult result;      ///< the successful final attempt
+  /// The successful final attempt. Its trace (null unless enable_trace) is
+  /// the whole run: every attempt shifted onto the global clock, killed ones
+  /// included, so recovery is visible in Perfetto and critpath.
+  mpi::JobResult result;
   double makespan_s = 0;      ///< end-to-end: runs + restarts + boots
   double cost_usd = 0;
   int attempts = 1;
@@ -132,10 +135,6 @@ struct ResilientRun {
   double restart_delay_s = 0; ///< total re-provision / requeue time
   int checkpoints_taken = 0;
   std::size_t checkpoint_bytes = 0;
-  /// Merged multi-attempt span trace with each attempt offset to the global
-  /// clock (null unless config.enable_trace); killed attempts contribute
-  /// their partial timelines, so recovery is visible in Perfetto.
-  std::shared_ptr<const ipm::Trace> trace;
 };
 
 /// Runs `body` under `schedule`, restarting from the last committed

@@ -337,11 +337,11 @@ class Job {
     in_coll.assign(static_cast<std::size_t>(cfg.np), 0);
     span_rec_.resize(static_cast<std::size_t>(cfg.np));  // default = inert
     if (cfg.enable_trace) {
-      trace = std::make_shared<ipm::Trace>();
-      spans = std::make_shared<obs::SpanSet>();
+      trace = std::make_shared<obs::SpanSet>();
       for (int r = 0; r < cfg.np; ++r) {
-        span_rec_[static_cast<std::size_t>(r)] = obs::SpanRecorder(spans.get(), r);
+        span_rec_[static_cast<std::size_t>(r)] = obs::SpanRecorder(trace.get(), r);
       }
+      global_rec_ = obs::SpanRecorder(trace.get(), -1);
     }
 
     // The switch fabric between the NICs. Always installed — the default
@@ -366,41 +366,17 @@ class Job {
       // that already finished must not be killed by the late fault event.
       engine.schedule_at(sim::from_seconds(cfg.faults.kill_at_s), [this] {
         if (finished_ranks < config.np) {
-          record_instant(-1, "fault: job killed");
+          global_rec_.instant(engine.now(), "fault: job killed");
           throw JobKilledError(sim::to_seconds(engine.now()), trace);
         }
       });
     }
   }
 
-  void record_span(int world_rank, sim::SimTime t0, ipm::TraceEvent::Kind kind,
-                   ipm::CallKind call, std::size_t bytes, int peer) {
-    if (!trace) return;
-    trace->add(ipm::TraceEvent{.rank = world_rank,
-                               .begin = t0,
-                               .end = engine.now(),
-                               .kind = kind,
-                               .call = call,
-                               .bytes = bytes,
-                               .peer = peer});
-  }
-
   /// Send→recv flow arrow for a just-matched envelope (trace-gated).
   /// Recorded in the receiver's context (the match happens there).
   void record_flow(const Envelope& env, int dst_world) {
-    if (!trace) return;
-    trace->add_flow(ipm::FlowEvent{.src_rank = env.src_world,
-                                   .dst_rank = dst_world,
-                                   .send_time = env.sent_at,
-                                   .recv_time = engine.now(),
-                                   .bytes = env.bytes});
-  }
-
-  /// Rank -1 marks a global instant (kill, checkpoint commit).
-  void record_instant(int world_rank, std::string name) {
-    if (!trace) return;
-    trace->add_instant(
-        ipm::InstantEvent{.rank = world_rank, .t = engine.now(), .name = std::move(name)});
+    span_rec(dst_world).flow(env.src_world, env.sent_at, engine.now(), env.bytes);
   }
 
   /// Opens the job's live metrics: histogram handles on the match path,
@@ -520,9 +496,9 @@ class Job {
 
   JobConfig config;
   sim::Engine engine;
-  std::shared_ptr<ipm::Trace> trace;  // null unless config.enable_trace
-  std::shared_ptr<obs::SpanSet> spans;  // same gating as trace
+  std::shared_ptr<obs::SpanSet> trace;  // null unless config.enable_trace
   std::vector<obs::SpanRecorder> span_rec_;  // per rank; inert when not tracing
+  obs::SpanRecorder global_rec_;  // job-wide instants (track -1); inert likewise
   std::vector<plat::RankPlacement> placement;
   net::Network network;
   storage::Service fs;
@@ -560,7 +536,7 @@ class Job {
   };
   MpiCounters counters;
 
-  /// This rank's causal-span recorder (inert unless config.enable_trace).
+  /// This rank's trace recorder (inert unless config.enable_trace).
   [[nodiscard]] obs::SpanRecorder& span_rec(int world_rank) {
     return span_rec_[static_cast<std::size_t>(world_rank)];
   }
@@ -841,7 +817,7 @@ void Comm::p2p_send(int dst, int tag, const void* data, std::size_t bytes, ipm::
   if (!in_collective()) {
     job.recorders[static_cast<std::size_t>(src_world)].add_mpi(kind, bytes, se.now() - t0,
                                                                sys_frac);
-    job.record_span(src_world, t0, ipm::TraceEvent::Kind::Mpi, kind, bytes, dst);
+    job.span_rec(src_world).interval(t0, se.now(), obs::mpi_category(kind), bytes, dst);
   }
   if (out != nullptr) *out = Request(sreq);
 }
@@ -920,7 +896,7 @@ Request Comm::p2p_recv(int src, int tag, void* data, std::size_t bytes, ipm::Cal
   if (!in_collective()) {
     job.recorders[static_cast<std::size_t>(my_world)].add_mpi(kind, bytes, me.now() - t0,
                                                               req.state_->sys_frac);
-    job.record_span(my_world, t0, ipm::TraceEvent::Kind::Mpi, kind, bytes, src);
+    job.span_rec(my_world).interval(t0, me.now(), obs::mpi_category(kind), bytes, src);
   }
   // A blocking receive's state lives on this frame; never let it escape.
   return blocking ? Request() : req;
@@ -964,8 +940,8 @@ void Comm::wait(Request& req) {
   if (!in_collective() && req.state_) {
     job.recorders[static_cast<std::size_t>(world_rank_of(rank_))].add_mpi(
         ipm::CallKind::Wait, req.state_->bytes, me.now() - t0, req.state_->sys_frac);
-    job.record_span(world_rank_of(rank_), t0, ipm::TraceEvent::Kind::Mpi,
-                    ipm::CallKind::Wait, req.state_->bytes, -1);
+    job.span_rec(world_rank_of(rank_))
+        .interval(t0, me.now(), obs::mpi_category(ipm::CallKind::Wait), req.state_->bytes);
   }
 }
 
@@ -993,8 +969,9 @@ void Comm::sendrecv_bytes(int dst, int stag, const void* sdata, std::size_t sbyt
     // The inner isend/irecv suppress their own spans (CollGuard), so the
     // exchange must record one itself or its wait time is invisible to the
     // trace — and charged to "other" by the critical-path walker.
-    job.record_span(world_rank_of(rank_), t0, ipm::TraceEvent::Kind::Mpi,
-                    ipm::CallKind::Sendrecv, sbytes + rbytes, dst);
+    job.span_rec(world_rank_of(rank_))
+        .interval(t0, me.now(), obs::mpi_category(ipm::CallKind::Sendrecv), sbytes + rbytes,
+                  dst);
   }
 }
 
@@ -1037,9 +1014,8 @@ struct CollTimer {
       job_.recorders[static_cast<std::size_t>(world_rank_)].add_mpi(
           kind_, bytes_, job_.engine.now() - t0_,
           job_.config.platform.nic.sys_frac * 0.7);
-      job_.record_span(world_rank_, t0_, ipm::TraceEvent::Kind::Mpi, kind_, bytes_, -1);
       job_.span_rec(world_rank_)
-          .record(t0_, job_.engine.now(), "mpi.collective", ipm::to_string(kind_));
+          .interval(t0_, job_.engine.now(), obs::mpi_category(kind_), bytes_);
     }
   }
   Job& job_;
@@ -1567,8 +1543,7 @@ void RankEnv::compute(double ref_seconds) {
   }
   job_->procs[static_cast<std::size_t>(world_rank_)]->advance(t);
   recorder_->add_compute(t);
-  job_->record_span(world_rank_, t0, ipm::TraceEvent::Kind::Compute, ipm::CallKind::kCount, 0,
-                    -1);
+  job_->span_rec(world_rank_).interval(t0, job_->engine.now(), obs::kComputeCategory);
 }
 
 namespace {
@@ -1597,8 +1572,7 @@ void RankEnv::io_read(std::size_t bytes, bool open_file) {
     proc.suspend();
   }
   recorder_->add_io(me.now() - t0);
-  job_->record_span(world_rank_, t0, ipm::TraceEvent::Kind::Io, ipm::CallKind::kCount, bytes,
-                    -1);
+  job_->span_rec(world_rank_).interval(t0, me.now(), obs::kIoCategory, bytes);
   record_storage_spans(*job_, world_rank_, t0, done, queued);
 }
 
@@ -1613,16 +1587,16 @@ void RankEnv::io_write(std::size_t bytes, bool open_file) {
     proc.suspend();
   }
   recorder_->add_io(me.now() - t0);
-  job_->record_span(world_rank_, t0, ipm::TraceEvent::Kind::Io, ipm::CallKind::kCount, bytes,
-                    -1);
+  job_->span_rec(world_rank_).interval(t0, me.now(), obs::kIoCategory, bytes);
   record_storage_spans(*job_, world_rank_, t0, done, queued);
 }
 
-void RankEnv::annotate(const std::string& name) { job_->record_instant(world_rank_, name); }
+void RankEnv::annotate(const std::string& name) {
+  job_->span_rec(world_rank_).instant(job_->engine.now(), name);
+}
 
-std::uint32_t RankEnv::span_begin(std::string_view category, std::string label) {
-  return job_->span_rec(world_rank_)
-      .begin(job_->engine.now(), category, std::move(label));
+std::uint32_t RankEnv::span_begin(std::string_view category, std::string_view label) {
+  return job_->span_rec(world_rank_).begin(job_->engine.now(), category, label);
 }
 
 void RankEnv::span_end(std::uint32_t id) {
@@ -1668,7 +1642,8 @@ void RankEnv::checkpoint(int step, const void* data, std::size_t bytes) {
   if (world_rank_ == 0) {
     store->commit(now_seconds());
     ++job_->counters.checkpoints_committed;
-    job_->record_instant(-1, "checkpoint commit (step " + std::to_string(step) + ")");
+    job_->global_rec_.instant(job_->engine.now(),
+                              "checkpoint commit (step " + std::to_string(step) + ")");
   }
 }
 
@@ -1815,7 +1790,6 @@ JobResult run_job(const JobConfig& config, const std::function<void(RankEnv&)>& 
   result.storage_stats = job.fs.stats();
   result.storage_name = job.fs.model().name;
   result.trace = job.trace;
-  result.spans = job.spans;
   result.topology = job.network.topology_ptr();
   result.link_stats = job.network.link_stats();
   result.nic_stats = job.network.nic_stats();

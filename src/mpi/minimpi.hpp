@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "ipm/ipm.hpp"
-#include "ipm/trace.hpp"
 #include "net/network.hpp"
 #include "obs/span.hpp"
 #include "obs/telemetry.hpp"
@@ -51,16 +50,16 @@ JobResult run_job(const JobConfig& config, const std::function<void(RankEnv&)>& 
 
 /// Thrown out of run_job when fault injection kills the job (node crash or
 /// spot reclaim) at virtual time `at_seconds` on the job's clock. Carries the
-/// partial span trace of the killed attempt (null unless tracing was on) so
-/// restart drivers can stitch a full multi-attempt timeline.
+/// killed attempt's partial trace (null unless tracing was on) so restart
+/// drivers can stitch a full multi-attempt timeline.
 class JobKilledError : public std::runtime_error {
  public:
-  JobKilledError(double at_s, std::shared_ptr<const ipm::Trace> partial_trace)
+  JobKilledError(double at_s, std::shared_ptr<const obs::SpanSet> partial_trace)
       : std::runtime_error("job killed by fault injection at t=" + std::to_string(at_s) + " s"),
         at_seconds(at_s),
         trace(std::move(partial_trace)) {}
   double at_seconds;
-  std::shared_ptr<const ipm::Trace> trace;
+  std::shared_ptr<const obs::SpanSet> trace;
 };
 
 /// Host-side checkpoint storage that outlives individual job attempts: the
@@ -341,7 +340,7 @@ class RankEnv {
   /// span_end(); still-open children are closed at the same instant.
   /// Workloads use this for task/stage attribution (e.g. wf.task →
   /// wf.stage_in / wf.compute / wf.stage_out).
-  std::uint32_t span_begin(std::string_view category, std::string label = {});
+  std::uint32_t span_begin(std::string_view category, std::string_view label = {});
   /// Closes span `id` at the current virtual time (no-op for id 0).
   void span_end(std::uint32_t id);
 
@@ -414,8 +413,9 @@ struct JobConfig {
   /// Broadcasts larger than this use scatter + allgather (van de Geijn)
   /// instead of the binomial tree. 0: always binomial.
   std::size_t bcast_long_threshold_bytes = 512 * 1024;
-  /// Record a span trace of every compute/MPI/I-O operation (see
-  /// ipm::Trace::to_chrome_json). Costs memory proportional to event count.
+  /// Record a trace of every compute/MPI/I-O operation, message flow and
+  /// causal span (see obs::SpanSet and obs::enriched_chrome_json). Costs
+  /// memory proportional to event count.
   bool enable_trace = false;
   /// Run the real math inside workloads (tests) or charge time only (paper
   /// scale)?
@@ -445,15 +445,13 @@ struct JobResult {
   std::uint64_t events_processed = 0;
   ipm::JobReport ipm;
   std::map<std::string, double> values;  ///< app-reported scalars
-  /// Span trace (null unless JobConfig::enable_trace was set).
-  std::shared_ptr<const ipm::Trace> trace;
-  /// Causal spans recorded alongside the trace (null unless enable_trace):
-  /// storage queue/service splits, collective phases, workload-opened spans
-  /// (wf task stages), in recording order.
+  /// The job's trace (null unless JobConfig::enable_trace was set): rank
+  /// intervals, flows, instants and causal spans (storage queue/service
+  /// splits, wf task stages), in recording order.
+  std::shared_ptr<const obs::SpanSet> trace;
+  /// Always null (`trace` holds every span). Kept because the perfbench
+  /// harness, frozen with the benchmark, still reads them.
   std::shared_ptr<const obs::SpanSet> spans;
-  /// Always null: nothing records scheduler meta spans. Kept because the
-  /// perfbench harness passes it to the four-argument
-  /// obs::enriched_chrome_json.
   std::shared_ptr<const obs::SpanSet> sched_spans;
   /// The fabric the job ran over (never null; the crossbar has no links).
   std::shared_ptr<const topo::Topology> topology;

@@ -11,8 +11,6 @@ namespace cirrus::obs::critpath {
 namespace {
 
 using ipm::CallKind;
-using ipm::FlowEvent;
-using ipm::TraceEvent;
 
 bool is_recv_like(CallKind c) noexcept {
   switch (c) {
@@ -91,58 +89,71 @@ std::string Blame::format(std::size_t top_edges) const {
   return os.str();
 }
 
-Blame attribute(const ipm::Trace& trace, const SpanSet* spans) {
+Blame attribute(const SpanSet& trace, const SpanSet* /*unused*/) {
   Blame blame;
-  const auto& events = trace.events();
+  const auto& spans = trace.spans();
   const auto& flows = trace.flows();
-  if (events.empty()) return blame;
 
-  // Completion = latest event end; ties broken toward the smallest rank so
-  // the walk's starting point is a total function of the trace. T0 = earliest
-  // event begin (normally 0).
-  sim::SimTime t_end = events.front().end;
-  sim::SimTime t0 = events.front().begin;
-  int end_rank = events.front().rank;
+  // Completion = latest interval end; ties broken toward the smallest rank
+  // so the walk's starting point is a total function of the trace. T0 =
+  // earliest interval begin (normally 0).
+  std::size_t intervals = 0;
+  sim::SimTime t_end = 0;
+  sim::SimTime t0 = 0;
+  int end_rank = 0;
   int max_rank = 0;
-  for (const TraceEvent& e : events) {
-    if (e.end > t_end || (e.end == t_end && e.rank < end_rank)) {
+  for (const Span& e : spans) {
+    if (e.kind != SpanKind::Interval) continue;
+    if (intervals++ == 0) {
       t_end = e.end;
-      end_rank = e.rank;
+      t0 = e.begin;
+      end_rank = e.track;
+    }
+    if (e.end > t_end || (e.end == t_end && e.track < end_rank)) {
+      t_end = e.end;
+      end_rank = e.track;
     }
     t0 = std::min(t0, e.begin);
-    max_rank = std::max(max_rank, e.rank);
+    max_rank = std::max(max_rank, e.track);
   }
+  if (intervals == 0) return blame;
   blame.end_rank = end_rank;
   blame.makespan = t_end - t0;
-  blame.per_rank.assign(static_cast<std::size_t>(max_rank) + 1, 0);
+  const auto nranks = static_cast<std::size_t>(max_rank) + 1;
+  blame.per_rank.assign(nranks, 0);
   if (blame.makespan <= 0) return blame;
 
-  // Per-rank event lists in begin order (for_rank returns insertion order,
-  // which is begin order per rank), and inbound-flow lists per receiver
-  // sorted by recv_time for the causal jump search.
-  std::vector<std::vector<TraceEvent>> by_rank(static_cast<std::size_t>(max_rank) + 1);
-  for (int r = 0; r <= max_rank; ++r) by_rank[static_cast<std::size_t>(r)] = trace.for_rank(r);
-  std::vector<std::vector<FlowEvent>> inbound(static_cast<std::size_t>(max_rank) + 1);
-  for (const FlowEvent& f : flows) {
-    if (f.dst_rank >= 0 && f.dst_rank <= max_rank) {
-      inbound[static_cast<std::size_t>(f.dst_rank)].push_back(f);
+  // Per-rank indices into the set, in recording order (which is begin order
+  // per rank): the intervals, and the storage layer's storage.queue spans.
+  // The storage layer records queue [t, t+q] + service [t+q, done] with the
+  // queue span sharing the I/O interval's begin, so an exact-begin lookup
+  // recovers q.
+  const auto queue_cat = trace.find_category("storage.queue");
+  std::vector<std::vector<std::uint32_t>> by_rank(nranks);
+  std::vector<std::vector<std::uint32_t>> queues(nranks);
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const Span& s = spans[i];
+    if (s.track < 0 || s.track > max_rank) continue;
+    const auto r = static_cast<std::size_t>(s.track);
+    if (s.kind == SpanKind::Interval) {
+      by_rank[r].push_back(static_cast<std::uint32_t>(i));
+    } else if (s.kind == SpanKind::Causal && s.category == queue_cat) {
+      queues[r].push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+  // Inbound-flow indices per receiver, sorted by recv time for the causal
+  // jump search.
+  std::vector<std::vector<std::uint32_t>> inbound(nranks);
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    if (flows[i].dst >= 0 && flows[i].dst <= max_rank) {
+      inbound[static_cast<std::size_t>(flows[i].dst)].push_back(static_cast<std::uint32_t>(i));
     }
   }
   for (auto& v : inbound) {
-    std::sort(v.begin(), v.end(), [](const FlowEvent& a, const FlowEvent& b) {
-      return std::tie(a.recv_time, a.send_time, a.src_rank) <
-             std::tie(b.recv_time, b.send_time, b.src_rank);
+    std::sort(v.begin(), v.end(), [&flows](std::uint32_t a, std::uint32_t b) {
+      return std::tie(flows[a].recv, flows[a].send, flows[a].src) <
+             std::tie(flows[b].recv, flows[b].send, flows[b].src);
     });
-  }
-
-  // Storage split: index storage.queue spans by (track, begin). The storage
-  // layer records queue [t, t+q] + service [t+q, done] with the queue span
-  // sharing the I/O event's begin, so an exact-begin lookup recovers q.
-  std::map<std::pair<int, sim::SimTime>, sim::SimTime> queue_until;
-  if (spans != nullptr) {
-    for (const Span& s : spans->spans()) {
-      if (s.category == "storage.queue") queue_until[{s.track, s.begin}] = s.end;
-    }
   }
 
   std::map<std::pair<int, int>, Edge> edge_map;
@@ -162,19 +173,20 @@ Blame attribute(const ipm::Trace& trace, const SpanSet* spans) {
   // traces (remainder lands in "other").
   int rank = end_rank;
   sim::SimTime t = t_end;
-  std::size_t guard = 2 * (events.size() + flows.size()) + 16;
+  std::size_t guard = 2 * (intervals + flows.size()) + 16;
   while (t > t0 && guard-- > 0) {
     const auto& evs = by_rank[static_cast<std::size_t>(rank)];
     // Last event of this rank with begin < t.
-    auto it = std::upper_bound(evs.begin(), evs.end(), t,
-                               [](sim::SimTime x, const TraceEvent& e) { return x <= e.begin; });
+    auto it = std::upper_bound(evs.begin(), evs.end(), t, [&spans](sim::SimTime x, std::uint32_t i) {
+      return x <= spans[i].begin;
+    });
     if (it == evs.begin()) {
       // Nothing earlier on this rank: the remaining prefix is untraced.
       charge(rank, t0, t, Category::Other);
       t = t0;
       break;
     }
-    const TraceEvent& e = *(it - 1);
+    const Span& e = spans[*(it - 1)];
     if (e.end < t) {
       // Gap between events — untraced local activity.
       charge(rank, e.end, t, Category::Other);
@@ -183,17 +195,22 @@ Blame attribute(const ipm::Trace& trace, const SpanSet* spans) {
     }
     const sim::SimTime t_eff = std::min(e.end, t);
 
-    if (e.kind == TraceEvent::Kind::Compute) {
+    if (e.category == kComputeCategory) {
       charge(rank, e.begin, t_eff, Category::Compute);
       t = e.begin;
       continue;
     }
-    if (e.kind == TraceEvent::Kind::Io) {
+    if (e.category == kIoCategory) {
       // Queue-then-service split from the storage layer's span pair; without
       // spans the whole interval is service time.
       sim::SimTime q_end = e.begin;
-      if (auto qi = queue_until.find({rank, e.begin}); qi != queue_until.end()) {
-        q_end = std::min(qi->second, t_eff);
+      const auto& q = queues[static_cast<std::size_t>(rank)];
+      const auto qi = std::upper_bound(q.begin(), q.end(), e.begin,
+                                       [&spans](sim::SimTime x, std::uint32_t i) {
+                                         return x < spans[i].begin;
+                                       });
+      if (qi != q.begin() && spans[*(qi - 1)].begin == e.begin) {
+        q_end = std::min(spans[*(qi - 1)].end, t_eff);
       }
       charge(rank, e.begin, q_end, Category::StorageQueue);
       charge(rank, q_end, t_eff, Category::StorageService);
@@ -206,46 +223,45 @@ Blame attribute(const ipm::Trace& trace, const SpanSet* spans) {
     // Ties (same recv): largest send_time (the tightest causal constraint),
     // then smallest src — a total order, so the jump is deterministic.
     const auto& in = inbound[static_cast<std::size_t>(rank)];
-    const FlowEvent* f = nullptr;
-    auto fi = std::upper_bound(in.begin(), in.end(), t_eff,
-                               [](sim::SimTime x, const FlowEvent& a) { return x < a.recv_time; });
+    const Flow* f = nullptr;
+    auto fi = std::upper_bound(in.begin(), in.end(), t_eff, [&flows](sim::SimTime x, std::uint32_t i) {
+      return x < flows[i].recv;
+    });
     while (fi != in.begin()) {
-      --fi;
-      if (fi->recv_time <= e.begin) break;
-      if (f == nullptr || fi->recv_time == f->recv_time) {
+      const Flow& c = flows[*--fi];
+      if (c.recv <= e.begin) break;
+      if (f == nullptr || c.recv == f->recv) {
         // Equal recv keys are adjacent after the sort; the last one in sort
         // order (largest send, then... we want largest send / smallest src):
-        if (f == nullptr || std::tie(fi->send_time, f->src_rank) >
-                                std::tie(f->send_time, fi->src_rank)) {
-          f = &*fi;
-        }
+        if (f == nullptr || std::tie(c.send, f->src) > std::tie(f->send, c.src)) f = &c;
         continue;
       }
       break;
     }
+    const CallKind call = call_of(e.category);
     const Category wait_cat =
-        e.call == CallKind::Barrier ? Category::BarrierLookahead : Category::MpiWait;
-    if (f != nullptr && f->send_time < t) {
+        call == CallKind::Barrier ? Category::BarrierLookahead : Category::MpiWait;
+    if (f != nullptr && f->send < t) {
       // [recv, t_eff]: local completion overhead after arrival;
       // [send, recv]: the wire — fabric serialization + routing, charged to
       // the receiving rank's row. Then the path jumps to the sender.
-      charge(rank, f->recv_time, t_eff, wait_cat);
-      charge(rank, f->send_time, f->recv_time, Category::FabricSerialization);
-      Edge& ed = edge_map[{f->src_rank, f->dst_rank}];
-      ed.src_rank = f->src_rank;
-      ed.dst_rank = f->dst_rank;
+      charge(rank, f->recv, t_eff, wait_cat);
+      charge(rank, f->send, f->recv, Category::FabricSerialization);
+      Edge& ed = edge_map[{f->src, f->dst}];
+      ed.src_rank = f->src;
+      ed.dst_rank = f->dst;
       ed.crossings += 1;
       ed.bytes += f->bytes;
-      ed.flight += f->recv_time - f->send_time;
-      rank = f->src_rank;
-      t = f->send_time;
+      ed.flight += f->recv - f->send;
+      rank = f->src;
+      t = f->send;
       continue;
     }
     // No causal in-edge: the whole clipped interval is local to this rank.
     // Barriers spin in lookahead-bounded sync, recv-like calls wait, and
     // send-side calls serialize into the fabric.
     Category cat = wait_cat;
-    if (e.call != CallKind::Barrier && !is_recv_like(e.call)) {
+    if (call != CallKind::Barrier && !is_recv_like(call)) {
       cat = Category::FabricSerialization;
     }
     charge(rank, e.begin, t_eff, cat);

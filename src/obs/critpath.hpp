@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "ipm/trace.hpp"
 #include "obs/span.hpp"
 #include "sim/time.hpp"
 
@@ -79,9 +78,11 @@ struct Blame {
   [[nodiscard]] std::string format(std::size_t top_edges = 8) const;
 };
 
-/// Attributes `trace`'s makespan. `spans` (optional) supplies the
-/// storage.queue/storage.service split recorded by the storage layer; without
-/// it, I/O intervals are blamed on storage-service wholesale.
-[[nodiscard]] Blame attribute(const ipm::Trace& trace, const SpanSet* spans = nullptr);
+/// Attributes `trace`'s makespan over its rank intervals and flows. The
+/// storage layer's storage.queue spans in the same set split I/O intervals
+/// into queue and service time; without them, I/O is all storage service.
+/// The second parameter is ignored: it stays because the perfbench harness,
+/// frozen with the benchmark, still passes mpi::JobResult::spans.
+[[nodiscard]] Blame attribute(const SpanSet& trace, const SpanSet* unused = nullptr);
 
 }  // namespace cirrus::obs::critpath

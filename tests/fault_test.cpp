@@ -17,6 +17,7 @@ namespace npb = cirrus::npb;
 namespace plat = cirrus::plat;
 namespace cloud = cirrus::cloud;
 namespace core = cirrus::core;
+namespace obs = cirrus::obs;
 
 namespace {
 
@@ -293,16 +294,46 @@ TEST(Resilience, MergedTraceCoversAllAttempts) {
   s.add({fault::FaultKind::NodeCrash, 0.5 * t0, 0});
   const auto run = fault::run_resilient(cfg, cg_body, s);
   ASSERT_EQ(run.attempts, 2);
-  ASSERT_NE(run.trace, nullptr);
-  EXPECT_EQ(run.trace.get(), run.result.trace.get());
-  // The killed attempt's partial spans are merged in, offset to the global
-  // clock: some event must end after the makespan of the first attempt.
+  ASSERT_NE(run.result.trace, nullptr);
+  const obs::SpanSet& trace = *run.result.trace;
+  // The killed attempt's partial timeline is merged in, offset to the global
+  // clock: some interval must end after the makespan of the first attempt.
   double last_end = 0;
-  for (const auto& ev : run.trace->events()) {
-    last_end = std::max(last_end, cirrus::sim::to_seconds(ev.end));
+  for (const auto& sp : trace.spans()) {
+    if (sp.kind == obs::SpanKind::Interval) {
+      last_end = std::max(last_end, cirrus::sim::to_seconds(sp.end));
+    }
   }
   EXPECT_GT(last_end, 0.9 * run.makespan_s - 1.0);
-  EXPECT_GT(run.trace->size(), 0u);
+  EXPECT_GT(trace.size(), 0u);
+
+  // Every span, flow and instant lies on the run's global clock.
+  const double makespan_s = run.makespan_s + 1e-9;  // seconds <-> ns rounding
+  for (const auto& sp : trace.spans()) {
+    EXPECT_GE(sp.begin, 0);
+    EXPECT_LE(sp.begin, sp.end);
+    EXPECT_LE(cirrus::sim::to_seconds(sp.end), makespan_s);
+  }
+  ASSERT_FALSE(trace.flows().empty());
+  for (const auto& f : trace.flows()) {
+    EXPECT_GE(f.send, 0);
+    EXPECT_LE(f.send, f.recv);
+    EXPECT_LE(cirrus::sim::to_seconds(f.recv), makespan_s);
+  }
+
+  // The killed attempt's checkpoint writes keep their storage.service spans
+  // before the crash; the final attempt's land after the restart delay.
+  const auto service = trace.find_category("storage.service");
+  ASSERT_TRUE(service.has_value());
+  const double crash_s = 0.5 * t0 + 1e-5;  // tick quantisation
+  int before = 0, after = 0;
+  for (const auto& sp : trace.spans()) {
+    if (sp.kind != obs::SpanKind::Causal || sp.category != *service) continue;
+    if (cirrus::sim::to_seconds(sp.end) <= crash_s) ++before;
+    if (cirrus::sim::to_seconds(sp.begin) >= crash_s + run.restart_delay_s) ++after;
+  }
+  EXPECT_GT(before, 0);
+  EXPECT_GT(after, 0);
 }
 
 // ------------------------------------------------------------- emergent spot

@@ -4,11 +4,13 @@
 
 #include <gtest/gtest.h>
 
-#include "ipm/trace.hpp"
 #include "mpi/minimpi.hpp"
+#include "obs/span.hpp"
+#include "obs/trace_export.hpp"
 
 namespace ipm = cirrus::ipm;
 namespace mpi = cirrus::mpi;
+namespace obs = cirrus::obs;
 namespace plat = cirrus::plat;
 namespace sim = cirrus::sim;
 
@@ -215,13 +217,16 @@ TEST(Trace, RecordsComputeMpiAndIoSpans) {
   });
   ASSERT_NE(r.trace, nullptr);
   int comp = 0, io = 0, mpi_ev = 0;
-  for (const auto& ev : r.trace->events()) {
+  for (const auto& ev : r.trace->spans()) {
+    if (ev.kind != obs::SpanKind::Interval) continue;
     ASSERT_LE(ev.begin, ev.end);
-    ASSERT_TRUE(ev.rank == 0 || ev.rank == 1);
-    switch (ev.kind) {
-      case ipm::TraceEvent::Kind::Compute: ++comp; break;
-      case ipm::TraceEvent::Kind::Io: ++io; break;
-      case ipm::TraceEvent::Kind::Mpi: ++mpi_ev; break;
+    ASSERT_TRUE(ev.track == 0 || ev.track == 1);
+    if (ev.category == obs::kComputeCategory) {
+      ++comp;
+    } else if (ev.category == obs::kIoCategory) {
+      ++io;
+    } else if (obs::call_of(ev.category) != ipm::CallKind::kCount) {
+      ++mpi_ev;
     }
   }
   EXPECT_EQ(comp, 2);
@@ -239,15 +244,11 @@ TEST(Trace, DisabledByDefault) {
 }
 
 TEST(Trace, ChromeJsonIsWellFormedEnough) {
-  ipm::Trace t;
-  t.add(ipm::TraceEvent{.rank = 3,
-                        .begin = cirrus::sim::from_seconds(1.0),
-                        .end = cirrus::sim::from_seconds(1.5),
-                        .kind = ipm::TraceEvent::Kind::Mpi,
-                        .call = ipm::CallKind::Allreduce,
-                        .bytes = 8,
-                        .peer = -1});
-  const auto json = t.to_chrome_json();
+  obs::SpanSet t;
+  obs::SpanRecorder(&t, 3).interval(cirrus::sim::from_seconds(1.0),
+                                    cirrus::sim::from_seconds(1.5),
+                                    obs::mpi_category(ipm::CallKind::Allreduce), 8);
+  const auto json = obs::enriched_chrome_json(&t, nullptr);
   EXPECT_EQ(json.front(), '[');
   EXPECT_NE(json.find("\"name\":\"MPI_Allreduce\""), std::string::npos);
   EXPECT_NE(json.find("\"tid\":3"), std::string::npos);
@@ -256,14 +257,12 @@ TEST(Trace, ChromeJsonIsWellFormedEnough) {
 }
 
 TEST(Trace, ForRankFilters) {
-  ipm::Trace t;
+  obs::SpanSet t;
   for (int r = 0; r < 3; ++r) {
-    t.add(ipm::TraceEvent{.rank = r, .begin = 0, .end = 1,
-                          .kind = ipm::TraceEvent::Kind::Compute,
-                          .call = ipm::CallKind::kCount, .bytes = 0, .peer = -1});
+    obs::SpanRecorder(&t, r).interval(0, 1, obs::kComputeCategory);
   }
-  EXPECT_EQ(t.for_rank(1).size(), 1u);
-  EXPECT_EQ(t.for_rank(7).size(), 0u);
+  EXPECT_EQ(t.for_track(1).size(), 1u);
+  EXPECT_EQ(t.for_track(7).size(), 0u);
   EXPECT_EQ(t.size(), 3u);
 }
 

@@ -3,10 +3,9 @@
 // `python3 -m json.tool` accept), flow events must come in matched s/f pairs,
 // counter tracks must carry sampled values, and the serialised form is pinned
 // by a golden fixture.
-#include "ipm/trace.hpp"
-
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -14,6 +13,7 @@
 #include "mpi/minimpi.hpp"
 #include "obs/jsonlite.hpp"
 #include "obs/sampler.hpp"
+#include "obs/span.hpp"
 #include "obs/trace_export.hpp"
 #include "platform/platform.hpp"
 #include "sim/engine.hpp"
@@ -27,27 +27,24 @@ using namespace cirrus;
 using obs::jsonlite::Value;
 
 /// A small fixed trace exercising every event family.
-ipm::Trace fixture_trace() {
-  ipm::Trace t;
-  t.add({.rank = 0,
-         .begin = sim::from_micros(0),
-         .end = sim::from_micros(500),
-         .kind = ipm::TraceEvent::Kind::Compute});
-  t.add({.rank = 1,
-         .begin = sim::from_micros(100),
-         .end = sim::from_micros(400),
-         .kind = ipm::TraceEvent::Kind::Mpi,
-         .call = ipm::CallKind::Recv,
-         .bytes = 4096,
-         .peer = 0});
-  t.add_flow({.src_rank = 0,
-              .dst_rank = 1,
-              .send_time = sim::from_micros(120),
-              .recv_time = sim::from_micros(380),
-              .bytes = 4096});
-  t.add_instant({.rank = -1, .t = sim::from_micros(250), .name = "checkpoint commit"});
-  t.add_instant({.rank = 1, .t = sim::from_micros(300), .name = "marker \"quoted\""});
+obs::SpanSet fixture_trace() {
+  obs::SpanSet t;
+  obs::SpanRecorder rank0(&t, 0);
+  obs::SpanRecorder rank1(&t, 1);
+  obs::SpanRecorder global(&t, -1);
+  rank0.interval(sim::from_micros(0), sim::from_micros(500), obs::kComputeCategory);
+  rank1.interval(sim::from_micros(100), sim::from_micros(400),
+                 obs::mpi_category(ipm::CallKind::Recv), 4096, 0);
+  rank1.flow(0, sim::from_micros(120), sim::from_micros(380), 4096);
+  global.instant(sim::from_micros(250), "checkpoint commit");
+  rank1.instant(sim::from_micros(300), "marker \"quoted\"");
   return t;
+}
+
+/// The fixture's plain export (no counter tracks).
+std::string fixture_json() {
+  const obs::SpanSet trace = fixture_trace();
+  return obs::enriched_chrome_json(&trace, nullptr);
 }
 
 obs::Sampler fixture_sampler() {
@@ -72,7 +69,7 @@ std::vector<const Value*> events_of_phase(const Value& doc, const std::string& p
 }
 
 TEST(TraceJson, ChromeJsonIsStrictlyValid) {
-  const std::string json = fixture_trace().to_chrome_json();
+  const std::string json = fixture_json();
   EXPECT_EQ(json.front(), '[');
   EXPECT_EQ(json.substr(json.size() - 2), "]\n");
   std::string error;
@@ -80,7 +77,7 @@ TEST(TraceJson, ChromeJsonIsStrictlyValid) {
 }
 
 TEST(TraceJson, FlowEventsArePairedById) {
-  const std::string json = fixture_trace().to_chrome_json();
+  const std::string json = fixture_json();
   Value doc;
   std::string error;
   ASSERT_TRUE(obs::jsonlite::parse(json, doc, &error)) << error;
@@ -98,7 +95,7 @@ TEST(TraceJson, FlowEventsArePairedById) {
 }
 
 TEST(TraceJson, InstantAndMetadataRows) {
-  const std::string json = fixture_trace().to_chrome_json();
+  const std::string json = fixture_json();
   Value doc;
   ASSERT_TRUE(obs::jsonlite::parse(json, doc));
   const auto instants = events_of_phase(doc, "i");
@@ -111,7 +108,7 @@ TEST(TraceJson, InstantAndMetadataRows) {
 }
 
 TEST(TraceJson, EnrichedJsonAddsCounterTracks) {
-  const ipm::Trace trace = fixture_trace();
+  const obs::SpanSet trace = fixture_trace();
   const obs::Sampler sampler = fixture_sampler();
   const std::string json = obs::enriched_chrome_json(&trace, &sampler);
   std::string error;
@@ -127,7 +124,7 @@ TEST(TraceJson, EnrichedJsonAddsCounterTracks) {
 }
 
 TEST(TraceJson, GoldenFixtureRoundTrip) {
-  const ipm::Trace trace = fixture_trace();
+  const obs::SpanSet trace = fixture_trace();
   const obs::Sampler sampler = fixture_sampler();
   const std::string json = obs::enriched_chrome_json(&trace, &sampler);
 
@@ -141,17 +138,19 @@ TEST(TraceJson, GoldenFixtureRoundTrip) {
 }
 
 TEST(TraceJson, ForRankIndexSurvivesMutation) {
-  ipm::Trace t;
+  obs::SpanSet t;
   for (int i = 0; i < 6; ++i) {
-    t.add({.rank = i % 2, .begin = sim::from_micros(i), .end = sim::from_micros(i + 1)});
+    obs::SpanRecorder(&t, i % 2)
+        .interval(sim::from_micros(i), sim::from_micros(i + 1), obs::kComputeCategory);
   }
-  EXPECT_EQ(t.for_rank(0).size(), 3U);
-  EXPECT_EQ(t.for_rank(1).size(), 3U);
-  EXPECT_TRUE(t.for_rank(7).empty());
-  EXPECT_TRUE(t.for_rank(-1).empty());
-  // Mutating after a query invalidates and rebuilds the index.
-  t.add({.rank = 1, .begin = sim::from_micros(10), .end = sim::from_micros(11)});
-  const auto r1 = t.for_rank(1);
+  EXPECT_EQ(t.for_track(0).size(), 3U);
+  EXPECT_EQ(t.for_track(1).size(), 3U);
+  EXPECT_TRUE(t.for_track(7).empty());
+  EXPECT_TRUE(t.for_track(-1).empty());
+  // Appending after a query is seen by the next one.
+  obs::SpanRecorder(&t, 1).interval(sim::from_micros(10), sim::from_micros(11),
+                                    obs::kComputeCategory);
+  const auto r1 = t.for_track(1);
   ASSERT_EQ(r1.size(), 4U);
   EXPECT_EQ(r1.back().begin, sim::from_micros(10));
 }
@@ -182,8 +181,41 @@ TEST(TraceJson, RealJobTraceParsesAndCarriesFlows) {
   EXPECT_FALSE(events_of_phase(doc, "s").empty());
   EXPECT_FALSE(events_of_phase(doc, "f").empty());
   EXPECT_FALSE(events_of_phase(doc, "C").empty());
-  // The plain exporter stays valid too.
-  EXPECT_TRUE(obs::jsonlite::validate(r.trace->to_chrome_json(), &error)) << error;
+  // Without counter tracks the export stays valid too.
+  EXPECT_TRUE(obs::jsonlite::validate(obs::enriched_chrome_json(r.trace.get(), nullptr), &error))
+      << error;
+}
+
+TEST(TraceJson, TimesExportAtFullPrecision) {
+  // Every row family at 123.456789012 s: 6 significant digits would round
+  // its microsecond timestamp to 1.23457e+08, i.e. to 1 ms.
+  const sim::SimTime at = sim::from_seconds(123.456789012);
+  const sim::SimTime dur = sim::from_seconds(0.000987654321);
+  obs::SpanSet t;
+  obs::SpanRecorder rank0(&t, 0);
+  obs::SpanRecorder rank1(&t, 1);
+  rank0.interval(at, at + dur, obs::kComputeCategory);
+  rank1.flow(0, at, at + dur, 8);
+  rank1.instant(at, "marker");
+  rank1.record(at, at + dur, "storage.service", "nfs");
+  const std::string json = obs::enriched_chrome_json(&t, nullptr);
+
+  Value doc;
+  std::string error;
+  ASSERT_TRUE(obs::jsonlite::parse(json, doc, &error)) << error;
+  auto ns = [](const Value* v) { return v->number * 1e3; };  // us -> ns
+  int checked = 0;
+  for (const auto& ev : doc.array) {
+    if (ev.find("ph")->str == "M") continue;
+    const double ts = ns(ev.find("ts"));
+    const double want = static_cast<double>(ev.find("ph")->str == "f" ? at + dur : at);
+    EXPECT_LE(std::abs(ts - want), 1.0) << "ts of " << ev.find("ph")->str << " row";
+    if (const Value* d = ev.find("dur"); d != nullptr) {
+      EXPECT_LE(std::abs(ns(d) - static_cast<double>(dur)), 1.0) << "dur";
+    }
+    ++checked;
+  }
+  EXPECT_EQ(checked, 5);  // interval, flow start + finish, instant, causal span
 }
 
 }  // namespace
