@@ -25,12 +25,14 @@ CIRRUS_BENCH_TARGET(ext1, "ext",
   for (const char* bench : benches) {
     const auto src = plat::vayu();
     const auto prof = npb::run_benchmark(bench, npb::Class::A, src, np, /*execute=*/false);
+    report.events += prof.events_processed;
     for (const char* target : {"dcc", "ec2"}) {
       const auto dst = plat::by_name(target);
       const auto pred = cloud::predict_runtime(prof.ipm, src, dst, np, -1, -1,
                                                npb::benchmark(bench).traits);
-      const double actual =
-          npb::run_benchmark(bench, npb::Class::A, dst, np, false).elapsed_seconds;
+      const auto run = npb::run_benchmark(bench, npb::Class::A, dst, np, false);
+      report.events += run.events_processed;
+      const double actual = run.elapsed_seconds;
       const double err = 100.0 * (pred.seconds - actual) / actual;
       const double slow = cloud::cloud_slowdown(prof.ipm, src, dst, np,
                                                 npb::benchmark(bench).traits);

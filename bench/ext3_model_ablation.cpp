@@ -18,16 +18,21 @@ namespace {
 
 using cirrus::plat::Platform;
 
-double speedup(const char* bench, const Platform& p, int np) {
-  const double t1 =
-      cirrus::npb::run_benchmark(bench, cirrus::npb::Class::B, p, 1, false).elapsed_seconds;
-  const double tn =
-      cirrus::npb::run_benchmark(bench, cirrus::npb::Class::B, p, np, false).elapsed_seconds;
-  return t1 / tn;
+/// One model-mode class B run; its event count is added to `report`.
+cirrus::mpi::JobResult run(const char* bench, const Platform& p, int np,
+                           cirrus::valid::RunReport& report) {
+  auto r = cirrus::npb::run_benchmark(bench, cirrus::npb::Class::B, p, np, false);
+  report.events += r.events_processed;
+  return r;
 }
 
-double comm_pct(const char* bench, const Platform& p, int np) {
-  return cirrus::npb::run_benchmark(bench, cirrus::npb::Class::B, p, np, false).ipm.comm_pct();
+double speedup(const char* bench, const Platform& p, int np, cirrus::valid::RunReport& report) {
+  const double t1 = run(bench, p, 1, report).elapsed_seconds;
+  return t1 / run(bench, p, np, report).elapsed_seconds;
+}
+
+double comm_pct(const char* bench, const Platform& p, int np, cirrus::valid::RunReport& report) {
+  return run(bench, p, np, report).ipm.comm_pct();
 }
 
 }  // namespace
@@ -61,10 +66,10 @@ CIRRUS_BENCH_TARGET(ext3, "ext",
     v.tweak(dcc);
     v.tweak(ec2);
     v.tweak(vayu);
-    const double cg8 = speedup("CG", dcc, 8);
-    const double ft16 = speedup("FT", dcc, 16);
-    const double ep16 = speedup("EP", ec2, 16);
-    const double is64 = comm_pct("IS", vayu, 64);
+    const double cg8 = speedup("CG", dcc, 8, report);
+    const double ft16 = speedup("FT", dcc, 16, report);
+    const double ep16 = speedup("EP", ec2, 16, report);
+    const double is64 = comm_pct("IS", vayu, 64, report);
     t.row().add(v.name).add(cg8, 2).add(ft16, 2).add(ep16, 2).add(is64, 1);
     const std::string key = valid::slug(v.name);
     report.add("cg_dcc_s", key, 8, cg8)

@@ -125,7 +125,11 @@ CIRRUS_BENCH_TARGET(ext4, "ext",
 
   // Fault-free reference run: its virtual walltime is the job length the
   // analytic model is told about, so the two tables describe the same job.
-  const double runtime = mpi::run_job(burst_config(), burst_body).elapsed_seconds;
+  const auto reference = mpi::run_job(burst_config(), burst_body);
+  const double runtime = reference.elapsed_seconds;
+  // Only this run's events are counted: fault::run_on_spot's attempts expose
+  // no JobResult.
+  report.events += reference.events_processed;
   const double od_cost = kOnDemand * kInstances * runtime / 3600.0;
 
   std::printf("## ext4: spot-bidding strategies for a %.1f h x %d-instance burst\n",

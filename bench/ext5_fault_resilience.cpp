@@ -9,6 +9,7 @@
 //
 // Everything is seeded (fault times, boot latencies, network jitter): two
 // runs with the same seed are byte-identical, for any `--jobs` value.
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -35,7 +36,7 @@ CIRRUS_BENCH_TARGET(ext5, "ext",
                     "Fault-resilience sweep: MTBF x checkpoint interval x platform") {
   using namespace cirrus;
   const int jobs = opts.get_int("jobs", 0);
-  const std::uint64_t seed = static_cast<std::uint64_t>(opts.get_int("seed", 42));
+  const std::uint64_t seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
 
   const int np = 16;
   const int rpn = 8;  // 2 nodes on every platform
@@ -56,14 +57,19 @@ CIRRUS_BENCH_TARGET(ext5, "ext",
   };
 
   // Fault-free baselines give each platform its T0.
-  const std::vector<double> t0 = core::run_sweep<double>(
+  const std::vector<mpi::JobResult> baselines = core::run_sweep<mpi::JobResult>(
       std::size(specs),
       [&](std::size_t i) {
         auto cfg = npb::make_job(cg, cls, specs[i].platform, np, /*execute=*/false, 1);
         cfg.max_ranks_per_node = rpn;
-        return mpi::run_job(cfg, body).elapsed_seconds;
+        return mpi::run_job(cfg, body);
       },
       jobs);
+  std::vector<double> t0;
+  for (const auto& b : baselines) {
+    t0.push_back(b.elapsed_seconds);
+    report.events += b.events_processed;
+  }
 
   // The grid: per-node crash MTBF and checkpoint interval in units of T0.
   const double mtbf_grid[] = {0.0, 1.0, 0.25};    // 0: no faults
@@ -83,6 +89,7 @@ CIRRUS_BENCH_TARGET(ext5, "ext",
   struct R {
     double tts_s = 0, lost_s = 0, cost_usd = 0;
     int attempts = 0, ckpts = 0;
+    std::uint64_t events = 0;
   };
   const std::vector<R> results = core::run_sweep<R>(
       points.size(),
@@ -104,10 +111,13 @@ CIRRUS_BENCH_TARGET(ext5, "ext",
         ropts.instance_type = spec.restart_type;
         ropts.instances = nodes;
         const auto run = fault::run_resilient(cfg, body, schedule, ropts);
+        // Only the completing attempt's events are counted: killed attempts
+        // expose no JobResult.
         return R{run.makespan_s, run.lost_work_s, run.cost_usd, run.attempts,
-                 run.checkpoints_taken};
+                 run.checkpoints_taken, run.result.events_processed};
       },
       jobs);
+  for (const R& r : results) report.events += r.events;
 
   core::Table t({"platform", "MTBF/T0", "ckpt/T0", "T (s)", "T/T0", "attempts", "lost (s)",
                  "ckpts", "cost ($)"});

@@ -13,6 +13,7 @@
 // Everything is seeded and results are stored in index order: output is
 // byte-identical for any --jobs value.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -72,6 +73,7 @@ CIRRUS_BENCH_TARGET(ext6, "ext",
 
   struct R {
     double elapsed_s = 0, comm_pct = 0, queued_s = 0;
+    std::uint64_t events = 0;
     std::string hot_link;  // most-queued fabric link, "-" on the crossbar
   };
   const auto results = core::run_sweep_labeled<R>(
@@ -90,6 +92,7 @@ CIRRUS_BENCH_TARGET(ext6, "ext",
         R r;
         r.elapsed_s = run.elapsed_seconds;
         r.comm_pct = run.ipm.comm_pct();
+        r.events = run.events_processed;
         r.hot_link = "-";
         sim::SimTime worst = 0;
         for (std::size_t li = 0; li < run.link_stats.size(); ++li) {
@@ -106,6 +109,7 @@ CIRRUS_BENCH_TARGET(ext6, "ext",
         return core::Labeled<R>{label, r};
       },
       jobs);
+  for (const auto& r : results) report.events += r.value.events;
 
   // Per-kernel crossbar baselines are the first fabric of each kernel block.
   core::Table t({"kernel", "fabric", "placement", "T (s)", "vs xbar", "%comm",

@@ -67,7 +67,7 @@ CIRRUS_BENCH_TARGET_BLAME(
 
   struct R {
     double makespan_s = 0, predicted_s = 0, staged_mb = 0, scratch_mb = 0, cost_usd = 0;
-    std::uint64_t staged_files = 0, scratch_hits = 0;
+    std::uint64_t staged_files = 0, scratch_hits = 0, events = 0;
     std::string storage_name;
   };
   const auto results = core::run_sweep_labeled<R>(
@@ -99,6 +99,7 @@ CIRRUS_BENCH_TARGET_BLAME(
         r.staged_files = res.staged_files;
         r.scratch_hits = res.scratch_hits;
         r.storage_name = res.job.storage_name;
+        r.events = res.job.events_processed;
         if (pt.platform == 2) {
           r.cost_usd = cloud::price_workflow("cc1.4xlarge", 2, /*placement_group=*/true,
                                              res.makespan_s, seed)
@@ -110,6 +111,7 @@ CIRRUS_BENCH_TARGET_BLAME(
         return core::Labeled<R>{label, r};
       },
       jobs);
+  for (const auto& r : results) report.events += r.value.events;
 
   core::Table t({"workflow", "platform", "storage", "sched", "T (s)", "pred (s)",
                  "staged MB", "scratch MB", "$"});

@@ -15,6 +15,7 @@
 // CIRRUS_JOBS); the output is identical for every jobs value. `--quick`
 // trims the sweep to CG + MetUM at np<=16 (used by the determinism tests).
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <iterator>
 #include <string>
@@ -42,10 +43,16 @@ struct Workload {
   std::vector<int> nps;
 };
 
-double run_point(const Workload& wl, const plat::Platform& platform, int np) {
+/// One sweep point's seconds and its simulator event count.
+struct PointRun {
+  double seconds = 0;
+  std::uint64_t events = 0;
+};
+
+PointRun run_point(const Workload& wl, const plat::Platform& platform, int np) {
   if (wl.kind == "npb") {
-    return npb::run_benchmark(wl.id, npb::Class::B, platform, np, /*execute=*/false)
-        .elapsed_seconds;
+    const auto r = npb::run_benchmark(wl.id, npb::Class::B, platform, np, /*execute=*/false);
+    return {r.elapsed_seconds, r.events_processed};
   }
   mpi::JobConfig cfg;
   cfg.platform = platform;
@@ -55,11 +62,11 @@ double run_point(const Workload& wl, const plat::Platform& platform, int np) {
   if (wl.kind == "metum") {
     cfg.traits = metum::traits();
     auto r = mpi::run_job(cfg, [](mpi::RankEnv& env) { metum::run(env); });
-    return r.values.at("um_warmed_seconds");
+    return {r.values.at("um_warmed_seconds"), r.events_processed};
   }
   cfg.traits = chaste::traits();
   auto r = mpi::run_job(cfg, [](mpi::RankEnv& env) { chaste::run(env); });
-  return r.elapsed_seconds;
+  return {r.elapsed_seconds, r.events_processed};
 }
 
 }  // namespace
@@ -106,11 +113,12 @@ CIRRUS_BENCH_TARGET_GEN_BLAME(ext8, "gap", "2012+2020",
       }
     }
   }
-  const std::vector<double> seconds = core::run_sweep<double>(
+  const std::vector<PointRun> runs = core::run_sweep<PointRun>(
       points.size(), [&](std::size_t i) {
         return run_point(*points[i].wl, points[i].platform, points[i].np);
       },
       opts.get_int("jobs", 0));
+  for (const PointRun& r : runs) report.events += r.events;
 
   // The knee: largest np where the cloud platform still delivers >= 50%
   // parallel efficiency relative to its own smallest sweep point.
@@ -133,13 +141,12 @@ CIRRUS_BENCH_TARGET_GEN_BLAME(ext8, "gap", "2012+2020",
       double knee = 0;
       for (std::size_t k = 0; k < wl.nps.size(); ++k) {
         const int np = wl.nps[k];
-        const double t_hpc = seconds[hpc_base + k];
-        const double t_cloud = seconds[cloud_base + k];
+        const double t_hpc = runs[hpc_base + k].seconds;
+        const double t_cloud = runs[cloud_base + k].seconds;
         const double gap = t_cloud / t_hpc;
         t.row().add(wl.id).add(np).add(t_hpc, 2).add(t_cloud, 2).add(gap, 3);
         report.add("gap_" + wl.id, gen.label, np, gap, "x");
-        const double eff =
-            seconds[cloud_base] * wl.nps.front() / (t_cloud * np);
+        const double eff = runs[cloud_base].seconds * wl.nps.front() / (t_cloud * np);
         if (eff >= kKneeEff) knee = np;
         if (np == np_top) {
           mean_log_gap[gi] += std::log(gap);

@@ -10,11 +10,11 @@
 //  * EC2 drops at 16 (HyperThreading on the first node), not 32.
 //  * CG on DCC drops at 8 (masked NUMA); IS scales poorly everywhere.
 //
-// Pass a benchmark name (e.g. `fig4_npb_scaling CG`) to run one benchmark
-// only; default runs the full sweep. Sweep points run concurrently on the
-// parallel driver (`--jobs N` or CIRRUS_JOBS; `--jobs 1` forces serial) —
-// each point is its own deterministic single-threaded simulation, so the
-// output is identical for every jobs value.
+// Pass a benchmark name (e.g. `cirrus_bench --targets fig4 CG`) to run one
+// benchmark only; default runs the full sweep. Sweep points run concurrently
+// on the parallel driver (`--jobs N` or CIRRUS_JOBS; `--jobs 1` forces
+// serial) — each point is its own deterministic single-threaded simulation, so
+// the output is identical for every jobs value.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>

@@ -1,12 +1,12 @@
 // Registry of bench targets: every paper figure/table and extension study
-// registers itself here, so the standalone per-target binaries and the
-// unified cirrus_bench driver run the exact same code through the exact same
-// entry point.
+// registers itself here, and cirrus_bench runs each through this one entry
+// point.
 //
-// A target is a function taking the parsed command-line options and a
-// valid::RunReport to fill; it prints its human-readable tables to stdout as
-// it always did and additionally records every number it plots as a
-// structured metric. Return value is the process exit code.
+// A target is a function taking cirrus_bench's parsed command-line options
+// (its own flags plus target flags such as --csv, --quick and fig4's
+// positional kernel filter) and a valid::RunReport to fill; it prints its
+// human-readable tables to stdout and additionally records every number it
+// plots as a structured metric. Return value is the process exit code.
 #pragma once
 
 #include <string_view>

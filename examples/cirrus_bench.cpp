@@ -6,17 +6,18 @@
 //   cirrus_bench --suite paper --check      # rerun the paper, gate on refs
 //   cirrus_bench --suite gap --check        # cross-generation gap trend
 //   cirrus_bench --targets fig1,fig4        # just these targets
-//   cirrus_bench --suite paper,perf --check --manifest out.json
-//                                           # CI: checks + JSON artifact,
-//                                           # folding perf_simulator's
-//                                           # BENCH_simulator.json in
+//   cirrus_bench --targets fig4 CG --csv out/
+//                                           # one NPB kernel, plus CSV files
+//   cirrus_bench --suite paper --check --manifest out.json
+//                                           # CI: checks + JSON artifact
 //   cirrus_bench --suite paper --write-ref  # regenerate reference tables
 //
-// Flags: --suite paper|ext|gap|perf|all (comma-separated, default paper),
+// Flags: --suite paper|ext|gap|all (comma-separated, default paper),
 // --targets a,b,c (overrides --suite target selection), --check, --ref FILE,
-// --manifest [FILE], --write-ref [FILE], --perf-json FILE, --jobs N,
-// --seed N (both forwarded to every target), --verbose (all check rows, not
-// just failures).
+// --manifest [FILE], --write-ref [FILE], --verbose (all check rows, not just
+// failures). Every target receives these same parsed options, so the target
+// flags --jobs N, --seed N (default 1), --csv DIR (fig1/2/4/5/6), --quick
+// (ext8) and fig4's positional kernel filter reach it unchanged.
 //
 // Exit status: 0 on success; 1 when any target fails or any reference check
 // is out of tolerance; 2 on usage errors.
@@ -55,10 +56,11 @@ std::vector<std::string> split_csv(const std::string& s) {
 int usage(int rc) {
   std::fprintf(rc == 0 ? stdout : stderr,
                "usage: cirrus_bench [--list] [--list-targets]\n"
-               "                    [--suite paper|ext|gap|perf|all[,...]]\n"
+               "                    [--suite paper|ext|gap|all[,...]]\n"
                "                    [--targets a,b,c] [--check] [--ref FILE]\n"
                "                    [--manifest [FILE]] [--write-ref [FILE]]\n"
-               "                    [--perf-json FILE] [--jobs N] [--seed N] [--verbose]\n");
+               "                    [--jobs N] [--seed N] [--verbose]\n"
+               "                    [--csv DIR] [--quick] [KERNEL]\n");
   return rc;
 }
 
@@ -69,7 +71,7 @@ int main(int argc, char** argv) try {
   if (opts.has("help")) return usage(0);
   if (const auto bad = core::unknown_keys(
           opts, {"help", "list", "list-targets", "suite", "targets", "check", "ref",
-                 "manifest", "write-ref", "perf-json", "jobs", "seed", "verbose"});
+                 "manifest", "write-ref", "jobs", "seed", "verbose", "csv", "quick"});
       !bad.empty()) {
     std::fprintf(stderr, "cirrus_bench: unknown option --%s\n", bad.front().c_str());
     return usage(2);
@@ -108,14 +110,10 @@ int main(int argc, char** argv) try {
 
   // --- select what to run -------------------------------------------------
   const std::vector<std::string> suites = split_csv(opts.get_or("suite", "paper"));
-  bool want_perf = false;
-  bool want_all = false;
   std::vector<std::string> registry_suites;
   for (const auto& s : suites) {
-    if (s == "perf") {
-      want_perf = true;
-    } else if (s == "all") {
-      want_all = want_perf = true;
+    if (s == "all") {
+      registry_suites.insert(registry_suites.end(), {"paper", "ext", "gap"});
     } else if (s == "paper" || s == "ext" || s == "gap") {
       registry_suites.push_back(s);
     } else {
@@ -136,26 +134,18 @@ int main(int argc, char** argv) try {
     }
   } else {
     for (const auto& tgt : bench::all_targets()) {
-      if (want_all ||
-          std::find(registry_suites.begin(), registry_suites.end(), tgt.suite) !=
-              registry_suites.end()) {
+      if (std::find(registry_suites.begin(), registry_suites.end(), tgt.suite) !=
+          registry_suites.end()) {
         selected.push_back(&tgt);
       }
     }
   }
-  if (selected.empty() && !want_perf) {
+  if (selected.empty()) {
     std::fprintf(stderr, "cirrus_bench: nothing selected\n");
     return usage(2);
   }
 
   // --- run ----------------------------------------------------------------
-  // Targets parse the same `--key value` grammar; forward the shared knobs.
-  const int jobs = opts.get_int("jobs", 0);
-  const int seed = opts.get_int("seed", 1);
-  const std::string jobs_s = std::to_string(jobs), seed_s = std::to_string(seed);
-  const char* fwd_argv[] = {"cirrus_bench", "--jobs", jobs_s.c_str(), "--seed", seed_s.c_str()};
-  const core::Options fwd(static_cast<int>(std::size(fwd_argv)), fwd_argv);
-
   std::vector<valid::RunReport> reports;
   int worst_rc = 0;
   for (const auto* tgt : selected) {
@@ -171,7 +161,7 @@ int main(int argc, char** argv) try {
     const auto start = std::chrono::steady_clock::now();
     int rc = 0;
     try {
-      rc = tgt->fn(fwd, report);
+      rc = tgt->fn(opts, report);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "cirrus_bench: target %s threw: %s\n", tgt->name, e.what());
       rc = 1;
@@ -186,15 +176,6 @@ int main(int argc, char** argv) try {
       worst_rc = std::max(worst_rc, rc);
     }
     reports.push_back(std::move(report));
-  }
-
-  // --- perf suite: fold in perf_simulator's google-benchmark JSON ---------
-  std::string perf_json;
-  if (want_perf) {
-    const std::string path = opts.get_or("perf-json", "BENCH_simulator.json");
-    perf_json = valid::read_text_file(path);  // throws with a clear message
-    std::printf("\n=== cirrus_bench: perf — embedded %zu bytes of %s\n", perf_json.size(),
-                path.c_str());
   }
 
   // --- summary ------------------------------------------------------------
@@ -254,9 +235,8 @@ int main(int argc, char** argv) try {
     std::string suite_label;
     for (const auto& s : suites) suite_label += (suite_label.empty() ? "" : "+") + s;
     ctx.suite = suite_label;
-    ctx.seed = static_cast<std::uint64_t>(seed);
-    ctx.jobs = jobs;
-    ctx.perf_json = perf_json;
+    ctx.seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
+    ctx.jobs = opts.get_int("jobs", 0);
     valid::write_text_file(path, valid::manifest_json(ctx, reports, checks));
     std::printf("\nwrote run manifest to %s\n", path.c_str());
   }

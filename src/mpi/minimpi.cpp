@@ -1002,6 +1002,10 @@ int Comm::next_tag() noexcept {
 // ---------------------------------------------------------------------------
 
 namespace {
+/// Broadcasts larger than this use scatter + allgather (van de Geijn)
+/// instead of the binomial tree.
+constexpr std::size_t kBcastLongBytes = 512 * 1024;
+
 /// Measures a collective and books it to IPM as one call.
 struct CollTimer {
   CollTimer(Comm& c, Job& job, int world_rank, ipm::CallKind kind, std::size_t bytes)
@@ -1046,8 +1050,7 @@ void Comm::bcast_bytes(void* data, std::size_t bytes, int root) {
   CollTimer timer(*this, *job_, world_rank_of(rank_), ipm::CallKind::Bcast, bytes);
   CollGuard guard(job_->in_coll[static_cast<std::size_t>(world_rank_of(rank_))]);
   if (np == 1) return;
-  const std::size_t long_thresh = job_->config.bcast_long_threshold_bytes;
-  if (long_thresh > 0 && bytes > long_thresh && bytes >= static_cast<std::size_t>(np)) {
+  if (bytes > kBcastLongBytes && bytes >= static_cast<std::size_t>(np)) {
     // van de Geijn long-message broadcast: scatter the buffer, then
     // allgather the pieces — bandwidth-optimal for large payloads.
     const std::size_t each = bytes / static_cast<std::size_t>(np);
@@ -1187,10 +1190,7 @@ void Comm::allgather_bytes(const void* in, void* out, std::size_t bytes_each) {
   }
   if (np == 1) return;
   const int tag = next_tag();
-  const auto algo = job_->config.allgather_algo;
-  const bool use_rd = algo == JobConfig::AllgatherAlgo::RecursiveDoubling ||
-                      (algo == JobConfig::AllgatherAlgo::Auto && (np & (np - 1)) == 0);
-  if (use_rd && (np & (np - 1)) == 0) {
+  if ((np & (np - 1)) == 0) {
     // Recursive doubling (power-of-two): log2(np) rounds, doubling block
     // counts — the message-count-efficient algorithm MPI libraries use for
     // small and medium allgathers.

@@ -407,12 +407,6 @@ struct JobConfig {
   storage::Backend storage_backend = storage::Backend::Nfs;
   /// Below/equal: eager protocol; above: rendezvous.
   std::size_t eager_threshold_bytes = 16 * 1024;
-  /// Collective algorithm selection (like an MPI tuning file).
-  enum class AllgatherAlgo { Auto, RecursiveDoubling, Ring };
-  AllgatherAlgo allgather_algo = AllgatherAlgo::Auto;
-  /// Broadcasts larger than this use scatter + allgather (van de Geijn)
-  /// instead of the binomial tree. 0: always binomial.
-  std::size_t bcast_long_threshold_bytes = 512 * 1024;
   /// Record a trace of every compute/MPI/I-O operation, message flow and
   /// causal span (see obs::SpanSet and obs::enriched_chrome_json). Costs
   /// memory proportional to event count.

@@ -7,11 +7,17 @@
 // reproduced exactly, so the verification zeta values match the published
 // NPB constants for classes S/W/A/B/C in execute mode.
 //
-// Decomposition: 1-D row partition. Each rank re-generates the (replicated)
-// matrix and keeps its row slice. Per inner iteration the communication is
-// an allgather of p plus scalar allreduces — the "large numbers of small
-// all-reduce operations" the paper identifies as CG's weakness on
-// high-latency clouds (Table II).
+// The two modes communicate differently:
+//  * Model mode (every pin): NPB's 2-D processor grid, nprows x npcols. Per
+//    inner iteration the SpMV partial sums travel in log2(npcols) Sendrecvs
+//    of ~na/npcols doubles, plus scalar allreduces — the "large numbers of
+//    small all-reduce operations" the paper identifies as CG's weakness on
+//    high-latency clouds (Table II).
+//  * Execute mode (verification): a 1-D row partition. Each rank
+//    re-generates the (replicated) matrix, keeps its row slice and
+//    allgathers p every inner iteration, plus the same scalar allreduces.
+// Making both modes run the 2-D exchange is the ROADMAP item "One
+// communication schedule per NPB kernel".
 #include <algorithm>
 #include <cmath>
 #include <numeric>

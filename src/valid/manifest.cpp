@@ -149,12 +149,7 @@ std::string manifest_json(const ManifestContext& ctx, const std::vector<RunRepor
        << ", \"actual\": " << json_number(c.actual) << ", \"status\": \"" << json_status(c.status)
        << "\"}" << (i + 1 < checks.size() ? "," : "") << "\n";
   }
-  os << "  ]}";
-
-  if (!ctx.perf_json.empty()) {
-    os << ",\n  \"perf_simulator\": " << ctx.perf_json;
-  }
-  os << "\n}\n";
+  os << "  ]}\n}\n";
   return os.str();
 }
 

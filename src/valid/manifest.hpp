@@ -2,8 +2,8 @@
 // invocation — git SHA, seed, platform specs, every reported metric, every
 // reference check's pass/fail, host wall-clock and simulated-event
 // throughput. CI uploads the manifest as an artifact so fidelity and
-// performance can be tracked across commits; `--suite perf` embeds the raw
-// google-benchmark JSON from perf_simulator as one section of the same file.
+// performance can be tracked across commits. Simulator perf is measured by
+// perfbench/ and tracked in BENCH_simulator.json, not here.
 #pragma once
 
 #include <cstdint>
@@ -16,14 +16,11 @@
 namespace cirrus::valid {
 
 struct ManifestContext {
-  std::string suite;            ///< e.g. "paper" or "paper+perf"
+  std::string suite;            ///< e.g. "paper" or "paper+gap"
   std::string git_sha;          ///< "" = build_git_sha()
   std::uint64_t seed = 1;
   int jobs = 0;                 ///< sweep-driver worker count (0 = default)
   std::string generator = "cirrus_bench";
-  /// Raw google-benchmark JSON to embed verbatim under "perf_simulator"
-  /// ("" = field omitted).
-  std::string perf_json;
   /// Include the study-platform spec table (off only for fixture tests that
   /// need a platform-independent golden).
   bool include_platforms = true;

@@ -1,9 +1,9 @@
 // CWD-independent resolution of in-tree data files (reference tables, test
-// goldens). ctest, cirrus_bench and the standalone benches may run from any
-// working directory, so nothing in the repo loads committed data through a
-// relative path: everything goes through these helpers, which resolve against
-// the source tree the binary was configured from (overridable by environment
-// for installed/relocated use).
+// goldens). ctest and cirrus_bench may run from any working directory, so
+// nothing in the repo loads committed data through a relative path:
+// everything goes through these helpers, which resolve against the source
+// tree the binary was configured from (overridable by environment for
+// installed/relocated use).
 #pragma once
 
 #include <string>

@@ -7,7 +7,6 @@
 #include "apps/chaste/chaste.hpp"
 #include "apps/metum/metum.hpp"
 #include "npb/npb.hpp"
-#include "osu/osu.hpp"
 
 namespace mpi = cirrus::mpi;
 namespace npb = cirrus::npb;
@@ -173,11 +172,4 @@ TEST(ModeParity, ChasteModelAndExecuteShareSectionInventory) {
     EXPECT_NE(std::find(model_sections.begin(), model_sections.end(), name),
               model_sections.end());
   }
-}
-
-TEST(ModeParity, OsuResultsUnaffectedByExecuteFlag) {
-  // OSU moves no payload data, so both modes must time identically.
-  const auto a = cirrus::osu::latency(plat::vayu(), {1024}, 3);
-  const auto b = cirrus::osu::latency(plat::vayu(), {1024}, 3);
-  EXPECT_DOUBLE_EQ(a[0].usec, b[0].usec);
 }
