@@ -10,132 +10,104 @@
 // fabric shape and reports the slowdown relative to the ideal crossbar,
 // plus where the bytes queued (per-link utilisation counters).
 //
-// Everything is seeded and results are stored in index order: output is
-// byte-identical for any --jobs value.
-#include <algorithm>
+// Every (kernel, fabric) point is a RunRequest run by bench::sweep; results
+// are stored in index order, so the output is byte-identical for any --jobs
+// value.
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "bench/job.hpp"
 #include "bench/registry.hpp"
-#include "core/driver.hpp"
 #include "core/options.hpp"
 #include "core/table.hpp"
-#include "npb/npb.hpp"
 
 CIRRUS_BENCH_TARGET(ext6, "ext",
                     "Switch-fabric topology sweep: topology x oversub x placement x kernel") {
   using namespace cirrus;
-  const int jobs = opts.get_int("jobs", 0);
   const std::uint64_t seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
 
   const int np = 64;
   const int rpn = 8;  // 8 nodes: two leaves of four on the fat-tree
-  const auto cls = npb::Class::B;
   const char* kernels[] = {"FT", "IS", "LU", "SP"};
-
-  struct Fabric {
-    topo::TopoSpec spec;
-    topo::Placement placement;
+  // (topology, oversubscription, placement); leaf radix 4 throughout. The
+  // crossbar baseline comes first in every kernel block.
+  const std::tuple<const char*, double, const char*> fabrics[] = {
+      {"crossbar", 1.0, "contig"},
+      {"fattree", 1.0, "contig"},
+      {"fattree", 2.0, "contig"},
+      {"fattree", 4.0, "contig"},
+      {"fattree", 2.0, "scatter"},  // does spreading ranks across leaves help or hurt?
+      {"vswitch", 2.0, "contig"},
+      {"pgroups", 2.0, "contig"},
+      {"pgroups", 2.0, "scatter"},
   };
-  std::vector<Fabric> fabrics;
-  {
-    Fabric f;
-    f.placement = topo::Placement::Contiguous;
-    f.spec.kind = topo::Kind::Crossbar;
-    fabrics.push_back(f);  // baseline
-    f.spec.kind = topo::Kind::FatTree;
-    f.spec.leaf_radix = 4;
-    for (const double os : {1.0, 2.0, 4.0}) {
-      f.spec.oversubscription = os;
-      fabrics.push_back(f);
+
+  std::vector<core::RunRequest> reqs;
+  for (const char* kernel : kernels) {
+    for (const auto& [topology, oversub, placement] : fabrics) {
+      reqs.push_back({.workload = "npb",
+                      .bench = kernel,
+                      .cls = "B",
+                      .platform = "vayu",
+                      .np = np,
+                      .rpn = rpn,
+                      .seed = seed,
+                      .topo = topology,
+                      .oversub = oversub,
+                      .placement = placement});
     }
-    f.spec.oversubscription = 2.0;
-    f.placement = topo::Placement::Scattered;
-    fabrics.push_back(f);  // does spreading ranks across leaves help or hurt?
-    f.placement = topo::Placement::Contiguous;
-    f.spec.kind = topo::Kind::VSwitch;
-    fabrics.push_back(f);
-    f.spec.kind = topo::Kind::PlacementGroups;
-    fabrics.push_back(f);
-    f.placement = topo::Placement::Scattered;
-    fabrics.push_back(f);
-  }
-
-  struct Point {
-    std::size_t kernel, fabric;
-  };
-  std::vector<Point> points;
-  for (std::size_t k = 0; k < std::size(kernels); ++k) {
-    for (std::size_t f = 0; f < fabrics.size(); ++f) points.push_back({k, f});
   }
 
   struct R {
     double elapsed_s = 0, comm_pct = 0, queued_s = 0;
-    std::uint64_t events = 0;
+    std::string fabric;    // topo::label of the fabric the job ran over
     std::string hot_link;  // most-queued fabric link, "-" on the crossbar
   };
-  const auto results = core::run_sweep_labeled<R>(
-      points.size(),
-      [&](std::size_t i) {
-        const Point& p = points[i];
-        const Fabric& fab = fabrics[p.fabric];
-        const auto& info = npb::benchmark(kernels[p.kernel]);
-        auto cfg = npb::make_job(info, cls, plat::vayu(), np, /*execute=*/false, seed);
-        cfg.max_ranks_per_node = rpn;
-        cfg.topology = fab.spec;
-        cfg.placement = fab.placement;
-        const auto run =
-            mpi::run_job(cfg, [&info, cls](mpi::RankEnv& env) { info.fn(env, cls); });
+  const auto results = bench::sweep(reqs, opts, report, [](const serve::RunOutcome& o) {
+    const auto& run = o.result;
+    R r;
+    r.elapsed_s = run.elapsed_seconds;
+    r.comm_pct = run.ipm.comm_pct();
+    r.fabric = topo::label(run.topology->spec());
+    r.hot_link = "-";
+    sim::SimTime worst = 0;
+    for (std::size_t li = 0; li < run.link_stats.size(); ++li) {
+      const auto& s = run.link_stats[li];
+      r.queued_s += sim::to_seconds(s.queued);
+      if (s.queued > worst) {
+        worst = s.queued;
+        r.hot_link = run.topology->links()[li].name;
+      }
+    }
+    return r;
+  });
 
-        R r;
-        r.elapsed_s = run.elapsed_seconds;
-        r.comm_pct = run.ipm.comm_pct();
-        r.events = run.events_processed;
-        r.hot_link = "-";
-        sim::SimTime worst = 0;
-        for (std::size_t li = 0; li < run.link_stats.size(); ++li) {
-          const auto& s = run.link_stats[li];
-          r.queued_s += sim::to_seconds(s.queued);
-          if (s.queued > worst) {
-            worst = s.queued;
-            r.hot_link = run.topology->links()[li].name;
-          }
-        }
-        const std::string label = std::string(kernels[p.kernel]) + " / " +
-                                  topo::label(fab.spec) + " / " +
-                                  topo::to_string(fab.placement);
-        return core::Labeled<R>{label, r};
-      },
-      jobs);
-  for (const auto& r : results) report.events += r.value.events;
-
-  // Per-kernel crossbar baselines are the first fabric of each kernel block.
   core::Table t({"kernel", "fabric", "placement", "T (s)", "vs xbar", "%comm",
                  "queued (s)", "hot link"});
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const Point& p = points[i];
-    const R& r = results[i].value;
-    const double base = results[p.kernel * fabrics.size()].value.elapsed_s;
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    const core::RunRequest& req = reqs[i];
+    const R& r = results[i];
+    const double base = results[i - i % std::size(fabrics)].elapsed_s;
     t.row()
-        .add(kernels[p.kernel])
-        .add(topo::label(fabrics[p.fabric].spec))
-        .add(topo::to_string(fabrics[p.fabric].placement))
+        .add(req.bench)
+        .add(r.fabric)
+        .add(req.placement)
         .add(r.elapsed_s, 3)
         .add(r.elapsed_s / base, 3)
         .add(r.comm_pct, 1)
         .add(r.queued_s, 3)
         .add(r.hot_link);
-    const std::string fab = valid::slug(std::string(topo::label(fabrics[p.fabric].spec)) + "_" +
-                                        topo::to_string(fabrics[p.fabric].placement));
-    const std::string kern = valid::slug(kernels[p.kernel]);
+    const std::string fab = valid::slug(r.fabric + "_" + req.placement);
+    const std::string kern = valid::slug(req.bench);
     report.add(kern + "_vs_xbar", fab, np, r.elapsed_s / base)
         .add(kern + "_comm_pct", fab, np, r.comm_pct, "%")
         .add(kern + "_queued_s", fab, np, r.queued_s, "s");
   }
-  std::printf("## ext6: topology sweep, NPB class %c np=%d (rpn=%d) on vayu, seed %llu\n",
-              npb::to_char(cls), np, rpn, static_cast<unsigned long long>(seed));
+  std::printf("## ext6: topology sweep, NPB class B np=%d (rpn=%d) on vayu, seed %llu\n", np,
+              rpn, static_cast<unsigned long long>(seed));
   std::fputs(t.str().c_str(), stdout);
   std::printf(
       "\nlesson: all-to-all kernels (FT, IS) pay for every removed uplink — their "

@@ -13,131 +13,91 @@
 // EC2) dollar cost, and contrasts HEFT with dynamic FIFO dispatch where
 // the object store makes data movement expensive.
 //
-// Everything is seeded and results are stored in index order: output is
-// byte-identical for any --jobs value.
+// Every point is a RunRequest run by bench::sweep, which plans, runs and
+// (on EC2) prices the workflow exactly as cirrus_run and cirrus_serve do;
+// results are stored in index order, so the output is byte-identical for any
+// --jobs value.
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "bench/blame.hpp"
+#include "bench/job.hpp"
 #include "bench/registry.hpp"
-#include "cloud/wf_sched.hpp"
-#include "core/driver.hpp"
 #include "core/options.hpp"
 #include "core/table.hpp"
-#include "storage/storage.hpp"
-#include "wf/dag.hpp"
-#include "wf/runtime.hpp"
 
 CIRRUS_BENCH_TARGET_BLAME(
     ext7, "ext", "Scientific-workflow DAG sweep: shape x platform x storage x scheduler") {
   using namespace cirrus;
-  const int jobs = opts.get_int("jobs", 0);
   const std::uint64_t seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
 
   const int workers = 8;
   const int rpn = 8;  // workers + master span two nodes: locality is real
   struct ShapeSpec {
-    wf::Shape shape;
+    const char* shape;
     int width;
   };
-  const ShapeSpec shapes[] = {{wf::Shape::Montage, 12},
-                              {wf::Shape::Epigenomics, 8},
-                              {wf::Shape::Broadband, 8}};
+  const ShapeSpec shapes[] = {{"montage", 12}, {"epigenomics", 8}, {"broadband", 8}};
   const char* platforms[] = {"vayu", "dcc", "ec2"};
-  const storage::Backend backends[] = {storage::Backend::Nfs, storage::Backend::Lustre,
-                                       storage::Backend::Object};
+  const char* backends[] = {"nfs", "lustre", "object"};
 
-  struct Point {
-    std::size_t shape, platform, backend;
-    cloud::WfPolicy policy;
+  const auto request = [&](const ShapeSpec& s, const char* platform, const char* backend,
+                           const char* sched) {
+    return core::RunRequest{.workload = "wf",
+                            .platform = platform,
+                            .np = workers,
+                            .rpn = rpn,
+                            .seed = seed,
+                            .storage = backend,
+                            .wf_shape = s.shape,
+                            .wf_width = s.width,
+                            .wf_sched = sched};
   };
-  std::vector<Point> points;
-  for (std::size_t s = 0; s < std::size(shapes); ++s) {
-    for (std::size_t p = 0; p < std::size(platforms); ++p) {
-      for (std::size_t b = 0; b < std::size(backends); ++b) {
-        points.push_back({s, p, b, cloud::WfPolicy::Heft});
-      }
+  std::vector<core::RunRequest> reqs;
+  for (const auto& s : shapes) {
+    for (const char* p : platforms) {
+      for (const char* b : backends) reqs.push_back(request(s, p, b, "heft"));
     }
   }
   // FIFO contrast where staging is dearest: the object store on EC2.
-  for (std::size_t s = 0; s < std::size(shapes); ++s) {
-    points.push_back({s, 2, 2, cloud::WfPolicy::Fifo});
-  }
+  for (const auto& s : shapes) reqs.push_back(request(s, "ec2", "object", "fifo"));
 
   struct R {
     double makespan_s = 0, predicted_s = 0, staged_mb = 0, scratch_mb = 0, cost_usd = 0;
-    std::uint64_t staged_files = 0, scratch_hits = 0, events = 0;
     std::string storage_name;
   };
-  const auto results = core::run_sweep_labeled<R>(
-      points.size(),
-      [&](std::size_t i) {
-        const Point& pt = points[i];
-        wf::GenOptions gen;
-        gen.shape = shapes[pt.shape].shape;
-        gen.width = shapes[pt.shape].width;
-        gen.seed = seed;
-        const wf::Dag dag = wf::generate(gen);
-
-        mpi::JobConfig cfg;
-        cfg.platform = plat::by_name(platforms[pt.platform]);
-        cfg.max_ranks_per_node = rpn;
-        cfg.seed = seed;
-        cfg.execute = false;
-        cfg.storage_backend = backends[pt.backend];
-        const auto costs = cloud::WfCostModel::estimate(
-            cfg.platform, storage::model_for(cfg.platform, cfg.storage_backend));
-        const wf::Plan plan = cloud::plan_workflow(dag, workers, pt.policy, costs);
-        const wf::Result res = wf::run(dag, plan, cfg);
-
-        R r;
-        r.makespan_s = res.makespan_s;
-        r.predicted_s = plan.predicted_makespan_s;
-        r.staged_mb = static_cast<double>(res.staged_bytes) / 1e6;
-        r.scratch_mb = static_cast<double>(res.scratch_bytes) / 1e6;
-        r.staged_files = res.staged_files;
-        r.scratch_hits = res.scratch_hits;
-        r.storage_name = res.job.storage_name;
-        r.events = res.job.events_processed;
-        if (pt.platform == 2) {
-          r.cost_usd = cloud::price_workflow("cc1.4xlarge", 2, /*placement_group=*/true,
-                                             res.makespan_s, seed)
-                           .cost_usd;
-        }
-        const std::string label = dag.name + " / " + platforms[pt.platform] + " / " +
-                                  storage::to_string(backends[pt.backend]) + " / " +
-                                  cloud::to_string(pt.policy);
-        return core::Labeled<R>{label, r};
-      },
-      jobs);
-  for (const auto& r : results) report.events += r.value.events;
+  const auto results = bench::sweep(reqs, opts, report, [](const serve::RunOutcome& o) {
+    const auto& v = o.result.values;
+    const auto cost = v.find("wf_cost_usd");  // priced on EC2 only
+    return R{v.at("wf_makespan_s"), v.at("wf_predicted_s"), v.at("wf_staged_mb"),
+             v.at("wf_scratch_mb"), cost == v.end() ? 0.0 : cost->second,
+             o.result.storage_name};
+  });
 
   core::Table t({"workflow", "platform", "storage", "sched", "T (s)", "pred (s)",
                  "staged MB", "scratch MB", "$"});
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const Point& pt = points[i];
-    const R& r = results[i].value;
-    const std::string shape_name = wf::to_string(shapes[pt.shape].shape);
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    const core::RunRequest& req = reqs[i];
+    const R& r = results[i];
+    const std::string& shape_name = req.wf_shape;
     t.row()
         .add(shape_name)
-        .add(platforms[pt.platform])
+        .add(req.platform)
         .add(r.storage_name)
-        .add(cloud::to_string(pt.policy))
+        .add(req.wf_sched)
         .add(r.makespan_s, 3)
         .add(r.predicted_s, 3)
         .add(r.staged_mb, 1)
         .add(r.scratch_mb, 1)
         .add(r.cost_usd, 3);
-    const std::string where =
-        valid::slug(std::string(platforms[pt.platform]) + "_" +
-                    storage::to_string(backends[pt.backend]));
-    if (pt.policy == cloud::WfPolicy::Heft) {
+    const std::string where = valid::slug(req.platform + "_" + req.storage);
+    if (req.wf_sched == "heft") {
       report.add(shape_name + "_makespan_s", where, workers, r.makespan_s, "s")
           .add(shape_name + "_staged_mb", where, workers, r.staged_mb, "MB")
           .add(shape_name + "_pred_ratio", where, workers,
                r.predicted_s / r.makespan_s);
-      if (pt.platform == 2) {
+      if (req.platform == "ec2") {
         report.add(shape_name + "_cost_usd", where, workers, r.cost_usd, "USD");
       }
     } else {
@@ -160,15 +120,7 @@ CIRRUS_BENCH_TARGET_BLAME(
   // Blame probe: the I/O-heavy corner of the sweep (Montage on EC2 over the
   // object store) — the configuration where storage-queue time should show
   // up on the critical path.
-  core::RunRequest req;
-  req.workload = "wf";
-  req.wf_shape = "montage";
-  req.wf_width = 12;  // the sweep's Montage width
-  req.storage = "object";
-  req.platform = "ec2";
-  req.np = workers;
-  req.rpn = rpn;
-  req.seed = seed;
-  bench::run_blame_probe(req, "montage.ec2.object", report);
+  bench::run_blame_probe(request(shapes[0], "ec2", "object", "heft"), "montage.ec2.object",
+                         report);
   return 0;
 }

@@ -11,63 +11,28 @@
 // et al.): from gen-2012 (ec2/vayu) to gen-2020 (ec2_2020/vayu2020) the gap
 // narrows for every communication-bound workload and the knee moves right.
 //
-// Sweep points run concurrently on the parallel driver (`--jobs N` or
-// CIRRUS_JOBS); the output is identical for every jobs value. `--quick`
-// trims the sweep to CG + MetUM at np<=16 (used by the determinism tests).
+// Every point is a RunRequest run by bench::sweep on `--jobs` workers; the
+// output is identical for every jobs value. `--quick` trims the sweep to
+// CG + MetUM at np<=16 (used by the determinism tests).
 #include <cmath>
-#include <cstdint>
 #include <cstdio>
 #include <iterator>
 #include <string>
 #include <vector>
 
-#include "apps/chaste/chaste.hpp"
-#include "apps/metum/metum.hpp"
-#include "bench/blame.hpp"
+#include "bench/job.hpp"
 #include "bench/registry.hpp"
-#include "core/driver.hpp"
 #include "core/options.hpp"
 #include "core/table.hpp"
-#include "mpi/minimpi.hpp"
-#include "npb/npb.hpp"
-#include "platform/platform.hpp"
 
 namespace {
-
-using namespace cirrus;
 
 /// One workload of the gap study, reduced to "seconds at (platform, np)".
 struct Workload {
   std::string id;      ///< metric suffix: CG, FT, EP, chaste, metum
-  std::string kind;    ///< npb | chaste | metum
+  std::string kind;    ///< npb | chaste | metum (the RunRequest workload)
   std::vector<int> nps;
 };
-
-/// One sweep point's seconds and its simulator event count.
-struct PointRun {
-  double seconds = 0;
-  std::uint64_t events = 0;
-};
-
-PointRun run_point(const Workload& wl, const plat::Platform& platform, int np) {
-  if (wl.kind == "npb") {
-    const auto r = npb::run_benchmark(wl.id, npb::Class::B, platform, np, /*execute=*/false);
-    return {r.elapsed_seconds, r.events_processed};
-  }
-  mpi::JobConfig cfg;
-  cfg.platform = platform;
-  cfg.np = np;
-  cfg.execute = false;  // model mode, like the fig5/fig6 sweeps
-  cfg.name = wl.id + "." + platform.name + "." + std::to_string(np);
-  if (wl.kind == "metum") {
-    cfg.traits = metum::traits();
-    auto r = mpi::run_job(cfg, [](mpi::RankEnv& env) { metum::run(env); });
-    return {r.values.at("um_warmed_seconds"), r.events_processed};
-  }
-  cfg.traits = chaste::traits();
-  auto r = mpi::run_job(cfg, [](mpi::RankEnv& env) { chaste::run(env); });
-  return {r.elapsed_seconds, r.events_processed};
-}
 
 }  // namespace
 
@@ -98,27 +63,27 @@ CIRRUS_BENCH_TARGET_GEN_BLAME(ext8, "gap", "2012+2020",
   }
 
   // Enumerate every (generation, workload, side, np) point up front, run the
-  // sweep concurrently, then reduce in the same deterministic order.
-  struct Point {
-    const Workload* wl;
-    plat::Platform platform;
-    int np;
-  };
-  std::vector<Point> points;
+  // sweep concurrently, then reduce in the same deterministic order. MetUM
+  // is measured by its warmed time, like fig6; the rest by elapsed time.
+  std::vector<core::RunRequest> reqs;
   for (const auto& gen : generations) {
     for (const auto& wl : workloads) {
       for (const char* name : {gen.hpc, gen.cloud}) {
-        const auto platform = plat::by_name(name);
-        for (const int np : wl.nps) points.push_back({&wl, platform, np});
+        for (const int np : wl.nps) {
+          core::RunRequest req{.workload = wl.kind, .platform = name, .np = np};
+          if (wl.kind == "npb") {
+            req.bench = wl.id;
+            req.cls = "B";
+          }
+          reqs.push_back(req);
+        }
       }
     }
   }
-  const std::vector<PointRun> runs = core::run_sweep<PointRun>(
-      points.size(), [&](std::size_t i) {
-        return run_point(*points[i].wl, points[i].platform, points[i].np);
-      },
-      opts.get_int("jobs", 0));
-  for (const PointRun& r : runs) report.events += r.events;
+  const auto secs = bench::sweep(reqs, opts, report, [](const serve::RunOutcome& o) {
+    const auto warmed = o.result.values.find("um_warmed_seconds");
+    return warmed == o.result.values.end() ? o.result.elapsed_seconds : warmed->second;
+  });
 
   // The knee: largest np where the cloud platform still delivers >= 50%
   // parallel efficiency relative to its own smallest sweep point.
@@ -141,12 +106,12 @@ CIRRUS_BENCH_TARGET_GEN_BLAME(ext8, "gap", "2012+2020",
       double knee = 0;
       for (std::size_t k = 0; k < wl.nps.size(); ++k) {
         const int np = wl.nps[k];
-        const double t_hpc = runs[hpc_base + k].seconds;
-        const double t_cloud = runs[cloud_base + k].seconds;
+        const double t_hpc = secs[hpc_base + k];
+        const double t_cloud = secs[cloud_base + k];
         const double gap = t_cloud / t_hpc;
         t.row().add(wl.id).add(np).add(t_hpc, 2).add(t_cloud, 2).add(gap, 3);
         report.add("gap_" + wl.id, gen.label, np, gap, "x");
-        const double eff = runs[cloud_base].seconds * wl.nps.front() / (t_cloud * np);
+        const double eff = secs[cloud_base] * wl.nps.front() / (t_cloud * np);
         if (eff >= kKneeEff) knee = np;
         if (np == np_top) {
           mean_log_gap[gi] += std::log(gap);
@@ -192,13 +157,9 @@ CIRRUS_BENCH_TARGET_GEN_BLAME(ext8, "gap", "2012+2020",
   // --quick (the determinism smoke sweep).
   if (!quick) {
     for (const auto& gen : generations) {
-      core::RunRequest req;
-      req.workload = "npb";
-      req.bench = "CG";
-      req.cls = "B";
-      req.platform = gen.cloud;
-      req.np = 64;
-      bench::run_blame_probe(req, valid::slug(std::string("cg.") + gen.label), report);
+      bench::run_blame_probe(
+          {.workload = "npb", .bench = "CG", .cls = "B", .platform = gen.cloud, .np = 64},
+          valid::slug(std::string("cg.") + gen.label), report);
     }
   }
   return 0;

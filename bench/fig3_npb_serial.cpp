@@ -4,8 +4,13 @@
 //
 // Expected shape: Vayu and EC2 both well under 1.0 (faster clocks/memory),
 // with EC2 slightly slower than Vayu (Xen overhead).
+//
+// Each (benchmark, platform) point is a RunRequest run by bench::sweep on
+// `--jobs` workers; the output is identical for every jobs value.
 #include <cstdio>
+#include <vector>
 
+#include "bench/job.hpp"
 #include "bench/registry.hpp"
 #include "core/table.hpp"
 #include "npb/npb.hpp"
@@ -14,20 +19,25 @@ CIRRUS_BENCH_TARGET(fig3, "paper",
                     "NPB class B single-process time per platform, normalised to DCC") {
   using namespace cirrus;
   const double paper_dcc[] = {1696.9, 141.5, 244.9, 327.6, 8.6, 1514.7, 72.0, 1936.1};
+  const char* platforms[] = {"dcc", "ec2", "vayu"};
+
+  std::vector<core::RunRequest> reqs;
+  for (const auto& b : npb::all_benchmarks()) {
+    for (const char* p : platforms) {
+      reqs.push_back({.workload = "npb", .bench = b.name, .cls = "B", .platform = p, .np = 1});
+    }
+  }
+  const auto secs = bench::sweep(reqs, opts, report, [](const serve::RunOutcome& o) {
+    return o.result.elapsed_seconds;
+  });
 
   core::Table t({"bench", "dcc (s)", "paper dcc (s)", "ec2 (s)", "vayu (s)", "ec2/dcc",
                  "vayu/dcc"});
-  int idx = 0;
+  std::size_t idx = 0;
   for (const auto& b : npb::all_benchmarks()) {
-    const auto r_dcc = npb::run_benchmark(b.name, npb::Class::B, plat::dcc(), 1,
-                                          /*execute=*/false);
-    const auto r_ec2 = npb::run_benchmark(b.name, npb::Class::B, plat::ec2(), 1,
-                                          /*execute=*/false);
-    const auto r_vayu = npb::run_benchmark(b.name, npb::Class::B, plat::vayu(), 1,
-                                           /*execute=*/false);
-    const double dcc = r_dcc.elapsed_seconds;
-    const double ec2 = r_ec2.elapsed_seconds;
-    const double vayu = r_vayu.elapsed_seconds;
+    const double dcc = secs[3 * idx];
+    const double ec2 = secs[3 * idx + 1];
+    const double vayu = secs[3 * idx + 2];
     t.row()
         .add(b.name + ".B.1")
         .add(dcc, 1)
@@ -36,7 +46,6 @@ CIRRUS_BENCH_TARGET(fig3, "paper",
         .add(vayu, 1)
         .add(ec2 / dcc, 3)
         .add(vayu / dcc, 3);
-    report.events += r_dcc.events_processed + r_ec2.events_processed + r_vayu.events_processed;
     report.add("serial_s_" + b.name, "dcc", 1, dcc, "s")
         .add("serial_s_" + b.name, "ec2", 1, ec2, "s")
         .add("serial_s_" + b.name, "vayu", 1, vayu, "s")

@@ -11,20 +11,17 @@
 //  * CG on DCC drops at 8 (masked NUMA); IS scales poorly everywhere.
 //
 // Pass a benchmark name (e.g. `cirrus_bench --targets fig4 CG`) to run one
-// benchmark only; default runs the full sweep. Sweep points run concurrently
-// on the parallel driver (`--jobs N` or CIRRUS_JOBS; `--jobs 1` forces
-// serial) — each point is its own deterministic single-threaded simulation, so
-// the output is identical for every jobs value.
-#include <cstdint>
+// benchmark only; default runs the full sweep. Every (benchmark, platform,
+// np) point is a RunRequest run by bench::sweep on `--jobs` workers (`--jobs
+// 1` forces serial) — each point is its own deterministic single-threaded
+// simulation, so the output is identical for every jobs value.
 #include <cstdio>
-#include <cstring>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "bench/blame.hpp"
+#include "bench/job.hpp"
 #include "bench/registry.hpp"
-#include "core/driver.hpp"
 #include "core/options.hpp"
 #include "core/report_bridge.hpp"
 #include "core/table.hpp"
@@ -34,43 +31,25 @@ CIRRUS_BENCH_TARGET_BLAME(fig4, "paper",
                           "NPB class B speedup curves (np=1..64) on DCC, EC2 and Vayu") {
   using namespace cirrus;
   const std::string only = opts.positional().empty() ? "" : opts.positional()[0];
-  const int jobs = opts.get_int("jobs", 0);
+  const auto platforms = plat::study_platforms();
 
-  // Enumerate every (benchmark, platform, np) sweep point up front...
-  struct Point {
-    const npb::BenchmarkInfo* bench;
-    const plat::Platform* platform;
-    int np;
-  };
-  std::vector<Point> points;
-  const auto& platforms = plat::study_platforms();
+  // Enumerate every (benchmark, platform, np) sweep point up front, simulate
+  // them concurrently, then assemble the figures in the same order.
+  std::vector<core::RunRequest> reqs;
   for (const auto& b : npb::all_benchmarks()) {
     if (!only.empty() && b.name != only) continue;
     for (const auto& platform : platforms) {
       for (const int np : b.valid_np) {
         if (np > platform.total_slots()) continue;
-        points.push_back({&b, &platform, np});
+        reqs.push_back(
+            {.workload = "npb", .bench = b.name, .cls = "B", .platform = platform.name, .np = np});
       }
     }
   }
+  const auto secs = bench::sweep(reqs, opts, report, [](const serve::RunOutcome& o) {
+    return o.result.elapsed_seconds;
+  });
 
-  // ...simulate them concurrently (each its own engine)...
-  struct Run {
-    double elapsed = 0;
-    std::uint64_t events = 0;
-  };
-  const std::vector<Run> runs = core::run_sweep<Run>(
-      points.size(),
-      [&](std::size_t i) {
-        const Point& p = points[i];
-        const auto r = npb::run_benchmark(p.bench->name, npb::Class::B, *p.platform, p.np,
-                                          /*execute=*/false);
-        return Run{r.elapsed_seconds, r.events_processed};
-      },
-      jobs);
-  for (const Run& r : runs) report.events += r.events;
-
-  // ...and assemble the figures in the original deterministic order.
   std::size_t idx = 0;
   for (const auto& b : npb::all_benchmarks()) {
     if (!only.empty() && b.name != only) continue;
@@ -85,7 +64,7 @@ CIRRUS_BENCH_TARGET_BLAME(fig4, "paper",
       double t1 = 0;
       for (const int np : b.valid_np) {
         if (np > platform.total_slots()) continue;
-        const double t = runs[idx++].elapsed;
+        const double t = secs[idx++];
         if (np == 1) t1 = t;
         s.points.emplace_back(np, t1 / t);
       }
@@ -104,21 +83,12 @@ CIRRUS_BENCH_TARGET_BLAME(fig4, "paper",
   // crossing: fabric should out-blame compute) vs Vayu (IB: it should not),
   // EP@64 on DCC (embarrassingly parallel: compute dominates everywhere)
   // and FT@64 on DCC (Alltoall-bound). Pinned in critpath.ref.
-  struct Probe {
-    const char* bench;
-    const char* platform;
-  };
-  for (const Probe& p : {Probe{"CG", "dcc"}, Probe{"CG", "vayu"}, Probe{"EP", "dcc"},
-                         Probe{"FT", "dcc"}}) {
-    if (!only.empty() && only != p.bench) continue;
-    core::RunRequest req;
-    req.workload = "npb";
-    req.bench = p.bench;
-    req.cls = "B";
-    req.platform = p.platform;
-    req.np = 64;
-    bench::run_blame_probe(req, valid::slug(std::string(p.bench) + "." + p.platform),
-                           report);
+  for (const auto& [kernel, platform] : {std::pair{"CG", "dcc"}, std::pair{"CG", "vayu"},
+                                         std::pair{"EP", "dcc"}, std::pair{"FT", "dcc"}}) {
+    if (!only.empty() && only != kernel) continue;
+    bench::run_blame_probe(
+        {.workload = "npb", .bench = kernel, .cls = "B", .platform = platform, .np = 64},
+        valid::slug(std::string(kernel) + "." + platform), report);
   }
   return 0;
 }

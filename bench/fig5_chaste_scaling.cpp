@@ -7,17 +7,14 @@
 // (The published figure's legend transposes the two t8 values; see
 // EXPERIMENTS.md.)
 //
-// Sweep points run concurrently on the parallel driver (`--jobs N` or
-// CIRRUS_JOBS); the output is identical for every jobs value.
-#include <cstdint>
+// Every point is a RunRequest run by bench::sweep on `--jobs` workers; the
+// output is identical for every jobs value.
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "apps/chaste/chaste.hpp"
-#include "bench/blame.hpp"
+#include "bench/job.hpp"
 #include "bench/registry.hpp"
-#include "core/driver.hpp"
 #include "core/options.hpp"
 #include "core/report_bridge.hpp"
 #include "core/table.hpp"
@@ -28,35 +25,19 @@ CIRRUS_BENCH_TARGET_BLAME(
   const int np_list[] = {8, 16, 32, 48, 64};
   const char* platforms[] = {"vayu", "dcc"};
 
-  struct Point {
-    const char* platform;
-    int np;
-  };
-  std::vector<Point> points;
+  std::vector<core::RunRequest> reqs;
   for (const char* pname : platforms) {
-    for (const int np : np_list) points.push_back({pname, np});
+    for (const int np : np_list) {
+      reqs.push_back({.workload = "chaste", .platform = pname, .np = np});
+    }
   }
-
   struct Times {
     double total = 0;
     double ksp = 0;
-    std::uint64_t events = 0;
   };
-  const std::vector<Times> times = core::run_sweep<Times>(
-      points.size(),
-      [&](std::size_t i) {
-        const Point& p = points[i];
-        mpi::JobConfig cfg;
-        cfg.platform = plat::by_name(p.platform);
-        cfg.np = p.np;
-        cfg.traits = chaste::traits();
-        cfg.execute = false;
-        cfg.name = std::string("chaste.") + p.platform + "." + std::to_string(p.np);
-        auto r = mpi::run_job(cfg, [](mpi::RankEnv& env) { chaste::run(env); });
-        return Times{r.elapsed_seconds, r.ipm.section_wall_seconds("KSp"), r.events_processed};
-      },
-      opts.get_int("jobs", 0));
-  for (const Times& t : times) report.events += t.events;
+  const auto times = bench::sweep(reqs, opts, report, [](const serve::RunOutcome& o) {
+    return Times{o.result.elapsed_seconds, o.result.ipm.section_wall_seconds("KSp")};
+  });
 
   core::Figure fig;
   fig.id = "fig5";
@@ -92,10 +73,7 @@ CIRRUS_BENCH_TARGET_BLAME(
 
   // Blame probe at the 64-core endpoint on DCC, where the KSp Allreduce
   // chain meets the GigE fabric (the scaling collapse fig5 tabulates).
-  core::RunRequest req;
-  req.workload = "chaste";
-  req.platform = "dcc";
-  req.np = 64;
-  bench::run_blame_probe(req, "chaste.dcc", report);
+  bench::run_blame_probe({.workload = "chaste", .platform = "dcc", .np = 64}, "chaste.dcc",
+                         report);
   return 0;
 }

@@ -6,42 +6,18 @@
 // Expected shape: Vayu near-linear; DCC less; EC2 poor; EC2-4 always
 // significantly faster below 64 cores (at 32 cores nearly 2x).
 //
-// Sweep points run concurrently on the parallel driver (`--jobs N` or
-// CIRRUS_JOBS); the output is identical for every jobs value.
-#include <cstdint>
+// Every point is a RunRequest run by bench::sweep on `--jobs` workers; the
+// output is identical for every jobs value.
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "apps/metum/metum.hpp"
-#include "bench/blame.hpp"
+#include "bench/job.hpp"
 #include "bench/registry.hpp"
-#include "core/driver.hpp"
 #include "core/options.hpp"
 #include "core/report_bridge.hpp"
 #include "core/table.hpp"
-
-namespace {
-
-/// One MetUM run's warmed time and its simulator event count.
-struct Warmed {
-  double seconds = 0;
-  std::uint64_t events = 0;
-};
-
-Warmed warmed(const cirrus::plat::Platform& platform, int np, int max_rpn) {
-  cirrus::mpi::JobConfig cfg;
-  cfg.platform = platform;
-  cfg.np = np;
-  cfg.max_ranks_per_node = max_rpn;
-  cfg.traits = cirrus::metum::traits();
-  cfg.execute = false;
-  cfg.name = "metum." + platform.name + "." + std::to_string(np);
-  auto r = cirrus::mpi::run_job(cfg, [](cirrus::mpi::RankEnv& env) { cirrus::metum::run(env); });
-  return Warmed{r.values.at("um_warmed_seconds"), r.events_processed};
-}
-
-}  // namespace
 
 CIRRUS_BENCH_TARGET_BLAME(
     fig6, "paper", "MetUM warmed-time speedup over 8 cores (Vayu, DCC, EC2, EC2-4)") {
@@ -61,17 +37,12 @@ CIRRUS_BENCH_TARGET_BLAME(
       {"EC2-4", "ec2", -4, "646"},
   };
 
-  struct Point {
-    const Config* config;
-    plat::Platform platform;
-    int np;
-    int rpn;
-  };
-  std::vector<Point> points;
+  std::vector<core::RunRequest> reqs;
+  std::vector<const Config*> config_of;  // index-aligned with reqs
   for (const auto& c : configs) {
-    const auto platform = plat::by_name(c.platform);
+    const int slots = plat::by_name(c.platform).total_slots();
     for (const int np : np_list) {
-      if (np > platform.total_slots()) continue;
+      if (np > slots) continue;
       int rpn = c.max_rpn;
       if (rpn == -4) {
         rpn = (np + 3) / 4;  // EC2-4: always spread over all four nodes
@@ -82,15 +53,13 @@ CIRRUS_BENCH_TARGET_BLAME(
         const int nodes = np == 24 ? 3 : std::max(2, (np + 15) / 16);
         rpn = (np + nodes - 1) / nodes;
       }
-      points.push_back({&c, platform, np, rpn});
+      config_of.push_back(&c);
+      reqs.push_back({.workload = "metum", .platform = c.platform, .np = np, .rpn = rpn});
     }
   }
-
-  const std::vector<Warmed> warmed_times = core::run_sweep<Warmed>(
-      points.size(),
-      [&](std::size_t i) { return warmed(points[i].platform, points[i].np, points[i].rpn); },
-      opts.get_int("jobs", 0));
-  for (const Warmed& w : warmed_times) report.events += w.events;
+  const auto warmed = bench::sweep(reqs, opts, report, [](const serve::RunOutcome& o) {
+    return o.result.values.at("um_warmed_seconds");
+  });
 
   core::Figure fig;
   fig.id = "fig6";
@@ -102,9 +71,9 @@ CIRRUS_BENCH_TARGET_BLAME(
   for (const auto& c : configs) {
     core::Series s{c.label, {}};
     double t8 = 0;
-    while (idx < points.size() && points[idx].config == &c) {
-      const int np = points[idx].np;
-      const double t = warmed_times[idx++].seconds;
+    while (idx < reqs.size() && config_of[idx] == &c) {
+      const int np = reqs[idx].np;
+      const double t = warmed[idx++];
       if (np == 8) {
         t8 = t;
         std::printf("%s t8 = %.0f s (paper %s)\n", c.label, t8, c.paper_t8);
@@ -122,10 +91,6 @@ CIRRUS_BENCH_TARGET_BLAME(
 
   // Blame probe at the 64-core endpoint on DCC (fully subscribed), the
   // configuration whose warmed-time flattening fig6 tabulates.
-  core::RunRequest req;
-  req.workload = "metum";
-  req.platform = "dcc";
-  req.np = 64;
-  bench::run_blame_probe(req, "metum.dcc", report);
+  bench::run_blame_probe({.workload = "metum", .platform = "dcc", .np = 64}, "metum.dcc", report);
   return 0;
 }

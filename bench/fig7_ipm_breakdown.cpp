@@ -7,27 +7,24 @@
 // 8..23 show more computation (convection), and NUMA masking adds irregular
 // per-rank compute imbalance on DCC. On Vayu the profile is comparatively
 // flat with a small user-time communication share.
+//
+// Both platforms' runs are RunRequests run by bench::sweep.
+#include <algorithm>
 #include <cstdio>
+#include <string>
+#include <vector>
 
-#include "apps/metum/metum.hpp"
+#include "bench/job.hpp"
 #include "bench/registry.hpp"
 #include "core/table.hpp"
 
 namespace {
 
-void breakdown(const char* pname, cirrus::valid::RunReport& report) {
-  cirrus::mpi::JobConfig cfg;
-  cfg.platform = cirrus::plat::by_name(pname);
-  cfg.np = 32;
-  cfg.traits = cirrus::metum::traits();
-  cfg.execute = false;
-  cfg.name = std::string("fig7.") + pname;
-  auto r = cirrus::mpi::run_job(cfg, [](cirrus::mpi::RankEnv& env) { cirrus::metum::run(env); });
-
+void breakdown(const char* pname, const std::vector<cirrus::ipm::RankBreakdown>& rows,
+               cirrus::valid::RunReport& report) {
   std::printf("\n### %s: ATM_STEP per-rank breakdown at 32 cores\n", pname);
   cirrus::core::Table t({"rank", "comp (s)", "comm user (s)", "comm sys (s)", "bar"});
   double max_total = 0;
-  const auto rows = r.ipm.rank_breakdown("ATM_STEP");
   for (const auto& row : rows) {
     max_total = std::max(max_total, row.comp_s + row.comm_user_s + row.comm_sys_s);
   }
@@ -50,7 +47,6 @@ void breakdown(const char* pname, cirrus::valid::RunReport& report) {
   std::printf("totals: comp %.0f s, comm user %.0f s, comm system %.0f s "
               "(system/user = %.1f)\n",
               comp, user, sys, user > 0 ? sys / user : 0.0);
-  report.events += r.events_processed;
   report.add("atm_comp_s", pname, 32, comp, "s")
       .add("atm_comm_user_s", pname, 32, user, "s")
       .add("atm_comm_sys_s", pname, 32, sys, "s")
@@ -61,7 +57,13 @@ void breakdown(const char* pname, cirrus::valid::RunReport& report) {
 
 CIRRUS_BENCH_TARGET(fig7, "paper",
                     "MetUM ATM_STEP per-rank comp/comm breakdown at 32 cores") {
-  breakdown("vayu", report);
-  breakdown("dcc", report);
+  using namespace cirrus;
+  const char* platforms[] = {"vayu", "dcc"};
+  std::vector<core::RunRequest> reqs;
+  for (const char* p : platforms) reqs.push_back({.workload = "metum", .platform = p, .np = 32});
+  const auto rows = bench::sweep(reqs, opts, report, [](const serve::RunOutcome& o) {
+    return o.result.ipm.rank_breakdown("ATM_STEP");
+  });
+  for (std::size_t i = 0; i < rows.size(); ++i) breakdown(platforms[i], rows[i], report);
   return 0;
 }

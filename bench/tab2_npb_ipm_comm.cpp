@@ -6,63 +6,45 @@
 // Vayu best; DCC jumps sharply at 16 ranks (two nodes); IS highest overall
 // (~98/85/68% at np=64 in the paper).
 //
-// Sweep points run concurrently on the parallel driver (`--jobs N` or
-// CIRRUS_JOBS); the table is identical for every jobs value.
-#include <cstdint>
+// Every point is a RunRequest run by bench::sweep on `--jobs` workers; the
+// table is identical for every jobs value.
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "bench/job.hpp"
 #include "bench/registry.hpp"
-#include "core/driver.hpp"
-#include "core/options.hpp"
 #include "core/table.hpp"
-#include "npb/npb.hpp"
 
 CIRRUS_BENCH_TARGET(tab2, "paper",
                     "IPM %comm for NPB CG/FT/IS class B at np=2..64 per platform") {
   using namespace cirrus;
   const int np_list[] = {2, 4, 8, 16, 32, 64};
   const char* benches[] = {"CG", "FT", "IS"};
-  const auto platforms = plat::study_platforms();
+  const char* platforms[] = {"dcc", "ec2", "vayu"};
 
-  struct Point {
-    const char* bench;
-    const plat::Platform* platform;
-    int np;
-  };
-  std::vector<Point> points;
+  std::vector<core::RunRequest> reqs;
   for (const int np : np_list) {
     for (const char* bench : benches) {
-      for (const auto& platform : platforms) points.push_back({bench, &platform, np});
+      for (const char* platform : platforms) {
+        reqs.push_back(
+            {.workload = "npb", .bench = bench, .cls = "B", .platform = platform, .np = np});
+      }
     }
   }
-
-  struct Run {
-    double comm_pct = 0;
-    std::uint64_t events = 0;
-  };
-  const std::vector<Run> runs = core::run_sweep<Run>(
-      points.size(),
-      [&](std::size_t i) {
-        const Point& p = points[i];
-        const auto r =
-            npb::run_benchmark(p.bench, npb::Class::B, *p.platform, p.np, /*execute=*/false);
-        return Run{r.ipm.comm_pct(), r.events_processed};
-      },
-      opts.get_int("jobs", 0));
-  for (const Run& r : runs) report.events += r.events;
+  const auto comm_pct = bench::sweep(reqs, opts, report, [](const serve::RunOutcome& o) {
+    return o.result.ipm.comm_pct();
+  });
 
   core::Table t({"np", "CG dcc", "CG ec2", "CG vayu", "FT dcc", "FT ec2", "FT vayu", "IS dcc",
                  "IS ec2", "IS vayu"});
   std::size_t idx = 0;
   for (const int np : np_list) {
     t.row().add(np);
-    for (std::size_t b = 0; b < std::size(benches); ++b) {
-      for (std::size_t p = 0; p < platforms.size(); ++p) {
-        report.add(std::string("comm_pct_") + benches[b], platforms[p].name, np,
-                   runs[idx].comm_pct, "%");
-        t.add(runs[idx++].comm_pct, 1);
+    for (const char* bench : benches) {
+      for (const char* platform : platforms) {
+        report.add(std::string("comm_pct_") + bench, platform, np, comm_pct[idx], "%");
+        t.add(comm_pct[idx++], 1);
       }
     }
   }

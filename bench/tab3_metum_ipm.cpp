@@ -4,54 +4,34 @@
 //   time(s): 303 / 624 / 770 / 380          rcomp: 1.0 / 1.37 / 2.39 / 1.17
 //   rcomm:   1.0 / 6.71 / 3.53 / ~1         %comm: 13 / 42 / 18 / 18
 //   %imbal:  13 / 4 / 18 / 19               I/O(s): 4.5 / 37.8 / 9.1 / 7.6
+//
+// The four configurations are RunRequests run by bench::sweep.
 #include <cstdio>
-#include <cstdint>
+#include <string>
+#include <vector>
 
-#include "apps/metum/metum.hpp"
+#include "bench/job.hpp"
 #include "bench/registry.hpp"
 #include "core/table.hpp"
-
-namespace {
-
-struct Row {
-  std::string name;
-  double time_s = 0, comp_s = 0, comm_s = 0, comm_pct = 0, imbal_pct = 0, io_s = 0;
-  std::uint64_t events = 0;
-};
-
-Row run_config(const std::string& name, const cirrus::plat::Platform& platform, int max_rpn) {
-  cirrus::mpi::JobConfig cfg;
-  cfg.platform = platform;
-  cfg.np = 32;
-  cfg.max_ranks_per_node = max_rpn;
-  cfg.traits = cirrus::metum::traits();
-  cfg.execute = false;
-  cfg.name = "metum32." + name;
-  auto r = cirrus::mpi::run_job(cfg, [](cirrus::mpi::RankEnv& env) { cirrus::metum::run(env); });
-  const auto agg = r.ipm.aggregate();
-  Row row;
-  row.name = name;
-  row.time_s = r.elapsed_seconds;
-  row.comp_s = agg.comp_s;
-  row.comm_s = agg.comm_s;
-  row.comm_pct = agg.comm_pct;
-  row.imbal_pct = agg.imbalance_pct;
-  row.io_s = agg.io_max_s;
-  row.events = r.events_processed;
-  return row;
-}
-
-}  // namespace
 
 CIRRUS_BENCH_TARGET(tab3, "paper",
                     "IPM statistics for MetUM at 32 cores (Vayu, DCC, EC2, EC2-4)") {
   using namespace cirrus;
-  const Row rows[] = {
-      run_config("Vayu", plat::by_name("vayu"), -1),
-      run_config("DCC", plat::by_name("dcc"), -1),
-      run_config("EC2", plat::by_name("ec2"), 16),  // 2 nodes, HyperThreaded
-      run_config("EC2-4", plat::by_name("ec2"), 8),
+  const char* names[] = {"Vayu", "DCC", "EC2", "EC2-4"};
+  const std::vector<core::RunRequest> reqs = {
+      {.workload = "metum", .platform = "vayu", .np = 32},
+      {.workload = "metum", .platform = "dcc", .np = 32},
+      {.workload = "metum", .platform = "ec2", .np = 32, .rpn = 16},  // 2 nodes, HyperThreaded
+      {.workload = "metum", .platform = "ec2", .np = 32, .rpn = 8},
   };
+  struct Row {
+    double time_s = 0, comp_s = 0, comm_s = 0, comm_pct = 0, imbal_pct = 0, io_s = 0;
+  };
+  const auto rows = bench::sweep(reqs, opts, report, [](const serve::RunOutcome& o) {
+    const auto agg = o.result.ipm.aggregate();
+    return Row{o.result.elapsed_seconds, agg.comp_s,        agg.comm_s,
+               agg.comm_pct,             agg.imbalance_pct, agg.io_max_s};
+  });
   const double vayu_comp = rows[0].comp_s;
   const double vayu_comm = rows[0].comm_s;
 
@@ -77,9 +57,9 @@ CIRRUS_BENCH_TARGET(tab3, "paper",
 
   std::printf("## tab3: IPM statistics for UM at 32 cores\n%s", t.str().c_str());
 
-  for (const auto& r : rows) {
-    const std::string p = valid::slug(r.name);
-    report.events += r.events;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Row& r = rows[i];
+    const std::string p = valid::slug(names[i]);
     report.add("time_s", p, 32, r.time_s, "s")
         .add("rcomp", p, 32, r.comp_s / vayu_comp)
         .add("rcomm", p, 32, r.comm_s / vayu_comm)

@@ -1,17 +1,12 @@
 #include "core/driver.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <thread>
 
 namespace cirrus::core {
 
 int default_parallelism() {
-  if (const char* env = std::getenv("CIRRUS_JOBS")) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
-  }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }

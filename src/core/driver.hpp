@@ -10,15 +10,12 @@
 
 #include <cstddef>
 #include <functional>
-#include <string>
-#include <utility>
 #include <vector>
 
 namespace cirrus::core {
 
-/// Worker count used when a caller passes jobs <= 0: the CIRRUS_JOBS
-/// environment variable if set to a positive integer, otherwise the number
-/// of hardware threads (1 if that is unknown).
+/// Worker count used when a caller passes jobs <= 0: the number of hardware
+/// threads (1 if that is unknown).
 int default_parallelism();
 
 /// Invokes body(i) exactly once for every i in [0, n) on up to `jobs`
@@ -36,26 +33,6 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body, i
 template <typename R, typename F>
 std::vector<R> run_sweep(std::size_t n, F&& f, int jobs = 0) {
   std::vector<R> out(n);
-  parallel_for(
-      n, [&](std::size_t i) { out[i] = f(i); }, jobs);
-  return out;
-}
-
-/// A sweep-point result carrying the human-readable label of the
-/// configuration that produced it (e.g. "fattree 2:1 / scatter / FT"), so
-/// tables can be rendered from the result vector alone.
-template <typename R>
-struct Labeled {
-  std::string label;
-  R value{};
-};
-
-/// run_sweep variant for labelled sweep points: f(i) returns
-/// Labeled<R>{label, value}. Results keep index order, so output stays
-/// byte-identical for any worker count.
-template <typename R, typename F>
-std::vector<Labeled<R>> run_sweep_labeled(std::size_t n, F&& f, int jobs = 0) {
-  std::vector<Labeled<R>> out(n);
   parallel_for(
       n, [&](std::size_t i) { out[i] = f(i); }, jobs);
   return out;

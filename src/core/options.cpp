@@ -1,5 +1,7 @@
 #include "core/options.hpp"
 
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -37,8 +39,9 @@ int Options::get_int(const std::string& key, int dflt) const {
   const auto v = get(key);
   if (!v) return dflt;
   char* end = nullptr;
+  errno = 0;
   const long x = std::strtol(v->c_str(), &end, 10);
-  if (end == v->c_str() || *end != '\0') {
+  if (end == v->c_str() || *end != '\0' || errno == ERANGE || x < INT_MIN || x > INT_MAX) {
     throw std::invalid_argument("--" + key + " expects an integer, got '" + *v + "'");
   }
   return static_cast<int>(x);

@@ -323,7 +323,7 @@ class Job {
  public:
   explicit Job(const JobConfig& cfg)
       : config(cfg),
-        engine(sim::Engine::Options{.seed = cfg.seed, .fiber_stack_bytes = cfg.fiber_stack_bytes}),
+        engine(sim::Engine::Options{.seed = cfg.seed}),
         placement(plat::place_block(cfg.platform, cfg.np, cfg.max_ranks_per_node, cfg.traits,
                                     cfg.seed)),
         network(engine, cfg.platform, node_span(), cfg.seed),

@@ -414,7 +414,6 @@ struct JobConfig {
   /// Run the real math inside workloads (tests) or charge time only (paper
   /// scale)?
   bool execute = true;
-  std::size_t fiber_stack_bytes = 1 << 20;
   std::string name = "job";
   /// Fault injection for this attempt (kill/warn on the job-local clock).
   FaultInjection faults;

@@ -1,6 +1,5 @@
 #include "npb/npb.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace cirrus::npb {
@@ -70,11 +69,6 @@ const BenchmarkInfo& benchmark(const std::string& name) {
 
 mpi::JobConfig make_job(const BenchmarkInfo& bench, Class cls, const plat::Platform& platform,
                         int np, bool execute, std::uint64_t seed) {
-  if (std::find(bench.valid_np.begin(), bench.valid_np.end(), np) == bench.valid_np.end()) {
-    // Allow any np that satisfies the benchmark's structural constraint; the
-    // valid_np list is the paper sweep, not a hard limit. Structural checks
-    // happen inside each kernel.
-  }
   mpi::JobConfig cfg;
   cfg.platform = platform;
   cfg.np = np;

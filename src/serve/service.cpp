@@ -103,18 +103,8 @@ RunOutcome execute(const core::RunRequest& req, const ExecOptions& exec) {
   if (req.workload == "npb") {
     const auto& info = npb::benchmark(req.bench);
     const auto cls = npb::class_from_char(req.cls[0]);
-    auto cfg = npb::make_job(info, cls, plat::by_name(req.resolved_platform()), req.np,
-                             req.execute, req.seed);
-    // make_job fixes workload traits and np; layer the request's transport /
-    // topology / engine knobs on top (same fields to_job_config sets).
-    const auto base = to_job_config(req, exec);
-    cfg.max_ranks_per_node = base.max_ranks_per_node;
-    cfg.eager_threshold_bytes = base.eager_threshold_bytes;
-    cfg.topology = base.topology;
-    cfg.placement = base.placement;
-    cfg.storage_backend = base.storage_backend;
-    cfg.enable_trace = base.enable_trace;
-    cfg.telemetry = base.telemetry;
+    auto cfg = to_job_config(req, exec);
+    cfg.traits = info.traits;
     auto out = run_with_faults(cfg, req, [&info, cls](mpi::RankEnv& env) {
       const auto res = info.fn(env, cls);
       if (env.rank() == 0) {

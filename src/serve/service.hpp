@@ -64,8 +64,8 @@ struct RunOutcome {
   std::string display_name;       ///< e.g. "CG.B.64 on ec2"
 };
 
-/// Builds the mpi::JobConfig a request describes (topology, placement,
-/// faults excluded — those are applied by execute()).
+/// Builds the mpi::JobConfig a request describes, minus the workload's
+/// traits and the fault settings — execute() adds those.
 mpi::JobConfig to_job_config(const core::RunRequest& req, const ExecOptions& exec = {});
 
 /// Runs the request end to end (npb/metum/chaste; resilient path when

@@ -6,12 +6,11 @@
 
 namespace cirrus::sim {
 
-Process::Process(Engine& engine, int pid, std::string name, std::function<void(Process&)> body,
-                 std::size_t stack_bytes)
+Process::Process(Engine& engine, int pid, std::string name, std::function<void(Process&)> body)
     : engine_(&engine),
       pid_(pid),
       name_(std::move(name)),
-      fiber_([this, body = std::move(body)] { body(*this); }, stack_bytes) {}
+      fiber_([this, body = std::move(body)] { body(*this); }, Fiber::kDefaultStackBytes) {}
 
 void Process::advance(SimTime dt) {
   assert(engine_->current_ == this && "advance() called from outside the process");
@@ -26,7 +25,7 @@ void Process::suspend() {
   state_ = State::Running;
 }
 
-Engine::Engine(const Options& opts) : opts_(opts), rng_(opts.seed) {}
+Engine::Engine(const Options& opts) : rng_(opts.seed) {}
 
 Engine::~Engine() = default;
 
@@ -76,7 +75,7 @@ void Engine::drain_pending() noexcept {
 Process& Engine::spawn(std::string name, std::function<void(Process&)> body) {
   const int pid = static_cast<int>(processes_.size());
   processes_.push_back(std::unique_ptr<Process>(
-      new Process(*this, pid, std::move(name), std::move(body), opts_.fiber_stack_bytes)));
+      new Process(*this, pid, std::move(name), std::move(body))));
   Process& p = *processes_.back();
   // Start events ride the wake fast path: entering a Created process starts
   // its fiber, so no closure is needed.

@@ -64,8 +64,7 @@ class Process {
   friend class Engine;
   enum class State { Created, Running, Blocked, Finished };
 
-  Process(Engine& engine, int pid, std::string name, std::function<void(Process&)> body,
-          std::size_t stack_bytes);
+  Process(Engine& engine, int pid, std::string name, std::function<void(Process&)> body);
 
   Engine* engine_;
   int pid_;
@@ -80,7 +79,6 @@ class Engine {
  public:
   struct Options {
     std::uint64_t seed = 1;
-    std::size_t fiber_stack_bytes = Fiber::kDefaultStackBytes;
   };
 
   /// Intrinsic self-profiling counters, maintained inline by the hot loop
@@ -198,7 +196,6 @@ class Engine {
   void schedule_raw(SimTime when, void (*fn)(void*), void* ctx);
   friend struct EngineInternal;
 
-  Options opts_;
   Rng rng_;
   Stats stats_;
   SimTime now_ = 0;

@@ -7,6 +7,8 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "mpi/minimpi.hpp"
@@ -87,19 +89,21 @@ TEST(Driver, DefaultParallelismIsPositive) {
   EXPECT_GE(core::default_parallelism(), 1);
 }
 
-TEST(Driver, LabeledSweepKeepsLabelsWithValuesInIndexOrder) {
-  // Labels travel with their sweep point, so a table rendered from the
-  // result vector names each configuration correctly at any worker count.
+TEST(Driver, CompoundResultsKeepIndexOrder) {
+  // A sweep point's result can carry its own label, so a table rendered
+  // from the result vector names each configuration correctly at any
+  // worker count.
+  using Point = std::pair<std::string, int>;
   const auto f = [](std::size_t i) {
-    return core::Labeled<int>{"point-" + std::to_string(i), static_cast<int>(i) * 10};
+    return Point{"point-" + std::to_string(i), static_cast<int>(i) * 10};
   };
-  const auto serial = core::run_sweep_labeled<int>(23, f, 1);
-  const auto parallel = core::run_sweep_labeled<int>(23, f, 4);
+  const auto serial = core::run_sweep<Point>(23, f, 1);
+  const auto parallel = core::run_sweep<Point>(23, f, 4);
   ASSERT_EQ(serial.size(), 23u);
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].label, "point-" + std::to_string(i));
-    EXPECT_EQ(serial[i].value, static_cast<int>(i) * 10);
-    EXPECT_EQ(parallel[i].label, serial[i].label);
-    EXPECT_EQ(parallel[i].value, serial[i].value);
+    EXPECT_EQ(serial[i].first, "point-" + std::to_string(i));
+    EXPECT_EQ(serial[i].second, static_cast<int>(i) * 10);
+    EXPECT_EQ(parallel[i].first, serial[i].first);
+    EXPECT_EQ(parallel[i].second, serial[i].second);
   }
 }

@@ -50,6 +50,17 @@ TEST(Options, NumericParsingRejectsJunk) {
   EXPECT_DOUBLE_EQ(opts.get_double("mtbf", 0.0), 120.0);
 }
 
+TEST(Options, IntegersOutsideIntRangeThrow) {
+  // Each of these used to wrap silently (to 1, 0 and 1) instead of failing.
+  const auto opts = parse({"--cache-cap", "4294967297", "--seed", "4294967296", "--jobs",
+                           "-4294967295", "--np", "-2147483648", "--big", "2147483647"});
+  EXPECT_THROW((void)opts.get_int("cache-cap", 0), std::invalid_argument);
+  EXPECT_THROW((void)opts.get_int("seed", 1), std::invalid_argument);
+  EXPECT_THROW((void)opts.get_int("jobs", 0), std::invalid_argument);
+  EXPECT_EQ(opts.get_int("np", 0), -2147483647 - 1);  // the int range itself still parses
+  EXPECT_EQ(opts.get_int("big", 0), 2147483647);
+}
+
 TEST(Options, BareDoubleDashThrows) {
   EXPECT_THROW(parse({"--"}), std::invalid_argument);
 }
