@@ -3,18 +3,24 @@
 // small tissue block, simulated on the chosen platform.
 //
 //   ./build/examples/cardiac_demo [platform=vayu] [np=8]
+//
+// A bad argument (unknown platform, non-numeric or out-of-range np, a job
+// that does not fit the platform) exits 2 with the usage line.
 #include <cstdio>
-#include <cstdlib>
 
 #include "apps/chaste/chaste.hpp"
+#include "demo_args.hpp"
 
 int main(int argc, char** argv) {
   using namespace cirrus;
-  const std::string platform_name = argc > 1 ? argv[1] : "vayu";
-  const int np = argc > 2 ? std::atoi(argv[2]) : 8;
+  const auto args = demo::parse_job_args(argc, argv, /*default_np=*/8, /*takes_rpn=*/false,
+                                         "[platform=vayu] [np=8]");
+  if (!args) return 2;
+  const std::string& platform_name = args->platform_name;
+  const int np = args->np;
 
   mpi::JobConfig cfg;
-  cfg.platform = plat::by_name(platform_name);
+  cfg.platform = args->platform;
   cfg.np = np;
   cfg.traits = chaste::traits();
   cfg.execute = true;  // run the real electrophysiology

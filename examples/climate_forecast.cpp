@@ -7,19 +7,25 @@
 //   ./build/examples/climate_forecast vayu 32
 //   ./build/examples/climate_forecast dcc  32
 //   ./build/examples/climate_forecast ec2  32 8     # the paper's "EC2-4"
+//
+// A bad argument (unknown platform, non-numeric or out-of-range count, a job
+// that does not fit the platform) exits 2 with the usage line.
 #include <cstdio>
-#include <cstdlib>
 
 #include "apps/metum/metum.hpp"
+#include "demo_args.hpp"
 
 int main(int argc, char** argv) {
   using namespace cirrus;
-  const std::string platform_name = argc > 1 ? argv[1] : "vayu";
-  const int np = argc > 2 ? std::atoi(argv[2]) : 32;
-  const int rpn = argc > 3 ? std::atoi(argv[3]) : -1;
+  const auto args = demo::parse_job_args(argc, argv, /*default_np=*/32, /*takes_rpn=*/true,
+                                         "[platform=vayu] [np=32] [ranks_per_node=-1]");
+  if (!args) return 2;
+  const std::string& platform_name = args->platform_name;
+  const int np = args->np;
+  const int rpn = args->rpn;
 
   mpi::JobConfig cfg;
-  cfg.platform = plat::by_name(platform_name);
+  cfg.platform = args->platform;
   cfg.np = np;
   cfg.max_ranks_per_node = rpn;
   cfg.traits = metum::traits();

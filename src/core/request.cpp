@@ -2,24 +2,16 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
+#include "obs/metrics.hpp"
+
 namespace cirrus::core {
 
 namespace {
-
-/// Shortest round-trip decimal for key-grammar doubles — same policy as the
-/// JSON writers, so "2.5" stays "2.5" and never "2.5000000000000000".
-std::string num(double v) {
-  char buf[64];
-  for (int prec = 15; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  return buf;
-}
 
 std::string lower(std::string s) {
   for (auto& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
@@ -81,18 +73,18 @@ std::vector<std::pair<std::string, std::string>> RunRequest::items() const {
   const bool is_wf = workload == "wf";
   return {
       {"bench", canon_bench},
-      {"ckpt", num(ckpt_s)},
+      {"ckpt", obs::format_double(ckpt_s)},
       {"class", upper(cls)},
       {"eager", std::to_string(eager_bytes)},
       {"execute", execute ? "1" : "0"},
-      {"horizon", num(horizon_s)},
+      {"horizon", obs::format_double(horizon_s)},
       {"leaf", std::to_string(leaf)},
-      {"mtbf", num(mtbf_s)},
+      {"mtbf", obs::format_double(mtbf_s)},
       {"np", std::to_string(np)},
-      {"oversub", num(oversub)},
+      {"oversub", obs::format_double(oversub)},
       {"placement", lower(placement)},
       {"platform", resolved_platform()},
-      {"requeue", num(requeue_s)},
+      {"requeue", obs::format_double(requeue_s)},
       {"rpn", std::to_string(rpn)},
       {"sched", lower(sched)},
       {"seed", std::to_string(seed)},
@@ -146,7 +138,9 @@ bool RunRequest::set(const std::string& key, const std::string& value, std::stri
   const auto want_int = [&](long long lo, long long hi) {
     return parse_int(value, i) && i >= lo && i <= hi;
   };
-  const auto want_num = [&](double lo) { return parse_num(value, d) && d >= lo; };
+  const auto want_num = [&](double lo) {
+    return parse_num(value, d) && std::isfinite(d) && d >= lo;
+  };
 
   if (key == "workload") {
     workload = lower(value);
@@ -182,7 +176,7 @@ bool RunRequest::set(const std::string& key, const std::string& value, std::stri
   } else if (key == "topo") {
     topo = lower(value);
   } else if (key == "oversub") {
-    if (!want_num(0)) return fail(error, "oversub: number >= 0 expected");
+    if (!want_num(0)) return fail(error, "oversub: finite number >= 0 expected");
     oversub = d;
   } else if (key == "leaf") {
     if (!want_int(1, 1 << 16)) return fail(error, "leaf: positive integer expected");
@@ -192,16 +186,16 @@ bool RunRequest::set(const std::string& key, const std::string& value, std::stri
   } else if (key == "sched") {
     sched = lower(value);
   } else if (key == "mtbf") {
-    if (!want_num(0)) return fail(error, "mtbf: seconds >= 0 expected");
+    if (!want_num(0)) return fail(error, "mtbf: finite seconds >= 0 expected");
     mtbf_s = d;
   } else if (key == "ckpt") {
-    if (!want_num(0)) return fail(error, "ckpt: seconds >= 0 expected");
+    if (!want_num(0)) return fail(error, "ckpt: finite seconds >= 0 expected");
     ckpt_s = d;
   } else if (key == "requeue") {
-    if (!want_num(0)) return fail(error, "requeue: seconds >= 0 expected");
+    if (!want_num(0)) return fail(error, "requeue: finite seconds >= 0 expected");
     requeue_s = d;
   } else if (key == "horizon") {
-    if (!want_num(0)) return fail(error, "horizon: seconds >= 0 expected");
+    if (!want_num(0)) return fail(error, "horizon: finite seconds >= 0 expected");
     horizon_s = d;
   } else if (key == "storage") {
     storage = lower(value);

@@ -85,24 +85,6 @@ void FaultSchedule::add(const FaultEvent& ev) {
   sort_events();
 }
 
-void FaultSchedule::add_spot_reclaims(cloud::SpotMarket& market, double bid, double t0,
-                                      double horizon_s) {
-  const double end = t0 + horizon_s;
-  double t = t0;
-  while (t < end) {
-    const double reclaim = market.next_interruption(t, bid, end - t);
-    if (reclaim < 0) break;
-    events_.push_back(FaultEvent{.kind = FaultKind::SpotReclaim,
-                                 .at_s = reclaim,
-                                 .node = -1,
-                                 .warning_s = model_.spot_warning_s});
-    const double back = market.next_available(reclaim, bid, end - reclaim);
-    if (back < 0) break;
-    t = back;
-  }
-  sort_events();
-}
-
 const FaultEvent* FaultSchedule::next_fatal_after(double t_s) const noexcept {
   for (const auto& ev : events_) {
     if (ev.at_s > t_s &&

@@ -5,16 +5,18 @@
 // (model, nodes, horizon, seed) tuple always yields bit-identical fault
 // times, because every (node, fault class) pair draws its exponential
 // interarrivals from its own forked substream (query order is irrelevant).
-// The schedule drives four injectors over a job:
+// The schedule drives three injectors over a job:
 //
 //   * node crash        — fatal: all fibers die at virtual time t
 //                         (mpi::JobKilledError out of run_job);
-//   * spot interruption — fatal with a 2-minute warning first, driven by
-//                         cloud::SpotMarket::next_interruption;
 //   * straggler         — multiplicative compute-rate degradation on one
 //                         node over a window (hypervisor stall);
 //   * link degradation  — bandwidth drop / latency storm on one node's NIC,
 //                         fed into the net cost model.
+//
+// A hand-added SpotReclaim event (FaultSchedule::add) is fatal like a crash,
+// after its warning_s notice. Spot interruptions driven by the market are
+// run_on_spot()'s job: it asks cloud::SpotMarket::next_interruption itself.
 //
 // run_resilient() executes a job under a schedule with checkpoint/restart:
 // after each fatal fault the job re-runs from the last committed checkpoint
@@ -63,7 +65,6 @@ struct FaultModel {
   double link_duration_s = 60.0;
   double link_bw_fraction = 0.2;        ///< bandwidth left during the episode
   double link_extra_latency_us = 500.0;
-  double spot_warning_s = 120.0;        ///< EC2's two-minute reclaim notice
 };
 
 /// A pre-generated, deterministic schedule of fault events.
@@ -76,10 +77,6 @@ class FaultSchedule {
 
   /// Inserts a single event (tests, hand-crafted scenarios).
   void add(const FaultEvent& ev);
-
-  /// Adds whole-job SpotReclaim events wherever `market` rises above `bid`
-  /// in [t0, t0 + horizon_s), via SpotMarket::next_interruption.
-  void add_spot_reclaims(cloud::SpotMarket& market, double bid, double t0, double horizon_s);
 
   [[nodiscard]] const std::vector<FaultEvent>& events() const noexcept { return events_; }
   [[nodiscard]] const FaultModel& model() const noexcept { return model_; }

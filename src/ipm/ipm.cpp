@@ -20,15 +20,11 @@ const char* to_string(CallKind k) noexcept {
     case CallKind::Sendrecv: return "MPI_Sendrecv";
     case CallKind::Barrier: return "MPI_Barrier";
     case CallKind::Bcast: return "MPI_Bcast";
-    case CallKind::Reduce: return "MPI_Reduce";
     case CallKind::Allreduce: return "MPI_Allreduce";
-    case CallKind::Gather: return "MPI_Gather";
     case CallKind::Scatter: return "MPI_Scatter";
     case CallKind::Allgather: return "MPI_Allgather";
-    case CallKind::Allgatherv: return "MPI_Allgatherv";
     case CallKind::Alltoall: return "MPI_Alltoall";
     case CallKind::Alltoallv: return "MPI_Alltoallv";
-    case CallKind::ReduceScatter: return "MPI_Reduce_scatter";
     case CallKind::Split: return "MPI_Comm_split";
     case CallKind::kCount: break;
   }

@@ -29,15 +29,11 @@ enum class CallKind : int {
   Sendrecv,
   Barrier,
   Bcast,
-  Reduce,
   Allreduce,
-  Gather,
   Scatter,
   Allgather,
-  Allgatherv,
   Alltoall,
   Alltoallv,
-  ReduceScatter,
   Split,
   kCount,
 };

@@ -267,7 +267,6 @@ class PooledBytes {
   }
 
   [[nodiscard]] std::byte* data() noexcept { return pool_ != nullptr ? buf_.data() : nullptr; }
-  [[nodiscard]] std::vector<std::byte>& vec() noexcept { return buf_; }
 
  private:
   BufferPool* pool_ = nullptr;
@@ -975,20 +974,6 @@ void Comm::sendrecv_bytes(int dst, int stag, const void* sdata, std::size_t sbyt
   }
 }
 
-bool Comm::iprobe(int src, int tag) const {
-  const Mailbox& mb = job_->mailbox(comm_id_, world_rank_of(rank_));
-  if (src != kAnySource && tag != kAnyTag) {
-    const auto it = mb.unexpected.find(match_key(src, tag));
-    return it != mb.unexpected.end() && !it->second.empty();
-  }
-  for (const auto& [key, bucket] : mb.unexpected) {
-    if (bucket.empty()) continue;
-    const Envelope& head = bucket.front();
-    if (detail::matches(src, tag, head.src, head.tag)) return true;
-  }
-  return false;
-}
-
 int Comm::next_tag() noexcept {
   // Internal tag space, disjoint from user tags (>= 0 is recommended for
   // users; internal tags have bit 24 set).
@@ -1002,10 +987,6 @@ int Comm::next_tag() noexcept {
 // ---------------------------------------------------------------------------
 
 namespace {
-/// Broadcasts larger than this use scatter + allgather (van de Geijn)
-/// instead of the binomial tree.
-constexpr std::size_t kBcastLongBytes = 512 * 1024;
-
 /// Measures a collective and books it to IPM as one call.
 struct CollTimer {
   CollTimer(Comm& c, Job& job, int world_rank, ipm::CallKind kind, std::size_t bytes)
@@ -1050,27 +1031,6 @@ void Comm::bcast_bytes(void* data, std::size_t bytes, int root) {
   CollTimer timer(*this, *job_, world_rank_of(rank_), ipm::CallKind::Bcast, bytes);
   CollGuard guard(job_->in_coll[static_cast<std::size_t>(world_rank_of(rank_))]);
   if (np == 1) return;
-  if (bytes > kBcastLongBytes && bytes >= static_cast<std::size_t>(np)) {
-    // van de Geijn long-message broadcast: scatter the buffer, then
-    // allgather the pieces — bandwidth-optimal for large payloads.
-    const std::size_t each = bytes / static_cast<std::size_t>(np);
-    const std::size_t remainder = bytes - each * static_cast<std::size_t>(np);
-    auto* bytes_ptr = static_cast<std::byte*>(data);
-    PooledBytes piece = data != nullptr ? PooledBytes(job_->buffers, each) : PooledBytes();
-    scatter_bytes(data, data != nullptr ? piece.data() : nullptr, each, root);
-    allgather_bytes(data != nullptr ? piece.data() : nullptr, data, each);
-    if (remainder > 0) {
-      // The tail that does not divide evenly travels down the binomial tree.
-      bcast_short(bytes_ptr == nullptr ? nullptr : bytes_ptr + bytes - remainder, remainder,
-                  root);
-    }
-    return;
-  }
-  bcast_short(data, bytes, root);
-}
-
-void Comm::bcast_short(void* data, std::size_t bytes, int root) {
-  const int np = size();
   const int tag = next_tag();
   const int vrank = (rank_ - root + np) % np;
   auto real = [&](int v) { return (v + root) % np; };
@@ -1090,40 +1050,6 @@ void Comm::bcast_short(void* data, std::size_t bytes, int root) {
       send_bytes(real(vrank + mask), tag, data, bytes);
     }
     mask >>= 1;
-  }
-}
-
-void Comm::reduce_bytes(const void* in, void* out, std::size_t bytes, int root,
-                        const detail::Combiner& op) {
-  const int np = size();
-  CollTimer timer(*this, *job_, world_rank_of(rank_), ipm::CallKind::Reduce, bytes);
-  CollGuard guard(job_->in_coll[static_cast<std::size_t>(world_rank_of(rank_))]);
-  const bool have_data = in != nullptr;
-  PooledBytes acc = have_data ? PooledBytes(job_->buffers, bytes) : PooledBytes();
-  PooledBytes scratch = have_data ? PooledBytes(job_->buffers, bytes) : PooledBytes();
-  if (have_data) std::memcpy(acc.data(), in, bytes);
-  if (np > 1) {
-    const int tag = next_tag();
-    const int vrank = (rank_ - root + np) % np;
-    auto real = [&](int v) { return (v + root) % np; };
-    // Binomial reduction tree (mirror of bcast).
-    int mask = 1;
-    while (mask < np) {
-      if ((vrank & mask) == 0) {
-        const int child = vrank | mask;
-        if (child < np) {
-          recv_bytes(real(child), tag, have_data ? scratch.data() : nullptr, bytes);
-          if (have_data && op) op(acc.data(), scratch.data(), bytes);
-        }
-      } else {
-        send_bytes(real(vrank & ~mask), tag, have_data ? acc.data() : nullptr, bytes);
-        break;
-      }
-      mask <<= 1;
-    }
-  }
-  if (rank_ == root && out != nullptr && have_data) {
-    std::memcpy(out, acc.data(), bytes);
   }
 }
 
@@ -1271,50 +1197,6 @@ void Comm::alltoallv_impl(const void* in, std::span<const std::size_t> send_coun
   }
 }
 
-void Comm::gather_bytes(const void* in, void* out, std::size_t bytes_each, int root) {
-  const int np = size();
-  CollTimer timer(*this, *job_, world_rank_of(rank_), ipm::CallKind::Gather, bytes_each);
-  CollGuard guard(job_->in_coll[static_cast<std::size_t>(world_rank_of(rank_))]);
-  const int tag = next_tag();
-  const int vrank = (rank_ - root + np) % np;
-  auto real = [&](int v) { return (v + root) % np; };
-  const bool have_data = in != nullptr;
-
-  // Binomial gather: vrank v accumulates the contiguous vrank block
-  // [v, v + held); blocks arrive at scratch offset `mask`.
-  int span = 1;  // upper bound on blocks this rank will hold
-  for (int m = 1; m < np; m <<= 1) {
-    if ((vrank & m) == 0) span = std::min(2 * m, np - vrank);
-  }
-  PooledBytes scratch =
-      have_data ? PooledBytes(job_->buffers, static_cast<std::size_t>(span) * bytes_each)
-                : PooledBytes();
-  if (have_data) std::memcpy(scratch.data(), in, bytes_each);
-  int held = 1;
-  for (int mask = 1; mask < np; mask <<= 1) {
-    if (vrank & mask) {
-      send_bytes(real(vrank - mask), tag,
-           have_data ? scratch.data() : nullptr, static_cast<std::size_t>(held) * bytes_each);
-      break;
-    }
-    const int child = vrank + mask;
-    if (child < np) {
-      const int cnt = std::min(mask, np - child);
-      recv_bytes(real(child), tag,
-           have_data ? scratch.data() + static_cast<std::size_t>(mask) * bytes_each : nullptr,
-           static_cast<std::size_t>(cnt) * bytes_each);
-      held = mask + cnt;
-    }
-  }
-  if (rank_ == root && out != nullptr && have_data) {
-    auto* o = static_cast<std::byte*>(out);
-    for (int v = 0; v < np; ++v) {
-      std::memcpy(o + static_cast<std::size_t>(real(v)) * bytes_each,
-                  scratch.data() + static_cast<std::size_t>(v) * bytes_each, bytes_each);
-    }
-  }
-}
-
 void Comm::scatter_bytes(const void* in, void* out, std::size_t bytes_each, int root) {
   const int np = size();
   CollTimer timer(*this, *job_, world_rank_of(rank_), ipm::CallKind::Scatter, bytes_each);
@@ -1358,119 +1240,6 @@ void Comm::scatter_bytes(const void* in, void* out, std::size_t bytes_each, int 
     }
   }
   if (out != nullptr && have_data) std::memcpy(out, scratch.data(), bytes_each);
-}
-
-void Comm::reduce_scatter_block_bytes(const void* in, void* out, std::size_t bytes_each,
-                                      const detail::Combiner& op) {
-  const int np = size();
-  CollTimer timer(*this, *job_, world_rank_of(rank_), ipm::CallKind::ReduceScatter,
-                  bytes_each * static_cast<std::size_t>(np));
-  CollGuard guard(job_->in_coll[static_cast<std::size_t>(world_rank_of(rank_))]);
-  const bool pow2 = (np & (np - 1)) == 0;
-  const bool have_data = in != nullptr;
-  if (!pow2) {
-    // Fallback: full reduce at rank 0, then scatter.
-    PooledBytes full;
-    if (have_data && rank_ == 0) {
-      full.reset(job_->buffers, bytes_each * static_cast<std::size_t>(np));
-    }
-    reduce_bytes(in, rank_ == 0 ? full.data() : nullptr, bytes_each * static_cast<std::size_t>(np),
-                 0, op);
-    scatter_bytes(rank_ == 0 ? full.data() : nullptr, out, bytes_each, 0);
-    return;
-  }
-  PooledBytes buf, tmp;
-  if (have_data) {
-    buf.reset(job_->buffers, bytes_each * static_cast<std::size_t>(np));
-    std::memcpy(buf.data(), in, bytes_each * static_cast<std::size_t>(np));
-    tmp.reset(job_->buffers, bytes_each * static_cast<std::size_t>(np / 2 == 0 ? 1 : np / 2));
-  }
-  const int tag = next_tag();
-  int lo = 0;
-  for (int h = np / 2; h >= 1; h /= 2) {
-    const int partner = rank_ ^ h;
-    const std::size_t half_bytes = static_cast<std::size_t>(h) * bytes_each;
-    const bool upper = (rank_ & h) != 0;
-    const std::size_t keep_off = static_cast<std::size_t>(lo + (upper ? h : 0)) * bytes_each;
-    const std::size_t give_off = static_cast<std::size_t>(lo + (upper ? 0 : h)) * bytes_each;
-    sendrecv_bytes(partner, tag, have_data ? buf.data() + give_off : nullptr, half_bytes, partner, tag,
-             have_data ? tmp.data() : nullptr, half_bytes);
-    if (have_data && op) op(buf.data() + keep_off, tmp.data(), half_bytes);
-    if (upper) lo += h;
-  }
-  if (out != nullptr && have_data) {
-    std::memcpy(out, buf.data() + static_cast<std::size_t>(rank_) * bytes_each, bytes_each);
-  }
-}
-
-void Comm::scan_bytes(const void* in, void* out, std::size_t bytes,
-                      const detail::Combiner& op) {
-  const int np = size();
-  CollTimer timer(*this, *job_, world_rank_of(rank_), ipm::CallKind::Reduce, bytes);
-  CollGuard guard(job_->in_coll[static_cast<std::size_t>(world_rank_of(rank_))]);
-  const bool have_data = in != nullptr;
-  PooledBytes acc = have_data ? PooledBytes(job_->buffers, bytes) : PooledBytes();
-  PooledBytes scratch = have_data ? PooledBytes(job_->buffers, bytes) : PooledBytes();
-  if (have_data) std::memcpy(acc.data(), in, bytes);
-  if (np > 1) {
-    // Hillis–Steele inclusive scan: log2 rounds; rank r receives from
-    // r - 2^k and sends to r + 2^k.
-    const int tag = next_tag();
-    for (int k = 1; k < np; k <<= 1) {
-      const int to = rank_ + k;
-      const int from = rank_ - k;
-      Request sreq, rreq;
-      if (to < np) sreq = isend_bytes(to, tag + (k & 63), have_data ? acc.data() : nullptr, bytes);
-      if (from >= 0) {
-        rreq = irecv_bytes(from, tag + (k & 63), have_data ? scratch.data() : nullptr, bytes);
-        wait_internal(rreq);
-      }
-      if (to < np) wait_internal(sreq);
-      if (from >= 0 && have_data && op) {
-        // Received partial covers [from-k+1 .. from]; combine it (in place)
-        // with acc, then swap the roles of the two buffers. op(a, b) computes
-        // a = a (+) b elementwise; order is irrelevant for the commutative
-        // ops we expose.
-        op(scratch.data(), acc.data(), bytes);
-        acc.vec().swap(scratch.vec());
-      }
-    }
-  }
-  if (out != nullptr && have_data) std::memcpy(out, acc.data(), bytes);
-}
-
-void Comm::allgatherv_bytes(const void* in, void* out,
-                            std::span<const std::size_t> recv_counts) {
-  const int np = size();
-  std::size_t total = 0;
-  for (const auto c : recv_counts) total += c;
-  CollTimer timer(*this, *job_, world_rank_of(rank_), ipm::CallKind::Allgatherv, total);
-  CollGuard guard(job_->in_coll[static_cast<std::size_t>(world_rank_of(rank_))]);
-  const bool have_data = in != nullptr && out != nullptr;
-  std::vector<std::size_t> offsets(static_cast<std::size_t>(np) + 1, 0);
-  for (int r = 0; r < np; ++r) {
-    offsets[static_cast<std::size_t>(r) + 1] =
-        offsets[static_cast<std::size_t>(r)] + recv_counts[static_cast<std::size_t>(r)];
-  }
-  auto* o = static_cast<std::byte*>(out);
-  if (have_data) {
-    std::memcpy(o + offsets[static_cast<std::size_t>(rank_)], in,
-                recv_counts[static_cast<std::size_t>(rank_)]);
-  }
-  if (np == 1) return;
-  // Ring with per-block sizes.
-  const int tag = next_tag();
-  const int to = (rank_ + 1) % np;
-  const int from = (rank_ - 1 + np) % np;
-  for (int s = 0; s < np - 1; ++s) {
-    const int send_block = (rank_ - s + np) % np;
-    const int recv_block = (rank_ - s - 1 + np) % np;
-    sendrecv_bytes(to, tag + (s & 63),
-                   have_data ? o + offsets[static_cast<std::size_t>(send_block)] : nullptr,
-                   recv_counts[static_cast<std::size_t>(send_block)], from, tag + (s & 63),
-                   have_data ? o + offsets[static_cast<std::size_t>(recv_block)] : nullptr,
-                   recv_counts[static_cast<std::size_t>(recv_block)]);
-  }
 }
 
 std::unique_ptr<Comm> Comm::split(int color, int key) {
@@ -1624,7 +1393,7 @@ bool RankEnv::maybe_checkpoint(int step, const void* data, std::size_t bytes) {
         interruption_imminent() && store->last_commit_s() < job_->config.faults.warn_at_s;
     go = (due || warned) ? 1 : 0;
   }
-  world_->bcast(&go, 1, 0);
+  world_->bcast_bytes(&go, 1, 0);
   if (go == 0) return false;
   checkpoint(step, data, bytes);
   return true;

@@ -4,9 +4,10 @@
 // calls suspend the fiber and resume it when the operation completes in
 // virtual time. Point-to-point transfers use an eager protocol below the
 // configurable threshold and rendezvous (RTS/CTS) above it; collectives are
-// implemented as algorithms over point-to-point (binomial trees, recursive
-// doubling, rings, pairwise exchange), so their cost emerges from the
-// platform's network model rather than from closed-form formulas.
+// implemented as algorithms over point-to-point (dissemination barrier,
+// binomial trees, recursive doubling, rings, pairwise exchange), so their
+// cost emerges from the platform's network model rather than from
+// closed-form formulas. Only the calls some workload makes exist.
 //
 // Model mode: any data pointer may be null, in which case the library moves
 // *sized but dataless* messages — full timing, no payload. This is how the
@@ -172,8 +173,6 @@ class Comm {
   Request irecv_bytes(int src, int tag, void* data, std::size_t bytes);
   void wait(Request& req);
   void waitall(std::span<Request> reqs);
-  /// Non-blocking check for a matching deliverable message (like MPI_Iprobe).
-  [[nodiscard]] bool iprobe(int src, int tag) const;
   void sendrecv_bytes(int dst, int stag, const void* sdata, std::size_t sbytes, int src,
                       int rtag, void* rdata, std::size_t rbytes);
 
@@ -202,9 +201,8 @@ class Comm {
 
   // ---- collectives (byte level core) ----
   void barrier();
+  /// Binomial-tree broadcast (the checkpoint protocol's go/no-go decision).
   void bcast_bytes(void* data, std::size_t bytes, int root);
-  void reduce_bytes(const void* in, void* out, std::size_t bytes, int root,
-                    const detail::Combiner& op);
   void allreduce_bytes(const void* in, void* out, std::size_t bytes,
                        const detail::Combiner& op);
   void allgather_bytes(const void* in, void* out, std::size_t bytes_each);
@@ -212,25 +210,9 @@ class Comm {
   /// counts are per-destination byte counts (size() entries on every rank).
   void alltoallv_bytes(const void* in, std::span<const std::size_t> send_counts, void* out,
                        std::span<const std::size_t> recv_counts);
-  void gather_bytes(const void* in, void* out, std::size_t bytes_each, int root);
   void scatter_bytes(const void* in, void* out, std::size_t bytes_each, int root);
-  void reduce_scatter_block_bytes(const void* in, void* out, std::size_t bytes_each,
-                                  const detail::Combiner& op);
-  /// Inclusive prefix reduction: out on rank r = op(in_0, ..., in_r).
-  void scan_bytes(const void* in, void* out, std::size_t bytes, const detail::Combiner& op);
-  /// Variable-count allgather (ring): `recv_counts` has size() entries; `in`
-  /// holds this rank's recv_counts[rank()] bytes; `out` the concatenation.
-  void allgatherv_bytes(const void* in, void* out, std::span<const std::size_t> recv_counts);
 
   // ---- typed collective wrappers ----
-  template <typename T>
-  void bcast(T* data, std::size_t n, int root) {
-    bcast_bytes(data, n * sizeof(T), root);
-  }
-  template <typename T>
-  void reduce(const T* in, T* out, std::size_t n, Op op, int root) {
-    reduce_bytes(in, out, n * sizeof(T), root, detail::combiner_for<T>(op));
-  }
   template <typename T>
   void allreduce(const T* in, T* out, std::size_t n, Op op) {
     allreduce_bytes(in, out, n * sizeof(T), detail::combiner_for<T>(op));
@@ -246,22 +228,8 @@ class Comm {
     allgather_bytes(in, out, n_each * sizeof(T));
   }
   template <typename T>
-  void scan(const T* in, T* out, std::size_t n, Op op) {
-    scan_bytes(in, out, n * sizeof(T), detail::combiner_for<T>(op));
-  }
-  template <typename T>
-  T scan_one(T value, Op op) {
-    T out{};
-    scan(&value, &out, 1, op);
-    return out;
-  }
-  template <typename T>
   void alltoall(const T* in, T* out, std::size_t n_each) {
     alltoall_bytes(in, out, n_each * sizeof(T));
-  }
-  template <typename T>
-  void gather(const T* in, T* out, std::size_t n_each, int root) {
-    gather_bytes(in, out, n_each * sizeof(T), root);
   }
   template <typename T>
   void scatter(const T* in, T* out, std::size_t n_each, int root) {
@@ -289,7 +257,6 @@ class Comm {
   void wait_internal(Request& req);
   void alltoallv_impl(const void* in, std::span<const std::size_t> send_counts, void* out,
                       std::span<const std::size_t> recv_counts);
-  void bcast_short(void* data, std::size_t bytes, int root);
   [[nodiscard]] int world_rank_of(int r) const { return group_[static_cast<std::size_t>(r)]; }
   int next_tag() noexcept;
   /// Cached per-peer mailbox pointer (mailbox addresses are stable), so the

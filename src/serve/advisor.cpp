@@ -1,33 +1,17 @@
 #include "serve/advisor.hpp"
 
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "cloud/cloud.hpp"
 #include "cloud/packaging.hpp"
 #include "npb/npb.hpp"
+#include "obs/metrics.hpp"
 
 namespace cirrus::serve {
 
-namespace {
-
-/// Shortest round-trip rendering for the canonical key (matches the
-/// RunRequest grammar policy).
-std::string num(double v) {
-  char buf[64];
-  for (int prec = 15; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  return buf;
-}
-
-}  // namespace
-
 std::string AdvisorRequest::canonical_key() const {
   return "advise bench=" + bench + " np=" + std::to_string(np) +
-         " queue_wait_h=" + num(queue_wait_h) + " seed=" + std::to_string(seed);
+         " queue_wait_h=" + obs::format_double(queue_wait_h) + " seed=" + std::to_string(seed);
 }
 
 AdvisorResult advise(const AdvisorRequest& req) {

@@ -202,6 +202,11 @@ TEST(RequestKey, RejectsUnknownAndMalformed) {
   EXPECT_FALSE(RunRequest::parse({{"bench", "XX"}}, req, &error));
   EXPECT_FALSE(RunRequest::parse({{"topo", "torus"}}, req, &error));
   EXPECT_FALSE(RunRequest::parse({{"mtbf", "-1"}}, req, &error));
+  // Infinite numbers are malformed too: mtbf>0 with horizon=inf would draw
+  // faults forever.
+  EXPECT_FALSE(RunRequest::parse({{"horizon", "inf"}}, req, &error));
+  EXPECT_FALSE(RunRequest::parse({{"oversub", "inf"}}, req, &error));
+  EXPECT_FALSE(RunRequest::parse({{"mtbf", "inf"}}, req, &error));
 }
 
 TEST(ResultCache, HitMissAndOverwrite) {
