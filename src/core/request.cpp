@@ -61,6 +61,17 @@ std::vector<std::pair<std::string, std::string>> RunRequest::items() const {
   // per workload (npb kernels upper-case, osu tests lower-case) and pinned
   // to "-" where it cannot affect the result, so irrelevant knobs never
   // split the cache.
+  //
+  // Knobs the run cannot read render as their default value, so a key that
+  // was already exact keeps its bytes:
+  // - a crossbar returns from Topology::build before reading oversub or
+  //   leaf, and has no groups for place_nodes to scatter across;
+  // - with mtbf = ckpt = 0, run_with_faults calls plain run_job, which
+  //   reads neither requeue nor horizon;
+  // - ranks_per_node() treats every rpn <= 0 as "fill the node".
+  static const RunRequest defaults;
+  const RunRequest& topo_knobs = lower(topo) == "crossbar" ? defaults : *this;
+  const RunRequest& fault_knobs = mtbf_s <= 0 && ckpt_s <= 0 ? defaults : *this;
   const std::string canon_bench = workload == "npb"   ? upper(bench)
                                   : workload == "osu" ? lower(bench)
                                                       : std::string("-");
@@ -77,16 +88,16 @@ std::vector<std::pair<std::string, std::string>> RunRequest::items() const {
       {"class", upper(cls)},
       {"eager", std::to_string(eager_bytes)},
       {"execute", execute ? "1" : "0"},
-      {"horizon", obs::format_double(horizon_s)},
-      {"leaf", std::to_string(leaf)},
+      {"horizon", obs::format_double(fault_knobs.horizon_s)},
+      {"leaf", std::to_string(topo_knobs.leaf)},
       {"mtbf", obs::format_double(mtbf_s)},
       {"np", std::to_string(np)},
-      {"oversub", obs::format_double(oversub)},
-      {"placement", lower(placement)},
+      {"oversub", obs::format_double(topo_knobs.oversub)},
+      {"placement", lower(topo_knobs.placement)},
       {"platform", resolved_platform()},
-      {"requeue", obs::format_double(requeue_s)},
-      {"rpn", std::to_string(rpn)},
-      {"sched", lower(sched)},
+      {"requeue", obs::format_double(fault_knobs.requeue_s)},
+      {"rpn", std::to_string(rpn > 0 ? rpn : defaults.rpn)},
+      {"sched", "heap4"},  // the engine's one scheduler; kept so no key hash moves
       {"seed", std::to_string(seed)},
       {"storage", canon_storage},
       {"topo", lower(topo)},
@@ -184,7 +195,10 @@ bool RunRequest::set(const std::string& key, const std::string& value, std::stri
   } else if (key == "placement") {
     placement = lower(value);
   } else if (key == "sched") {
-    sched = lower(value);
+    // Accepted for existing clients; the engine has one scheduler.
+    if (!one_of(lower(value), {"heap4", "calendar"})) {
+      return fail(error, "sched: heap4|calendar expected, got '" + value + "'");
+    }
   } else if (key == "mtbf") {
     if (!want_num(0)) return fail(error, "mtbf: finite seconds >= 0 expected");
     mtbf_s = d;
@@ -228,7 +242,7 @@ RunRequest RunRequest::from_options(const Options& opts) {
     const auto value = opts.get(key);
     if (!value) {
       if (key == "execute" && !req.set(key, "1", &error)) {
-        throw std::invalid_argument("--execute: " + error);
+        throw std::invalid_argument("--" + error);
       }
       continue;  // other valueless flags (--ipm, --metrics) are not request keys
     }
@@ -237,7 +251,7 @@ RunRequest RunRequest::from_options(const Options& opts) {
     if (probe.set(key, *value, &error)) {
       req = probe;
     } else if (error.rfind("unknown key", 0) != 0) {
-      throw std::invalid_argument("--" + key + ": " + error);
+      throw std::invalid_argument("--" + error);
     }
   }
   if (!req.validate(&error)) throw std::invalid_argument(error);
@@ -278,9 +292,6 @@ bool RunRequest::validate(std::string* error) const {
   }
   if (!one_of(placement, {"contig", "scatter", "pgroup"})) {
     return fail(error, "placement: contig|scatter|pgroup expected, got '" + placement + "'");
-  }
-  if (!one_of(sched, {"heap4", "calendar"})) {
-    return fail(error, "sched: heap4|calendar expected, got '" + sched + "'");
   }
   if (!one_of(storage, {"nfs", "lustre", "object", "s3"})) {
     return fail(error, "storage: nfs|lustre|object expected, got '" + storage + "'");

@@ -3,8 +3,7 @@
 // generator — and the unit the result cache is keyed on.
 //
 // The struct holds the knobs that affect the simulated result (platform,
-// workload, ranks, topology, faults, protocol thresholds, seed), plus one
-// inert field, `sched`, kept only for key stability (see below). Output
+// workload, ranks, topology, faults, protocol thresholds, seed). Output
 // toggles (traces, metrics) and pure performance knobs (--jobs) are
 // deliberately absent: two requests that differ only in those produce
 // byte-identical results, so they must canonicalise to the same cache key.
@@ -13,7 +12,12 @@
 // present (defaults filled in), keys sorted, values normalised — the
 // *cache-key grammar* (DESIGN.md "Serving"). Because the simulator is
 // deterministic, equal keys imply byte-identical results, which is what
-// makes content-addressed caching exact rather than approximate.
+// makes content-addressed caching exact rather than approximate. The
+// converse holds too: a knob the run cannot read renders as its default
+// value (the topology knobs on a crossbar, requeue/horizon without faults,
+// rpn <= 0 as -1), so it never splits a cache entry. The key keeps a
+// constant `sched=heap4` pair: the engine has one scheduler, and keeping the
+// pair leaves every existing key hash unchanged.
 #pragma once
 
 #include <cstdint>
@@ -46,10 +50,6 @@ struct RunRequest {
   double oversub = 1.0;
   int leaf = 4;
   std::string placement = "contig";  ///< contig | scatter | pgroup
-  /// heap4 | calendar. Inert: the engine has one scheduler, so both values
-  /// give byte-identical results. Still parsed, validated and emitted into
-  /// canonical_key() so every existing key and key hash stays unchanged.
-  std::string sched = "heap4";
   double mtbf_s = 0;               ///< per-node crash MTBF (0: no faults)
   double ckpt_s = 0;               ///< checkpoint interval
   double requeue_s = 60;           ///< restart delay after a crash
@@ -78,7 +78,8 @@ struct RunRequest {
 
   /// Applies one `key=value` pair (the serve/query grammar; also used by
   /// from_options). Unknown key or malformed value: returns false and sets
-  /// `error`. Order-insensitive by construction: assignment only.
+  /// `error`, which starts with `key:`. Order-insensitive by construction:
+  /// assignment only. `sched=heap4|calendar` is validated and discarded.
   bool set(const std::string& key, const std::string& value, std::string* error);
 
   /// Builds a request from parsed command-line options (`--np 16 --topo

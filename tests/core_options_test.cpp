@@ -1,12 +1,14 @@
 // Tests for the command-line option parser the example drivers and bench
 // targets share, including the flag vocabulary cirrus_run exposes
-// (--topo/--oversub/--placement/--mtbf/--ckpt) and its error paths.
+// (--topo/--oversub/--placement/--mtbf/--ckpt) and its error paths,
+// including RunRequest::from_options' messages.
 #include "core/options.hpp"
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
+#include "core/request.hpp"
 #include "topo/topo.hpp"
 
 namespace {
@@ -108,6 +110,21 @@ TEST(Options, UnknownKeysRejectsTypos) {
   EXPECT_TRUE(unknown_keys(opts, {"np", "sede", "verbose"}).empty());
   // Every key unknown: all reported, sorted.
   EXPECT_EQ(unknown_keys(opts, {}), (std::vector<std::string>{"np", "sede", "verbose"}));
+}
+
+TEST(Options, RequestFlagErrorsNameTheFlagOnce) {
+  // RunRequest::set's messages already start with "key:", so from_options
+  // adds only the dashes: "--horizon: ...", not "--horizon: horizon: ...".
+  const auto what = [](std::initializer_list<const char*> args) {
+    try {
+      (void)cirrus::core::RunRequest::from_options(parse(args));
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  EXPECT_EQ(what({"--horizon", "inf"}), "--horizon: finite seconds >= 0 expected");
+  EXPECT_EQ(what({"--np", "0"}), "--np: positive integer expected");
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // The content-addressed cache and its key grammar: canonicalisation is
 // order-insensitive, every knob is collision-tested (distinct values ->
-// distinct keys), LRU eviction holds at capacity, a stored blob equals a
-// recomputation byte for byte, and mixed hit/miss traffic is race-free
-// (this file runs under the TSan preset).
+// distinct keys) where the run reads it and shares the key where it does
+// not, LRU eviction holds at capacity, a stored blob equals a recomputation
+// byte for byte, and mixed hit/miss traffic is race-free (this file runs
+// under the TSan preset).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -146,6 +147,9 @@ TEST(RequestKey, GenerationRejectsImpossibleCombinations) {
 TEST(RequestKey, EveryKnobChangesTheKey) {
   // Collision test across the full knob space: every legal value of every
   // enum knob, plus representative numeric values, must give distinct keys.
+  // A knob is tried on a base where the run reads it: the topology knobs on
+  // a fat-tree, requeue and horizon with faults on (InertKnobsShareTheKey
+  // covers the bases where they are inert).
   const RunRequest base;
   std::set<std::string> keys = {base.canonical_key()};
   std::set<std::uint64_t> hashes = {base.key_hash()};
@@ -170,25 +174,102 @@ TEST(RequestKey, EveryKnobChangesTheKey) {
   }
   for (const char* c : {"T", "W", "A", "B", "C"}) insert_distinct({{"class", c}});
   for (const char* t : {"fattree", "vswitch", "pgroups"}) insert_distinct({{"topo", t}});
-  for (const char* pl : {"scatter", "pgroup"}) insert_distinct({{"placement", pl}});
-  insert_distinct({{"sched", "calendar"}});
+  for (const char* pl : {"scatter", "pgroup"}) {
+    insert_distinct({{"topo", "fattree"}, {"placement", pl}});
+  }
   for (const char* np : {"2", "4", "16", "64", "256"}) insert_distinct({{"np", np}});
   for (const char* rpn : {"1", "4", "8"}) insert_distinct({{"rpn", rpn}});
   for (const char* s : {"2", "3", "12345"}) insert_distinct({{"seed", s}});
   insert_distinct({{"execute", "1"}});
   for (const char* e : {"0", "65536"}) insert_distinct({{"eager", e}});
-  for (const char* o : {"2", "4.5"}) insert_distinct({{"oversub", o}});
-  for (const char* l : {"2", "8"}) insert_distinct({{"leaf", l}});
+  for (const char* o : {"2", "4.5"}) insert_distinct({{"topo", "fattree"}, {"oversub", o}});
+  for (const char* l : {"2", "8"}) insert_distinct({{"topo", "fattree"}, {"leaf", l}});
   for (const char* m : {"3600", "7200"}) insert_distinct({{"mtbf", m}});
   for (const char* ck : {"300", "600"}) insert_distinct({{"ckpt", ck}});
-  insert_distinct({{"requeue", "120"}});
-  insert_distinct({{"horizon", "86400"}});
+  insert_distinct({{"mtbf", "3600"}, {"requeue", "120"}});
+  insert_distinct({{"mtbf", "3600"}, {"horizon", "86400"}});
   for (const char* s : {"lustre", "object"}) insert_distinct({{"storage", s}});
   insert_distinct({{"workload", "wf"}});
   insert_distinct({{"workload", "wf"}, {"wf-shape", "diamond"}});
   insert_distinct({{"workload", "wf"}, {"wf-shape", "epigenomics"}});
   insert_distinct({{"workload", "wf"}, {"wf-sched", "fifo"}});
   insert_distinct({{"workload", "wf"}, {"wf-width", "12"}});
+}
+
+TEST(RequestKey, InertKnobsShareTheKey) {
+  // Seeded property test of the pinning rules in RunRequest::items(): a
+  // knob the run cannot read renders as its default, so a random value of
+  // it keeps canonical_key() and key_hash(). The rules:
+  // - topo=crossbar: oversub, leaf and placement are inert;
+  // - mtbf = ckpt = 0: requeue and horizon are inert;
+  // - rpn -1 and 0 both fill the node; sched is accepted and discarded.
+  std::mt19937 rng(20);
+  const auto pick = [&rng](std::initializer_list<const char*> values) {
+    return std::string(values.begin()[rng() % values.size()]);
+  };
+  const auto coin = [&rng] { return rng() % 2 == 0; };
+  struct Base {
+    KVs kvs;
+    bool topo_inert;
+    bool faults_inert;
+  };
+  // A random perturbation of `base.kvs`'s inert knobs, appended after the
+  // base's own pairs (so it overrides them); `all` sets every inert knob.
+  const auto perturb = [&](const Base& base, bool all) {
+    KVs kvs = base.kvs;
+    if (base.topo_inert) {
+      if (all || coin()) kvs.emplace_back("oversub", pick({"0", "0.5", "2", "4.5", "16"}));
+      if (all || coin()) kvs.emplace_back("leaf", std::to_string(1 + rng() % 64));
+      if (all || coin()) kvs.emplace_back("placement", pick({"contig", "scatter", "pgroup"}));
+    }
+    if (base.faults_inert) {
+      if (all || coin()) kvs.emplace_back("requeue", std::to_string(rng() % 100000));
+      if (all || coin()) kvs.emplace_back("horizon", std::to_string(rng() % 10000000));
+    }
+    if (all || coin()) kvs.emplace_back("rpn", pick({"-1", "0"}));
+    if (all || coin()) kvs.emplace_back("sched", pick({"heap4", "calendar", "Calendar"}));
+    return kvs;
+  };
+  const auto request = [](const KVs& kvs) {
+    RunRequest req;
+    std::string error;
+    EXPECT_TRUE(RunRequest::parse(kvs, req, &error)) << error;
+    return req;
+  };
+
+  const KVs ep = {{"bench", "EP"}, {"class", "S"}, {"np", "4"}};
+  const auto with = [](KVs kvs, const KVs& more) {
+    kvs.insert(kvs.end(), more.begin(), more.end());
+    return kvs;
+  };
+  const std::vector<Base> bases = {
+      {ep, true, true},
+      {with(ep, {{"topo", "fattree"}, {"oversub", "2"}, {"placement", "scatter"}}), false,
+       true},
+      {with(ep, {{"mtbf", "3600"}, {"requeue", "30"}}), true, false},
+      {with(ep, {{"ckpt", "600"}, {"topo", "vswitch"}}), false, false},
+      {{{"workload", "metum"}, {"np", "4"}}, true, true},
+      {{{"workload", "chaste"}, {"np", "4"}}, true, true},
+      {{{"workload", "wf"}, {"wf-shape", "diamond"}, {"np", "4"}}, true, true},
+      {{{"workload", "osu"}, {"bench", "lat"}, {"platform", "ec2"}}, true, true},
+  };
+  for (const Base& base : bases) {
+    const RunRequest ref = request(base.kvs);
+    for (int i = 0; i < 50; ++i) {
+      const RunRequest alias = request(perturb(base, i == 0));
+      EXPECT_EQ(alias.canonical_key(), ref.canonical_key());
+      EXPECT_EQ(alias.key_hash(), ref.key_hash());
+    }
+  }
+
+  // The pinning must be exact, not just stable: a request with every inert
+  // knob perturbed computes the same bytes as its base.
+  for (const Base& base : bases) {
+    const RunRequest ref = request(base.kvs);
+    const RunRequest alias = request(perturb(base, true));
+    EXPECT_EQ(cirrus::serve::query_json(alias), cirrus::serve::query_json(ref))
+        << ref.canonical_key();
+  }
 }
 
 TEST(RequestKey, RejectsUnknownAndMalformed) {
@@ -201,6 +282,8 @@ TEST(RequestKey, RejectsUnknownAndMalformed) {
   EXPECT_FALSE(RunRequest::parse({{"platform", "azure"}}, req, &error));
   EXPECT_FALSE(RunRequest::parse({{"bench", "XX"}}, req, &error));
   EXPECT_FALSE(RunRequest::parse({{"topo", "torus"}}, req, &error));
+  EXPECT_FALSE(RunRequest::parse({{"sched", "fifo"}}, req, &error));
+  EXPECT_NE(error.find("heap4|calendar"), std::string::npos) << error;
   EXPECT_FALSE(RunRequest::parse({{"mtbf", "-1"}}, req, &error));
   // Infinite numbers are malformed too: mtbf>0 with horizon=inf would draw
   // faults forever.
