@@ -11,20 +11,29 @@
 //   cirrus_bench --suite paper --check --manifest out.json
 //                                           # CI: checks + JSON artifact
 //   cirrus_bench --suite paper --write-ref  # regenerate reference tables
+//   cirrus_bench --suite paper,ext,gap --write-digest
+//                                           # regenerate the suite digest
 //
 // Flags: --suite paper|ext|gap|all (comma-separated, default paper),
 // --targets a,b,c (overrides --suite target selection), --check, --ref FILE,
-// --manifest [FILE], --write-ref [FILE], --verbose (all check rows, not just
-// failures). Every target receives these same parsed options, so the target
+// --manifest [FILE], --write-ref [FILE], --write-digest [FILE], --verbose (all
+// check rows, not just failures). Every target receives these same parsed options, so the target
 // flags --jobs N, --seed N (default 1), --csv DIR (fig1/2/4/5/6), --quick
 // (ext8) and fig4's positional kernel filter reach it unchanged.
 //
-// Exit status: 0 on success; 1 when any target fails or any reference check
-// is out of tolerance; 2 on usage errors.
+// --check also compares every target's suite digest (valid/manifest.hpp)
+// with src/valid/reference/digest.ref: any changed metric, event count,
+// telemetry counter or blame row fails it, naming the target and section.
+// The digest holds the default results, so it is compared, and written, only
+// at --seed 1 without --quick or a kernel filter.
+//
+// Exit status: 0 on success; 1 when any target fails, any reference check
+// is out of tolerance or any digest differs; 2 on usage errors.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <exception>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -59,6 +68,7 @@ int usage(int rc) {
                "                    [--suite paper|ext|gap|all[,...]]\n"
                "                    [--targets a,b,c] [--check] [--ref FILE]\n"
                "                    [--manifest [FILE]] [--write-ref [FILE]]\n"
+               "                    [--write-digest [FILE]]\n"
                "                    [--jobs N] [--seed N] [--verbose]\n"
                "                    [--csv DIR] [--quick] [KERNEL]\n");
   return rc;
@@ -71,7 +81,8 @@ int main(int argc, char** argv) try {
   if (opts.has("help")) return usage(0);
   if (const auto bad = core::unknown_keys(
           opts, {"help", "list", "list-targets", "suite", "targets", "check", "ref",
-                 "manifest", "write-ref", "jobs", "seed", "verbose", "csv", "quick"});
+                 "manifest", "write-ref", "write-digest", "jobs", "seed", "verbose", "csv",
+                 "quick"});
       !bad.empty()) {
     std::fprintf(stderr, "cirrus_bench: unknown option --%s\n", bad.front().c_str());
     return usage(2);
@@ -214,6 +225,28 @@ int main(int argc, char** argv) try {
     }
   }
 
+  // The digest pins the default results: other seeds, ext8's --quick sweep
+  // and fig4's kernel filter produce different (but valid) numbers.
+  const bool default_results =
+      opts.get_int("seed", 1) == 1 && !opts.has("quick") && opts.positional().empty();
+  const std::string digest_path = valid::reference_dir() + "/digest.ref";
+  if (opts.has("write-digest")) {
+    if (!default_results) {
+      std::fprintf(stderr,
+                   "cirrus_bench: --write-digest needs the default results (--seed 1, no "
+                   "--quick, no kernel filter)\n");
+      return 2;
+    }
+    std::string path = opts.get_or("write-digest", "");
+    if (path.empty()) path = digest_path;
+    // Targets not run this time keep their lines.
+    valid::SuiteDigest d;
+    if (std::ifstream(path).good()) d = valid::parse_digest(valid::read_text_file(path), path);
+    for (const auto& r : reports) d[r.target] = valid::digest(r);
+    valid::write_text_file(path, valid::write_digest(d));
+    std::printf("\nwrote the digest of %zu target(s) to %s\n", reports.size(), path.c_str());
+  }
+
   std::vector<valid::CheckResult> checks;
   if (opts.has("check")) {
     const auto ref_path = opts.get("ref");
@@ -225,6 +258,17 @@ int main(int argc, char** argv) try {
     std::printf("\n=== cirrus_bench: reference check — %zu entries, %d failed\n%s",
                 checks.size(), failed, valid::render_checks(checks, !opts.has("verbose")).c_str());
     if (failed > 0) worst_rc = std::max(worst_rc, 1);
+
+    if (default_results) {
+      const auto mismatches = valid::digest_mismatches(
+          valid::parse_digest(valid::read_text_file(digest_path), digest_path), reports);
+      std::printf("\n=== cirrus_bench: digest check — %zu target(s), %zu mismatch(es)\n",
+                  reports.size(), mismatches.size());
+      for (const auto& m : mismatches) std::printf("  digest mismatch: %s\n", m.c_str());
+      if (!mismatches.empty()) worst_rc = std::max(worst_rc, 1);
+    } else {
+      std::printf("\n=== cirrus_bench: digest check skipped (not the default results)\n");
+    }
   }
 
   // --- manifest -----------------------------------------------------------

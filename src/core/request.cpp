@@ -46,15 +46,6 @@ bool fail(std::string* error, std::string msg) {
 
 }  // namespace
 
-std::uint64_t fnv1a64(std::string_view s) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 std::vector<std::pair<std::string, std::string>> RunRequest::items() const {
   // Alphabetical by key — the canonical order. Every knob always appears so
   // "np=8" and an omitted np canonicalise identically. `bench` is normalised
@@ -63,14 +54,23 @@ std::vector<std::pair<std::string, std::string>> RunRequest::items() const {
   // split the cache.
   //
   // Knobs the run cannot read render as their default value, so a key that
-  // was already exact keeps its bytes:
-  // - a crossbar returns from Topology::build before reading oversub or
-  //   leaf, and has no groups for place_nodes to scatter across;
+  // was already exact keeps its bytes (topo::Topology::build, place_nodes):
+  // - a crossbar and a vSwitch return from build before reading oversub or
+  //   leaf, and have at most one group, so place_nodes packs in index order
+  //   whatever the placement;
+  // - placement groups read leaf and placement but not oversub;
+  // - place_nodes packs pgroup in index order exactly as contig;
+  // - a fat-tree takes max(1, oversub), so every oversub <= 1 reads as 1;
   // - with mtbf = ckpt = 0, run_with_faults calls plain run_job, which
   //   reads neither requeue nor horizon;
   // - ranks_per_node() treats every rpn <= 0 as "fill the node".
   static const RunRequest defaults;
-  const RunRequest& topo_knobs = lower(topo) == "crossbar" ? defaults : *this;
+  const std::string canon_topo = lower(topo);
+  const bool fattree = canon_topo == "fattree";
+  const RunRequest& shape_knobs = fattree || canon_topo == "pgroups" ? *this : defaults;
+  const double canon_oversub = fattree ? std::max(1.0, oversub) : defaults.oversub;
+  const std::string placement_read = lower(shape_knobs.placement);
+  const std::string canon_placement = placement_read == "pgroup" ? "contig" : placement_read;
   const RunRequest& fault_knobs = mtbf_s <= 0 && ckpt_s <= 0 ? defaults : *this;
   const std::string canon_bench = workload == "npb"   ? upper(bench)
                                   : workload == "osu" ? lower(bench)
@@ -89,18 +89,18 @@ std::vector<std::pair<std::string, std::string>> RunRequest::items() const {
       {"eager", std::to_string(eager_bytes)},
       {"execute", execute ? "1" : "0"},
       {"horizon", obs::format_double(fault_knobs.horizon_s)},
-      {"leaf", std::to_string(topo_knobs.leaf)},
+      {"leaf", std::to_string(shape_knobs.leaf)},
       {"mtbf", obs::format_double(mtbf_s)},
       {"np", std::to_string(np)},
-      {"oversub", obs::format_double(topo_knobs.oversub)},
-      {"placement", lower(topo_knobs.placement)},
+      {"oversub", obs::format_double(canon_oversub)},
+      {"placement", canon_placement},
       {"platform", resolved_platform()},
       {"requeue", obs::format_double(fault_knobs.requeue_s)},
       {"rpn", std::to_string(rpn > 0 ? rpn : defaults.rpn)},
       {"sched", "heap4"},  // the engine's one scheduler; kept so no key hash moves
       {"seed", std::to_string(seed)},
       {"storage", canon_storage},
-      {"topo", lower(topo)},
+      {"topo", canon_topo},
       {"wf-sched", is_wf ? lower(wf_sched) : std::string("-")},
       {"wf-shape", is_wf ? lower(wf_shape) : std::string("-")},
       {"wf-width", is_wf ? std::to_string(wf_width) : std::string("-")},

@@ -14,7 +14,8 @@
 // deterministic, equal keys imply byte-identical results, which is what
 // makes content-addressed caching exact rather than approximate. The
 // converse holds too: a knob the run cannot read renders as its default
-// value (the topology knobs on a crossbar, requeue/horizon without faults,
+// value (the topology knobs a fabric does not read, placement=pgroup as
+// contig, a fat-tree's oversub <= 1 as 1, requeue/horizon without faults,
 // rpn <= 0 as -1), so it never splits a cache entry. The key keeps a
 // constant `sched=heap4` pair: the engine has one scheduler, and keeping the
 // pair leaves every existing key hash unchanged.
@@ -25,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/hash.hpp"
 #include "core/options.hpp"
 
 namespace cirrus::core {
@@ -96,8 +98,5 @@ struct RunRequest {
   /// Returns false and sets `error` on the first violation.
   [[nodiscard]] bool validate(std::string* error) const;
 };
-
-/// FNV-1a 64-bit — the content-address hash (stable across platforms).
-std::uint64_t fnv1a64(std::string_view s) noexcept;
 
 }  // namespace cirrus::core

@@ -36,7 +36,6 @@ struct Envelope {
   int src_node = 0;
   std::shared_ptr<RequestState> sreq;  // rendezvous sender completion
   double sys_frac = 0.0;
-  std::uint64_t seq = 0;  // per-mailbox arrival order (wildcard arbitration)
   // Flow-event provenance (only consumed when tracing is enabled).
   int src_world = 0;
   sim::SimTime sent_at = 0;
@@ -46,13 +45,22 @@ struct Envelope {
   int dst_world = 0;
 };
 
+/// A receive waiting for its message; src and tag may be wildcards.
 struct PostedRecv {
   int src = 0;
   int tag = 0;
   std::byte* buf = nullptr;
   std::size_t bytes = 0;
   std::shared_ptr<RequestState> rreq;
-  std::uint64_t seq = 0;  // per-mailbox post order (wildcard arbitration)
+};
+
+/// A message no receive has matched yet. The envelope stays in its pool slot
+/// until a receive consumes it; (src, tag) are copied inline so a scan reads
+/// only this list.
+struct Unexpected {
+  int src = 0;
+  int tag = 0;
+  Envelope* env = nullptr;
 };
 
 bool matches(int want_src, int want_tag, int src, int tag) {
@@ -60,109 +68,20 @@ bool matches(int want_src, int want_tag, int src, int tag) {
          (want_tag == kAnyTag || want_tag == tag);
 }
 
-/// Packs a concrete (source rank, tag) pair into one hash key.
-inline std::uint64_t match_key(int src, int tag) noexcept {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
-         static_cast<std::uint32_t>(tag);
-}
-
-/// FIFO over a power-of-two ring of slots. Popping never frees and pushing
-/// reuses the slots, so a queue that has reached its working depth stops
-/// touching the allocator (std::deque frees and reallocates a node every few
-/// elements as a FIFO walks through it).
-template <typename T>
-class Fifo {
- public:
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] T& front() noexcept { return slots_[head_]; }
-  [[nodiscard]] const T& front() const noexcept { return slots_[head_]; }
-
-  void push_back(T&& v) {
-    if (size_ == slots_.size()) grow();
-    slots_[(head_ + size_) & (slots_.size() - 1)] = std::move(v);
-    ++size_;
-  }
-  /// Moves the head out and removes it (the queue must not be empty).
-  T pop_front() {
-    T v = std::move(slots_[head_]);
-    head_ = (head_ + 1) & (slots_.size() - 1);
-    --size_;
-    return v;
-  }
-
- private:
-  void grow() {
-    std::vector<T> next(slots_.empty() ? 2 : 2 * slots_.size());
-    for (std::size_t i = 0; i < size_; ++i) {
-      next[i] = std::move(slots_[(head_ + i) & (slots_.size() - 1)]);
-    }
-    slots_.swap(next);
-    head_ = 0;
-  }
-
-  std::vector<T> slots_;
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
-};
-
-template <typename V>
-using BucketMap = std::unordered_map<std::uint64_t, Fifo<V>>;
-
 /// One rank's receive state on one communicator.
 ///
-/// MPI matching is FIFO per (source, tag) with wildcard receives ordered
-/// against exact ones by post time. Both sides of the match are therefore
-/// bucketed by the concrete (source, tag) key — O(1) for the exact-match
-/// fast path — while wildcard receives sit in a separate FIFO; monotonic
-/// per-mailbox sequence numbers arbitrate exact-vs-wildcard so the outcome
-/// is identical to scanning one combined queue in arrival/post order.
+/// MPI matching: an arrival takes the earliest-posted matching receive, and a
+/// receive takes the earliest-arrived matching message, whether either side
+/// is exact or wildcard. Both sides are flat lists in post/arrival order, so
+/// each match is the first hit of a scan over one short array. On the
+/// paper's jobs a delivery finds at most one posted (source, tag) pair (mean
+/// 0.85) and a receive at most six unexpected ones, so a scan beats hashing.
+/// Erasing from a vector keeps its capacity: steady-state matching never
+/// allocates.
 struct Mailbox {
-  BucketMap<Envelope> unexpected;
-  BucketMap<PostedRecv> posted_exact;
-  // Wildcarded receives (src and/or tag), in post order. Short by nature;
-  // erasing from a vector keeps its capacity.
-  std::vector<PostedRecv> posted_wild;
-  std::uint64_t next_arrival_seq = 0;
-  std::uint64_t next_post_seq = 0;
-  // Emptied buckets leave their map (collectives allocate a fresh tag per
-  // call, so stale keys would otherwise accumulate without bound) as
-  // extracted node handles: the hash node and its Fifo's slots are re-keyed
-  // and re-inserted for the next bucket, so steady-state matching never
-  // allocates.
-  std::vector<BucketMap<Envelope>::node_type> spare_env;
-  std::vector<BucketMap<PostedRecv>::node_type> spare_recv;
+  std::vector<PostedRecv> posted;
+  std::vector<Unexpected> unexpected;
 };
-
-/// Most emptied buckets a mailbox keeps per side for re-use.
-inline constexpr std::size_t kMaxSpareBuckets = 8;
-
-/// The bucket for `key`, re-keying a spare node when the key is new.
-template <typename V>
-Fifo<V>& bucket_get(BucketMap<V>& m, std::uint64_t key,
-                    std::vector<typename BucketMap<V>::node_type>& spare) {
-  if (auto it = m.find(key); it != m.end()) return it->second;
-  if (spare.empty()) return m.try_emplace(key).first->second;
-  auto node = std::move(spare.back());
-  spare.pop_back();
-  node.key() = key;
-  return m.insert(std::move(node)).position->second;
-}
-
-/// Pops a bucket's head; an emptied bucket leaves the map as a spare node.
-template <typename V>
-V bucket_pop(BucketMap<V>& m, typename BucketMap<V>::iterator it,
-             std::vector<typename BucketMap<V>::node_type>& spare) {
-  V v = it->second.pop_front();
-  if (it->second.empty()) {
-    if (spare.size() < kMaxSpareBuckets) {
-      spare.push_back(m.extract(it));
-    } else {
-      m.erase(it);
-    }
-  }
-  return v;
-}
 
 /// Recycles byte buffers (eager payloads, collective scratch) so steady-state
 /// simulation does not touch the allocator. Single-threaded by construction:
@@ -304,10 +223,10 @@ struct Completion {
 using detail::BufferPool;
 using detail::Envelope;
 using detail::Mailbox;
-using detail::match_key;
 using detail::PooledBytes;
 using detail::PostedRecv;
 using detail::RequestState;
+using detail::Unexpected;
 
 // ---------------------------------------------------------------------------
 // Job: shared per-run state.
@@ -474,9 +393,13 @@ class Job {
     completions_.release(c);
   }
 
-  /// A fresh RequestState whose storage (state + shared_ptr control block)
-  /// is recycled through a per-job pool.
-  std::shared_ptr<RequestState> make_request() {
+  /// A fresh request state. With `frame` it is that caller-owned state,
+  /// which must outlive the request's completion (the caller waits for it
+  /// before returning): an aliasing shared_ptr with no control block, so no
+  /// refcount traffic. Without, its storage (state + control block) is
+  /// recycled through a per-job pool.
+  std::shared_ptr<RequestState> make_request(RequestState* frame) {
+    if (frame != nullptr) return std::shared_ptr<RequestState>(std::shared_ptr<void>(), frame);
     return std::allocate_shared<RequestState>(detail::RequestPoolAlloc<RequestState>(&rs_pool_));
   }
 
@@ -522,7 +445,7 @@ class Job {
     std::uint64_t recvs_matched_unexpected = 0;  ///< recv found a queued envelope
     std::uint64_t recvs_posted = 0;              ///< recv had to wait (posted)
     std::uint64_t unexpected_enqueued = 0;
-    std::uint64_t wildcard_scans = 0;  ///< wildcard bucket scans (recv side)
+    std::uint64_t wildcard_scans = 0;  ///< wildcard receives' unexpected-list scans
     std::uint64_t envelopes_acquired = 0;
     std::uint64_t envelopes_reused = 0;  ///< served from the envelope free list
     std::uint64_t checkpoints_committed = 0;
@@ -640,7 +563,7 @@ void start_rendezvous_transfer(Job& job, Envelope& env, PostedRecv& pr, int dst_
 }
 
 /// Completes a matched (envelope, posted recv) pair at the receiver.
-void consume_match(Job& job, int dst_world, Envelope&& env, PostedRecv& pr) {
+void consume_match(Job& job, int dst_world, Envelope& env, PostedRecv& pr) {
   job.record_flow(env, dst_world);
   if (env.rendezvous) {
     start_rendezvous_transfer(job, env, pr, dst_world);
@@ -651,56 +574,35 @@ void consume_match(Job& job, int dst_world, Envelope&& env, PostedRecv& pr) {
     pr.rreq->sys_frac = env.sys_frac;
     complete_request(job.engine, pr.rreq);
   }
-  job.buffers.release(std::move(env.payload));
 }
 
-/// Delivers an envelope at the receiver: match the earliest-posted matching
-/// receive (exact bucket head vs wildcard FIFO, arbitrated by post sequence)
-/// or queue the envelope as unexpected. Routing was resolved at send time.
-void deliver(Job& job, Envelope&& env) {
-  const int dst_world = env.dst_world;
-  Mailbox& mb = *env.mailbox;
-
-  auto exact_it = mb.posted_exact.find(match_key(env.src, env.tag));
-  const PostedRecv* exact = exact_it != mb.posted_exact.end() && !exact_it->second.empty()
-                                ? &exact_it->second.front()
-                                : nullptr;
-  auto wild_it = mb.posted_wild.begin();
-  for (; wild_it != mb.posted_wild.end(); ++wild_it) {
-    if (detail::matches(wild_it->src, wild_it->tag, env.src, env.tag)) break;
-  }
-  const PostedRecv* wild = wild_it != mb.posted_wild.end() ? &*wild_it : nullptr;
-
-  if (exact != nullptr && (wild == nullptr || exact->seq < wild->seq)) {
-    PostedRecv pr = detail::bucket_pop(mb.posted_exact, exact_it, mb.spare_recv);
-    ++job.counters.recvs_matched_posted;
-    --job.counters.posted_now;
-    consume_match(job, dst_world, std::move(env), pr);
-  } else if (wild != nullptr) {
-    PostedRecv pr = std::move(*wild_it);
-    mb.posted_wild.erase(wild_it);
-    ++job.counters.recvs_matched_posted;
-    --job.counters.posted_now;
-    consume_match(job, dst_world, std::move(env), pr);
-  } else {
-    env.seq = mb.next_arrival_seq++;
-    auto& bucket =
-        detail::bucket_get(mb.unexpected, match_key(env.src, env.tag), mb.spare_env);
-    bucket.push_back(std::move(env));
-    auto& c = job.counters;
-    ++c.unexpected_enqueued;
-    if (++c.unexpected_now > c.unexpected_hwm) c.unexpected_hwm = c.unexpected_now;
-    job.h_unexpected_depth.observe(bucket.size());
-  }
-}
-
-/// Raw engine-event trampoline for message arrival: ctx is a pooled
-/// Envelope*, returned to the pool once delivery (or queueing) is done.
+/// Raw engine-event trampoline for message arrival (ctx is a pooled
+/// Envelope*, routed at send time): matches the earliest-posted matching
+/// receive and returns the envelope to the pool, or queues it as unexpected.
 void deliver_event(void* ctx) {
   auto* env = static_cast<Envelope*>(ctx);
   Job& job = *env->job;
-  deliver(job, std::move(*env));
-  job.release_envelope(env);
+  Mailbox& mb = *env->mailbox;
+  auto& c = job.counters;
+  for (auto it = mb.posted.begin(); it != mb.posted.end(); ++it) {
+    if (!detail::matches(it->src, it->tag, env->src, env->tag)) continue;
+    PostedRecv pr = std::move(*it);
+    mb.posted.erase(it);
+    ++c.recvs_matched_posted;
+    --c.posted_now;
+    consume_match(job, env->dst_world, *env, pr);
+    job.release_envelope(env);
+    return;
+  }
+  mb.unexpected.push_back(Unexpected{env->src, env->tag, env});
+  ++c.unexpected_enqueued;
+  if (++c.unexpected_now > c.unexpected_hwm) c.unexpected_hwm = c.unexpected_now;
+  if (job.h_unexpected_depth.enabled()) {
+    // Queued messages on this (source, tag) pair, the new one included.
+    std::uint64_t depth = 0;
+    for (const Unexpected& u : mb.unexpected) depth += u.src == env->src && u.tag == env->tag;
+    job.h_unexpected_depth.observe(depth);
+  }
 }
 
 }  // namespace
@@ -735,7 +637,7 @@ struct CollGuard {
 
 
 void Comm::p2p_send(int dst, int tag, const void* data, std::size_t bytes, ipm::CallKind kind,
-                    bool blocking, Request* out) {
+                    Request* out, detail::RequestState* frame) {
   assert(dst >= 0 && dst < size() && "send: destination out of range");
   Job& job = *job_;
   const int src_world = world_rank_of(rank_);
@@ -769,11 +671,10 @@ void Comm::p2p_send(int dst, int tag, const void* data, std::size_t bytes, ipm::
     ++mc.sends_rendezvous;
   }
   // Blocking eager sends complete locally the moment the NIC is free, so they
-  // need no RequestState at all; one is allocated (pooled) only when a Request
-  // handle escapes the call. A blocking rendezvous send cannot return before
-  // its completion event fires, so its state can live on this very stack frame
-  // — the aliasing shared_ptr has no control block and costs no refcounting.
-  RequestState stack_rs;
+  // need no RequestState at all; one is made only when a Request handle
+  // leaves the call. A blocking send waits before returning, so it always
+  // passes a `frame` state.
+  const bool blocking = out == nullptr;
   std::shared_ptr<RequestState> sreq;
   if (eager) {
     const net::TransferTiming timing = job.network.transfer(src_node, dst_node, bytes);
@@ -789,17 +690,13 @@ void Comm::p2p_send(int dst, int tag, const void* data, std::size_t bytes, ipm::
       proc.suspend();
     }
     if (out != nullptr) {
-      sreq = job.make_request();
+      sreq = job.make_request(frame);
       sreq->bytes = bytes;
       sreq->sys_frac = sys_frac;
       sreq->done = true;  // buffer is reusable once injected
     }
   } else {
-    if (blocking && out == nullptr) {
-      sreq = std::shared_ptr<RequestState>(std::shared_ptr<void>(), &stack_rs);
-    } else {
-      sreq = job.make_request();
-    }
+    sreq = job.make_request(frame);
     sreq->bytes = bytes;
     sreq->sys_frac = sys_frac;
     env->rendezvous = true;
@@ -822,67 +719,32 @@ void Comm::p2p_send(int dst, int tag, const void* data, std::size_t bytes, ipm::
 }
 
 Request Comm::p2p_recv(int src, int tag, void* data, std::size_t bytes, ipm::CallKind kind,
-                       bool blocking) {
+                       bool blocking, detail::RequestState* frame) {
   assert((src == kAnySource || (src >= 0 && src < size())) && "recv: source out of range");
   Job& job = *job_;
   const int my_world = world_rank_of(rank_);
   sim::Engine& me = job.engine;
   const sim::SimTime t0 = me.now();
 
-  // A blocking receive cannot return before its completion wake, so its state
-  // can live on this stack frame (aliasing shared_ptr: no control block, no
-  // refcount traffic). Non-blocking receives hand out a real pooled state.
-  RequestState stack_rs;
-  std::shared_ptr<RequestState> rreq =
-      blocking ? std::shared_ptr<RequestState>(std::shared_ptr<void>(), &stack_rs)
-               : job.make_request();
+  std::shared_ptr<RequestState> rreq = job.make_request(frame);
   rreq->bytes = bytes;
 
+  // The earliest-arrived matching unexpected message, if any.
   Mailbox& mb = peer_mailbox(rank_);
-  // Find the earliest-arrived matching unexpected envelope. Exact (src, tag):
-  // the head of that bucket. Wildcard: the minimum arrival sequence over the
-  // heads of matching buckets (each bucket is FIFO, so heads suffice).
-  auto bucket_it = mb.unexpected.end();
-  if (src != kAnySource && tag != kAnyTag) {
-    auto it = mb.unexpected.find(match_key(src, tag));
-    if (it != mb.unexpected.end() && !it->second.empty()) bucket_it = it;
-  } else {
-    ++job.counters.wildcard_scans;
-    std::uint64_t best_seq = 0;
-    for (auto it = mb.unexpected.begin(); it != mb.unexpected.end(); ++it) {
-      if (it->second.empty()) continue;
-      const Envelope& head = it->second.front();
-      if (!detail::matches(src, tag, head.src, head.tag)) continue;
-      if (bucket_it == mb.unexpected.end() || head.seq < best_seq) {
-        bucket_it = it;
-        best_seq = head.seq;
-      }
-    }
-  }
-  if (bucket_it != mb.unexpected.end()) {
-    Envelope env = detail::bucket_pop(mb.unexpected, bucket_it, mb.spare_env);
+  if (src == kAnySource || tag == kAnyTag) ++job.counters.wildcard_scans;
+  auto it = std::find_if(mb.unexpected.begin(), mb.unexpected.end(), [&](const auto& u) {
+    return detail::matches(src, tag, u.src, u.tag);
+  });
+  if (it != mb.unexpected.end()) {
+    Envelope* env = it->env;
+    mb.unexpected.erase(it);
     ++job.counters.recvs_matched_unexpected;
     --job.counters.unexpected_now;
-    job.record_flow(env, my_world);
-    if (env.rendezvous) {
-      PostedRecv pr{src, tag, static_cast<std::byte*>(data), bytes, rreq, 0};
-      start_rendezvous_transfer(job, env, pr, my_world);
-    } else {
-      if (env.has_data && data != nullptr) {
-        std::memcpy(data, env.payload.data(), std::min(env.bytes, bytes));
-      }
-      rreq->sys_frac = env.sys_frac;
-      complete_request(me, rreq);
-    }
-    job.buffers.release(std::move(env.payload));
+    PostedRecv pr{src, tag, static_cast<std::byte*>(data), bytes, rreq};
+    consume_match(job, my_world, *env, pr);
+    job.release_envelope(env);
   } else {
-    PostedRecv pr{src, tag, static_cast<std::byte*>(data), bytes, rreq, mb.next_post_seq++};
-    if (src != kAnySource && tag != kAnyTag) {
-      detail::bucket_get(mb.posted_exact, match_key(src, tag), mb.spare_recv)
-          .push_back(std::move(pr));
-    } else {
-      mb.posted_wild.push_back(std::move(pr));
-    }
+    mb.posted.push_back(PostedRecv{src, tag, static_cast<std::byte*>(data), bytes, rreq});
     auto& c = job.counters;
     ++c.recvs_posted;
     if (++c.posted_now > c.posted_hwm) c.posted_hwm = c.posted_now;
@@ -897,7 +759,8 @@ Request Comm::p2p_recv(int src, int tag, void* data, std::size_t bytes, ipm::Cal
                                                               req.state_->sys_frac);
     job.span_rec(my_world).interval(t0, me.now(), obs::mpi_category(kind), bytes, src);
   }
-  // A blocking receive's state lives on this frame; never let it escape.
+  // A blocking receive's state lives on the caller's frame; never let it
+  // escape.
   return blocking ? Request() : req;
 }
 
@@ -913,22 +776,28 @@ void Comm::wait_internal(Request& req) {
   }
 }
 
+// Blocking calls and sendrecv wait for their requests before returning, so
+// their request states live on their own frames. Only the Requests that
+// isend/irecv hand out hold pooled states.
+
 void Comm::send_bytes(int dst, int tag, const void* data, std::size_t bytes) {
-  p2p_send(dst, tag, data, bytes, ipm::CallKind::Send, /*blocking=*/true, nullptr);
+  RequestState st;
+  p2p_send(dst, tag, data, bytes, ipm::CallKind::Send, nullptr, &st);
 }
 
 void Comm::recv_bytes(int src, int tag, void* data, std::size_t bytes) {
-  p2p_recv(src, tag, data, bytes, ipm::CallKind::Recv, /*blocking=*/true);
+  RequestState st;
+  p2p_recv(src, tag, data, bytes, ipm::CallKind::Recv, /*blocking=*/true, &st);
 }
 
 Request Comm::isend_bytes(int dst, int tag, const void* data, std::size_t bytes) {
   Request req;
-  p2p_send(dst, tag, data, bytes, ipm::CallKind::Isend, /*blocking=*/false, &req);
+  p2p_send(dst, tag, data, bytes, ipm::CallKind::Isend, &req, nullptr);
   return req;
 }
 
 Request Comm::irecv_bytes(int src, int tag, void* data, std::size_t bytes) {
-  return p2p_recv(src, tag, data, bytes, ipm::CallKind::Irecv, /*blocking=*/false);
+  return p2p_recv(src, tag, data, bytes, ipm::CallKind::Irecv, /*blocking=*/false, nullptr);
 }
 
 void Comm::wait(Request& req) {
@@ -953,15 +822,17 @@ void Comm::sendrecv_bytes(int dst, int stag, const void* sdata, std::size_t sbyt
   Job& job = *job_;
   sim::Engine& me = job.engine;
   const sim::SimTime t0 = me.now();
-  double sys = 0;
+  RequestState rst;
+  RequestState sst;
   {
     CollGuard guard(job_->in_coll[static_cast<std::size_t>(world_rank_of(rank_))]);
-    Request rr = irecv_bytes(src, rtag, rdata, rbytes);
-    Request sr = isend_bytes(dst, stag, sdata, sbytes);
+    Request rr = p2p_recv(src, rtag, rdata, rbytes, ipm::CallKind::Irecv, /*blocking=*/false, &rst);
+    Request sr;
+    p2p_send(dst, stag, sdata, sbytes, ipm::CallKind::Isend, &sr, &sst);
     wait_internal(sr);
     wait_internal(rr);
-    sys = std::max(sr.state_->sys_frac, rr.state_->sys_frac);
   }
+  const double sys = std::max(sst.sys_frac, rst.sys_frac);
   if (!in_collective()) {
     job.recorders[static_cast<std::size_t>(world_rank_of(rank_))].add_mpi(
         ipm::CallKind::Sendrecv, sbytes + rbytes, me.now() - t0, sys);

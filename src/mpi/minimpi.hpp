@@ -249,11 +249,14 @@ class Comm {
   friend class RankEnv;
   Comm(Job& job, int comm_id, std::vector<int> group, int rank);
 
-  // Internals (implemented in minimpi.cpp).
+  // Internals (implemented in minimpi.cpp). A non-null `frame` holds the
+  // request state on the caller's frame; the caller waits for the request
+  // before that frame ends. A null `frame` takes a pooled state. p2p_send
+  // blocks when `out` is null.
   void p2p_send(int dst, int tag, const void* data, std::size_t bytes, ipm::CallKind kind,
-                bool blocking, Request* out);
+                Request* out, detail::RequestState* frame);
   Request p2p_recv(int src, int tag, void* data, std::size_t bytes, ipm::CallKind kind,
-                   bool blocking);
+                   bool blocking, detail::RequestState* frame);
   void wait_internal(Request& req);
   void alltoallv_impl(const void* in, std::span<const std::size_t> send_counts, void* out,
                       std::span<const std::size_t> recv_counts);

@@ -1,7 +1,9 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
@@ -61,6 +63,12 @@ const char* kind_name(MetricKind k) {
 // Shortest round-trip double formatting (same policy as valid::json_number).
 std::string format_double(double v) {
   char buf[64];
+  // Integral values below 1e15 (-0.0 aside) print as "%.15g" prints them:
+  // plain digits, no exponent, no point. Request keys are mostly these.
+  if (std::fabs(v) < 1e15 && v == std::trunc(v) && !(v == 0 && std::signbit(v))) {
+    const auto r = std::to_chars(buf, buf + sizeof buf, static_cast<long long>(v));
+    return std::string(buf, r.ptr);
+  }
   for (int prec = 15; prec <= 17; ++prec) {
     std::snprintf(buf, sizeof buf, "%.*g", prec, v);
     double back = 0;

@@ -44,8 +44,7 @@ void ResultCache::touch(std::uint64_t hash, Entry& e) {
   e.lru_it = lru_.begin();
 }
 
-std::optional<std::string> ResultCache::get(const std::string& key) {
-  const std::uint64_t hash = core::fnv1a64(key);
+std::optional<std::string> ResultCache::get(const std::string& key, std::uint64_t hash) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = entries_.find(hash);
@@ -77,12 +76,11 @@ std::optional<std::string> ResultCache::get(const std::string& key) {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.disk_hits;
   }
-  put(key, blob);
+  put(key, hash, blob);
   return blob;
 }
 
-void ResultCache::put(const std::string& key, const std::string& blob) {
-  const std::uint64_t hash = core::fnv1a64(key);
+void ResultCache::put(const std::string& key, std::uint64_t hash, const std::string& blob) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = entries_.find(hash);

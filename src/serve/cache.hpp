@@ -25,6 +25,8 @@
 #include <string>
 #include <unordered_map>
 
+#include "core/hash.hpp"
+
 namespace cirrus::serve {
 
 class ResultCache {
@@ -48,11 +50,19 @@ class ResultCache {
   /// The blob stored for `key`, or nullopt. Thread-safe; refreshes LRU
   /// recency on hit. A memory miss consults the spill directory and
   /// re-admits on disk hit.
-  std::optional<std::string> get(const std::string& key);
+  std::optional<std::string> get(const std::string& key) {
+    return get(key, core::fnv1a64(key));
+  }
+  /// get() for a caller that already holds the key's hash, core::fnv1a64(key).
+  std::optional<std::string> get(const std::string& key, std::uint64_t hash);
 
   /// Stores (key, blob), evicting the least-recently-used entry when full.
   /// Overwrites any previous blob for the key.
-  void put(const std::string& key, const std::string& blob);
+  void put(const std::string& key, const std::string& blob) {
+    put(key, core::fnv1a64(key), blob);
+  }
+  /// put() for a caller that already holds the key's hash.
+  void put(const std::string& key, std::uint64_t hash, const std::string& blob);
 
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] std::size_t capacity() const noexcept { return opts_.capacity; }

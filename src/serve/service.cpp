@@ -363,8 +363,10 @@ bool Service::should_verify(std::uint64_t key_hash, std::uint64_t nth_hit) const
   return u < opts_.verify_fraction;
 }
 
-HttpResponse Service::serve_blob(const std::string& key, const std::string& hash_hex,
+HttpResponse Service::serve_blob(const std::string& key, std::uint64_t key_hash,
                                  const std::function<std::string()>& compute, TraceCtx& ctx) {
+  char hash_hex[17];
+  std::snprintf(hash_hex, sizeof hash_hex, "%016llx", static_cast<unsigned long long>(key_hash));
   const auto envelope = [&](const char* cache_status, const std::string& blob) {
     const std::uint64_t b = ctx.now_us();
     Writer w;
@@ -381,7 +383,7 @@ HttpResponse Service::serve_blob(const std::string& key, const std::string& hash
   };
 
   const std::uint64_t cache_b = ctx.now_us();
-  auto blob = cache_.get(key);
+  auto blob = cache_.get(key, key_hash);
   ctx.span("cache", cache_b, ctx.now_us());
   if (blob) {
     ctx.rec.cache = "hit";
@@ -392,7 +394,7 @@ HttpResponse Service::serve_blob(const std::string& key, const std::string& hash
       cache_hit_.inc();
       nth = hit_seq_++;
     }
-    if (should_verify(core::fnv1a64(key), nth)) {
+    if (should_verify(key_hash, nth)) {
       // Re-execute and byte-compare: determinism means the stored blob must
       // be exactly reproducible. Verification is real compute, so it takes
       // a slot like any miss — but a full queue just skips the audit rather
@@ -422,7 +424,7 @@ HttpResponse Service::serve_blob(const std::string& key, const std::string& hash
       std::lock_guard<std::mutex> lock(metrics_mu_);
       resp_server_err_.inc();
       return {500, "application/json",
-              error_body("cache verify mismatch for key " + hash_hex +
+              error_body(std::string("cache verify mismatch for key ") + hash_hex +
                          " (determinism violation)"),
               {{"X-Cirrus-Cache", "verify-failed"}}};
     }
@@ -463,7 +465,7 @@ HttpResponse Service::serve_blob(const std::string& key, const std::string& hash
   }
   gate_.release();
   ctx.span("execute", exec_b, ctx.now_us());
-  cache_.put(key, blob2);
+  cache_.put(key, key_hash, blob2);
   {
     std::lock_guard<std::mutex> lock(metrics_mu_);
     cache_miss_.inc();
@@ -551,8 +553,8 @@ HttpResponse Service::handle_query(const HttpRequest& req, TraceCtx& ctx) {
     return {400, "application/json", error_body(error), {}};
   }
   ctx.span("parse", parse_b, ctx.now_us());
-  return serve_blob(run.canonical_key(), run.key_hash_hex(),
-                    [run] { return query_json(run); }, ctx);
+  const std::string key = run.canonical_key();
+  return serve_blob(key, core::fnv1a64(key), [run] { return query_json(run); }, ctx);
 }
 
 HttpResponse Service::handle_advise(const HttpRequest& req, TraceCtx& ctx) {
@@ -592,11 +594,8 @@ HttpResponse Service::handle_advise(const HttpRequest& req, TraceCtx& ctx) {
     }
   }
   const std::string key = areq.canonical_key();
-  char hash_hex[24];
-  std::snprintf(hash_hex, sizeof hash_hex, "%016llx",
-                static_cast<unsigned long long>(core::fnv1a64(key)));
   ctx.span("parse", parse_b, ctx.now_us());
-  return serve_blob(key, hash_hex, [areq] { return advise_json(areq); }, ctx);
+  return serve_blob(key, core::fnv1a64(key), [areq] { return advise_json(areq); }, ctx);
 }
 
 namespace {

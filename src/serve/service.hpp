@@ -188,9 +188,10 @@ class Service {
   HttpResponse handle_query(const HttpRequest& req, TraceCtx& ctx);
   HttpResponse handle_advise(const HttpRequest& req, TraceCtx& ctx);
   HttpResponse handle_spans();
-  /// Cache-or-compute for an already-canonicalised key. `compute` runs
+  /// Cache-or-compute for an already-canonicalised key and its
+  /// core::fnv1a64 hash (each rendered once per request). `compute` runs
   /// without the stats lock; sets `status` and returns the envelope body.
-  HttpResponse serve_blob(const std::string& key, const std::string& hash_hex,
+  HttpResponse serve_blob(const std::string& key, std::uint64_t key_hash,
                           const std::function<std::string()>& compute, TraceCtx& ctx);
   /// Deterministic hit-sampling decision for verify mode.
   bool should_verify(std::uint64_t key_hash, std::uint64_t nth_hit) const;

@@ -170,7 +170,10 @@ ReferenceSet ReferenceSet::load_default() {
   std::vector<std::string> files;
   std::error_code ec;
   for (const auto& e : std::filesystem::directory_iterator(dir, ec)) {
-    if (e.path().extension() == ".ref") files.push_back(e.path().string());
+    // digest.ref is the suite digest (manifest.hpp), not reference pins.
+    if (e.path().extension() == ".ref" && e.path().filename() != "digest.ref") {
+      files.push_back(e.path().string());
+    }
   }
   if (ec || files.empty()) {
     throw std::runtime_error("no *.ref reference files in " + dir +

@@ -66,7 +66,8 @@ class ReferenceSet {
                                    const std::string& origin = "<memory>");
   /// Loads one file; throws std::runtime_error if unreadable.
   static ReferenceSet load(const std::string& path);
-  /// Loads every `*.ref` file in valid::reference_dir(), in name order.
+  /// Loads every `*.ref` file in valid::reference_dir() but digest.ref (the
+  /// suite digest), in name order.
   /// Throws if the directory has no reference files at all.
   static ReferenceSet load_default();
 

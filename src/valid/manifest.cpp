@@ -1,10 +1,12 @@
 #include "valid/manifest.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
+#include "core/hash.hpp"
 #include "obs/json_writer.hpp"
 #include "platform/platform.hpp"
 
@@ -23,6 +25,39 @@ using obs::jsonw::quote;
 
 std::string json_number(double v) { return number(v); }
 std::string json_string(const std::string& s) { return quote(s); }
+
+/// A target's metric or critpath rows as the manifest's JSON array.
+std::string metric_rows(const std::vector<Metric>& rows) {
+  std::ostringstream os;
+  os << "[\n";
+  for (std::size_t j = 0; j < rows.size(); ++j) {
+    const auto& m = rows[j];
+    os << "      {\"name\": " << json_string(m.name)
+       << ", \"platform\": " << json_string(m.platform) << ", \"ranks\": " << m.ranks
+       << ", \"value\": " << json_number(m.value) << ", \"units\": " << json_string(m.units)
+       << "}" << (j + 1 < rows.size() ? "," : "") << "\n";
+  }
+  os << "    ]";
+  return os.str();
+}
+
+/// A target's telemetry counters as the manifest's JSON array.
+std::string telemetry_rows(const std::vector<std::pair<std::string, std::uint64_t>>& rows) {
+  std::ostringstream os;
+  os << "[\n";
+  for (std::size_t j = 0; j < rows.size(); ++j) {
+    os << "      {\"name\": " << json_string(rows[j].first) << ", \"value\": " << rows[j].second
+       << "}" << (j + 1 < rows.size() ? "," : "") << "\n";
+  }
+  os << "    ]";
+  return os.str();
+}
+
+std::string hex16(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
 
 const char* json_status(CheckStatus s) noexcept {
   switch (s) {
@@ -79,38 +114,12 @@ std::string manifest_json(const ManifestContext& ctx, const std::vector<RunRepor
     const auto& r = reports[i];
     total_events += r.events;
     os << "    {\"target\": " << json_string(r.target) << ", \"title\": " << json_string(r.title)
-       << ", \"events\": " << r.events << ", \"metrics\": [\n";
-    for (std::size_t j = 0; j < r.metrics.size(); ++j) {
-      const auto& m = r.metrics[j];
-      os << "      {\"name\": " << json_string(m.name)
-         << ", \"platform\": " << json_string(m.platform) << ", \"ranks\": " << m.ranks
-         << ", \"value\": " << json_number(m.value) << ", \"units\": " << json_string(m.units)
-         << "}" << (j + 1 < r.metrics.size() ? "," : "") << "\n";
-    }
-    os << "    ]";
-    if (!r.telemetry.empty()) {
-      os << ", \"telemetry\": [\n";
-      for (std::size_t j = 0; j < r.telemetry.size(); ++j) {
-        os << "      {\"name\": " << json_string(r.telemetry[j].first)
-           << ", \"value\": " << r.telemetry[j].second << "}"
-           << (j + 1 < r.telemetry.size() ? "," : "") << "\n";
-      }
-      os << "    ]";
-    }
-    if (!r.critpath.empty()) {
-      // Critical-path blame block: same row shape as "metrics" so
-      // tools/manifest_diff.py can index both uniformly. Deterministic —
-      // derived from the virtual-time trace only.
-      os << ", \"critpath\": [\n";
-      for (std::size_t j = 0; j < r.critpath.size(); ++j) {
-        const auto& m = r.critpath[j];
-        os << "      {\"name\": " << json_string(m.name)
-           << ", \"platform\": " << json_string(m.platform) << ", \"ranks\": " << m.ranks
-           << ", \"value\": " << json_number(m.value) << ", \"units\": " << json_string(m.units)
-           << "}" << (j + 1 < r.critpath.size() ? "," : "") << "\n";
-      }
-      os << "    ]";
-    }
+       << ", \"events\": " << r.events << ", \"metrics\": " << metric_rows(r.metrics);
+    if (!r.telemetry.empty()) os << ", \"telemetry\": " << telemetry_rows(r.telemetry);
+    // Critical-path blame block: same row shape as "metrics" so
+    // tools/manifest_diff.py can index both uniformly. Deterministic —
+    // derived from the virtual-time trace only.
+    if (!r.critpath.empty()) os << ", \"critpath\": " << metric_rows(r.critpath);
     os << "}" << (i + 1 < reports.size() ? "," : "") << "\n";
   }
   os << "  ],\n";
@@ -151,6 +160,75 @@ std::string manifest_json(const ManifestContext& ctx, const std::vector<RunRepor
   }
   os << "  ]}\n}\n";
   return os.str();
+}
+
+SectionHashes digest(const RunReport& r) {
+  return {core::fnv1a64(metric_rows(r.metrics)), core::fnv1a64(std::to_string(r.events)),
+          core::fnv1a64(telemetry_rows(r.telemetry)), core::fnv1a64(metric_rows(r.critpath))};
+}
+
+std::string write_digest(const SuiteDigest& d) {
+  std::string out =
+      "# Suite digest: FNV-1a 64 of each target's deterministic manifest sections\n"
+      "# (metrics, events, telemetry, critpath), rendered as in the run manifest.\n"
+      "# Regenerate with: cirrus_bench --suite paper,ext,gap --write-digest\n";
+  for (const auto& [target, h] : d) {
+    out += target;
+    for (const std::uint64_t v : h) {
+      out += ' ';
+      out += hex16(v);
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+SuiteDigest parse_digest(const std::string& text, const std::string& origin) {
+  SuiteDigest d;
+  std::istringstream in(text);
+  std::string line;
+  for (int lineno = 1; std::getline(in, line); ++lineno) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields(line);
+    std::string target;
+    fields >> target;
+    SectionHashes h{};
+    for (auto& v : h) {
+      std::string tok;
+      fields >> tok;
+      char* end = nullptr;
+      v = std::strtoull(tok.c_str(), &end, 16);
+      if (tok.size() != 16 || *end != '\0') {
+        throw std::runtime_error(origin + ":" + std::to_string(lineno) +
+                                 ": expected a target and 4 16-digit hex hashes");
+      }
+    }
+    d[target] = h;
+  }
+  return d;
+}
+
+std::vector<std::string> digest_mismatches(const SuiteDigest& expected,
+                                           const std::vector<RunReport>& reports) {
+  std::vector<std::string> out;
+  for (const auto& r : reports) {
+    const auto it = expected.find(r.target);
+    if (it == expected.end()) {
+      out.push_back(r.target);
+      out.back() += ": no digest line (regenerate with --write-digest)";
+      continue;
+    }
+    const SectionHashes got = digest(r);
+    for (std::size_t s = 0; s < got.size(); ++s) {
+      if (got[s] != it->second[s]) {
+        std::ostringstream msg;
+        msg << r.target << ' ' << kDigestSections[s] << ": expected " << hex16(it->second[s])
+            << ", got " << hex16(got[s]);
+        out.push_back(msg.str());
+      }
+    }
+  }
+  return out;
 }
 
 void write_text_file(const std::string& path, const std::string& content) {

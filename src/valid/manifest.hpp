@@ -6,7 +6,9 @@
 // perfbench/ and tracked in BENCH_simulator.json, not here.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -41,6 +43,27 @@ std::string build_git_sha();
 /// order.
 std::string manifest_json(const ManifestContext& ctx, const std::vector<RunReport>& reports,
                           const std::vector<CheckResult>& checks);
+
+/// The suite digest: per target, the FNV-1a 64 hash of each deterministic
+/// manifest section, rendered exactly as manifest_json renders it (`events`
+/// as its decimal count, an absent telemetry or critpath block as an empty
+/// array). `host`, `git_sha` and `jobs` are not part of it, so the digest is
+/// the same for any --jobs and any build type. `cirrus_bench --check`
+/// compares it with src/valid/reference/digest.ref.
+inline constexpr std::array<const char*, 4> kDigestSections = {"metrics", "events", "telemetry",
+                                                               "critpath"};
+using SectionHashes = std::array<std::uint64_t, 4>;  ///< in kDigestSections order
+using SuiteDigest = std::map<std::string, SectionHashes>;  ///< keyed by target
+
+[[nodiscard]] SectionHashes digest(const RunReport& report);
+/// digest.ref text: comment header, then "target h1 h2 h3 h4" lines.
+[[nodiscard]] std::string write_digest(const SuiteDigest& d);
+/// Parses write_digest's format; throws std::runtime_error naming `origin`.
+[[nodiscard]] SuiteDigest parse_digest(const std::string& text, const std::string& origin);
+/// One line per differing (target, section) — or per target with no digest
+/// line — of `reports` against `expected`; empty when all match.
+[[nodiscard]] std::vector<std::string> digest_mismatches(const SuiteDigest& expected,
+                                                         const std::vector<RunReport>& reports);
 
 /// Writes `content` to `path`; throws std::runtime_error on I/O failure.
 void write_text_file(const std::string& path, const std::string& content);

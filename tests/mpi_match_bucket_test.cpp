@@ -1,9 +1,13 @@
-// Matching semantics of the hashed (source, tag) mailbox buckets: FIFO per
+// Matching semantics of the mailbox's flat posted/unexpected lists: FIFO per
 // (source, tag) pair, any-source/any-tag wildcard arbitration against both
-// the unexpected queue and posted receives, and collectives on
-// non-power-of-two communicators (which stress odd bucket/tag patterns).
+// the unexpected list and posted receives, a seeded property test against a
+// naive single-queue matcher, and collectives on non-power-of-two
+// communicators (which stress odd tag patterns).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <random>
 #include <vector>
 
 #include "mpi/minimpi.hpp"
@@ -208,4 +212,141 @@ TEST(MatchBuckets, NonPowerOfTwoCommunicatorCollectives) {
   EXPECT_DOUBLE_EQ(r.values.at("world_sum"), 21);     // 1+2+...+6
   EXPECT_DOUBLE_EQ(r.values.at("sub_sum"), 15);       // 1+2+...+5
   EXPECT_DOUBLE_EQ(r.values.at("sub_gathered"), 15);
+}
+
+namespace {
+
+/// One step of a matching script: a send from `src` (1..3) to rank 0, or a
+/// receive posted by rank 0, where src and tag may be wildcards.
+struct MatchOp {
+  bool send = false;
+  int src = 0;
+  int tag = 0;
+  bool large = false;  // a send above the eager threshold (rendezvous)
+};
+
+/// MPI's matching rule over one queue per side: an arrival takes the
+/// earliest-posted matching receive, a receive the earliest-arrived matching
+/// message. Returns, per receive (in post order), the index of the send it
+/// takes; appends sends and receives to `ops` until nothing is left waiting.
+std::vector<int> naive_match(std::vector<MatchOp>& ops, std::mt19937_64& rng) {
+  struct Waiting {
+    int id;
+    int src;
+    int tag;
+  };
+  std::vector<Waiting> posted;      // receives, post order
+  std::vector<Waiting> unexpected;  // sends, arrival order
+  std::vector<int> matched;
+  int sends = 0;
+  const auto apply = [&](const MatchOp& op) {
+    if (op.send) {
+      const int id = sends++;
+      const auto it = std::find_if(posted.begin(), posted.end(), [&](const Waiting& w) {
+        return (w.src == mpi::kAnySource || w.src == op.src) &&
+               (w.tag == mpi::kAnyTag || w.tag == op.tag);
+      });
+      if (it == posted.end()) {
+        unexpected.push_back({id, op.src, op.tag});
+      } else {
+        matched[static_cast<std::size_t>(it->id)] = id;
+        posted.erase(it);
+      }
+    } else {
+      const int id = static_cast<int>(matched.size());
+      matched.push_back(-1);
+      const auto it = std::find_if(unexpected.begin(), unexpected.end(), [&](const Waiting& w) {
+        return (op.src == mpi::kAnySource || op.src == w.src) &&
+               (op.tag == mpi::kAnyTag || op.tag == w.tag);
+      });
+      if (it == unexpected.end()) {
+        posted.push_back({id, op.src, op.tag});
+      } else {
+        matched[static_cast<std::size_t>(id)] = it->id;
+        unexpected.erase(it);
+      }
+    }
+  };
+  for (const MatchOp& op : ops) apply(op);
+  // Drain: a send for each receive still posted, then an exact receive for
+  // each message still unexpected.
+  while (!posted.empty()) {
+    const Waiting w = posted.front();
+    MatchOp op{true, w.src == mpi::kAnySource ? 1 + static_cast<int>(rng() % 3) : w.src,
+               w.tag == mpi::kAnyTag ? static_cast<int>(rng() % 3) : w.tag, false};
+    ops.push_back(op);
+    apply(op);
+  }
+  while (!unexpected.empty()) {
+    const MatchOp op{false, unexpected.front().src, unexpected.front().tag, false};
+    ops.push_back(op);
+    apply(op);
+  }
+  return matched;
+}
+
+}  // namespace
+
+TEST(MatchBuckets, RandomInterleavingsMatchNaiveMatcher) {
+  // Random scripts of sends (eager and rendezvous, three sources, three
+  // tags) and exact/wildcard receives, one step per 10 ms slot so the
+  // arrival/post interleaving is exactly the script's. Every receive must
+  // get the message the naive single-queue matcher assigns it.
+  constexpr double kSlot = 0.01;
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    std::mt19937_64 rng(seed);
+    std::vector<MatchOp> ops;
+    const int steps = 20 + static_cast<int>(rng() % 60);
+    for (int i = 0; i < steps; ++i) {
+      MatchOp op;
+      op.send = rng() % 2 == 0;
+      op.src = 1 + static_cast<int>(rng() % 3);
+      op.tag = static_cast<int>(rng() % 3);
+      if (op.send) {
+        op.large = rng() % 4 == 0;
+      } else {
+        if (rng() % 4 == 0) op.src = mpi::kAnySource;
+        if (rng() % 4 == 0) op.tag = mpi::kAnyTag;
+      }
+      ops.push_back(op);
+    }
+    const std::vector<int> want = naive_match(ops, rng);
+
+    mpi::JobConfig c = cfg(4);
+    c.platform.compute.jitter_sigma = 0;  // compute() then lands on each slot
+    const std::size_t large = c.eager_threshold_bytes + 64;
+    std::vector<int> got(want.size(), -2);
+    mpi::run_job(c, [&](mpi::RankEnv& env) {
+      auto& comm = env.world();
+      // This rank's compute speed, so it can wait for an absolute time.
+      const double t0 = env.now_seconds();
+      env.compute(kSlot);
+      const double per_ref_s = (env.now_seconds() - t0) / kSlot;
+      std::vector<std::vector<int>> bufs;
+      bufs.reserve(ops.size());  // stable: rendezvous reads a sender's buffer late
+      std::vector<mpi::Request> reqs;
+      int send_id = 0;
+      for (std::size_t i = 0; i < ops.size(); ++i) {
+        const MatchOp& op = ops[i];
+        const int id = op.send ? send_id++ : 0;
+        const bool mine = op.send ? comm.rank() == op.src : comm.rank() == 0;
+        if (!mine) continue;
+        const double at = kSlot * static_cast<double>(i + 2);
+        env.compute((at - env.now_seconds()) / per_ref_s);
+        auto& buf = bufs.emplace_back(large / sizeof(int), -1);
+        if (op.send) {
+          buf[0] = id;
+          reqs.push_back(comm.isend_bytes(0, op.tag, buf.data(),
+                                          op.large ? large : sizeof(int)));
+        } else {
+          reqs.push_back(comm.irecv_bytes(op.src, op.tag, buf.data(), large));
+        }
+      }
+      comm.waitall(reqs);
+      if (comm.rank() == 0) {
+        for (std::size_t r = 0; r < bufs.size(); ++r) got[r] = bufs[r][0];
+      }
+    });
+    ASSERT_EQ(got, want) << "seed " << seed;
+  }
 }

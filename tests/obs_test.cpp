@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -147,6 +148,28 @@ TEST(Registry, CounterValuesIncludeHistogramTotals) {
   EXPECT_EQ(m.at("a"), 5U);
   EXPECT_EQ(m.at("b_count"), 1U);
   EXPECT_EQ(m.at("b_sum"), 10U);
+}
+
+// ---------------------------------------------------------------------------
+// format_double
+
+TEST(FormatDouble, IntegralFastPathPrintsTheSnprintfBytes) {
+  // The reference: the shortest of %.15g..%.17g that reads back exactly.
+  const auto snprintf_loop = [](double v) {
+    char buf[64];
+    for (int prec = 15; prec <= 17; ++prec) {
+      std::snprintf(buf, sizeof buf, "%.*g", prec, v);
+      double back = 0;
+      std::sscanf(buf, "%lf", &back);
+      if (back == v) break;
+    }
+    return std::string(buf);
+  };
+  for (const double v : {0.0, -0.0, 1.0, 60.0, 2592000.0, 999999999999999.0, 1e15,
+                         9007199254740992.0 /* 2^53 */, 0.5, 1e-5, 1e300, -60.0,
+                         -999999999999999.0}) {
+    EXPECT_EQ(obs::format_double(v), snprintf_loop(v)) << v;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -149,7 +149,8 @@ TEST(RequestKey, EveryKnobChangesTheKey) {
   // enum knob, plus representative numeric values, must give distinct keys.
   // A knob is tried on a base where the run reads it: the topology knobs on
   // a fat-tree, requeue and horizon with faults on (InertKnobsShareTheKey
-  // covers the bases where they are inert).
+  // covers the bases where they are inert, and placement=pgroup, which packs
+  // exactly as contig).
   const RunRequest base;
   std::set<std::string> keys = {base.canonical_key()};
   std::set<std::uint64_t> hashes = {base.key_hash()};
@@ -174,9 +175,7 @@ TEST(RequestKey, EveryKnobChangesTheKey) {
   }
   for (const char* c : {"T", "W", "A", "B", "C"}) insert_distinct({{"class", c}});
   for (const char* t : {"fattree", "vswitch", "pgroups"}) insert_distinct({{"topo", t}});
-  for (const char* pl : {"scatter", "pgroup"}) {
-    insert_distinct({{"topo", "fattree"}, {"placement", pl}});
-  }
+  insert_distinct({{"topo", "fattree"}, {"placement", "scatter"}});
   for (const char* np : {"2", "4", "16", "64", "256"}) insert_distinct({{"np", np}});
   for (const char* rpn : {"1", "4", "8"}) insert_distinct({{"rpn", rpn}});
   for (const char* s : {"2", "3", "12345"}) insert_distinct({{"seed", s}});
@@ -200,7 +199,10 @@ TEST(RequestKey, InertKnobsShareTheKey) {
   // Seeded property test of the pinning rules in RunRequest::items(): a
   // knob the run cannot read renders as its default, so a random value of
   // it keeps canonical_key() and key_hash(). The rules:
-  // - topo=crossbar: oversub, leaf and placement are inert;
+  // - topo=crossbar and topo=vswitch: oversub, leaf and placement are inert;
+  // - topo=pgroups: oversub is inert;
+  // - placement=pgroup packs as contig;
+  // - topo=fattree: every oversub <= 1 reads as 1;
   // - mtbf = ckpt = 0: requeue and horizon are inert;
   // - rpn -1 and 0 both fill the node; sched is accepted and discarded.
   std::mt19937 rng(20);
@@ -210,18 +212,27 @@ TEST(RequestKey, InertKnobsShareTheKey) {
   const auto coin = [&rng] { return rng() % 2 == 0; };
   struct Base {
     KVs kvs;
-    bool topo_inert;
+    bool oversub_inert;  // any oversub
+    bool shape_inert;    // leaf and placement
+    bool low_oversub;    // oversub <= 1 (the base's is 1)
+    bool contig;         // contig or pgroup (the base's is contig)
     bool faults_inert;
   };
   // A random perturbation of `base.kvs`'s inert knobs, appended after the
   // base's own pairs (so it overrides them); `all` sets every inert knob.
   const auto perturb = [&](const Base& base, bool all) {
     KVs kvs = base.kvs;
-    if (base.topo_inert) {
-      if (all || coin()) kvs.emplace_back("oversub", pick({"0", "0.5", "2", "4.5", "16"}));
+    if (base.oversub_inert && (all || coin())) {
+      kvs.emplace_back("oversub", pick({"0", "0.5", "2", "4.5", "16"}));
+    }
+    if (base.low_oversub && (all || coin())) {
+      kvs.emplace_back("oversub", pick({"0", "0.25", "0.5", "1"}));
+    }
+    if (base.shape_inert) {
       if (all || coin()) kvs.emplace_back("leaf", std::to_string(1 + rng() % 64));
       if (all || coin()) kvs.emplace_back("placement", pick({"contig", "scatter", "pgroup"}));
     }
+    if (base.contig && (all || coin())) kvs.emplace_back("placement", pick({"contig", "pgroup"}));
     if (base.faults_inert) {
       if (all || coin()) kvs.emplace_back("requeue", std::to_string(rng() % 100000));
       if (all || coin()) kvs.emplace_back("horizon", std::to_string(rng() % 10000000));
@@ -242,16 +253,27 @@ TEST(RequestKey, InertKnobsShareTheKey) {
     kvs.insert(kvs.end(), more.begin(), more.end());
     return kvs;
   };
+  // 32 ranks fill 4 nodes: two groups of two with leaf=2, so placement and
+  // oversub would matter wherever the fabric read them.
+  const KVs ep32 = {{"bench", "EP"}, {"class", "S"}, {"np", "32"}, {"leaf", "2"}};
   const std::vector<Base> bases = {
-      {ep, true, true},
+      {ep, true, true, false, false, true},
       {with(ep, {{"topo", "fattree"}, {"oversub", "2"}, {"placement", "scatter"}}), false,
+       false, false, false, true},
+      {with(ep, {{"mtbf", "3600"}, {"requeue", "30"}}), true, true, false, false, false},
+      {with(ep, {{"ckpt", "600"}, {"topo", "vswitch"}}), true, true, false, false, false},
+      {with(ep32, {{"topo", "vswitch"}}), true, true, false, false, true},
+      {with(ep32, {{"topo", "pgroups"}}), true, false, false, true, true},
+      {with(ep32, {{"topo", "pgroups"}, {"placement", "scatter"}}), true, false, false, false,
        true},
-      {with(ep, {{"mtbf", "3600"}, {"requeue", "30"}}), true, false},
-      {with(ep, {{"ckpt", "600"}, {"topo", "vswitch"}}), false, false},
-      {{{"workload", "metum"}, {"np", "4"}}, true, true},
-      {{{"workload", "chaste"}, {"np", "4"}}, true, true},
-      {{{"workload", "wf"}, {"wf-shape", "diamond"}, {"np", "4"}}, true, true},
-      {{{"workload", "osu"}, {"bench", "lat"}, {"platform", "ec2"}}, true, true},
+      {with(ep32, {{"topo", "fattree"}}), false, false, true, true, true},
+      {with(ep32, {{"topo", "fattree"}, {"oversub", "4"}}), false, false, false, true, true},
+      {{{"workload", "metum"}, {"np", "4"}}, true, true, false, false, true},
+      {{{"workload", "chaste"}, {"np", "4"}}, true, true, false, false, true},
+      {{{"workload", "wf"}, {"wf-shape", "diamond"}, {"np", "4"}}, true, true, false, false,
+       true},
+      {{{"workload", "osu"}, {"bench", "lat"}, {"platform", "ec2"}}, true, true, false, false,
+       true},
   };
   for (const Base& base : bases) {
     const RunRequest ref = request(base.kvs);

@@ -1,6 +1,7 @@
-// Unit tests for the engine's 4-ary event heap: it must pop exactly the
-// (when, seq) order a brute-force sort of the same entries gives, whatever
-// the push pattern — dense timestamp ties included.
+// Unit tests for the engine's event queue (the at-clock FIFO lane in front of
+// the 4-ary heap): it must pop exactly the (when, seq) order a brute-force
+// sort of the same entries gives, whatever the push pattern — dense
+// timestamp ties and pushes at the clock included.
 #include "sim/event_queue.hpp"
 
 #include <gtest/gtest.h>
@@ -67,6 +68,9 @@ TEST(EventQueue, DrainMatchesSortedReferenceUnderDenseTies) {
 TEST(EventQueue, InterleavedPushPopMatchesSortedReference) {
   // The engine's pattern: pops advance a clock, pushes land at or after it
   // with a monotone seq. The reference is the sorted set of pending entries.
+  // A quarter of the pushes land exactly at the clock (the lane) while heap
+  // entries pushed earlier for the same time are still pending, so the
+  // heap-then-lane arbitration at one timestamp is checked too.
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     EventQueue q;
     sim::Rng rng(seed * 7919);
@@ -76,10 +80,11 @@ TEST(EventQueue, InterleavedPushPopMatchesSortedReference) {
     for (int round = 0; round < 300; ++round) {
       const int pushes = static_cast<int>(rng.u64() % 12);
       for (int i = 0; i < pushes; ++i) {
-        // Mostly ties at or near `now`, occasionally far in the future.
-        const SimTime when =
-            rng.u64() % 16 == 0 ? now + static_cast<SimTime>(rng.u64() % 1'000'000)
-                                : dense_when(rng, now);
+        // Exactly at `now`, mostly ties near it, occasionally far ahead.
+        const std::uint64_t pick = rng.u64() % 16;
+        const SimTime when = pick < 4    ? now
+                             : pick == 4 ? now + static_cast<SimTime>(rng.u64() % 1'000'000)
+                                         : dense_when(rng, now);
         q.push(when, seq, static_cast<std::uintptr_t>(seq));
         pending.push_back(Entry{when, seq, static_cast<std::uintptr_t>(seq)});
         ++seq;

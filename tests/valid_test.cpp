@@ -321,6 +321,30 @@ TEST(Manifest, TelemetryBlockIsDeterministicSection) {
   EXPECT_EQ(json.find("\"telemetry\": []"), std::string::npos);
 }
 
+TEST(Manifest, DigestRoundTripsAndNamesTheChangedSection) {
+  auto reports = sample_reports();
+  reports[0].events = 42000;
+  reports[0].telemetry = {{"sim_events_total", 42000}};
+  valid::SuiteDigest d;
+  for (const auto& r : reports) d[r.target] = valid::digest(r);
+  const valid::SuiteDigest back = valid::parse_digest(valid::write_digest(d), "test");
+  EXPECT_EQ(back, d);
+  EXPECT_TRUE(valid::digest_mismatches(back, reports).empty());
+
+  // Any change, far inside every pin tolerance, fails the digest.
+  reports[0].events += 1;
+  reports[1].metrics[0].value *= 1 + 1e-12;
+  reports.push_back(valid::RunReport{});
+  reports.back().target = "fig9";
+  const auto m = valid::digest_mismatches(back, reports);
+  ASSERT_EQ(m.size(), 3u);
+  EXPECT_EQ(m[0].rfind("fig1 events: expected ", 0), 0u) << m[0];
+  EXPECT_EQ(m[1].rfind("fig4 metrics: expected ", 0), 0u) << m[1];
+  EXPECT_EQ(m[2].rfind("fig9: no digest line", 0), 0u) << m[2];
+
+  EXPECT_THROW((void)valid::parse_digest("fig1 0123\n", "bad"), std::runtime_error);
+}
+
 TEST(Manifest, CountsChecks) {
   const auto ctx = golden_context();
   const auto reports = sample_reports();
