@@ -63,9 +63,14 @@ struct Unexpected {
   Envelope* env = nullptr;
 };
 
+/// Collectives tag their traffic with this bit set (Comm::next_tag). MPI
+/// keeps collectives in a context of their own, so a user's kAnyTag receive
+/// must never match them.
+constexpr int kInternalTagBit = 1 << 24;
+
 bool matches(int want_src, int want_tag, int src, int tag) {
   return (want_src == kAnySource || want_src == src) &&
-         (want_tag == kAnyTag || want_tag == tag);
+         (want_tag == kAnyTag ? (tag & kInternalTagBit) == 0 : want_tag == tag);
 }
 
 /// One rank's receive state on one communicator.
@@ -847,8 +852,8 @@ void Comm::sendrecv_bytes(int dst, int stag, const void* sdata, std::size_t sbyt
 
 int Comm::next_tag() noexcept {
   // Internal tag space, disjoint from user tags (>= 0 is recommended for
-  // users; internal tags have bit 24 set).
-  const int tag = (1 << 24) | ((coll_seq_ & 0xFFFF) << 6);
+  // users; internal tags have bit 24 set, and kAnyTag skips them).
+  const int tag = detail::kInternalTagBit | ((coll_seq_ & 0xFFFF) << 6);
   ++coll_seq_;
   return tag;
 }

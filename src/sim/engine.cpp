@@ -10,7 +10,8 @@ Process::Process(Engine& engine, int pid, std::string name, std::function<void(P
     : engine_(&engine),
       pid_(pid),
       name_(std::move(name)),
-      fiber_([this, body = std::move(body)] { body(*this); }, Fiber::kDefaultStackBytes) {}
+      fiber_([this, body = std::move(body)] { body(*this); }, Fiber::kDefaultStackBytes,
+             &engine.main_) {}
 
 void Process::advance(SimTime dt) {
   assert(engine_->current_ == this && "advance() called from outside the process");
@@ -21,7 +22,7 @@ void Process::advance(SimTime dt) {
 void Process::suspend() {
   assert(engine_->current_ == this && "suspend() called from outside the process");
   state_ = State::Blocked;
-  fiber_.yield();
+  engine_->hand_off(*this);
   state_ = State::Running;
 }
 
@@ -113,12 +114,69 @@ void Engine::wake_at(Process& p, SimTime when) {
   push_process_event(when, p);
 }
 
+Process* Engine::next_wake() {
+  while (!queue_.empty()) {
+    const EventQueue::Entry entry = queue_.pop();
+    assert(entry.when >= now_);
+    now_ = entry.when;
+    ++events_processed_;
+    const unsigned tag = payload_tag(entry.payload);
+    if (tag == 0u) {
+      ++stats_.wake_events;
+      ++stats_.fiber_switches;
+      auto* target = reinterpret_cast<Process*>(entry.payload);
+      target->wake_pending_ = false;
+      return target;
+    }
+    if (tag == 1u) {
+      ++stats_.callback_events;
+      // Slot addresses are stable and the slot is not freed until after the
+      // call, so the callback runs in place even if it schedules new events
+      // (which may grow the slab but cannot recycle this slot).
+      const std::uint32_t idx = fn_index(entry.payload);
+      FnSlot& s = slot(idx);
+      s.fn();
+      s.fn = nullptr;
+      free_slot(idx);
+    } else {
+      ++stats_.raw_events;
+      raw_table_[tag - 2u](reinterpret_cast<void*>(entry.payload & ~kTagMask));
+    }
+  }
+  return nullptr;
+}
+
+void Engine::hand_off(Process& self) {
+  current_ = nullptr;  // events dispatched here run outside any process
+  Process* next = nullptr;
+  try {
+    next = next_wake();
+  } catch (...) {
+    event_error_ = std::current_exception();
+  }
+  // Switch only outside the catch block: the C++ runtime keeps its list of
+  // caught exceptions per thread, not per fiber.
+  if (next == &self) {
+    current_ = &self;  // our own wake was next: keep running, no switch
+    return;
+  }
+  if (next == nullptr) {
+    // The queue drained or an event threw: back to run(), which reports the
+    // deadlock or rethrows. A later run() resumes us through enter().
+    self.fiber_.yield();
+    return;
+  }
+  assert(!next->finished());
+  current_ = next;
+  next->state_ = Process::State::Running;
+  self.fiber_.switch_to(next->fiber_);
+}
+
 void Engine::enter(Process& p) {
   assert(current_ == nullptr && "re-entrant enter()");
   assert(!p.finished());
   current_ = &p;
   p.state_ = Process::State::Running;
-  ++stats_.fiber_switches;
   try {
     p.fiber_.resume();
   } catch (...) {
@@ -126,45 +184,24 @@ void Engine::enter(Process& p) {
     p.state_ = Process::State::Finished;
     throw;
   }
-  current_ = nullptr;
-  if (p.fiber_.finished()) p.state_ = Process::State::Finished;
-}
-
-void Engine::dispatch_one() {
-  const EventQueue::Entry entry = queue_.pop();
-  assert(entry.when >= now_);
-  now_ = entry.when;
-  ++events_processed_;
-  const unsigned tag = payload_tag(entry.payload);
-  if (tag == 0u) {
-    ++stats_.wake_events;
-    auto* target = reinterpret_cast<Process*>(entry.payload);
-    target->wake_pending_ = false;
-    enter(*target);
-  } else if (tag == 1u) {
-    ++stats_.callback_events;
-    // Slot addresses are stable and the slot is not freed until after the
-    // call, so the callback runs in place even if it schedules new events
-    // (which may grow the slab but cannot recycle this slot).
-    const std::uint32_t idx = fn_index(entry.payload);
-    FnSlot& s = slot(idx);
-    s.fn();
-    s.fn = nullptr;
-    free_slot(idx);
-  } else {
-    ++stats_.raw_events;
-    raw_table_[tag - 2u](reinterpret_cast<void*>(entry.payload & ~kTagMask));
+  // Back on the main stack. current_ is the process whose body returned —
+  // p, or a peer the wakes were handed to — or null when a suspending
+  // process drained the queue or an event it dispatched threw.
+  if (Process* last = std::exchange(current_, nullptr); last != nullptr) {
+    assert(last->fiber_.finished());
+    last->state_ = Process::State::Finished;
+    if (std::exception_ptr e = last->fiber_.take_error()) std::rethrow_exception(e);
+  } else if (event_error_) {
+    std::rethrow_exception(std::exchange(event_error_, nullptr));
   }
 }
 
 void Engine::run() {
   try {
-    while (!queue_.empty()) {
-      dispatch_one();
-    }
+    while (Process* p = next_wake()) enter(*p);
   } catch (...) {
-    // A process body threw. Leave the engine in a defined state: no stale
-    // events (their callbacks are destroyed unrun), no pending wakes.
+    // A process body or an event threw. Leave the engine in a defined state:
+    // no stale events (their callbacks are destroyed unrun), no pending wakes.
     drain_pending();
     throw;
   }

@@ -14,10 +14,19 @@
 //    recycled through a free list and whose addresses never move. Inside a
 //    job only timers (fault kill, telemetry sampling) use them.
 // Wake and raw events never touch the allocator.
+//
+// Fiber switching is symmetric. A process that suspends runs the dispatch
+// loop itself, on its own stack: it runs raw and callback events inline and,
+// at the first wake event, switches straight to the woken process's fiber,
+// or keeps running if the wake is its own. Control returns to run() on the
+// main stack only when the queue drains, a process body returns or throws,
+// or an event throws. So a wake costs one fiber switch, not a round trip
+// through the main stack, and the pop order is the same either way.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -89,7 +98,8 @@ class Engine {
     std::uint64_t wake_events = 0;      ///< process wake/start events executed
     std::uint64_t callback_events = 0;  ///< slab std::function callbacks executed
     std::uint64_t raw_events = 0;       ///< raw fn-pointer events executed
-    std::uint64_t fiber_switches = 0;   ///< engine→process fiber entries
+    std::uint64_t fiber_switches = 0;   ///< wakes that resumed a process, on any stack
+                                        ///< (a self-wake counts but switches nothing)
     std::uint64_t heap_hwm = 0;         ///< event queue depth high-water mark
     std::uint64_t slab_slots_hwm = 0;   ///< distinct callback slab slots ever live
     std::uint64_t slab_reuses = 0;      ///< slab allocations served from the free list
@@ -114,8 +124,9 @@ class Engine {
   /// the life of the engine.
   Process& spawn(std::string name, std::function<void(Process&)> body);
 
-  /// Schedules `fn` to run in the engine context at virtual time `when`
-  /// (clamped to now()).
+  /// Schedules `fn` to run outside any process at virtual time `when`
+  /// (clamped to now()). It may run on the main stack or on the fiber of a
+  /// suspended process, which then stays suspended until its wake.
   void schedule_at(SimTime when, std::function<void()> fn);
   void schedule_after(SimTime dt, std::function<void()> fn) {
     schedule_at(now_ + (dt < 0 ? 0 : dt), std::move(fn));
@@ -170,11 +181,19 @@ class Engine {
     return static_cast<std::uint32_t>(payload >> 3);
   }
 
-  void enter(Process& p);  // switch into a process's fiber
+  /// Switches from the main stack into `p`, then rethrows the error of the
+  /// process body or event that sent control back, if any.
+  void enter(Process& p);
+  /// Runs on a suspending process's fiber: dispatches events until a wake,
+  /// then switches to the woken process (or returns, if it is `self`). Goes
+  /// back to the main stack when the queue drains or an event throws.
+  void hand_off(Process& self);
   void push_entry(SimTime when, std::uintptr_t payload);
   void push_process_event(SimTime when, Process& p);
-  /// Pops and executes the next event (sets now_, counts, dispatches).
-  void dispatch_one();
+  /// Pops events in order, running raw and callback events on the calling
+  /// stack, and returns the process of the first wake event (counted as a
+  /// fiber switch), or null once the queue is empty.
+  Process* next_wake();
   std::uint32_t alloc_slot();
   void free_slot(std::uint32_t idx) noexcept;
   FnSlot& slot(std::uint32_t idx) noexcept {
@@ -206,8 +225,10 @@ class Engine {
   std::uint32_t slab_size_ = 0;
   std::uint32_t free_head_ = kNil;
   std::array<void (*)(void*), 6> raw_table_{};  // distinct raw event functions
+  MainContext main_;  // run()'s stack, which every process fiber returns to
+  std::exception_ptr event_error_;  // an event that threw on a process fiber
   std::vector<std::unique_ptr<Process>> processes_;
-  Process* current_ = nullptr;
+  Process* current_ = nullptr;  // the process running, null between processes
 };
 
 /// Backdoor for the simulator's own subsystems (minimpi message delivery and

@@ -121,7 +121,10 @@ extern "C" void cirrus_fiber_entry(void* fiber) {
 }
 #endif
 
-Fiber::Fiber(std::function<void()> body, std::size_t stack_bytes) : body_(std::move(body)) {
+Fiber::Fiber(std::function<void()> body, std::size_t stack_bytes, MainContext* main)
+    : body_(std::move(body)),
+      own_main_(main == nullptr ? std::make_unique<MainContext>() : nullptr),
+      main_(main == nullptr ? own_main_.get() : main) {
   const std::size_t pg = page_size();
   const std::size_t usable = round_up(stack_bytes == 0 ? kDefaultStackBytes : stack_bytes, pg);
   mapping_bytes_ = usable + pg;  // + guard page at the low end
@@ -135,8 +138,6 @@ Fiber::Fiber(std::function<void()> body, std::size_t stack_bytes) : body_(std::m
     throw std::system_error(errno, std::generic_category(), "fiber guard mprotect");
   }
 
-  auto* const top = static_cast<std::uint8_t*>(stack_mapping_) + mapping_bytes_;
-  assert(reinterpret_cast<std::uintptr_t>(top) % 16 == 0);
   asan_stack_bottom_ = static_cast<std::uint8_t*>(stack_mapping_) + pg;
   asan_stack_size_ = usable;
 #if defined(CIRRUS_TSAN_FIBERS)
@@ -165,6 +166,8 @@ Fiber::Fiber(std::function<void()> body, std::size_t stack_bytes) : body_(std::m
   // Fabricate the frame cirrus_ctx_switch expects to restore (see the .S
   // file): control words, r15..r12, rbx, rbp, then the ret target. The saved
   // r12 slot carries `this` into the entry thunk.
+  auto* const top = static_cast<std::uint8_t*>(stack_mapping_) + mapping_bytes_;
+  assert(reinterpret_cast<std::uintptr_t>(top) % 16 == 0);
   struct InitFrame {
     std::uint32_t mxcsr;
     std::uint32_t fcw;
@@ -201,24 +204,40 @@ Fiber::~Fiber() {
 #endif
 }
 
+void Fiber::arrived([[maybe_unused]] void* fake_stack) {
+#if defined(CIRRUS_ASAN_FIBERS)
+  // Learn the main stack's bounds whenever we come from it: a fiber that
+  // first arrives from a peer must still name the main stack when it yields.
+  if (main_->asan_from_main) {
+    main_->asan_from_main = false;
+    asan_after_switch(fake_stack, &main_->asan_bottom, &main_->asan_size);
+  } else {
+    asan_after_switch(fake_stack, nullptr, nullptr);
+  }
+#endif
+}
+
+void Fiber::leave_for_main(void** fake) {
+  asan_before_switch(fake, main_->asan_bottom, main_->asan_size);
+  tsan_switch_to(main_->tsan_fiber);
+}
+
 void Fiber::run_body() noexcept {
-  // First arrival on this stack: no fake-stack state to restore yet, but
-  // record who resumed us so yield() can name the return target.
-  asan_after_switch(nullptr, &asan_caller_bottom_, &asan_caller_size_);
+  // First arrival on this stack: no fake-stack state to restore yet.
+  arrived(nullptr);
   try {
     body_();
   } catch (...) {
     error_ = std::current_exception();
   }
   finished_ = true;
-  // Hand control back to whoever resumed us, permanently. The null
+  // Hand control back to the main context, permanently. The null
   // fake_stack_save tells ASan this fiber is done for good.
-  asan_before_switch(nullptr, asan_caller_bottom_, asan_caller_size_);
-  tsan_switch_to(tsan_return_);
+  leave_for_main(nullptr);
 #if defined(CIRRUS_USE_UCONTEXT)
-  ::swapcontext(&fiber_ctx_, &engine_ctx_);
+  ::swapcontext(&fiber_ctx_, &main_->ctx);
 #else
-  cirrus_ctx_switch(&fiber_sp_, engine_sp_);
+  cirrus_ctx_switch(&fiber_sp_, main_->sp);
 #endif
   // Unreachable: a finished fiber is never resumed (asserted in resume()).
   assert(false && "finished fiber resumed");
@@ -226,35 +245,43 @@ void Fiber::run_body() noexcept {
 
 void Fiber::resume() {
   assert(!finished_ && "resume() on a finished fiber");
-  started_ = true;
   void* fake = nullptr;  // this frame survives the switch; a local suffices
   asan_before_switch(&fake, asan_stack_bottom_, asan_stack_size_);
-  tsan_return_ = tsan_current_fiber();
+  main_->asan_from_main = true;
+  main_->tsan_fiber = tsan_current_fiber();
   tsan_switch_to(tsan_fiber_);
 #if defined(CIRRUS_USE_UCONTEXT)
-  ::swapcontext(&engine_ctx_, &fiber_ctx_);
+  ::swapcontext(&main_->ctx, &fiber_ctx_);
 #else
-  cirrus_ctx_switch(&engine_sp_, fiber_sp_);
+  cirrus_ctx_switch(&main_->sp, fiber_sp_);
 #endif
   asan_after_switch(fake, nullptr, nullptr);
-  if (error_) {
-    std::exception_ptr e = std::exchange(error_, nullptr);
-    std::rethrow_exception(e);
-  }
+  if (error_) std::rethrow_exception(take_error());
 }
 
 void Fiber::yield() {
   void* fake = nullptr;  // this frame survives the switch; a local suffices
-  asan_before_switch(&fake, asan_caller_bottom_, asan_caller_size_);
-  tsan_switch_to(tsan_return_);
+  leave_for_main(&fake);
 #if defined(CIRRUS_USE_UCONTEXT)
-  ::swapcontext(&fiber_ctx_, &engine_ctx_);
+  ::swapcontext(&fiber_ctx_, &main_->ctx);
 #else
-  cirrus_ctx_switch(&fiber_sp_, engine_sp_);
+  cirrus_ctx_switch(&fiber_sp_, main_->sp);
 #endif
-  // Re-entered: restore our fake stack and refresh the caller's bounds (the
-  // next resume() may come from a different frame).
-  asan_after_switch(fake, &asan_caller_bottom_, &asan_caller_size_);
+  arrived(fake);
+}
+
+void Fiber::switch_to(Fiber& next) {
+  assert(next.main_ == main_ && "switch_to() a fiber of another main context");
+  assert(&next != this && !next.finished_ && "switch_to() self or a finished fiber");
+  void* fake = nullptr;
+  asan_before_switch(&fake, next.asan_stack_bottom_, next.asan_stack_size_);
+  tsan_switch_to(next.tsan_fiber_);
+#if defined(CIRRUS_USE_UCONTEXT)
+  ::swapcontext(&fiber_ctx_, &next.fiber_ctx_);
+#else
+  cirrus_ctx_switch(&fiber_sp_, next.fiber_sp_);
+#endif
+  arrived(fake);
 }
 
 }  // namespace cirrus::sim

@@ -1,6 +1,7 @@
 // Matching semantics of the mailbox's flat posted/unexpected lists: FIFO per
 // (source, tag) pair, any-source/any-tag wildcard arbitration against both
-// the unexpected list and posted receives, a seeded property test against a
+// the unexpected list and posted receives, any-tag receives that skip
+// collective traffic, a seeded property test against a
 // naive single-queue matcher, and collectives on non-power-of-two
 // communicators (which stress odd tag patterns).
 #include <gtest/gtest.h>
@@ -180,6 +181,48 @@ TEST(MatchBuckets, ManyDistinctTagsReverseOrder) {
     }
   });
   EXPECT_EQ(r.values.at("ok"), 1);
+}
+
+TEST(MatchBuckets, AnyTagSkipsCollectiveTraffic) {
+  // A wildcard receive posted before a barrier must not match the barrier's
+  // internal messages (MPI keeps collectives in their own context): it waits
+  // for the user's tag-7 send that follows the barrier.
+  auto r = mpi::run_job(cfg(2), [](mpi::RankEnv& env) {
+    auto& c = env.world();
+    if (c.rank() == 0) {
+      c.barrier();
+      double v = 7;
+      c.send(1, /*tag=*/7, &v, 1);
+    } else {
+      double got = 0;
+      mpi::Request rq = c.irecv(mpi::kAnySource, mpi::kAnyTag, &got, 1);
+      c.barrier();
+      c.wait(rq);
+      env.report("got", got);
+    }
+  });
+  EXPECT_DOUBLE_EQ(r.values.at("got"), 7);
+}
+
+TEST(MatchBuckets, AnyTagSkipsUnexpectedCollectiveTraffic) {
+  // The same from the unexpected side: rank 0's barrier message is already
+  // waiting when rank 1 posts its wildcard receive.
+  auto r = mpi::run_job(cfg(2), [](mpi::RankEnv& env) {
+    auto& c = env.world();
+    if (c.rank() == 0) {
+      c.barrier();
+      double v = 7;
+      c.send(1, /*tag=*/7, &v, 1);
+    } else {
+      env.compute(0.001);  // rank 0's barrier message arrives unexpected
+      double got = 0;
+      mpi::Request rq = c.irecv(mpi::kAnySource, mpi::kAnyTag, &got, 1);
+      c.barrier();
+      c.wait(rq);
+      env.report("got", got);
+    }
+  });
+  EXPECT_DOUBLE_EQ(r.values.at("got"), 7);
 }
 
 TEST(MatchBuckets, NonPowerOfTwoCommunicatorCollectives) {

@@ -1,11 +1,20 @@
 // Unit tests for the discrete-event engine: event ordering, virtual time,
-// process lifecycle, wake/suspend discipline, deadlock detection and
-// determinism.
+// process lifecycle, wake/suspend discipline, deadlock detection,
+// determinism, and the fiber-to-fiber handoff (events dispatched on a
+// suspending process's stack, errors raised there, self-wakes, and a seeded
+// property test against a fiber-free reference interpreter).
 #include "sim/engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <map>
+#include <memory>
+#include <random>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace sim = cirrus::sim;
@@ -213,4 +222,310 @@ TEST(Engine, DeterministicAcrossRuns) {
   const auto t3 = run_once(43);
   EXPECT_EQ(t1, t2);
   EXPECT_NE(t1, t3);
+}
+
+// ---------------------------------------------------------------------------
+// Fiber-to-fiber handoff.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// True if two frame addresses lie on one fiber stack.
+bool same_stack(const void* a, const void* b) {
+  const auto d = reinterpret_cast<std::intptr_t>(a) - reinterpret_cast<std::intptr_t>(b);
+  return std::llabs(d) < static_cast<std::intptr_t>(sim::Fiber::kDefaultStackBytes);
+}
+
+}  // namespace
+
+TEST(EngineHandoff, CallbackThrowingOnAFiberIsRethrownAndDrained) {
+  // Every process is parked when the callback at t=100 comes due, so the
+  // last one to suspend dispatches it on its own stack.
+  auto keep = std::make_shared<int>(0);
+  bool late_ran = false;
+  const void* body_frame = nullptr;
+  const void* callback_frame = nullptr;
+  {
+    sim::Engine eng;
+    for (int i = 0; i < 3; ++i) {
+      eng.spawn("parked" + std::to_string(i), [&](sim::Process& self) {
+        body_frame = __builtin_frame_address(0);
+        self.suspend();
+        ADD_FAILURE() << "a parked process was woken";
+      });
+    }
+    eng.schedule_at(100, [&] {
+      callback_frame = __builtin_frame_address(0);
+      throw std::runtime_error("callback failure");
+    });
+    eng.schedule_at(200, [&late_ran, keep] { late_ran = true; });
+    EXPECT_EQ(keep.use_count(), 2);
+    try {
+      eng.run();
+      FAIL() << "expected the callback's exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "callback failure");
+    }
+    EXPECT_TRUE(same_stack(body_frame, callback_frame));
+    EXPECT_EQ(eng.now(), 100);
+    EXPECT_EQ(eng.events_pending(), 0u);
+    EXPECT_EQ(keep.use_count(), 1);  // the t=200 callback was destroyed unrun
+    EXPECT_EQ(eng.stats().callback_events, 1u);
+    EXPECT_EQ(eng.stats().fiber_switches, 3u);
+  }  // the engine destroys three suspended fibers
+  EXPECT_FALSE(late_ran);
+}
+
+TEST(EngineHandoff, ProcessThrowingWhilePeersAreParkedMidHandoff) {
+  // a and b hand their wakes on to each other and to c; c throws while both
+  // sit suspended inside a handoff.
+  sim::Engine eng;
+  std::vector<std::string> log;
+  bool late_ran = false;
+  auto parked = [&](sim::Process& self) {
+    self.advance(5);
+    log.push_back(self.name() + "@" + std::to_string(eng.now()));
+    self.suspend();
+    ADD_FAILURE() << self.name() << " was woken";
+  };
+  sim::Process& a = eng.spawn("a", parked);
+  sim::Process& b = eng.spawn("b", parked);
+  sim::Process& c = eng.spawn("c", [&](sim::Process& self) {
+    self.advance(10);
+    throw std::logic_error("c failed");
+  });
+  eng.schedule_at(50, [&] { late_ran = true; });
+  EXPECT_THROW(eng.run(), std::logic_error);
+  EXPECT_EQ(log, (std::vector<std::string>{"a@5", "b@5"}));
+  EXPECT_EQ(eng.now(), 10);
+  EXPECT_TRUE(a.blocked());
+  EXPECT_TRUE(b.blocked());
+  EXPECT_TRUE(c.finished());
+  EXPECT_EQ(eng.events_pending(), 0u);
+  EXPECT_FALSE(late_ran);
+  EXPECT_EQ(eng.stats().fiber_switches, 6u);  // 3 starts, 3 advance wakes
+}
+
+TEST(EngineHandoff, SelfWakeCountsAsAFiberSwitch) {
+  // The process's own wake is the next event every time, so its handoff
+  // keeps running it without switching; the wake still counts.
+  sim::Engine eng;
+  std::vector<SimTime> seen;
+  eng.spawn("loner", [&](sim::Process& self) {
+    for (int i = 0; i < 3; ++i) {
+      self.advance(i);
+      seen.push_back(eng.now());
+    }
+  });
+  eng.run();
+  EXPECT_EQ(seen, (std::vector<SimTime>{0, 1, 3}));
+  EXPECT_EQ(eng.stats().wake_events, 4u);
+  EXPECT_EQ(eng.stats().fiber_switches, 4u);
+  EXPECT_EQ(eng.events_processed(), 4u);
+}
+
+TEST(EngineHandoff, BlockedProcessResumesInALaterRun) {
+  // The queue drains while p is suspended, so p's handoff returns to run();
+  // a wake scheduled from outside resumes it through the next run().
+  sim::Engine eng;
+  bool done = false;
+  sim::Process& p = eng.spawn("p", [&](sim::Process& self) {
+    self.suspend();
+    self.advance(7);
+    done = true;
+  });
+  EXPECT_THROW(eng.run(), sim::DeadlockError);
+  EXPECT_TRUE(p.blocked());
+  eng.wake_at(p, 20);
+  eng.run();
+  EXPECT_TRUE(done);
+  EXPECT_EQ(eng.now(), 27);
+}
+
+// Seeded property test: random scripts run on the engine must produce the
+// same dispatch log, clock and counters as a fiber-free interpreter that
+// pops the same (time, seq) queue and runs each process's script inline.
+namespace {
+
+struct Op {
+  enum Kind { Advance, Suspend, Wake, Callback } kind;
+  sim::SimTime dt;  // Advance: the step; Wake/Callback: the delay
+  int target;       // Wake/Callback: the process to wake if it is parked
+};
+
+using Script = std::vector<std::vector<Op>>;  // one op list per process
+using LogEntry = std::pair<sim::SimTime, int>;  // (now, pid or 1000 + callback id)
+
+struct Outcome {
+  std::vector<LogEntry> log;
+  sim::SimTime now = 0;
+  std::uint64_t events = 0, wakes = 0, callbacks = 0, switches = 0;
+  bool deadlock = false;
+  bool operator==(const Outcome&) const = default;
+};
+
+Script random_script(std::mt19937_64& rng) {
+  const int procs = 2 + static_cast<int>(rng() % 5);
+  Script script(procs);
+  for (auto& ops : script) {
+    const int n = 1 + static_cast<int>(rng() % 12);
+    for (int i = 0; i < n; ++i) {
+      const auto roll = rng() % 20;
+      const auto target = static_cast<int>(rng() % procs);
+      if (roll < 5) {
+        ops.push_back({Op::Advance, 0, 0});
+      } else if (roll < 10) {
+        ops.push_back({Op::Advance, static_cast<sim::SimTime>(1 + rng() % 4), 0});
+      } else if (roll < 13) {
+        ops.push_back({Op::Suspend, 0, 0});
+      } else if (roll < 16) {
+        ops.push_back({Op::Wake, static_cast<sim::SimTime>(rng() % 3), target});
+      } else {
+        ops.push_back({Op::Callback, static_cast<sim::SimTime>(rng() % 4), target});
+      }
+    }
+  }
+  return script;
+}
+
+// Wakes target `t` only if it is parked in a Suspend op with no wake on the
+// way, as the engine requires; both runners apply the same rule.
+struct Parking {
+  std::vector<bool> parked, pending;
+  explicit Parking(std::size_t n) : parked(n, false), pending(n, false) {}
+  bool claim(int t) {
+    if (!parked[t] || pending[t]) return false;
+    pending[t] = true;
+    return true;
+  }
+};
+
+Outcome run_on_engine(const Script& script) {
+  sim::Engine eng;
+  Outcome out;
+  Parking park(script.size());
+  std::vector<sim::Process*> procs;
+  int next_cb = 0;
+  auto wake_if_parked = [&](int t, sim::SimTime when) {
+    if (park.claim(t)) eng.wake_at(*procs[t], when);
+  };
+  for (std::size_t i = 0; i < script.size(); ++i) {
+    procs.push_back(&eng.spawn("p" + std::to_string(i), [&, i](sim::Process& self) {
+      out.log.emplace_back(eng.now(), static_cast<int>(i));
+      for (const Op& op : script[i]) {
+        switch (op.kind) {
+          case Op::Advance:
+            self.advance(op.dt);
+            break;
+          case Op::Suspend:
+            park.parked[i] = true;
+            self.suspend();
+            park.parked[i] = park.pending[i] = false;
+            break;
+          case Op::Wake:
+            wake_if_parked(op.target, eng.now() + op.dt);
+            continue;  // no dispatch, nothing to log
+          case Op::Callback: {
+            const int id = 1000 + next_cb++;
+            eng.schedule_after(op.dt, [&, id, t = op.target] {
+              out.log.emplace_back(eng.now(), id);
+              wake_if_parked(t, eng.now());
+            });
+            continue;
+          }
+        }
+        out.log.emplace_back(eng.now(), static_cast<int>(i));
+      }
+    }));
+  }
+  try {
+    eng.run();
+  } catch (const sim::DeadlockError&) {
+    out.deadlock = true;
+  }
+  out.now = eng.now();
+  out.events = eng.events_processed();
+  out.wakes = eng.stats().wake_events;
+  out.callbacks = eng.stats().callback_events;
+  out.switches = eng.stats().fiber_switches;
+  return out;
+}
+
+Outcome run_reference(const Script& script) {
+  // Event: (when, seq) -> pid for a wake, or -1 - k for callback k.
+  std::map<std::pair<sim::SimTime, std::uint64_t>, int> queue;
+  std::vector<std::pair<int, int>> callbacks;  // (log id, target)
+  std::uint64_t seq = 0;
+  sim::SimTime now = 0;
+  Outcome out;
+  Parking park(script.size());
+  std::vector<std::size_t> pc(script.size(), 0);
+  auto push = [&](sim::SimTime when, int what) { queue[{std::max(when, now), seq++}] = what; };
+  auto wake_if_parked = [&](int t, sim::SimTime when) {
+    if (park.claim(t)) push(when, t);
+  };
+  for (std::size_t i = 0; i < script.size(); ++i) push(0, static_cast<int>(i));
+  std::vector<bool> done(script.size(), false);
+  while (!queue.empty()) {
+    const auto [key, what] = *queue.begin();
+    queue.erase(queue.begin());
+    now = key.first;
+    ++out.events;
+    if (what < 0) {
+      ++out.callbacks;
+      const auto [id, t] = callbacks[static_cast<std::size_t>(-1 - what)];
+      out.log.emplace_back(now, id);
+      wake_if_parked(t, now);
+      continue;
+    }
+    ++out.wakes;
+    const auto i = static_cast<std::size_t>(what);
+    park.parked[i] = park.pending[i] = false;
+    out.log.emplace_back(now, what);
+    bool blocked = false;
+    while (!blocked && pc[i] < script[i].size()) {
+      const Op& op = script[i][pc[i]++];
+      switch (op.kind) {
+        case Op::Advance:
+          push(now + op.dt, what);
+          blocked = true;
+          break;
+        case Op::Suspend:
+          park.parked[i] = true;
+          blocked = true;
+          break;
+        case Op::Wake:
+          wake_if_parked(op.target, now + op.dt);
+          break;
+        case Op::Callback:
+          push(now + op.dt, -1 - static_cast<int>(callbacks.size()));
+          callbacks.emplace_back(1000 + static_cast<int>(callbacks.size()), op.target);
+          break;
+      }
+    }
+    if (!blocked) done[i] = true;
+  }
+  out.now = now;
+  out.switches = out.wakes;
+  for (const bool d : done) out.deadlock = out.deadlock || !d;
+  return out;
+}
+
+}  // namespace
+
+TEST(EngineHandoff, RandomScriptsMatchFiberFreeReference) {
+  std::mt19937_64 rng(20120521);
+  int deadlocks = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const Script script = random_script(rng);
+    const Outcome want = run_reference(script);
+    const Outcome got = run_on_engine(script);
+    ASSERT_EQ(got.log, want.log) << "trial " << trial;
+    ASSERT_EQ(got, want) << "trial " << trial;
+    deadlocks += want.deadlock ? 1 : 0;
+  }
+  // The scripts exercise both endings: a drained queue with processes still
+  // parked on a fiber, and every process finishing.
+  EXPECT_GT(deadlocks, 0);
+  EXPECT_LT(deadlocks, 300);
 }
