@@ -642,7 +642,8 @@ struct CollGuard {
 
 
 void Comm::p2p_send(int dst, int tag, const void* data, std::size_t bytes, ipm::CallKind kind,
-                    Request* out, detail::RequestState* frame) {
+                    Request* out, detail::RequestState* frame,
+                    detail::RequestState* then_wait) {
   assert(dst >= 0 && dst < size() && "send: destination out of range");
   Job& job = *job_;
   const int src_world = world_rank_of(rank_);
@@ -691,7 +692,15 @@ void Comm::p2p_send(int dst, int tag, const void* data, std::size_t bytes, ipm::
     }
     sim::EngineInternal::schedule_raw(job.engine, timing.arrival, &deliver_event, env);
     if (timing.sender_free > t0) {
-      se.wake_at(proc, timing.sender_free);
+      if (then_wait != nullptr && !then_wait->done) {
+        // Resuming at sender_free with the receive still open would only
+        // wait for it, so reserve that wake and wait for the receive now:
+        // one suspend, resumed at whichever the event order makes last.
+        se.reserve_wake(proc, timing.sender_free);
+        then_wait->waiter = &proc;
+      } else {
+        se.wake_at(proc, timing.sender_free);
+      }
       proc.suspend();
     }
     if (out != nullptr) {
@@ -833,7 +842,7 @@ void Comm::sendrecv_bytes(int dst, int stag, const void* sdata, std::size_t sbyt
     CollGuard guard(job_->in_coll[static_cast<std::size_t>(world_rank_of(rank_))]);
     Request rr = p2p_recv(src, rtag, rdata, rbytes, ipm::CallKind::Irecv, /*blocking=*/false, &rst);
     Request sr;
-    p2p_send(dst, stag, sdata, sbytes, ipm::CallKind::Isend, &sr, &sst);
+    p2p_send(dst, stag, sdata, sbytes, ipm::CallKind::Isend, &sr, &sst, &rst);
     wait_internal(sr);
     wait_internal(rr);
   }

@@ -252,9 +252,12 @@ class Comm {
   // Internals (implemented in minimpi.cpp). A non-null `frame` holds the
   // request state on the caller's frame; the caller waits for the request
   // before that frame ends. A null `frame` takes a pooled state. p2p_send
-  // blocks when `out` is null.
+  // blocks when `out` is null. A non-null `then_wait` is a receive the
+  // caller waits for right after the send returns (sendrecv); an eager send
+  // that must wait for its NIC waits for that receive at the same time.
   void p2p_send(int dst, int tag, const void* data, std::size_t bytes, ipm::CallKind kind,
-                Request* out, detail::RequestState* frame);
+                Request* out, detail::RequestState* frame,
+                detail::RequestState* then_wait = nullptr);
   Request p2p_recv(int src, int tag, void* data, std::size_t bytes, ipm::CallKind kind,
                    bool blocking, detail::RequestState* frame);
   void wait_internal(Request& req);

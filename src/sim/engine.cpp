@@ -66,7 +66,24 @@ void Engine::drain_pending() noexcept {
       free_slot(idx);
     }
   });
-  for (const auto& p : processes_) p->wake_pending_ = false;
+  // A reservation the clock has passed was, in event order, a processed
+  // wake; one still ahead is drained like a queued wake.
+  for (const auto& p : processes_) {
+    p->wake_pending_ = false;
+    if (std::exchange(p->reserved_, false) && !reservation_ahead(*p)) {
+      ++events_processed_;
+      ++stats_.wake_events;
+    }
+  }
+  reservations_ = 0;
+}
+
+std::size_t Engine::events_pending() const noexcept {
+  std::size_t n = queue_.size();
+  if (reservations_ != 0) {
+    for (const auto& p : processes_) n += p->reserved_ && reservation_ahead(*p) ? 1 : 0;
+  }
+  return n;
 }
 
 // ---------------------------------------------------------------------------
@@ -108,10 +125,51 @@ void Engine::schedule_raw(SimTime when, void (*fn)(void*), void* ctx) {
 
 void Engine::wake_at(Process& p, SimTime when) {
   assert(!p.finished() && "waking a finished process");
+  if (p.reserved_ && settle_reservation(p)) return;
   assert(!p.wake_pending_ && "double wake: process already has a pending wake");
   if (when < now_) when = now_;
   p.wake_pending_ = true;
   push_process_event(when, p);
+}
+
+void Engine::reserve_wake(Process& p, SimTime when) {
+  assert(current_ == &p && "reserve_wake() called from outside the process");
+  assert(when > now_ && "a reserved wake must lie in the future");
+  assert(!p.wake_pending_ && !p.reserved_ && "process already has a pending wake");
+  p.reserved_ = true;
+  p.reserved_when_ = when;
+  p.reserved_seq_ = next_seq_++;
+  ++reservations_;
+}
+
+bool Engine::settle_reservation(Process& p) {
+  p.reserved_ = false;
+  --reservations_;
+  if (reservation_ahead(p)) {
+    // Straight into the heap, never the lane: the reserved seq was taken
+    // before the clock reached p.reserved_when_, so it precedes every lane
+    // entry at that time.
+    p.wake_pending_ = true;
+    queue_.push_to_heap(p.reserved_when_, p.reserved_seq_, reinterpret_cast<std::uintptr_t>(&p));
+    if (queue_.size() > stats_.heap_hwm) stats_.heap_hwm = queue_.size();
+    return true;
+  }
+  ++events_processed_;
+  ++stats_.wake_events;
+  return false;
+}
+
+void Engine::settle_reservations_at_drain() noexcept {
+  for (const auto& p : processes_) {
+    if (!std::exchange(p->reserved_, false)) continue;
+    ++events_processed_;
+    ++stats_.wake_events;
+    if (reservation_ahead(*p)) {
+      now_ = p->reserved_when_;
+      cur_seq_ = p->reserved_seq_;
+    }
+  }
+  reservations_ = 0;
 }
 
 Process* Engine::next_wake() {
@@ -119,6 +177,7 @@ Process* Engine::next_wake() {
     const EventQueue::Entry entry = queue_.pop();
     assert(entry.when >= now_);
     now_ = entry.when;
+    cur_seq_ = entry.seq;
     ++events_processed_;
     const unsigned tag = payload_tag(entry.payload);
     if (tag == 0u) {
@@ -143,6 +202,7 @@ Process* Engine::next_wake() {
       raw_table_[tag - 2u](reinterpret_cast<void*>(entry.payload & ~kTagMask));
     }
   }
+  if (reservations_ != 0) settle_reservations_at_drain();
   return nullptr;
 }
 

@@ -22,6 +22,11 @@
 // main stack only when the queue drains, a process body returns or throws,
 // or an event throws. So a wake costs one fiber switch, not a round trip
 // through the main stack, and the pop order is the same either way.
+//
+// A process about to wait for a waker may reserve, instead of queue, a wake
+// it would only re-suspend from (reserve_wake): the wake keeps its (time,
+// seq) key and is queued or counted when the waker comes, so the event
+// stream and every event count are those of the plain wake.
 #pragma once
 
 #include <array>
@@ -80,6 +85,9 @@ class Process {
   std::string name_;
   State state_ = State::Created;
   bool wake_pending_ = false;
+  bool reserved_ = false;  // holds a reserved wake (Engine::reserve_wake)
+  SimTime reserved_when_ = 0;
+  std::uint64_t reserved_seq_ = 0;
   Fiber fiber_;
 };
 
@@ -95,7 +103,8 @@ class Engine {
   /// on). Deterministic: derived purely from the event stream, never from
   /// wall clocks, so they are part of the reproducibility fingerprint.
   struct Stats {
-    std::uint64_t wake_events = 0;      ///< process wake/start events executed
+    std::uint64_t wake_events = 0;      ///< process wake/start events executed, a
+                                        ///< reserved wake once (see reserve_wake)
     std::uint64_t callback_events = 0;  ///< slab std::function callbacks executed
     std::uint64_t raw_events = 0;       ///< raw fn-pointer events executed
     std::uint64_t fiber_switches = 0;   ///< wakes that resumed a process, on any stack
@@ -116,7 +125,8 @@ class Engine {
   [[nodiscard]] SimTime now() const noexcept { return now_; }
   [[nodiscard]] Rng& rng() noexcept { return rng_; }
   [[nodiscard]] std::uint64_t events_processed() const noexcept { return events_processed_; }
-  [[nodiscard]] std::size_t events_pending() const noexcept { return queue_.size(); }
+  /// Queued events plus reserved wakes not yet due.
+  [[nodiscard]] std::size_t events_pending() const noexcept;
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
   /// Creates a process whose body starts executing (at the current virtual
@@ -137,6 +147,22 @@ class Engine {
   /// Allocation-free: the event carries only the process pointer.
   void wake_at(Process& p, SimTime when);
   void wake(Process& p) { wake_at(p, now_); }
+
+  /// Reserves, for the running process `p`, the wake that wake_at(p, when)
+  /// would push now: it takes that wake's (when, seq) key but queues
+  /// nothing. `p` must then suspend until some waker calls wake() on it, and
+  /// may reserve only if resuming at `when` would do nothing but go on
+  /// waiting for that waker. The first wake() to reach `p` settles the
+  /// reservation against the current event's key:
+  ///  * reserved key still ahead: the reserved wake is queued under its own
+  ///    key and this wake is absorbed, so `p` resumes at `when`, as it would
+  ///    have after a plain wake;
+  ///  * reserved key passed: the reserved wake is counted as a processed
+  ///    wake event (no pop, no fiber switch), then this wake proceeds.
+  /// The event stream, the clock and every event count are those of a plain
+  /// wake_at followed by a re-suspend; only fiber switches and queue pushes
+  /// are saved. Precondition: when > now().
+  void reserve_wake(Process& p, SimTime when);
 
   /// Runs the simulation until the event queue is empty. Throws
   /// DeadlockError if processes remain blocked afterwards; rethrows the
@@ -190,6 +216,16 @@ class Engine {
   void hand_off(Process& self);
   void push_entry(SimTime when, std::uintptr_t payload);
   void push_process_event(SimTime when, Process& p);
+  /// True while p's reserved wake is still ahead of the current event.
+  [[nodiscard]] bool reservation_ahead(const Process& p) const noexcept {
+    return p.reserved_when_ > now_ || (p.reserved_when_ == now_ && p.reserved_seq_ > cur_seq_);
+  }
+  /// Settles p's reservation at a wake (see reserve_wake); true if the
+  /// reserved wake was queued in place of this one.
+  bool settle_reservation(Process& p);
+  /// The queue drained with reservations outstanding: counts them as
+  /// processed wakes and moves the clock to the last of them.
+  void settle_reservations_at_drain() noexcept;
   /// Pops events in order, running raw and callback events on the calling
   /// stack, and returns the process of the first wake event (counted as a
   /// fiber switch), or null once the queue is empty.
@@ -219,7 +255,9 @@ class Engine {
   Stats stats_;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
+  std::uint64_t cur_seq_ = 0;  // seq of the event being (or last) dispatched
   std::uint64_t events_processed_ = 0;
+  std::size_t reservations_ = 0;  // processes holding a reserved wake
   EventQueue queue_;  // pending events, popped in strict (when, seq) order
   std::vector<std::unique_ptr<FnSlot[]>> slab_;  // chunked, stable callback storage
   std::uint32_t slab_size_ = 0;

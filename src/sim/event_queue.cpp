@@ -13,6 +13,12 @@ void EventQueue::push(SimTime when, std::uint64_t seq, std::uintptr_t payload) {
     lane_.push_back(LaneEntry{seq, payload});
     return;
   }
+  push_to_heap(when, seq, payload);
+}
+
+void EventQueue::push_to_heap(SimTime when, std::uint64_t seq, std::uintptr_t payload) {
+  assert(when >= 0 && (now_ < 0 || when >= now_));
+  assert(lane_head_ == lane_.size() || when > now_ || seq < lane_[lane_head_].seq);
   if (n_ + 4 > key_.size()) {
     key_.resize(2 * (n_ + 4), kNoKey);
     payload_.resize(key_.size());

@@ -45,6 +45,11 @@ class EventQueue {
 
   void push(SimTime when, std::uint64_t seq, std::uintptr_t payload);
 
+  /// Pushes into the heap even at the clock. Only for an entry whose seq is
+  /// smaller than every lane entry's (the engine's reserved wakes), which
+  /// the heap then pops first, in (when, seq) order.
+  void push_to_heap(SimTime when, std::uint64_t seq, std::uintptr_t payload);
+
   /// Removes and returns the (when, seq)-least entry. Precondition: !empty().
   Entry pop();
 

@@ -4,10 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <iomanip>
 #include <numeric>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "apps/chaste/chaste.hpp"
+#include "npb/npb.hpp"
+
 namespace mpi = cirrus::mpi;
+namespace npb = cirrus::npb;
 namespace plat = cirrus::plat;
 
 namespace {
@@ -290,4 +297,109 @@ TEST(P2P, InterNodeSlowerThanIntraNode) {
     return r.elapsed_seconds;
   };
   EXPECT_GT(time_with(8), 3 * time_with(1));
+}
+
+// ---------------------------------------------------------------------------
+// Exactness of sendrecv timing. An eager sendrecv whose NIC is busy resumes
+// at the later of its sender-free time and its receive's completion; the
+// expected strings were captured from the simulator before sendrecv waited
+// for both at once, so any change to the event stream, the clock or IPM's
+// per-rank totals shows up here.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// The job's clock, event count and, per rank, IPM's wall, compute, user and
+/// system communication, I/O and MPI call totals.
+std::string fingerprint(const mpi::JobResult& r) {
+  std::ostringstream o;
+  o << "t=" << std::setprecision(17) << r.elapsed_seconds << " ev=" << r.events_processed;
+  for (const auto& rec : r.ipm.recorders()) {
+    const auto& t = rec.totals();
+    o << " |" << rec.wall() << ' ' << t.comp << ' ' << t.comm_user << ' ' << t.comm_sys << ' '
+      << t.io << ' ' << t.mpi_calls;
+  }
+  return o.str();
+}
+
+/// One sendrecv between two ranks sharing a node (shared-memory copies at
+/// 0.4 ns/byte, 900 ns latency) after rank `late` computes `skew_ns`. The
+/// platform's compute model is made exact so the skew is exactly skew_ns.
+std::string exchange(int late, double skew_ns, std::size_t bytes0, std::size_t bytes1) {
+  auto c = cfg(2, plat::dcc());
+  c.platform.compute.jitter_sigma = 0.0;
+  c.platform.compute.virt_overhead = 1.0;
+  c.traits.mem_intensity = 0.0;
+  const auto r = mpi::run_job(c, [=](mpi::RankEnv& env) {
+    auto& w = env.world();
+    const int other = 1 - w.rank();
+    if (w.rank() == late) env.compute(skew_ns * 1e-9);
+    const std::size_t mine = w.rank() == 0 ? bytes0 : bytes1;
+    const std::size_t theirs = w.rank() == 0 ? bytes1 : bytes0;
+    w.sendrecv_bytes(other, 3, nullptr, mine, other, 3, nullptr, theirs);
+    env.compute(1e-6);
+  });
+  return fingerprint(r);
+}
+
+}  // namespace
+
+TEST(SendrecvExactness, PartnerMessageBeforeAtAndAfterSenderFree) {
+  // Rank 0's own copy frees its sender 0.4 ns/byte after it starts; rank 1's
+  // message lands copy + 900 ns after rank 1 starts.
+  struct Case {
+    const char* what;
+    int late;
+    double skew_ns;
+    std::size_t bytes0, bytes1;
+    const char* want;
+  };
+  const Case cases[] = {
+      // Lands at 1300, rank 0 frees at 1500: before sender-free.
+      {"before", 0, 1100, 1000, 1000,
+       "t=3.4000000000000001e-06 ev=10 |2500 2100 380 20 0 1 |3400 1000 2280 120 0 1"},
+      // Both at 1300; the delivery was scheduled first.
+      {"same ns, delivery first", 0, 900, 1000, 1000,
+       "t=3.2000000000000003e-06 ev=10 |2300 1900 380 20 0 1 |3200 1000 2090 110 0 1"},
+      // Both at 1600; rank 0's sender-free wake was due first.
+      {"same ns, sender-free first", 1, 600, 4000, 250,
+       "t=3.5000000000000004e-06 ev=11 |2600 1000 1520 80 0 1 |3500 1600 1805 95 0 1"},
+      // Lands at 1300, rank 0 freed at 400: after sender-free.
+      {"after", 0, 0, 1000, 1000,
+       "t=2.3e-06 ev=10 |2300 1000 1235 65 0 1 |2300 1000 1235 65 0 1"},
+      // Lands at 1300, before rank 0 even posts at 2000.
+      {"already arrived", 0, 2000, 1000, 1000,
+       "t=4.3000000000000003e-06 ev=10 |3400 3000 380 20 0 1 |4300 1000 3135 165 0 1"},
+      // Rendezvous on both sides: no sender-free wake at all.
+      {"rendezvous", 1, 500, 64 * 1024, 64 * 1024,
+       "t=3.0414000000000001e-05 ev=15 |30414 1000 27944 1470 0 1 |29914 1500 26994 1420 0 1"},
+  };
+  for (const Case& k : cases) {
+    EXPECT_EQ(exchange(k.late, k.skew_ns, k.bytes0, k.bytes1), k.want) << k.what;
+  }
+}
+
+TEST(SendrecvExactness, ModelModeCgAndChasteOnDcc) {
+  const auto cg = npb::run_benchmark("CG", npb::Class::S, plat::dcc(), 4, /*execute=*/false);
+  EXPECT_EQ(fingerprint(cg),
+            "t=0.294657683 ev=23482 |294656783 286514244 4188671 3953868 0 1200 "
+            "|294657133 286930792 4021533 3704808 0 1200 "
+            "|294657683 286785810 4088441 3783432 0 1200 "
+            "|294656783 287264534 3916735 3475514 0 1200")
+      << "CG.S.4/dcc";
+
+  mpi::JobConfig c;
+  c.platform = plat::dcc();
+  c.np = 4;
+  c.execute = false;
+  c.traits = cirrus::chaste::traits();
+  c.name = "chaste";
+  const auto chaste = mpi::run_job(c, [](mpi::RankEnv& env) { cirrus::chaste::run(env); });
+  EXPECT_EQ(fingerprint(chaste),
+            "t=2083.012887244 ev=625743 "
+            "|2082999553911 2003224278400 46930611719 16568785093 16275878699 30250 "
+            "|2083012887244 2004331138432 38841077190 15888674609 23951997013 30250 "
+            "|2082972887245 2007029033139 28956829455 15358916524 31628108127 30250 "
+            "|2082986220578 2005422721903 23123565590 15135706644 39304226441 30250")
+      << "Chaste/4/dcc";
 }

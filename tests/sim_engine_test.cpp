@@ -1,8 +1,9 @@
 // Unit tests for the discrete-event engine: event ordering, virtual time,
 // process lifecycle, wake/suspend discipline, deadlock detection,
-// determinism, and the fiber-to-fiber handoff (events dispatched on a
-// suspending process's stack, errors raised there, self-wakes, and a seeded
-// property test against a fiber-free reference interpreter).
+// determinism, the fiber-to-fiber handoff (events dispatched on a
+// suspending process's stack, errors raised there, self-wakes), reserved
+// wakes, and a seeded property test against a fiber-free reference
+// interpreter.
 #include "sim/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -342,14 +343,152 @@ TEST(EngineHandoff, BlockedProcessResumesInALaterRun) {
   EXPECT_EQ(eng.now(), 27);
 }
 
+// ---------------------------------------------------------------------------
+// Reserved wakes: each case runs against the plain wake_at + re-suspend it
+// stands for.
+// ---------------------------------------------------------------------------
+
+TEST(EngineReserve, WakeBeforeTheReservedKeyQueuesItUnderThatKey) {
+  // The waker runs at t=10 with a smaller seq than the reservation, so r
+  // resumes at the reserved key: after the waker, before the later-pushed
+  // event at t=10 and before the lane entry the waker adds at the clock.
+  sim::Engine eng;
+  std::vector<std::string> log;
+  sim::Process* r = nullptr;
+  std::size_t pending_at_waker = 0;
+  auto note = [&](const std::string& what) {
+    log.push_back(what + "@" + std::to_string(eng.now()));
+  };
+  eng.schedule_at(10, [&] {
+    note("waker");
+    pending_at_waker = eng.events_pending();  // r's reservation and "late"
+    eng.schedule_at(10, [&] { note("lane"); });
+    eng.wake(*r);
+  });
+  r = &eng.spawn("r", [&](sim::Process& self) {
+    eng.reserve_wake(self, 10);
+    self.suspend();
+    note("r");
+  });
+  eng.spawn("q", [&](sim::Process&) { eng.schedule_at(10, [&] { note("late"); }); });
+  eng.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"waker@10", "r@10", "late@10", "lane@10"}));
+  EXPECT_EQ(pending_at_waker, 2u);
+  EXPECT_EQ(eng.events_processed(), 6u);  // 2 starts, waker, r, late, lane
+  EXPECT_EQ(eng.stats().wake_events, 3u);
+  EXPECT_EQ(eng.stats().fiber_switches, 3u);  // r resumed once, as with a plain wake
+}
+
+TEST(EngineReserve, WakeAfterTheReservedKeyCountsItAsPassed) {
+  // The waker runs at t=10 with a larger seq than the reservation: a plain
+  // wake would have resumed r at the reserved key only for it to re-suspend,
+  // so that wake is counted without a switch and r resumes at the waker's.
+  sim::Engine eng;
+  std::vector<std::string> log;
+  std::size_t pending_at_waker = 9;
+  sim::Process& r = eng.spawn("r", [&](sim::Process& self) {
+    eng.reserve_wake(self, 10);
+    self.suspend();
+    log.push_back("r@" + std::to_string(eng.now()));
+  });
+  eng.spawn("q", [&](sim::Process&) {
+    eng.schedule_at(10, [&] {
+      log.push_back("waker@" + std::to_string(eng.now()));
+      pending_at_waker = eng.events_pending();  // the reserved wake is due
+      eng.wake_at(r, 12);
+    });
+  });
+  eng.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"waker@10", "r@12"}));
+  EXPECT_EQ(pending_at_waker, 0u);
+  EXPECT_EQ(eng.now(), 12);
+  EXPECT_EQ(eng.events_processed(), 5u);  // 2 starts, passed wake, waker, r
+  EXPECT_EQ(eng.stats().wake_events, 4u);
+  EXPECT_EQ(eng.stats().fiber_switches, 3u);  // one fewer than a plain wake
+}
+
+TEST(EngineReserve, EventThrowingWithAReservationOutstandingDrainsIt) {
+  // The throw comes before the reserved key (the wake is drained unrun) or
+  // after it (the wake already ran, in event order, so it counts).
+  for (const SimTime throw_at : {5, 15}) {
+    sim::Engine eng;
+    bool resumed = false;
+    sim::Process& r = eng.spawn("r", [&](sim::Process& self) {
+      eng.reserve_wake(self, 10);
+      self.suspend();
+      resumed = true;
+    });
+    eng.schedule_at(throw_at, [] { throw std::runtime_error("event failure"); });
+    EXPECT_THROW(eng.run(), std::runtime_error);
+    EXPECT_EQ(eng.now(), throw_at);
+    EXPECT_EQ(eng.events_pending(), 0u);
+    EXPECT_EQ(eng.events_processed(), throw_at < 10 ? 2u : 3u) << throw_at;
+    EXPECT_EQ(eng.stats().wake_events, throw_at < 10 ? 1u : 2u) << throw_at;
+    EXPECT_TRUE(r.blocked());
+    // The reservation is gone: a later wake is a plain one.
+    eng.wake_at(r, 20);
+    eng.run();
+    EXPECT_TRUE(resumed);
+    EXPECT_EQ(eng.now(), 20);
+  }
+}
+
+TEST(EngineReserve, DrainedQueueReportsTheDeadlockAPlainWakeWould) {
+  // Nobody wakes r. The queue drains with its reservation outstanding; the
+  // deadlock names the same time and event count as a plain wake followed
+  // by a re-suspend.
+  struct Ending {
+    std::string what;
+    SimTime now;
+    std::uint64_t events, wakes, switches;
+  };
+  auto run_with = [](bool reserve) {
+    sim::Engine eng;
+    eng.spawn("r", [&, reserve](sim::Process& self) {
+      if (reserve) {
+        eng.reserve_wake(self, 10);
+      } else {
+        eng.wake_at(self, 10);
+        self.suspend();
+      }
+      self.suspend();
+    });
+    eng.spawn("q", [](sim::Process& self) { self.advance(4); });
+    Ending out;
+    try {
+      eng.run();
+    } catch (const sim::DeadlockError& e) {
+      out.what = e.what();
+    }
+    out.now = eng.now();
+    out.events = eng.events_processed();
+    out.wakes = eng.stats().wake_events;
+    out.switches = eng.stats().fiber_switches;
+    return out;
+  };
+  const Ending plain = run_with(false);
+  const Ending reserved = run_with(true);
+  EXPECT_NE(plain.what.find("still blocked at t=1e-08s: r (pid 0)"), std::string::npos)
+      << plain.what;
+  EXPECT_EQ(reserved.what, plain.what);
+  EXPECT_EQ(reserved.now, 10);
+  EXPECT_EQ(plain.now, 10);
+  EXPECT_EQ(reserved.events, plain.events);
+  EXPECT_EQ(reserved.wakes, plain.wakes);
+  EXPECT_EQ(reserved.switches + 1, plain.switches);
+}
+
 // Seeded property test: random scripts run on the engine must produce the
 // same dispatch log, clock and counters as a fiber-free interpreter that
 // pops the same (time, seq) queue and runs each process's script inline.
+// The interpreter runs a reserve-then-wait as the plain wake it stands for:
+// the process resumes at the reserved time and, if no waker came first,
+// re-suspends until one does.
 namespace {
 
 struct Op {
-  enum Kind { Advance, Suspend, Wake, Callback } kind;
-  sim::SimTime dt;  // Advance: the step; Wake/Callback: the delay
+  enum Kind { Advance, Suspend, Wake, Callback, ReserveWait } kind;
+  sim::SimTime dt;  // Advance: the step; Wake/Callback: the delay; ReserveWait: the reserved delay
   int target;       // Wake/Callback: the process to wake if it is parked
 };
 
@@ -370,7 +509,7 @@ Script random_script(std::mt19937_64& rng) {
   for (auto& ops : script) {
     const int n = 1 + static_cast<int>(rng() % 12);
     for (int i = 0; i < n; ++i) {
-      const auto roll = rng() % 20;
+      const auto roll = rng() % 23;
       const auto target = static_cast<int>(rng() % procs);
       if (roll < 5) {
         ops.push_back({Op::Advance, 0, 0});
@@ -380,8 +519,10 @@ Script random_script(std::mt19937_64& rng) {
         ops.push_back({Op::Suspend, 0, 0});
       } else if (roll < 16) {
         ops.push_back({Op::Wake, static_cast<sim::SimTime>(rng() % 3), target});
-      } else {
+      } else if (roll < 20) {
         ops.push_back({Op::Callback, static_cast<sim::SimTime>(rng() % 4), target});
+      } else {
+        ops.push_back({Op::ReserveWait, static_cast<sim::SimTime>(1 + rng() % 4), 0});
       }
     }
   }
@@ -417,6 +558,9 @@ Outcome run_on_engine(const Script& script) {
           case Op::Advance:
             self.advance(op.dt);
             break;
+          case Op::ReserveWait:
+            eng.reserve_wake(self, eng.now() + op.dt);
+            [[fallthrough]];
           case Op::Suspend:
             park.parked[i] = true;
             self.suspend();
@@ -451,7 +595,14 @@ Outcome run_on_engine(const Script& script) {
   return out;
 }
 
-Outcome run_reference(const Script& script) {
+/// How the reference's reserve-then-waits ended.
+struct Reservations {
+  std::uint64_t passed = 0;  // resumed at the reserved time only to re-suspend
+  std::uint64_t queued = 0;  // a waker came first; resumed at the reserved time
+};
+
+Outcome run_reference(const Script& script, Reservations& res) {
+  const std::uint64_t passed_before = res.passed;
   // Event: (when, seq) -> pid for a wake, or -1 - k for callback k.
   std::map<std::pair<sim::SimTime, std::uint64_t>, int> queue;
   std::vector<std::pair<int, int>> callbacks;  // (log id, target)
@@ -461,8 +612,11 @@ Outcome run_reference(const Script& script) {
   Parking park(script.size());
   std::vector<std::size_t> pc(script.size(), 0);
   auto push = [&](sim::SimTime when, int what) { queue[{std::max(when, now), seq++}] = what; };
+  // reserved[i]: i waits with its reserved-time wake still queued, so a
+  // waker only marks it pending and that wake resumes it.
+  std::vector<bool> reserved(script.size(), false);
   auto wake_if_parked = [&](int t, sim::SimTime when) {
-    if (park.claim(t)) push(when, t);
+    if (park.claim(t) && !reserved[t]) push(when, t);
   };
   for (std::size_t i = 0; i < script.size(); ++i) push(0, static_cast<int>(i));
   std::vector<bool> done(script.size(), false);
@@ -480,6 +634,14 @@ Outcome run_reference(const Script& script) {
     }
     ++out.wakes;
     const auto i = static_cast<std::size_t>(what);
+    if (reserved[i]) {
+      reserved[i] = false;
+      if (!park.pending[i]) {
+        ++res.passed;  // nothing to do but keep waiting, still parked
+        continue;
+      }
+      ++res.queued;
+    }
     park.parked[i] = park.pending[i] = false;
     out.log.emplace_back(now, what);
     bool blocked = false;
@@ -488,6 +650,12 @@ Outcome run_reference(const Script& script) {
       switch (op.kind) {
         case Op::Advance:
           push(now + op.dt, what);
+          blocked = true;
+          break;
+        case Op::ReserveWait:
+          push(now + op.dt, what);
+          reserved[i] = true;
+          park.parked[i] = true;
           blocked = true;
           break;
         case Op::Suspend:
@@ -506,7 +674,7 @@ Outcome run_reference(const Script& script) {
     if (!blocked) done[i] = true;
   }
   out.now = now;
-  out.switches = out.wakes;
+  out.switches = out.wakes - (res.passed - passed_before);  // a passed one switches nothing
   for (const bool d : done) out.deadlock = out.deadlock || !d;
   return out;
 }
@@ -516,9 +684,10 @@ Outcome run_reference(const Script& script) {
 TEST(EngineHandoff, RandomScriptsMatchFiberFreeReference) {
   std::mt19937_64 rng(20120521);
   int deadlocks = 0;
+  Reservations res;
   for (int trial = 0; trial < 300; ++trial) {
     const Script script = random_script(rng);
-    const Outcome want = run_reference(script);
+    const Outcome want = run_reference(script, res);
     const Outcome got = run_on_engine(script);
     ASSERT_EQ(got.log, want.log) << "trial " << trial;
     ASSERT_EQ(got, want) << "trial " << trial;
@@ -528,4 +697,7 @@ TEST(EngineHandoff, RandomScriptsMatchFiberFreeReference) {
   // parked on a fiber, and every process finishing.
   EXPECT_GT(deadlocks, 0);
   EXPECT_LT(deadlocks, 300);
+  // ... and both ends of a reservation: woken before its time and after.
+  EXPECT_GT(res.passed, 0u);
+  EXPECT_GT(res.queued, 0u);
 }

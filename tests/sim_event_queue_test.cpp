@@ -1,7 +1,7 @@
 // Unit tests for the engine's event queue (the at-clock FIFO lane in front of
 // the 4-ary heap): it must pop exactly the (when, seq) order a brute-force
 // sort of the same entries gives, whatever the push pattern — dense
-// timestamp ties and pushes at the clock included.
+// timestamp ties, pushes at the clock and heap pushes at the clock included.
 #include "sim/event_queue.hpp"
 
 #include <gtest/gtest.h>
@@ -113,4 +113,21 @@ TEST(EventQueue, DrainVisitsEveryEntryThenEmpties) {
   std::sort(seen.begin(), seen.end());
   ASSERT_EQ(seen.size(), 100U);
   for (std::size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i);
+}
+
+TEST(EventQueue, HeapPushAtTheClockPopsBeforeTheLane) {
+  // A reserved wake: its seq was taken before the clock reached its time, so
+  // it is pushed at the clock into the heap and must pop after the older heap
+  // entry at that time and before every lane entry.
+  EventQueue q;
+  q.push(10, 0, 100);
+  q.push(10, 2, 102);
+  EXPECT_EQ(q.pop().payload, 100u);  // the clock is now 10
+  q.push(10, 5, 105);                // at the clock: the lane
+  q.push(10, 6, 106);
+  q.push_to_heap(10, 1, 101);
+  q.push_to_heap(12, 3, 103);
+  std::vector<std::uintptr_t> order;
+  while (!q.empty()) order.push_back(q.pop().payload);
+  EXPECT_EQ(order, (std::vector<std::uintptr_t>{101, 102, 105, 106, 103}));
 }

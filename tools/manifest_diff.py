@@ -4,6 +4,7 @@
 Usage:
     manifest_diff.py OLD.json NEW.json [--rel-tol 0.05] [--abs-tol 1e-9]
                      [--critpath-rel-tol R] [--critpath-abs-tol A]
+    manifest_diff.py OLD.json NEW.json --perf [--band 0.25]
 
 Metrics are indexed by (target, name, platform, ranks); each target's
 critical-path blame block ("critpath": same row shape as "metrics") is
@@ -20,6 +21,13 @@ This is the continuous-evaluation loop applied to ourselves: each CI run
 diffs its fresh `--suite gap` manifest against the previous run's cached one,
 so any silent drift in the simulated gap ratios — or in *why* they are what
 they are (the blame split) — fails the build instead of rotting quietly.
+
+With --perf the tool compares the manifests' "host" blocks instead: each
+target's wall-clock host_ms and simulated events per second. A target whose
+host_ms grew, or whose events/s fell, by more than the band (default 0.25,
+perfbench's wall_s bound) is listed as SLOWER. Host timings are noisy, so
+--perf only reports: it exits 0 whatever it finds (2 still means a file could
+not be read as a manifest).
 """
 
 import argparse
@@ -27,7 +35,7 @@ import json
 import sys
 
 
-def load_manifest(path):
+def read_doc(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -37,6 +45,11 @@ def load_manifest(path):
     if doc.get("schema", "").rsplit("/", 1)[0] != "cirrus-manifest":
         print(f"manifest_diff: {path}: not a cirrus-manifest file", file=sys.stderr)
         sys.exit(2)
+    return doc
+
+
+def load_manifest(path):
+    doc = read_doc(path)
     metrics, critpath = {}, {}
     for target in doc.get("targets", []):
         tname = target.get("target", "?")
@@ -81,6 +94,48 @@ def diff_section(label, old, new, rel_tol, abs_tol):
     return bool(drifted or removed)
 
 
+def load_host(path):
+    """{target: (host_ms, events_per_sec)} from the manifest's host block."""
+    host = read_doc(path).get("host") or {}
+    return {t.get("target", "?"): (float(t.get("host_ms", 0.0)),
+                                   float(t.get("events_per_sec", 0.0)))
+            for t in host.get("targets", [])}
+
+
+def growth(old, new):
+    """Relative growth new/old - 1, or None when old is not positive."""
+    return new / old - 1.0 if old > 0 else None
+
+
+def pct(g):
+    return "n/a" if g is None else f"{100.0 * g:+.1f}%"
+
+
+def perf_report(old, new, band):
+    """Prints the per-target host timing comparison; returns the SLOWER list."""
+    slower = []
+    for target in sorted(set(old) & set(new)):
+        (old_ms, old_evps), (new_ms, new_evps) = old[target], new[target]
+        ms_g = growth(old_ms, new_ms)
+        # Events/s is compared as time per event, so one band serves both.
+        ev_g = growth(new_evps, old_evps)
+        slow = any(g is not None and g > band for g in (ms_g, ev_g))
+        if slow:
+            slower.append(target)
+        evps_change = None if ev_g is None else 1.0 / (1.0 + ev_g) - 1.0
+        print(f"{'SLOWER ' if slow else 'ok     '} {target}: host_ms {old_ms:.6g} -> "
+              f"{new_ms:.6g} ({pct(ms_g)}), events/s {old_evps:.6g} -> {new_evps:.6g} "
+              f"({pct(evps_change)})")
+    for target in sorted(set(old) ^ set(new)):
+        print(f"only in {'OLD' if target in old else 'NEW'}: {target}")
+    if not old or not new:
+        print("manifest_diff: perf: a manifest has no host block "
+              "(written with include_nondeterministic off?)")
+    print(f"manifest_diff: perf: {len(set(old) & set(new))} targets compared, "
+          f"{len(slower)} slower by more than {100.0 * band:g}% (report only)")
+    return slower
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -95,7 +150,17 @@ def main():
     ap.add_argument("--critpath-abs-tol", type=float, default=0.02,
                     help="absolute drift floor for blame values (default 0.02 — "
                          "a two-point shift in a fraction is noise)")
+    ap.add_argument("--perf", action="store_true",
+                    help="compare the host blocks' host_ms and events/s instead "
+                         "(report only: exits 0)")
+    ap.add_argument("--band", type=float, default=0.25,
+                    help="--perf: slowdown beyond which a target is listed "
+                         "(default 0.25)")
     args = ap.parse_args()
+
+    if args.perf:
+        perf_report(load_host(args.old), load_host(args.new), args.band)
+        return 0
 
     old_metrics, old_critpath = load_manifest(args.old)
     new_metrics, new_critpath = load_manifest(args.new)

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Unit tests for manifest_diff.py: the metrics and critpath sections are
-diffed under their own tolerance pairs, drift/removal exits 1, agreement 0.
+diffed under their own tolerance pairs, drift/removal exits 1, agreement 0;
+--perf lists targets whose host timings slowed beyond a band and exits 0.
 
 Run directly (``python3 tools/manifest_diff_test.py``) or via ctest
 (``manifest_diff_test``). The fixture pair lives in tools/testdata/.
@@ -93,6 +94,62 @@ class ManifestDiffTest(unittest.TestCase):
             self.assertEqual(r.returncode, 2, r.stdout + r.stderr)
         finally:
             os.unlink(bogus)
+
+
+def with_host(rows):
+    """The old fixture plus a host block of (target, host_ms, events/s) rows."""
+    with open(fixture("manifest_old.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["host"] = {"comment": "fixture", "targets": [
+        {"target": t, "host_ms": ms, "events_per_sec": evps} for t, ms, evps in rows]}
+    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
+        json.dump(doc, fh)
+        return fh.name
+
+
+class ManifestDiffPerfTest(unittest.TestCase):
+    def perf(self, old_rows, new_rows, *extra):
+        old, new = with_host(old_rows), with_host(new_rows)
+        try:
+            return run_diff(old, new, "--perf", *extra)
+        finally:
+            os.unlink(old)
+            os.unlink(new)
+
+    def test_slowdown_beyond_band_is_listed_but_exits_0(self):
+        r = self.perf([("fig4", 1000.0, 2e7), ("fig5", 800.0, 1e7)],
+                      [("fig4", 1300.0, 1.54e7), ("fig5", 900.0, 0.89e7)])
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+        self.assertIn("SLOWER  fig4: host_ms 1000 -> 1300 (+30.0%)", r.stdout)
+        self.assertIn("ok      fig5", r.stdout)  # +12.5%: inside the 25% band
+        self.assertIn("2 targets compared, 1 slower by more than 25%", r.stdout)
+
+    def test_events_per_second_drop_alone_is_listed(self):
+        # Same host_ms, but a third fewer events/s: 50% more time per event.
+        r = self.perf([("ext6", 500.0, 3e7)], [("ext6", 500.0, 2e7)])
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+        self.assertIn("SLOWER  ext6", r.stdout)
+        self.assertIn("(-33.3%)", r.stdout)
+
+    def test_band_is_configurable(self):
+        r = self.perf([("fig4", 1000.0, 2e7)], [("fig4", 1300.0, 1.54e7)], "--band", "0.5")
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+        self.assertNotIn("SLOWER", r.stdout)
+        self.assertIn("0 slower by more than 50%", r.stdout)
+
+    def test_faster_and_unmatched_targets(self):
+        r = self.perf([("fig1", 400.0, 1e7), ("tab2", 10.0, 1e6)],
+                      [("fig1", 200.0, 2e7), ("ext1", 50.0, 1e6)])
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+        self.assertIn("ok      fig1: host_ms 400 -> 200 (-50.0%)", r.stdout)
+        self.assertIn("only in OLD: tab2", r.stdout)
+        self.assertIn("only in NEW: ext1", r.stdout)
+
+    def test_missing_host_block_is_reported_and_exits_0(self):
+        r = run_diff(fixture("manifest_old.json"), fixture("manifest_new_drift.json"), "--perf")
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+        self.assertIn("has no host block", r.stdout)
+        self.assertNotIn("DRIFT", r.stdout)
 
 
 if __name__ == "__main__":
