@@ -110,6 +110,7 @@ class Engine {
     std::uint64_t fiber_switches = 0;   ///< wakes that resumed a process, on any stack
                                         ///< (a self-wake counts but switches nothing)
     std::uint64_t heap_hwm = 0;         ///< event queue depth high-water mark
+                                        ///< (reserved wakes are not queued)
     std::uint64_t slab_slots_hwm = 0;   ///< distinct callback slab slots ever live
     std::uint64_t slab_reuses = 0;      ///< slab allocations served from the free list
     std::uint64_t deadlock_scans = 0;   ///< end-of-run blocked-process scans
@@ -160,8 +161,9 @@ class Engine {
   ///  * reserved key passed: the reserved wake is counted as a processed
   ///    wake event (no pop, no fiber switch), then this wake proceeds.
   /// The event stream, the clock and every event count are those of a plain
-  /// wake_at followed by a re-suspend; only fiber switches and queue pushes
-  /// are saved. Precondition: when > now().
+  /// wake_at followed by a re-suspend; fiber switches and queue pushes are
+  /// saved, and Stats::heap_hwm can read lower, since the reserved wake is
+  /// not queued until it is settled. Precondition: when > now().
   void reserve_wake(Process& p, SimTime when);
 
   /// Runs the simulation until the event queue is empty. Throws

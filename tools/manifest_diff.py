@@ -4,7 +4,7 @@
 Usage:
     manifest_diff.py OLD.json NEW.json [--rel-tol 0.05] [--abs-tol 1e-9]
                      [--critpath-rel-tol R] [--critpath-abs-tol A]
-    manifest_diff.py OLD.json NEW.json --perf [--band 0.25]
+    manifest_diff.py OLD.json NEW.json --perf
 
 Metrics are indexed by (target, name, platform, ranks); each target's
 critical-path blame block ("critpath": same row shape as "metrics") is
@@ -24,8 +24,8 @@ they are (the blame split) — fails the build instead of rotting quietly.
 
 With --perf the tool compares the manifests' "host" blocks instead: each
 target's wall-clock host_ms and simulated events per second. A target whose
-host_ms grew, or whose events/s fell, by more than the band (default 0.25,
-perfbench's wall_s bound) is listed as SLOWER. Host timings are noisy, so
+host_ms grew, or whose events/s fell, by more than PERF_BAND (0.25, the
+wall_s bound in BENCHMARK.json) is listed as SLOWER. Host timings are noisy, so
 --perf only reports: it exits 0 whatever it finds (2 still means a file could
 not be read as a manifest).
 """
@@ -34,6 +34,8 @@ import argparse
 import json
 import sys
 
+# The slowdown beyond which --perf lists a target: BENCHMARK.json's wall_s bound.
+PERF_BAND = 0.25
 
 def read_doc(path):
     try:
@@ -153,13 +155,10 @@ def main():
     ap.add_argument("--perf", action="store_true",
                     help="compare the host blocks' host_ms and events/s instead "
                          "(report only: exits 0)")
-    ap.add_argument("--band", type=float, default=0.25,
-                    help="--perf: slowdown beyond which a target is listed "
-                         "(default 0.25)")
     args = ap.parse_args()
 
     if args.perf:
-        perf_report(load_host(args.old), load_host(args.new), args.band)
+        perf_report(load_host(args.old), load_host(args.new), PERF_BAND)
         return 0
 
     old_metrics, old_critpath = load_manifest(args.old)
