@@ -57,11 +57,15 @@ void RankRecorder::pop_section() {
 
 SectionStats& RankRecorder::current() {
   if (stack_.empty()) {
-    // Root pseudo-section keeps untagged time visible.
-    if (section_names_.empty() || section_names_[0] != "(root)") {
-      section_names_.insert(section_names_.begin(), "(root)");
-      sections_.insert(sections_.begin(), SectionStats{});
-      for (auto& s : stack_) ++s;
+    // Root pseudo-section keeps untagged time visible. It is put at index 0
+    // on first use, unless a user section of that name already sits there;
+    // either way index 0 is "(root)" from then on.
+    if (!root_at_front_) {
+      if (section_names_.empty() || section_names_[0] != "(root)") {
+        section_names_.insert(section_names_.begin(), "(root)");
+        sections_.insert(sections_.begin(), SectionStats{});
+      }
+      root_at_front_ = true;
     }
     return sections_[0];
   }

@@ -107,6 +107,7 @@ class RankRecorder {
   std::vector<std::string> section_names_;
   std::vector<SectionStats> sections_;
   std::vector<int> stack_;
+  bool root_at_front_ = false;  // section 0 is "(root)" (set by current())
   std::array<CallStats, kNumCallKinds> by_call_{};
   std::array<std::array<CallStats, kNumSizeBuckets>, kNumCallKinds> hist_{};
 };

@@ -7,6 +7,7 @@
 #include <map>
 #include <tuple>
 #include <unordered_map>
+#include <utility>
 
 namespace cirrus::mpi {
 
@@ -21,6 +22,117 @@ struct RequestState {
 
 struct Mailbox;
 
+/// Recycles byte buffers (eager payloads, collective scratch) so steady-state
+/// simulation does not touch the allocator. Single-threaded by construction:
+/// one pool per Job, one engine thread per Job.
+class BufferPool {
+ public:
+  /// Keeps at most `max_pooled` idle buffers.
+  explicit BufferPool(std::size_t max_pooled) : max_pooled_(max_pooled) {}
+
+  /// An empty vector whose capacity is recycled; fill with assign/resize.
+  std::vector<std::byte> acquire() {
+    if (free_.empty()) return {};
+    std::vector<std::byte> v = std::move(free_.back());
+    free_.pop_back();
+    v.clear();
+    return v;
+  }
+  void release(std::vector<std::byte>&& v) noexcept {
+    if (v.capacity() == 0 || free_.size() >= max_pooled_) return;
+    free_.push_back(std::move(v));
+  }
+
+ private:
+  std::size_t max_pooled_;
+  std::vector<std::vector<std::byte>> free_;
+};
+
+/// Copies n <= 16 bytes through fixed-size loads into locals (both loads come
+/// before any store), so the compiler emits a few moves, not a library call.
+/// Two overlapping 8- or 4-byte words cover 4..16 bytes; 1..3 bytes take the
+/// first, middle and last byte.
+inline void copy_small(std::byte* dst, const std::byte* src, std::size_t n) noexcept {
+  assert(n <= 16);
+  if (n >= 8) {
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
+    std::memcpy(&lo, src, 8);
+    std::memcpy(&hi, src + n - 8, 8);
+    std::memcpy(dst, &lo, 8);
+    std::memcpy(dst + n - 8, &hi, 8);
+  } else if (n >= 4) {
+    std::uint32_t lo = 0;
+    std::uint32_t hi = 0;
+    std::memcpy(&lo, src, 4);
+    std::memcpy(&hi, src + n - 4, 4);
+    std::memcpy(dst, &lo, 4);
+    std::memcpy(dst + n - 4, &hi, 4);
+  } else if (n > 0) {
+    const std::byte first = src[0];
+    const std::byte mid = src[n / 2];
+    const std::byte last = src[n - 1];
+    dst[0] = first;
+    dst[n / 2] = mid;
+    dst[n - 1] = last;
+  }
+}
+
+/// Byte storage with the one inline-or-pool rule of the message path: up to
+/// N bytes live in the object itself (an envelope, a stack frame), larger
+/// sizes lease a BufferPool vector. The size is the caller's to remember and
+/// to pass back in.
+template <std::size_t N>
+class SmallBytes {
+ public:
+  SmallBytes() = default;
+  SmallBytes(const SmallBytes&) = delete;
+  SmallBytes& operator=(const SmallBytes&) = delete;
+
+  /// Room for `bytes` (contents unspecified).
+  std::byte* reserve(BufferPool& pool, std::size_t bytes) {
+    if (bytes <= N) return inline_;
+    heap_ = pool.acquire();
+    heap_.resize(bytes);
+    return heap_.data();
+  }
+  /// Copies `bytes` from `src` in; inline sizes make no library call.
+  void assign(BufferPool& pool, const std::byte* src, std::size_t bytes) {
+    static_assert(N <= 16, "copy_small covers at most 16 bytes");
+    if (bytes <= N) {
+      copy_small(inline_, src, bytes);
+      return;
+    }
+    heap_ = pool.acquire();
+    heap_.assign(src, src + bytes);
+  }
+  /// Copies the first `n` of the `bytes` held to `dst`.
+  void copy_out(std::byte* dst, std::size_t bytes, std::size_t n) const noexcept {
+    static_assert(N <= 16, "copy_small covers at most 16 bytes");
+    if (bytes <= N) {
+      copy_small(dst, inline_, n);
+    } else {
+      std::memcpy(dst, heap_.data(), n);
+    }
+  }
+  /// Hands a leased vector back to `pool` (nothing to do for inline sizes).
+  /// The vector leaves this object either way: one the pool refuses (it is
+  /// full) is freed here rather than kept alive in a recycled envelope.
+  void release(BufferPool& pool) noexcept {
+    if (heap_.capacity() != 0) pool.release(std::exchange(heap_, {}));
+  }
+
+ private:
+  std::byte inline_[N]{};
+  std::vector<std::byte> heap_;
+};
+
+/// Eager payloads up to this size ride inside their envelope.
+constexpr std::size_t kInlinePayloadBytes = 16;
+/// Collective scratch (allreduce, scatter) up to this size lives on the
+/// rank's stack.
+constexpr std::size_t kInlineScratchBytes = 64;
+
 /// An in-flight message as seen by the receiver side. While in flight it is a
 /// pooled object scheduled as a raw engine event: the routing fields
 /// (job/mailbox/dst_world) are resolved at send time so delivery needs no
@@ -29,7 +141,7 @@ struct Envelope {
   int src = 0;  // comm rank of the sender
   int tag = 0;
   std::size_t bytes = 0;
-  std::vector<std::byte> payload;  // eager copy (empty in model mode)
+  SmallBytes<kInlinePayloadBytes> payload;  // eager copy (has_data only)
   bool has_data = false;
   bool rendezvous = false;
   const std::byte* sender_data = nullptr;  // rendezvous zero-copy source
@@ -88,38 +200,6 @@ struct Mailbox {
   std::vector<Unexpected> unexpected;
 };
 
-/// Recycles byte buffers (eager payloads, collective scratch) so steady-state
-/// simulation does not touch the allocator. Single-threaded by construction:
-/// one pool per Job, one engine thread per Job.
-class BufferPool {
- public:
-  /// Keeps at most `max_pooled` idle buffers.
-  explicit BufferPool(std::size_t max_pooled) : max_pooled_(max_pooled) {}
-
-  /// An empty vector whose capacity is recycled; fill with assign/resize.
-  std::vector<std::byte> acquire() {
-    if (free_.empty()) return {};
-    std::vector<std::byte> v = std::move(free_.back());
-    free_.pop_back();
-    v.clear();
-    return v;
-  }
-  /// A vector of exactly `bytes` size (contents unspecified).
-  std::vector<std::byte> acquire(std::size_t bytes) {
-    std::vector<std::byte> v = acquire();
-    v.resize(bytes);
-    return v;
-  }
-  void release(std::vector<std::byte>&& v) noexcept {
-    if (v.capacity() == 0 || free_.size() >= max_pooled_) return;
-    free_.push_back(std::move(v));
-  }
-
- private:
-  std::size_t max_pooled_;
-  std::vector<std::vector<std::byte>> free_;
-};
-
 /// Fixed-size block recycler backing std::allocate_shared<RequestState>: the
 /// shared_ptr control block and the state are one allocation, and that
 /// allocation is reused across requests. Single-threaded, one pool per Job.
@@ -171,32 +251,6 @@ struct RequestPoolAlloc {
   RequestPool* pool;
 };
 
-/// RAII lease of a BufferPool vector. Default-constructed = no buffer (the
-/// model-mode "no data" case); data() is then nullptr.
-class PooledBytes {
- public:
-  PooledBytes() = default;
-  PooledBytes(BufferPool& pool, std::size_t bytes) : pool_(&pool), buf_(pool.acquire(bytes)) {}
-  ~PooledBytes() {
-    if (pool_ != nullptr) pool_->release(std::move(buf_));
-  }
-  PooledBytes(const PooledBytes&) = delete;
-  PooledBytes& operator=(const PooledBytes&) = delete;
-
-  /// Late acquisition for buffers whose size is only known mid-function.
-  void reset(BufferPool& pool, std::size_t bytes) {
-    if (pool_ != nullptr) pool_->release(std::move(buf_));
-    pool_ = &pool;
-    buf_ = pool.acquire(bytes);
-  }
-
-  [[nodiscard]] std::byte* data() noexcept { return pool_ != nullptr ? buf_.data() : nullptr; }
-
- private:
-  BufferPool* pool_ = nullptr;
-  std::vector<std::byte> buf_;
-};
-
 /// Pooled objects with stable addresses (chunked deque storage), so a T* can
 /// be the context of a raw engine event. Single-threaded, one slab per Job.
 template <typename T>
@@ -228,9 +282,9 @@ struct Completion {
 using detail::BufferPool;
 using detail::Envelope;
 using detail::Mailbox;
-using detail::PooledBytes;
 using detail::PostedRecv;
 using detail::RequestState;
+using detail::SmallBytes;
 using detail::Unexpected;
 
 // ---------------------------------------------------------------------------
@@ -383,9 +437,13 @@ class Job {
     if (envelopes_.has_free()) ++counters.envelopes_reused;
     return envelopes_.acquire();
   }
+  /// Every other field is rewritten by the next send that takes the shell.
   void release_envelope(Envelope* env) {
-    buffers.release(std::move(env->payload));
-    *env = Envelope{};
+    if (env->has_data) env->payload.release(buffers);
+    env->has_data = false;
+    env->rendezvous = false;
+    env->sender_data = nullptr;
+    env->sreq.reset();
     envelopes_.release(env);
   }
 
@@ -574,7 +632,7 @@ void consume_match(Job& job, int dst_world, Envelope& env, PostedRecv& pr) {
     start_rendezvous_transfer(job, env, pr, dst_world);
   } else {
     if (env.has_data && pr.buf != nullptr) {
-      std::memcpy(pr.buf, env.payload.data(), std::min(env.bytes, pr.bytes));
+      env.payload.copy_out(pr.buf, env.bytes, std::min(env.bytes, pr.bytes));
     }
     pr.rreq->sys_frac = env.sys_frac;
     complete_request(job.engine, pr.rreq);
@@ -616,18 +674,25 @@ void deliver_event(void* ctx) {
 // Comm: point-to-point.
 // ---------------------------------------------------------------------------
 
+// Comms are built on their rank's own fiber, after run_job has registered
+// its Process, so every id below is already known.
 Comm::Comm(Job& job, int comm_id, std::vector<int> group, int rank)
-    : job_(&job), comm_id_(comm_id), group_(std::move(group)), rank_(rank) {}
+    : job_(&job),
+      comm_id_(comm_id),
+      group_(std::move(group)),
+      rank_(rank),
+      my_world_(world_rank_of(rank)),
+      my_node_(job.node_of(my_world_)),
+      proc_(job.procs[static_cast<std::size_t>(my_world_)]),
+      in_coll_(&job.in_coll[static_cast<std::size_t>(my_world_)]),
+      peer_mail_(group_.size(), nullptr) {
+  peer_mail_[static_cast<std::size_t>(rank)] = &job.mailbox(comm_id, my_world_);
+}
 
 Mailbox& Comm::peer_mailbox(int comm_rank) {
-  if (peer_mail_.empty()) peer_mail_.assign(group_.size(), nullptr);
   Mailbox*& mb = peer_mail_[static_cast<std::size_t>(comm_rank)];
   if (mb == nullptr) mb = &job_->mailbox(comm_id_, world_rank_of(comm_rank));
   return *mb;
-}
-
-bool Comm::in_collective() const noexcept {
-  return job_->in_coll[static_cast<std::size_t>(world_rank_of(rank_))] != 0;
 }
 
 namespace {
@@ -646,11 +711,11 @@ void Comm::p2p_send(int dst, int tag, const void* data, std::size_t bytes, ipm::
                     detail::RequestState* then_wait) {
   assert(dst >= 0 && dst < size() && "send: destination out of range");
   Job& job = *job_;
-  const int src_world = world_rank_of(rank_);
+  const int src_world = my_world_;
   const int dst_world = world_rank_of(dst);
-  const int src_node = job.node_of(src_world);
+  const int src_node = my_node_;
   const int dst_node = job.node_of(dst_world);
-  sim::Process& proc = *job.procs[static_cast<std::size_t>(src_world)];
+  sim::Process& proc = *proc_;
   sim::Engine& se = job.engine;
   const sim::SimTime t0 = se.now();
   Job::MpiCounters& mc = job.counters;
@@ -685,9 +750,7 @@ void Comm::p2p_send(int dst, int tag, const void* data, std::size_t bytes, ipm::
   if (eager) {
     const net::TransferTiming timing = job.network.transfer(src_node, dst_node, bytes);
     if (data != nullptr) {
-      const auto* p = static_cast<const std::byte*>(data);
-      env->payload = job.buffers.acquire();
-      env->payload.assign(p, p + bytes);
+      env->payload.assign(job.buffers, static_cast<const std::byte*>(data), bytes);
       env->has_data = true;
     }
     sim::EngineInternal::schedule_raw(job.engine, timing.arrival, &deliver_event, env);
@@ -736,7 +799,7 @@ Request Comm::p2p_recv(int src, int tag, void* data, std::size_t bytes, ipm::Cal
                        bool blocking, detail::RequestState* frame) {
   assert((src == kAnySource || (src >= 0 && src < size())) && "recv: source out of range");
   Job& job = *job_;
-  const int my_world = world_rank_of(rank_);
+  const int my_world = my_world_;
   sim::Engine& me = job.engine;
   const sim::SimTime t0 = me.now();
 
@@ -744,7 +807,7 @@ Request Comm::p2p_recv(int src, int tag, void* data, std::size_t bytes, ipm::Cal
   rreq->bytes = bytes;
 
   // The earliest-arrived matching unexpected message, if any.
-  Mailbox& mb = peer_mailbox(rank_);
+  Mailbox& mb = *peer_mail_[static_cast<std::size_t>(rank_)];
   if (src == kAnySource || tag == kAnyTag) ++job.counters.wildcard_scans;
   auto it = std::find_if(mb.unexpected.begin(), mb.unexpected.end(), [&](const auto& u) {
     return detail::matches(src, tag, u.src, u.tag);
@@ -782,10 +845,9 @@ void Comm::wait_internal(Request& req) {
   if (!req.state_) return;
   auto& st = *req.state_;
   if (!st.done) {
-    sim::Process& proc = *job_->procs[static_cast<std::size_t>(world_rank_of(rank_))];
     assert(st.waiter == nullptr && "two processes waiting on one request");
-    st.waiter = &proc;
-    proc.suspend();
+    st.waiter = proc_;
+    proc_->suspend();
     assert(st.done);
   }
 }
@@ -820,9 +882,9 @@ void Comm::wait(Request& req) {
   const sim::SimTime t0 = me.now();
   wait_internal(req);
   if (!in_collective() && req.state_) {
-    job.recorders[static_cast<std::size_t>(world_rank_of(rank_))].add_mpi(
+    job.recorders[static_cast<std::size_t>(my_world_)].add_mpi(
         ipm::CallKind::Wait, req.state_->bytes, me.now() - t0, req.state_->sys_frac);
-    job.span_rec(world_rank_of(rank_))
+    job.span_rec(my_world_)
         .interval(t0, me.now(), obs::mpi_category(ipm::CallKind::Wait), req.state_->bytes);
   }
 }
@@ -839,7 +901,7 @@ void Comm::sendrecv_bytes(int dst, int stag, const void* sdata, std::size_t sbyt
   RequestState rst;
   RequestState sst;
   {
-    CollGuard guard(job_->in_coll[static_cast<std::size_t>(world_rank_of(rank_))]);
+    CollGuard guard(*in_coll_);
     Request rr = p2p_recv(src, rtag, rdata, rbytes, ipm::CallKind::Irecv, /*blocking=*/false, &rst);
     Request sr;
     p2p_send(dst, stag, sdata, sbytes, ipm::CallKind::Isend, &sr, &sst, &rst);
@@ -848,12 +910,12 @@ void Comm::sendrecv_bytes(int dst, int stag, const void* sdata, std::size_t sbyt
   }
   const double sys = std::max(sst.sys_frac, rst.sys_frac);
   if (!in_collective()) {
-    job.recorders[static_cast<std::size_t>(world_rank_of(rank_))].add_mpi(
+    job.recorders[static_cast<std::size_t>(my_world_)].add_mpi(
         ipm::CallKind::Sendrecv, sbytes + rbytes, me.now() - t0, sys);
     // The inner isend/irecv suppress their own spans (CollGuard), so the
     // exchange must record one itself or its wait time is invisible to the
     // trace — and charged to "other" by the critical-path walker.
-    job.span_rec(world_rank_of(rank_))
+    job.span_rec(my_world_)
         .interval(t0, me.now(), obs::mpi_category(ipm::CallKind::Sendrecv), sbytes + rbytes,
                   dst);
   }
@@ -899,8 +961,8 @@ struct CollTimer {
 
 void Comm::barrier() {
   const int np = size();
-  CollTimer timer(*this, *job_, world_rank_of(rank_), ipm::CallKind::Barrier, 0);
-  CollGuard guard(job_->in_coll[static_cast<std::size_t>(world_rank_of(rank_))]);
+  CollTimer timer(*this, *job_, my_world_, ipm::CallKind::Barrier, 0);
+  CollGuard guard(*in_coll_);
   if (np == 1) return;
   const int tag = next_tag();
   // Dissemination barrier: ceil(log2 np) rounds of 0-byte exchanges.
@@ -913,8 +975,8 @@ void Comm::barrier() {
 
 void Comm::bcast_bytes(void* data, std::size_t bytes, int root) {
   const int np = size();
-  CollTimer timer(*this, *job_, world_rank_of(rank_), ipm::CallKind::Bcast, bytes);
-  CollGuard guard(job_->in_coll[static_cast<std::size_t>(world_rank_of(rank_))]);
+  CollTimer timer(*this, *job_, my_world_, ipm::CallKind::Bcast, bytes);
+  CollGuard guard(*in_coll_);
   if (np == 1) return;
   const int tag = next_tag();
   const int vrank = (rank_ - root + np) % np;
@@ -938,15 +1000,18 @@ void Comm::bcast_bytes(void* data, std::size_t bytes, int root) {
   }
 }
 
-void Comm::allreduce_bytes(const void* in, void* out, std::size_t bytes,
-                           const detail::Combiner& op) {
+void Comm::allreduce_bytes(const void* in, void* out, std::size_t bytes, detail::Combiner op) {
   const int np = size();
-  CollTimer timer(*this, *job_, world_rank_of(rank_), ipm::CallKind::Allreduce, bytes);
-  CollGuard guard(job_->in_coll[static_cast<std::size_t>(world_rank_of(rank_))]);
+  CollTimer timer(*this, *job_, my_world_, ipm::CallKind::Allreduce, bytes);
+  CollGuard guard(*in_coll_);
   const bool have_data = in != nullptr;
-  PooledBytes acc = have_data ? PooledBytes(job_->buffers, bytes) : PooledBytes();
-  PooledBytes scratch = have_data ? PooledBytes(job_->buffers, bytes) : PooledBytes();
-  if (have_data) std::memcpy(acc.data(), in, bytes);
+  // Up to kInlineScratchBytes both buffers sit on this frame; on an unwind
+  // (a killed job) their vectors free themselves instead of going back.
+  SmallBytes<detail::kInlineScratchBytes> acc_store;
+  SmallBytes<detail::kInlineScratchBytes> scratch_store;
+  std::byte* acc = have_data ? acc_store.reserve(job_->buffers, bytes) : nullptr;
+  std::byte* scratch = have_data ? scratch_store.reserve(job_->buffers, bytes) : nullptr;
+  if (have_data) std::memcpy(acc, in, bytes);
   if (np > 1) {
     const int tag = next_tag();
     // MPICH-style recursive doubling with a non-power-of-two fold.
@@ -956,11 +1021,11 @@ void Comm::allreduce_bytes(const void* in, void* out, std::size_t bytes,
     int newrank;
     if (rank_ < 2 * rem) {
       if (rank_ % 2 == 0) {
-        send_bytes(rank_ + 1, tag, have_data ? acc.data() : nullptr, bytes);
+        send_bytes(rank_ + 1, tag, acc, bytes);
         newrank = -1;
       } else {
-        recv_bytes(rank_ - 1, tag, have_data ? scratch.data() : nullptr, bytes);
-        if (have_data && op) op(acc.data(), scratch.data(), bytes);
+        recv_bytes(rank_ - 1, tag, scratch, bytes);
+        if (have_data && op != nullptr) op(acc, scratch, bytes);
         newrank = rank_ / 2;
       }
     } else {
@@ -970,30 +1035,29 @@ void Comm::allreduce_bytes(const void* in, void* out, std::size_t bytes,
       auto real = [&](int nr) { return nr < rem ? nr * 2 + 1 : nr + rem; };
       for (int mask = 1; mask < pof2; mask <<= 1) {
         const int partner = real(newrank ^ mask);
-        sendrecv_bytes(partner, tag, have_data ? acc.data() : nullptr, bytes, partner, tag,
-                 have_data ? scratch.data() : nullptr, bytes);
-        if (have_data && op) op(acc.data(), scratch.data(), bytes);
+        sendrecv_bytes(partner, tag, acc, bytes, partner, tag, scratch, bytes);
+        if (have_data && op != nullptr) op(acc, scratch, bytes);
       }
     }
     if (rank_ < 2 * rem) {
       if (rank_ % 2 == 1) {
-        send_bytes(rank_ - 1, tag, have_data ? acc.data() : nullptr, bytes);
+        send_bytes(rank_ - 1, tag, acc, bytes);
       } else {
-        recv_bytes(rank_ + 1, tag, have_data ? acc.data() : nullptr, bytes);
-        if (have_data) {
-          // The reduced result arrived directly into acc.
-        }
+        // The reduced result arrives directly into acc.
+        recv_bytes(rank_ + 1, tag, acc, bytes);
       }
     }
   }
-  if (out != nullptr && have_data) std::memcpy(out, acc.data(), bytes);
+  if (out != nullptr && have_data) std::memcpy(out, acc, bytes);
+  acc_store.release(job_->buffers);
+  scratch_store.release(job_->buffers);
 }
 
 void Comm::allgather_bytes(const void* in, void* out, std::size_t bytes_each) {
   const int np = size();
-  CollTimer timer(*this, *job_, world_rank_of(rank_), ipm::CallKind::Allgather,
+  CollTimer timer(*this, *job_, my_world_, ipm::CallKind::Allgather,
                   bytes_each * static_cast<std::size_t>(np));
-  CollGuard guard(job_->in_coll[static_cast<std::size_t>(world_rank_of(rank_))]);
+  CollGuard guard(*in_coll_);
   const bool have_data = in != nullptr && out != nullptr;
   auto* o = static_cast<std::byte*>(out);
   if (have_data) {
@@ -1033,9 +1097,9 @@ void Comm::allgather_bytes(const void* in, void* out, std::size_t bytes_each) {
 void Comm::alltoall_bytes(const void* in, void* out, std::size_t bytes_each) {
   const int np = size();
   std::vector<std::size_t> counts(static_cast<std::size_t>(np), bytes_each);
-  CollTimer timer(*this, *job_, world_rank_of(rank_), ipm::CallKind::Alltoall,
+  CollTimer timer(*this, *job_, my_world_, ipm::CallKind::Alltoall,
                   bytes_each * static_cast<std::size_t>(np));
-  CollGuard guard(job_->in_coll[static_cast<std::size_t>(world_rank_of(rank_))]);
+  CollGuard guard(*in_coll_);
   alltoallv_impl(in, counts, out, counts);
 }
 
@@ -1043,8 +1107,8 @@ void Comm::alltoallv_bytes(const void* in, std::span<const std::size_t> send_cou
                            std::span<const std::size_t> recv_counts) {
   std::size_t total = 0;
   for (auto c : send_counts) total += c;
-  CollTimer timer(*this, *job_, world_rank_of(rank_), ipm::CallKind::Alltoallv, total);
-  CollGuard guard(job_->in_coll[static_cast<std::size_t>(world_rank_of(rank_))]);
+  CollTimer timer(*this, *job_, my_world_, ipm::CallKind::Alltoallv, total);
+  CollGuard guard(*in_coll_);
   alltoallv_impl(in, send_counts, out, recv_counts);
 }
 
@@ -1084,8 +1148,8 @@ void Comm::alltoallv_impl(const void* in, std::span<const std::size_t> send_coun
 
 void Comm::scatter_bytes(const void* in, void* out, std::size_t bytes_each, int root) {
   const int np = size();
-  CollTimer timer(*this, *job_, world_rank_of(rank_), ipm::CallKind::Scatter, bytes_each);
-  CollGuard guard(job_->in_coll[static_cast<std::size_t>(world_rank_of(rank_))]);
+  CollTimer timer(*this, *job_, my_world_, ipm::CallKind::Scatter, bytes_each);
+  CollGuard guard(*in_coll_);
   const int tag = next_tag();
   const int vrank = (rank_ - root + np) % np;
   auto real = [&](int v) { return (v + root) % np; };
@@ -1093,7 +1157,8 @@ void Comm::scatter_bytes(const void* in, void* out, std::size_t bytes_each, int 
 
   // Binomial scatter: the root's buffer is reordered to vrank order, then
   // subtree blocks flow down the tree.
-  PooledBytes scratch;
+  SmallBytes<detail::kInlineScratchBytes> scratch_store;
+  std::byte* scratch = nullptr;  // stays null without data
   int my_span;
   int first_mask;  // the mask used to reach me from my parent
   if (vrank == 0) {
@@ -1102,17 +1167,20 @@ void Comm::scatter_bytes(const void* in, void* out, std::size_t bytes_each, int 
     my_span = np;
     if (have_data) {
       const auto* i = static_cast<const std::byte*>(in);
-      scratch.reset(job_->buffers, static_cast<std::size_t>(np) * bytes_each);
+      scratch = scratch_store.reserve(job_->buffers, static_cast<std::size_t>(np) * bytes_each);
       for (int v = 0; v < np; ++v) {
-        std::memcpy(scratch.data() + static_cast<std::size_t>(v) * bytes_each,
+        std::memcpy(scratch + static_cast<std::size_t>(v) * bytes_each,
                     i + static_cast<std::size_t>(real(v)) * bytes_each, bytes_each);
       }
     }
   } else {
     first_mask = vrank & (-vrank);  // lowest set bit
     my_span = std::min(first_mask, np - vrank);
-    if (have_data) scratch.reset(job_->buffers, static_cast<std::size_t>(my_span) * bytes_each);
-    recv_bytes(real(vrank - first_mask), tag, have_data ? scratch.data() : nullptr,
+    if (have_data) {
+      scratch =
+          scratch_store.reserve(job_->buffers, static_cast<std::size_t>(my_span) * bytes_each);
+    }
+    recv_bytes(real(vrank - first_mask), tag, scratch,
          static_cast<std::size_t>(my_span) * bytes_each);
   }
   for (int mask = first_mask >> 1; mask >= 1; mask >>= 1) {
@@ -1120,11 +1188,12 @@ void Comm::scatter_bytes(const void* in, void* out, std::size_t bytes_each, int 
     if (child < np && mask < my_span) {
       const int cnt = std::min(mask, my_span - mask);
       send_bytes(real(child), tag,
-           have_data ? scratch.data() + static_cast<std::size_t>(mask) * bytes_each : nullptr,
+           have_data ? scratch + static_cast<std::size_t>(mask) * bytes_each : nullptr,
            static_cast<std::size_t>(cnt) * bytes_each);
     }
   }
-  if (out != nullptr && have_data) std::memcpy(out, scratch.data(), bytes_each);
+  if (out != nullptr && have_data) std::memcpy(out, scratch, bytes_each);
+  scratch_store.release(job_->buffers);
 }
 
 std::unique_ptr<Comm> Comm::split(int color, int key) {
@@ -1134,7 +1203,7 @@ std::unique_ptr<Comm> Comm::split(int color, int key) {
   job.split_board(comm_id_, seq).push_back({color, key, rank_});
   barrier();
   {
-    CollGuard guard(job_->in_coll[static_cast<std::size_t>(world_rank_of(rank_))]);
+    CollGuard guard(*in_coll_);
     // After the barrier every rank has registered; derive groups
     // deterministically (identical on all ranks).
     const std::vector<std::array<int, 3>>& board = job.split_board(comm_id_, seq);
@@ -1160,7 +1229,7 @@ std::unique_ptr<Comm> Comm::split(int color, int key) {
       group.push_back(world_rank_of(mine[idx][2]));
       if (mine[idx][2] == rank_) my_new_rank = static_cast<int>(idx);
     }
-    job.recorders[static_cast<std::size_t>(world_rank_of(rank_))].add_mpi(
+    job.recorders[static_cast<std::size_t>(my_world_)].add_mpi(
         ipm::CallKind::Split, 0, job.engine.now() - t0, 0.1);
     return std::unique_ptr<Comm>(new Comm(job, new_id, std::move(group), my_new_rank));
   }

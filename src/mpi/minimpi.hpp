@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
@@ -24,6 +25,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "ipm/ipm.hpp"
@@ -139,7 +141,9 @@ namespace detail {
 struct RequestState;
 struct Mailbox;
 /// Element-wise combine: acc[i] = op(acc[i], in[i]) over `bytes` of raw data.
-using Combiner = std::function<void(std::byte* acc, const std::byte* in, std::size_t bytes)>;
+/// A plain function pointer: every reduction is a captureless function, so
+/// an allreduce builds no closure.
+using Combiner = void (*)(std::byte* acc, const std::byte* in, std::size_t bytes);
 template <typename T>
 Combiner combiner_for(Op op);
 }  // namespace detail
@@ -203,8 +207,8 @@ class Comm {
   void barrier();
   /// Binomial-tree broadcast (the checkpoint protocol's go/no-go decision).
   void bcast_bytes(void* data, std::size_t bytes, int root);
-  void allreduce_bytes(const void* in, void* out, std::size_t bytes,
-                       const detail::Combiner& op);
+  /// `op` may be null (model mode: time only, no combining).
+  void allreduce_bytes(const void* in, void* out, std::size_t bytes, detail::Combiner op);
   void allgather_bytes(const void* in, void* out, std::size_t bytes_each);
   void alltoall_bytes(const void* in, void* out, std::size_t bytes_each);
   /// counts are per-destination byte counts (size() entries on every rank).
@@ -242,7 +246,7 @@ class Comm {
 
   /// True while this rank is executing inside a collective (its inner
   /// point-to-point traffic is then not booked separately by IPM).
-  [[nodiscard]] bool in_collective() const noexcept;
+  [[nodiscard]] bool in_collective() const noexcept { return *in_coll_ != 0; }
 
  private:
   friend class Job;
@@ -274,7 +278,15 @@ class Comm {
   std::vector<int> group_;  // comm rank -> world rank
   int rank_;                // my rank within this comm
   int coll_seq_ = 0;        // per-rank collective sequence (consistent by MPI rules)
-  std::vector<detail::Mailbox*> peer_mail_;  // lazy, comm rank -> mailbox
+  // This rank's own ids, resolved once by the constructor (all stable for
+  // the job's lifetime).
+  int my_world_;
+  int my_node_;
+  sim::Process* proc_;
+  char* in_coll_;  // this rank's Job::in_coll flag
+  // comm rank -> mailbox: this rank's own slot is filled by the
+  // constructor, the peers' lazily.
+  std::vector<detail::Mailbox*> peer_mail_;
 };
 
 /// Traits + placement + profiling facade handed to each rank's body.
@@ -443,35 +455,43 @@ JobResult run_job(const JobConfig& config, const std::function<void(RankEnv&)>& 
 
 // ---- implementation of typed combiner factory ----
 namespace detail {
+/// acc[i] = f(acc[i], in[i]) for each whole T in `bytes`. Elements go through
+/// memcpy into locals, so byte buffers of any alignment are read without
+/// aliasing them as T (the copies compile to plain loads and stores).
+template <typename T, typename F>
+void combine_each(std::byte* acc, const std::byte* in, std::size_t bytes, F f) noexcept {
+  for (std::size_t off = 0; off + sizeof(T) <= bytes; off += sizeof(T)) {
+    T x{};
+    T y{};
+    std::memcpy(&x, acc + off, sizeof(T));
+    std::memcpy(&y, in + off, sizeof(T));
+    x = f(x, y);
+    std::memcpy(acc + off, &x, sizeof(T));
+  }
+}
+
 template <typename T>
 Combiner combiner_for(Op op) {
+  static_assert(std::is_trivially_copyable_v<T>, "allreduce combines raw bytes");
   switch (op) {
     case Op::Sum:
       return [](std::byte* a, const std::byte* b, std::size_t bytes) {
-        auto* x = reinterpret_cast<T*>(a);
-        auto* y = reinterpret_cast<const T*>(b);
-        for (std::size_t i = 0; i < bytes / sizeof(T); ++i) x[i] += y[i];
+        combine_each<T>(a, b, bytes, [](T x, T y) { return x + y; });
       };
     case Op::Prod:
       return [](std::byte* a, const std::byte* b, std::size_t bytes) {
-        auto* x = reinterpret_cast<T*>(a);
-        auto* y = reinterpret_cast<const T*>(b);
-        for (std::size_t i = 0; i < bytes / sizeof(T); ++i) x[i] *= y[i];
+        combine_each<T>(a, b, bytes, [](T x, T y) { return x * y; });
       };
     case Op::Max:
       return [](std::byte* a, const std::byte* b, std::size_t bytes) {
-        auto* x = reinterpret_cast<T*>(a);
-        auto* y = reinterpret_cast<const T*>(b);
-        for (std::size_t i = 0; i < bytes / sizeof(T); ++i) x[i] = x[i] < y[i] ? y[i] : x[i];
+        combine_each<T>(a, b, bytes, [](T x, T y) { return x < y ? y : x; });
       };
     case Op::Min:
       return [](std::byte* a, const std::byte* b, std::size_t bytes) {
-        auto* x = reinterpret_cast<T*>(a);
-        auto* y = reinterpret_cast<const T*>(b);
-        for (std::size_t i = 0; i < bytes / sizeof(T); ++i) x[i] = y[i] < x[i] ? y[i] : x[i];
+        combine_each<T>(a, b, bytes, [](T x, T y) { return y < x ? y : x; });
       };
   }
-  return {};
+  return nullptr;
 }
 }  // namespace detail
 

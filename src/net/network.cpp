@@ -9,6 +9,9 @@ Network::Network(sim::Engine& engine, const plat::Platform& platform, int nodes,
                  std::uint64_t seed)
     : engine_(engine),
       platform_(platform),
+      overhead_ns_(sim::from_micros(platform.nic.per_msg_overhead_us)),
+      nic_lat_ns_(sim::from_micros(platform.nic.latency_us)),
+      shm_lat_ns_(sim::from_micros(platform.shm.latency_us)),
       tx_free_(static_cast<std::size_t>(std::max(1, nodes)), 0),
       rx_free_(static_cast<std::size_t>(std::max(1, nodes)), 0),
       rx_last_src_(static_cast<std::size_t>(std::max(1, nodes)), -1),
@@ -36,32 +39,31 @@ void Network::set_topology(std::shared_ptr<const topo::Topology> topo,
 
 double Network::degraded_bandwidth_Bps(int src_node, int dst_node, double t_s) const {
   double bw = platform_.nic.bandwidth_Bps;
-  if (bw_factor_) {
-    // A flow is limited by the worse of its two endpoints' NICs.
-    const double f = std::min(bw_factor_(src_node, t_s), bw_factor_(dst_node, t_s));
-    if (f > 0.0 && f < 1.0) bw *= f;
-  }
+  // A flow is limited by the worse of its two endpoints' NICs.
+  const double f = std::min(bw_factor_(src_node, t_s), bw_factor_(dst_node, t_s));
+  if (f > 0.0 && f < 1.0) bw *= f;
   return bw;
 }
 
 sim::SimTime Network::extra_latency(int src_node, int dst_node, double t_s) const {
-  if (!extra_latency_us_) return 0;
   return sim::from_micros(extra_latency_us_(src_node, t_s) + extra_latency_us_(dst_node, t_s));
 }
 
 sim::SimTime Network::wire_latency(bool internode) {
-  if (!internode) return sim::from_micros(platform_.shm.latency_us);
-  double us = platform_.nic.latency_us;
+  if (!internode) return shm_lat_ns_;
   if (platform_.nic.jitter_prob > 0.0 && rng_.chance(platform_.nic.jitter_prob)) {
-    us += rng_.exponential(platform_.nic.jitter_mean_us);
     ++stats_.jitter_spikes;
+    // Sum before rounding: rounding the latency and the spike apart could
+    // move the arrival by a nanosecond.
+    return sim::from_micros(platform_.nic.latency_us +
+                            rng_.exponential(platform_.nic.jitter_mean_us));
   }
-  return sim::from_micros(us);
+  return nic_lat_ns_;
 }
 
 TransferTiming Network::transfer(int src_node, int dst_node, std::size_t bytes) {
   const sim::SimTime now = engine_.now();
-  const sim::SimTime overhead = sim::from_micros(platform_.nic.per_msg_overhead_us);
+  const sim::SimTime overhead = overhead_ns_;
 
   if (src_node == dst_node) {
     ++stats_.transfers_intranode;
@@ -69,7 +71,7 @@ TransferTiming Network::transfer(int src_node, int dst_node, std::size_t bytes) 
     // Shared-memory transport: a copy at shm bandwidth after a small latency.
     const sim::SimTime copy =
         sim::from_seconds(static_cast<double>(bytes) / platform_.shm.bandwidth_Bps);
-    const sim::SimTime lat = sim::from_micros(platform_.shm.latency_us);
+    const sim::SimTime lat = shm_lat_ns_;
     // The sender performs the copy (one-copy shared-memory protocol).
     return TransferTiming{.sender_free = now + copy, .arrival = now + copy + lat};
   }
@@ -80,9 +82,10 @@ TransferTiming Network::transfer(int src_node, int dst_node, std::size_t bytes) 
   assert(src_node >= 0 && static_cast<std::size_t>(src_node) < tx_free_.size());
   assert(dst_node >= 0 && static_cast<std::size_t>(dst_node) < rx_free_.size());
 
-  sim::SimTime busy = sim::from_seconds(
-      static_cast<double>(bytes) /
-      degraded_bandwidth_Bps(src_node, dst_node, sim::to_seconds(now)));
+  const double bw = bw_factor_
+                        ? degraded_bandwidth_Bps(src_node, dst_node, sim::to_seconds(now))
+                        : platform_.nic.bandwidth_Bps;
+  sim::SimTime busy = sim::from_seconds(static_cast<double>(bytes) / bw);
 
   // On half-duplex platforms (software-switched vNICs) one packet-processing
   // resource serves both directions, so RX traffic queues behind TX traffic
@@ -109,18 +112,18 @@ TransferTiming Network::transfer(int src_node, int dst_node, std::size_t bytes) 
 
   // Wire: base latency + jitter; cut-through, so the head of the message
   // reaches the RX port one latency after TX starts.
-  const sim::SimTime lat = wire_latency(/*internode=*/true) +
-                           extra_latency(src_node, dst_node, sim::to_seconds(now));
+  sim::SimTime lat = wire_latency(/*internode=*/true);
+  if (extra_latency_us_) lat += extra_latency(src_node, dst_node, sim::to_seconds(now));
 
   // Fabric: walk the static route and reserve every link as a FIFO serial
   // resource. The head advances by each hop's (queueing + latency); the tail
   // cannot clear the fabric before the slowest link finishes serialising, so
   // a slow backplane bounds even a lone message's bandwidth. Empty routes
   // (crossbar, same leaf/group) skip this loop entirely — bit-identical to
-  // the NIC-only model.
+  // the NIC-only model; a link-less fabric is not even asked for its route.
   sim::SimTime head = tx_start + lat;
   sim::SimTime fabric_tail = 0;
-  if (topo_ != nullptr) {
+  if (has_fabric_links()) {
     const topo::Route route = topo_->route(fabric_node(src_node), fabric_node(dst_node));
     const double t_s = sim::to_seconds(now);
     for (int h = 0; h < route.n; ++h) {
@@ -179,8 +182,8 @@ sim::SimTime Network::control_delay(int src_node, int dst_node) {
   ++stats_.control_messages;
   sim::SimTime d = wire_latency(src_node != dst_node);
   if (src_node != dst_node) {
-    d += extra_latency(src_node, dst_node, sim::to_seconds(engine_.now()));
-    if (topo_ != nullptr) {
+    if (extra_latency_us_) d += extra_latency(src_node, dst_node, sim::to_seconds(engine_.now()));
+    if (has_fabric_links()) {
       // Control messages ride the same static route but reserve nothing:
       // they only pay each hop's base latency.
       const topo::Route route = topo_->route(fabric_node(src_node), fabric_node(dst_node));

@@ -156,6 +156,7 @@ class Network {
   void set_link_fault_hooks(LinkFactorFn bw_factor, LinkFactorFn extra_latency_us);
 
  private:
+  // Both are called only while the matching fault hook is installed.
   [[nodiscard]] double degraded_bandwidth_Bps(int src_node, int dst_node, double t_s) const;
   [[nodiscard]] sim::SimTime extra_latency(int src_node, int dst_node, double t_s) const;
   /// Fabric node of a logical job node (identity without a placement map).
@@ -164,9 +165,16 @@ class Network {
   }
 
   sim::SimTime wire_latency(bool internode);
+  /// True when the installed fabric has links; the crossbar has none, and
+  /// so only empty routes.
+  [[nodiscard]] bool has_fabric_links() const noexcept { return !link_free_.empty(); }
 
   sim::Engine& engine_;
   plat::Platform platform_;
+  // Platform constants in ns, converted once at construction.
+  sim::SimTime overhead_ns_;  // per-message NIC overhead
+  sim::SimTime nic_lat_ns_;   // base wire latency (no jitter spike)
+  sim::SimTime shm_lat_ns_;   // shared-memory latency
   std::vector<sim::SimTime> tx_free_;  // per node
   std::vector<sim::SimTime> rx_free_;  // per node
   std::vector<int> rx_last_src_;       // source node of each RX port's occupant

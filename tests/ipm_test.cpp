@@ -45,6 +45,41 @@ TEST(IpmRecorder, ReenteringSectionAccumulates) {
   EXPECT_DOUBLE_EQ(sim::to_seconds(rec.section("step").comp), 3.0);
 }
 
+TEST(IpmRecorder, UserSectionNamedRootPushedFirstIsTheRootSection) {
+  // A user section called "(root)" that is entered before any untagged time
+  // becomes section 0, and untagged time then lands in it: no second
+  // "(root)" is inserted in front.
+  ipm::RankRecorder rec(0);
+  rec.push_section("(root)");
+  rec.add_compute(sim::from_seconds(1.0));
+  rec.pop_section();
+  rec.push_section("solve");
+  rec.add_compute(sim::from_seconds(2.0));
+  rec.pop_section();
+  rec.add_compute(sim::from_seconds(4.0));
+  rec.push_section("(root)");
+  rec.add_compute(sim::from_seconds(8.0));
+  rec.pop_section();
+  EXPECT_EQ(rec.section_names(), (std::vector<std::string>{"(root)", "solve"}));
+  EXPECT_DOUBLE_EQ(sim::to_seconds(rec.section("(root)").comp), 13.0);
+  EXPECT_DOUBLE_EQ(sim::to_seconds(rec.section("solve").comp), 2.0);
+}
+
+TEST(IpmRecorder, RootSectionGoesInFrontOfEarlierUserSections) {
+  ipm::RankRecorder rec(0);
+  rec.push_section("solve");
+  rec.add_compute(sim::from_seconds(2.0));
+  rec.pop_section();
+  rec.add_compute(sim::from_seconds(1.0));
+  rec.add_compute(sim::from_seconds(1.0));
+  rec.push_section("solve");
+  rec.add_compute(sim::from_seconds(4.0));
+  rec.pop_section();
+  EXPECT_EQ(rec.section_names(), (std::vector<std::string>{"(root)", "solve"}));
+  EXPECT_DOUBLE_EQ(sim::to_seconds(rec.section("(root)").comp), 2.0);
+  EXPECT_DOUBLE_EQ(sim::to_seconds(rec.section("solve").comp), 6.0);
+}
+
 TEST(IpmRecorder, SysUserSplit) {
   ipm::RankRecorder rec(0);
   rec.add_mpi(ipm::CallKind::Send, 100, sim::from_seconds(1.0), 0.8);

@@ -5,6 +5,7 @@
 // property tests).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <vector>
@@ -306,4 +307,70 @@ TEST(Collectives, AllreduceLatencyGrowsLogarithmically) {
   const double t8 = time_np(8);
   EXPECT_GT(t8, 2.5 * t2);
   EXPECT_LT(t8, 4.5 * t2);
+}
+
+// ---- allreduce scratch: stack up to 64 bytes, pooled above ----
+
+namespace {
+
+/// Rank `rank`'s element i for `op`. Small integers, so every reduction order
+/// gives the same exact result and a serial fold is the reference.
+template <typename T>
+T datum(int rank, std::size_t i, mpi::Op op) {
+  const int k = rank * 7 + static_cast<int>(i) * 3;
+  if (op == mpi::Op::Prod) {
+    const T v = static_cast<T>(k % 3 + 1);
+    return k % 4 == 0 ? static_cast<T>(-v) : v;
+  }
+  return static_cast<T>(k % 11 - 5);
+}
+
+template <typename T>
+T fold(T a, T b, mpi::Op op) {
+  switch (op) {
+    case mpi::Op::Sum: return a + b;
+    case mpi::Op::Prod: return a * b;
+    case mpi::Op::Max: return std::max(a, b);
+    case mpi::Op::Min: return std::min(a, b);
+  }
+  return a;
+}
+
+/// Elements, over all ranks, where an allreduce of `bytes` of T differs from
+/// the serial fold.
+template <typename T>
+int allreduce_mismatches(int np, std::size_t bytes, mpi::Op op) {
+  const std::size_t n = bytes / sizeof(T);
+  const auto r = mpi::run_job(cfg(np), [np, n, op](mpi::RankEnv& env) {
+    auto& c = env.world();
+    std::vector<T> in(n);
+    std::vector<T> out(n, static_cast<T>(99));
+    for (std::size_t i = 0; i < n; ++i) in[i] = datum<T>(c.rank(), i, op);
+    c.allreduce(in.data(), out.data(), n, op);
+    int bad = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      T expect = datum<T>(0, i, op);
+      for (int rk = 1; rk < np; ++rk) expect = fold(expect, datum<T>(rk, i, op), op);
+      bad += out[i] != expect || in[i] != datum<T>(c.rank(), i, op);
+    }
+    env.report("bad" + std::to_string(c.rank()), bad);
+  });
+  int bad = 0;
+  for (const auto& [k, v] : r.values) bad += static_cast<int>(v);
+  return bad;
+}
+
+}  // namespace
+
+TEST(AllreduceScratch, StackAndPooledScratchMatchSerialFold) {
+  for (const int np : {3, 5, 8}) {
+    for (const std::size_t bytes : {8u, 64u, 72u}) {  // stack, stack edge, pool
+      for (const mpi::Op op : {mpi::Op::Sum, mpi::Op::Max, mpi::Op::Min, mpi::Op::Prod}) {
+        const auto where = "np=" + std::to_string(np) + " bytes=" + std::to_string(bytes) +
+                           " op=" + std::to_string(static_cast<int>(op));
+        EXPECT_EQ(allreduce_mismatches<double>(np, bytes, op), 0) << "double " << where;
+        EXPECT_EQ(allreduce_mismatches<int>(np, bytes, op), 0) << "int " << where;
+      }
+    }
+  }
 }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <iomanip>
 #include <numeric>
 #include <sstream>
@@ -402,4 +403,152 @@ TEST(SendrecvExactness, ModelModeCgAndChasteOnDcc) {
             "|2082972887245 2007029033139 28956829455 15358916524 31628108127 30250 "
             "|2082986220578 2005422721903 23123565590 15135706644 39304226441 30250")
       << "Chaste/4/dcc";
+}
+
+// ---- byte exactness of the small-message path ----
+// Eager payloads of up to 16 bytes ride inside their envelope and are copied
+// with fixed-size word moves; 17 bytes and up take a pooled buffer. Every
+// size around the word edges must arrive byte for byte, on every path, and
+// never write past the receive buffer.
+
+namespace {
+
+constexpr std::size_t kSmallSizes[] = {1, 7, 8, 9, 15, 16, 17};
+constexpr std::size_t kGuard = 8;
+constexpr std::byte kSentinel{0xEE};
+
+/// Byte i of the message rank `from` sends: never the sentinel, and
+/// different from its neighbours, so a shifted or partial copy shows.
+std::byte pattern(int from, std::size_t i) {
+  return static_cast<std::byte>((from * 31 + static_cast<int>(i) * 7) % 200 + 1);
+}
+
+std::vector<std::byte> message(int from, std::size_t n) {
+  std::vector<std::byte> v(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = pattern(from, i);
+  return v;
+}
+
+/// A receive buffer of `n` bytes followed by kGuard sentinel bytes.
+std::vector<std::byte> landing(std::size_t n) {
+  return std::vector<std::byte>(n + kGuard, kSentinel);
+}
+
+/// Mismatches of `buf` against the first `copied` bytes of `from`'s message,
+/// plus any byte past `copied` that is no longer the sentinel.
+int mismatches(const std::vector<std::byte>& buf, int from, std::size_t copied) {
+  int bad = 0;
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    bad += buf[i] != (i < copied ? pattern(from, i) : kSentinel);
+  }
+  return bad;
+}
+
+std::uint64_t counter(const mpi::JobResult& r, const std::string& name) {
+  for (const auto& [k, v] : r.telemetry->registry.counter_values()) {
+    if (k == name) return v;
+  }
+  ADD_FAILURE() << "no counter " << name;
+  return 0;
+}
+
+mpi::JobConfig counted(int np) {
+  mpi::JobConfig c = cfg(np);
+  c.telemetry.enabled = true;
+  return c;
+}
+
+}  // namespace
+
+TEST(SmallPayload, PostedAndUnexpectedReceivesAreByteExact) {
+  for (const std::size_t n : kSmallSizes) {
+    for (const bool receiver_first : {true, false}) {
+      const auto r = mpi::run_job(counted(2), [n, receiver_first](mpi::RankEnv& env) {
+        auto& c = env.world();
+        if (c.rank() == 0) {
+          if (receiver_first) env.compute(0.001);
+          const auto msg = message(0, n);
+          c.send_bytes(1, 4, msg.data(), n);
+        } else {
+          if (!receiver_first) env.compute(0.001);
+          auto buf = landing(n);
+          c.recv_bytes(0, 4, buf.data(), n);
+          env.report("bad", mismatches(buf, 0, n));
+        }
+      });
+      const std::string what =
+          "n=" + std::to_string(n) + (receiver_first ? " posted" : " unexpected");
+      EXPECT_EQ(r.values.at("bad"), 0) << what;
+      EXPECT_EQ(counter(r, receiver_first ? "mpi_recvs_matched_posted"
+                                          : "mpi_recvs_matched_unexpected"),
+                1u)
+          << what;
+    }
+  }
+}
+
+TEST(SmallPayload, SendrecvIsByteExact) {
+  for (const std::size_t n : kSmallSizes) {
+    const auto r = mpi::run_job(cfg(3), [n](mpi::RankEnv& env) {
+      auto& c = env.world();
+      const int right = (c.rank() + 1) % 3;
+      const int left = (c.rank() + 2) % 3;
+      const auto msg = message(c.rank(), n);
+      auto buf = landing(n);
+      c.sendrecv_bytes(right, 6, msg.data(), n, left, 6, buf.data(), n);
+      env.report("bad" + std::to_string(c.rank()), mismatches(buf, left, n));
+    });
+    for (int rk = 0; rk < 3; ++rk) {
+      EXPECT_EQ(r.values.at("bad" + std::to_string(rk)), 0) << "n=" << n << " rank " << rk;
+    }
+  }
+}
+
+TEST(SmallPayload, IsendIrecvIsByteExact) {
+  for (const std::size_t n : kSmallSizes) {
+    const auto r = mpi::run_job(cfg(2), [n](mpi::RankEnv& env) {
+      auto& c = env.world();
+      const int other = 1 - c.rank();
+      // Two messages each way on different tags, received in reverse order.
+      const auto a = message(c.rank(), n);
+      const auto b = message(c.rank() + 2, n);
+      auto got_a = landing(n);
+      auto got_b = landing(n);
+      std::array<mpi::Request, 4> reqs{c.irecv_bytes(other, 2, got_b.data(), n),
+                                       c.irecv_bytes(other, 1, got_a.data(), n),
+                                       c.isend_bytes(other, 1, a.data(), n),
+                                       c.isend_bytes(other, 2, b.data(), n)};
+      c.waitall(reqs);
+      env.report("bad" + std::to_string(c.rank()),
+                 mismatches(got_a, other, n) + mismatches(got_b, other + 2, n));
+    });
+    EXPECT_EQ(r.values.at("bad0"), 0) << "n=" << n;
+    EXPECT_EQ(r.values.at("bad1"), 0) << "n=" << n;
+  }
+}
+
+TEST(SmallPayload, TruncatedReceiveLeavesBytesPastItsBufferUntouched) {
+  struct Case {
+    std::size_t sent, room;
+  };
+  // Inline (1..16) and pooled (17, 40) payloads into shorter buffers.
+  for (const Case k : {Case{3, 1}, Case{8, 5}, Case{16, 9}, Case{17, 16}, Case{40, 7}}) {
+    for (const bool receiver_first : {true, false}) {
+      const auto r = mpi::run_job(cfg(2), [k, receiver_first](mpi::RankEnv& env) {
+        auto& c = env.world();
+        if (c.rank() == 0) {
+          if (receiver_first) env.compute(0.001);
+          const auto msg = message(0, k.sent);
+          c.send_bytes(1, 9, msg.data(), k.sent);
+        } else {
+          if (!receiver_first) env.compute(0.001);
+          auto buf = landing(k.room);
+          c.recv_bytes(0, 9, buf.data(), k.room);
+          env.report("bad", mismatches(buf, 0, k.room));
+        }
+      });
+      EXPECT_EQ(r.values.at("bad"), 0)
+          << k.sent << " bytes into " << k.room << (receiver_first ? " posted" : " unexpected");
+    }
+  }
 }

@@ -25,9 +25,11 @@ they are (the blame split) — fails the build instead of rotting quietly.
 With --perf the tool compares the manifests' "host" blocks instead: each
 target's wall-clock host_ms and simulated events per second. A target whose
 host_ms grew, or whose events/s fell, by more than PERF_BAND (0.25, the
-wall_s bound in BENCHMARK.json) is listed as SLOWER. Host timings are noisy, so
---perf only reports: it exits 0 whatever it finds (2 still means a file could
-not be read as a manifest).
+wall_s bound in BENCHMARK.json) is listed as SLOWER, provided the slowdown
+also costs more than PERF_FLOOR_MS (10 ms) of host time: a few-millisecond
+target crosses any useful band on one run's noise alone. Host timings are
+noisy, so --perf only reports: it exits 0 whatever it finds (2 still means a
+file could not be read as a manifest).
 """
 
 import argparse
@@ -36,6 +38,9 @@ import sys
 
 # The slowdown beyond which --perf lists a target: BENCHMARK.json's wall_s bound.
 PERF_BAND = 0.25
+# The host time a slowdown must cost before --perf lists it. Between two runs
+# of the same code, 3-5 ms targets moved by 1-3 ms, more than PERF_BAND.
+PERF_FLOOR_MS = 10.0
 
 def read_doc(path):
     try:
@@ -119,9 +124,11 @@ def perf_report(old, new, band):
     for target in sorted(set(old) & set(new)):
         (old_ms, old_evps), (new_ms, new_evps) = old[target], new[target]
         ms_g = growth(old_ms, new_ms)
-        # Events/s is compared as time per event, so one band serves both.
+        # Events/s is compared as time per event, so one band serves both;
+        # old_ms * g is what the slowdown costs at the old target's size.
         ev_g = growth(new_evps, old_evps)
-        slow = any(g is not None and g > band for g in (ms_g, ev_g))
+        slow = any(g is not None and g > band and old_ms * g > PERF_FLOOR_MS
+                   for g in (ms_g, ev_g))
         if slow:
             slower.append(target)
         evps_change = None if ev_g is None else 1.0 / (1.0 + ev_g) - 1.0
@@ -134,7 +141,8 @@ def perf_report(old, new, band):
         print("manifest_diff: perf: a manifest has no host block "
               "(written with include_nondeterministic off?)")
     print(f"manifest_diff: perf: {len(set(old) & set(new))} targets compared, "
-          f"{len(slower)} slower by more than {100.0 * band:g}% (report only)")
+          f"{len(slower)} slower by more than {100.0 * band:g}% and "
+          f"{PERF_FLOOR_MS:g} ms (report only)")
     return slower
 
 

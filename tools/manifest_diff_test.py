@@ -122,7 +122,7 @@ class ManifestDiffPerfTest(unittest.TestCase):
         self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
         self.assertIn("SLOWER  fig4: host_ms 1000 -> 1300 (+30.0%)", r.stdout)
         self.assertIn("ok      fig5", r.stdout)  # +12.5%: inside the 25% band
-        self.assertIn("2 targets compared, 1 slower by more than 25%", r.stdout)
+        self.assertIn("2 targets compared, 1 slower by more than 25% and 10 ms", r.stdout)
 
     def test_events_per_second_drop_alone_is_listed(self):
         # Same host_ms, but a third fewer events/s: 50% more time per event.
@@ -130,6 +130,17 @@ class ManifestDiffPerfTest(unittest.TestCase):
         self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
         self.assertIn("SLOWER  ext6", r.stdout)
         self.assertIn("(-33.3%)", r.stdout)
+
+    def test_few_millisecond_targets_are_not_listed_on_noise(self):
+        # Both crossed the band between two runs of the same code: one run's
+        # noise at 3-5 ms is more than 25%, but under the 10 ms floor.
+        r = self.perf([("fig3", 4.0, 2e7), ("ext7", 3.3, 1e7), ("fig6", 500.0, 1e7)],
+                      [("fig3", 5.0, 1.6e7), ("ext7", 6.1, 0.54e7), ("fig6", 700.0, 0.71e7)])
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+        self.assertIn("ok      fig3: host_ms 4 -> 5 (+25.0%)", r.stdout)
+        self.assertIn("ok      ext7: host_ms 3.3 -> 6.1 (+84.8%)", r.stdout)
+        self.assertIn("SLOWER  fig6: host_ms 500 -> 700 (+40.0%)", r.stdout)
+        self.assertIn("3 targets compared, 1 slower", r.stdout)
 
     def test_faster_and_unmatched_targets(self):
         r = self.perf([("fig1", 400.0, 1e7), ("tab2", 10.0, 1e6)],
