@@ -706,21 +706,18 @@ struct CollGuard {
 }  // namespace
 
 
-void Comm::p2p_send(int dst, int tag, const void* data, std::size_t bytes, ipm::CallKind kind,
-                    Request* out, detail::RequestState* frame,
-                    detail::RequestState* then_wait) {
+sim::SimTime Comm::issue_send(int dst, int tag, const void* data, std::size_t bytes,
+                              const std::shared_ptr<RequestState>& sreq) {
   assert(dst >= 0 && dst < size() && "send: destination out of range");
   Job& job = *job_;
-  const int src_world = my_world_;
   const int dst_world = world_rank_of(dst);
   const int src_node = my_node_;
   const int dst_node = job.node_of(dst_world);
-  sim::Process& proc = *proc_;
-  sim::Engine& se = job.engine;
-  const sim::SimTime t0 = se.now();
-  Job::MpiCounters& mc = job.counters;
+  const sim::SimTime t0 = job.engine.now();
 
   const double sys_frac = job.network.sys_frac(src_node, dst_node);
+  sreq->bytes = bytes;
+  sreq->sys_frac = sys_frac;
 
   Envelope* env = job.acquire_envelope();
   env->job = &job;
@@ -731,79 +728,69 @@ void Comm::p2p_send(int dst, int tag, const void* data, std::size_t bytes, ipm::
   env->bytes = bytes;
   env->src_node = src_node;
   env->sys_frac = sys_frac;
-  env->src_world = src_world;
+  env->src_world = my_world_;
   env->sent_at = t0;
   job.h_message_bytes.observe(bytes);
 
-  const bool eager = bytes <= job.config.eager_threshold_bytes;
-  if (eager) {
-    ++mc.sends_eager;
-  } else {
-    ++mc.sends_rendezvous;
-  }
-  // Blocking eager sends complete locally the moment the NIC is free, so they
-  // need no RequestState at all; one is made only when a Request handle
-  // leaves the call. A blocking send waits before returning, so it always
-  // passes a `frame` state.
-  const bool blocking = out == nullptr;
-  std::shared_ptr<RequestState> sreq;
-  if (eager) {
+  if (bytes <= job.config.eager_threshold_bytes) {
+    ++job.counters.sends_eager;
     const net::TransferTiming timing = job.network.transfer(src_node, dst_node, bytes);
     if (data != nullptr) {
       env->payload.assign(job.buffers, static_cast<const std::byte*>(data), bytes);
       env->has_data = true;
     }
     sim::EngineInternal::schedule_raw(job.engine, timing.arrival, &deliver_event, env);
-    if (timing.sender_free > t0) {
-      if (then_wait != nullptr && !then_wait->done) {
-        // Resuming at sender_free with the receive still open would only
-        // wait for it, so reserve that wake and wait for the receive now:
-        // one suspend, resumed at whichever the event order makes last.
-        se.reserve_wake(proc, timing.sender_free);
-        then_wait->waiter = &proc;
-      } else {
-        se.wake_at(proc, timing.sender_free);
-      }
-      proc.suspend();
-    }
-    if (out != nullptr) {
-      sreq = job.make_request(frame);
-      sreq->bytes = bytes;
-      sreq->sys_frac = sys_frac;
-      sreq->done = true;  // buffer is reusable once injected
-    }
-  } else {
-    sreq = job.make_request(frame);
-    sreq->bytes = bytes;
-    sreq->sys_frac = sys_frac;
-    env->rendezvous = true;
-    env->sender_data = static_cast<const std::byte*>(data);
-    env->sreq = sreq;
-    const sim::SimTime cd = job.network.control_delay(src_node, dst_node);
-    sim::EngineInternal::schedule_raw(job.engine, t0 + cd, &deliver_event, env);
+    sreq->done = true;  // the buffer is reusable once injected
+    return timing.sender_free;
   }
-
-  if (blocking && sreq != nullptr) {
-    Request req(sreq);
-    wait_internal(req);
-  }
-  if (!in_collective()) {
-    job.recorders[static_cast<std::size_t>(src_world)].add_mpi(kind, bytes, se.now() - t0,
-                                                               sys_frac);
-    job.span_rec(src_world).interval(t0, se.now(), obs::mpi_category(kind), bytes, dst);
-  }
-  if (out != nullptr) *out = Request(sreq);
+  ++job.counters.sends_rendezvous;
+  env->rendezvous = true;
+  env->sender_data = static_cast<const std::byte*>(data);
+  env->sreq = sreq;
+  const sim::SimTime cd = job.network.control_delay(src_node, dst_node);
+  sim::EngineInternal::schedule_raw(job.engine, t0 + cd, &deliver_event, env);
+  return t0;
 }
 
-Request Comm::p2p_recv(int src, int tag, void* data, std::size_t bytes, ipm::CallKind kind,
-                       bool blocking, detail::RequestState* frame) {
+void Comm::arrange_sender_wake(sim::SimTime sender_free, RequestState* then_wait) {
+  if (then_wait != nullptr && !then_wait->done) {
+    job_->engine.reserve_wake(*proc_, sender_free);
+    then_wait->waiter = proc_;
+  } else {
+    job_->engine.wake_at(*proc_, sender_free);
+  }
+}
+
+void Comm::wait_state(RequestState& st) {
+  if (st.done) return;
+  assert(st.waiter == nullptr && "two processes waiting on one request");
+  st.waiter = proc_;
+  proc_->suspend();
+  assert(st.done);
+}
+
+void Comm::p2p_send(int dst, int tag, const void* data, std::size_t bytes, ipm::CallKind kind,
+                    const std::shared_ptr<RequestState>& sreq, bool blocking) {
+  Job& job = *job_;
+  const sim::SimTime t0 = job.engine.now();
+  const sim::SimTime sender_free = issue_send(dst, tag, data, bytes, sreq);
+  if (sender_free > t0) {
+    arrange_sender_wake(sender_free, nullptr);
+    proc_->suspend();
+  }
+  if (blocking) wait_state(*sreq);
+  if (!in_collective()) {
+    job.recorders[static_cast<std::size_t>(my_world_)].add_mpi(kind, bytes,
+                                                               job.engine.now() - t0,
+                                                               sreq->sys_frac);
+    job.span_rec(my_world_).interval(t0, job.engine.now(), obs::mpi_category(kind), bytes, dst);
+  }
+}
+
+void Comm::post_recv(int src, int tag, void* data, std::size_t bytes,
+                     const std::shared_ptr<RequestState>& rreq) {
   assert((src == kAnySource || (src >= 0 && src < size())) && "recv: source out of range");
   Job& job = *job_;
-  const int my_world = my_world_;
-  sim::Engine& me = job.engine;
-  const sim::SimTime t0 = me.now();
-
-  std::shared_ptr<RequestState> rreq = job.make_request(frame);
   rreq->bytes = bytes;
 
   // The earliest-arrived matching unexpected message, if any.
@@ -818,7 +805,7 @@ Request Comm::p2p_recv(int src, int tag, void* data, std::size_t bytes, ipm::Cal
     ++job.counters.recvs_matched_unexpected;
     --job.counters.unexpected_now;
     PostedRecv pr{src, tag, static_cast<std::byte*>(data), bytes, rreq};
-    consume_match(job, my_world, *env, pr);
+    consume_match(job, my_world_, *env, pr);
     job.release_envelope(env);
   } else {
     mb.posted.push_back(PostedRecv{src, tag, static_cast<std::byte*>(data), bytes, rreq});
@@ -826,30 +813,24 @@ Request Comm::p2p_recv(int src, int tag, void* data, std::size_t bytes, ipm::Cal
     ++c.recvs_posted;
     if (++c.posted_now > c.posted_hwm) c.posted_hwm = c.posted_now;
   }
+}
 
-  Request req(std::move(rreq));
-  if (blocking) {
-    wait_internal(req);
-  }
+Request Comm::p2p_recv(int src, int tag, void* data, std::size_t bytes, ipm::CallKind kind,
+                       bool blocking, detail::RequestState* frame) {
+  Job& job = *job_;
+  const sim::SimTime t0 = job.engine.now();
+  Request req(job.make_request(frame));
+  post_recv(src, tag, data, bytes, req.state_);
+  if (blocking) wait_state(*req.state_);
   if (!in_collective()) {
-    job.recorders[static_cast<std::size_t>(my_world)].add_mpi(kind, bytes, me.now() - t0,
-                                                              req.state_->sys_frac);
-    job.span_rec(my_world).interval(t0, me.now(), obs::mpi_category(kind), bytes, src);
+    job.recorders[static_cast<std::size_t>(my_world_)].add_mpi(kind, bytes,
+                                                               job.engine.now() - t0,
+                                                               req.state_->sys_frac);
+    job.span_rec(my_world_).interval(t0, job.engine.now(), obs::mpi_category(kind), bytes, src);
   }
   // A blocking receive's state lives on the caller's frame; never let it
   // escape.
   return blocking ? Request() : req;
-}
-
-void Comm::wait_internal(Request& req) {
-  if (!req.state_) return;
-  auto& st = *req.state_;
-  if (!st.done) {
-    assert(st.waiter == nullptr && "two processes waiting on one request");
-    st.waiter = proc_;
-    proc_->suspend();
-    assert(st.done);
-  }
 }
 
 // Blocking calls and sendrecv wait for their requests before returning, so
@@ -858,7 +839,8 @@ void Comm::wait_internal(Request& req) {
 
 void Comm::send_bytes(int dst, int tag, const void* data, std::size_t bytes) {
   RequestState st;
-  p2p_send(dst, tag, data, bytes, ipm::CallKind::Send, nullptr, &st);
+  p2p_send(dst, tag, data, bytes, ipm::CallKind::Send, job_->make_request(&st),
+           /*blocking=*/true);
 }
 
 void Comm::recv_bytes(int src, int tag, void* data, std::size_t bytes) {
@@ -867,8 +849,8 @@ void Comm::recv_bytes(int src, int tag, void* data, std::size_t bytes) {
 }
 
 Request Comm::isend_bytes(int dst, int tag, const void* data, std::size_t bytes) {
-  Request req;
-  p2p_send(dst, tag, data, bytes, ipm::CallKind::Isend, &req, nullptr);
+  Request req(job_->make_request(nullptr));
+  p2p_send(dst, tag, data, bytes, ipm::CallKind::Isend, req.state_, /*blocking=*/false);
   return req;
 }
 
@@ -877,11 +859,12 @@ Request Comm::irecv_bytes(int src, int tag, void* data, std::size_t bytes) {
 }
 
 void Comm::wait(Request& req) {
+  if (!req.state_) return;
   Job& job = *job_;
   sim::Engine& me = job.engine;
   const sim::SimTime t0 = me.now();
-  wait_internal(req);
-  if (!in_collective() && req.state_) {
+  wait_state(*req.state_);
+  if (!in_collective()) {
     job.recorders[static_cast<std::size_t>(my_world_)].add_mpi(
         ipm::CallKind::Wait, req.state_->bytes, me.now() - t0, req.state_->sys_frac);
     job.span_rec(my_world_)
@@ -900,21 +883,21 @@ void Comm::sendrecv_bytes(int dst, int stag, const void* sdata, std::size_t sbyt
   const sim::SimTime t0 = me.now();
   RequestState rst;
   RequestState sst;
-  {
-    CollGuard guard(*in_coll_);
-    Request rr = p2p_recv(src, rtag, rdata, rbytes, ipm::CallKind::Irecv, /*blocking=*/false, &rst);
-    Request sr;
-    p2p_send(dst, stag, sdata, sbytes, ipm::CallKind::Isend, &sr, &sst, &rst);
-    wait_internal(sr);
-    wait_internal(rr);
+  post_recv(src, rtag, rdata, rbytes, job.make_request(&rst));
+  const sim::SimTime sender_free = issue_send(dst, stag, sdata, sbytes, job.make_request(&sst));
+  if (sender_free > t0) {
+    arrange_sender_wake(sender_free, &rst);
+    proc_->suspend();
   }
+  wait_state(sst);
+  wait_state(rst);
   const double sys = std::max(sst.sys_frac, rst.sys_frac);
   if (!in_collective()) {
     job.recorders[static_cast<std::size_t>(my_world_)].add_mpi(
         ipm::CallKind::Sendrecv, sbytes + rbytes, me.now() - t0, sys);
-    // The inner isend/irecv suppress their own spans (CollGuard), so the
-    // exchange must record one itself or its wait time is invisible to the
-    // trace — and charged to "other" by the critical-path walker.
+    // The exchange records one span for both halves, or its wait time is
+    // invisible to the trace — and charged to "other" by the critical-path
+    // walker.
     job.span_rec(my_world_)
         .interval(t0, me.now(), obs::mpi_category(ipm::CallKind::Sendrecv), sbytes + rbytes,
                   dst);
@@ -1000,8 +983,134 @@ void Comm::bcast_bytes(void* data, std::size_t bytes, int root) {
   }
 }
 
+/// One rank's allreduce rounds: MPICH-style recursive doubling, with a fold
+/// for a non-power-of-two size (the first 2*rem ranks pair up; the even one
+/// of each pair sits out the exchange and gets the result at the end). Each
+/// round is a blocking send, recv or sendrecv of `bytes`, issued and waited
+/// for exactly as those calls do, so the event stream is theirs. The state
+/// lives on the rank's frame. run() goes through rounds until one must wait;
+/// from then on the rank stays suspended and resume(), its resume hook,
+/// carries on the rounds in place at each wake, so the rank's fiber is
+/// switched to once, after the last round.
+struct Comm::AllreduceRounds {
+  enum class Stage : std::uint8_t { FoldIn, Exchange, FoldOut, Done };
+
+  AllreduceRounds(Comm& c, std::byte* acc_buf, std::byte* scratch_buf, std::size_t n,
+                  detail::Combiner combine)
+      : comm(c), acc(acc_buf), scratch(scratch_buf), bytes(n), op(combine), tag(c.next_tag()) {
+    while (pof2 * 2 <= c.size()) pof2 *= 2;
+    rem = c.size() - pof2;
+    stage = c.rank_ < 2 * rem ? Stage::FoldIn : Stage::Exchange;
+    newrank = c.rank_ - rem;
+  }
+
+  /// Runs rounds until one must wait (false) or all are done (true).
+  bool run() {
+    while (stage != Stage::Done) {
+      if (start_round()) return false;
+      finish_round();
+    }
+    return true;
+  }
+
+  /// The resume hook: a wake of the rank while a round waits.
+  static bool resume(void* self) {
+    auto& r = *static_cast<AllreduceRounds*>(self);
+    if (r.waiting()) return false;
+    r.finish_round();
+    return r.run();
+  }
+
+  /// Issues the current round; true if the rank must now wait.
+  bool start_round() {
+    const int me = comm.rank_;
+    switch (stage) {
+      case Stage::FoldIn:
+        return me % 2 == 0 ? transfer(me + 1, -1, nullptr) : transfer(-1, me - 1, scratch);
+      case Stage::Exchange: {
+        const int nr = newrank ^ mask;
+        const int partner = nr < rem ? nr * 2 + 1 : nr + rem;
+        return transfer(partner, partner, scratch);
+      }
+      case Stage::FoldOut:
+        // The reduced result arrives directly into acc.
+        return me % 2 == 1 ? transfer(me - 1, -1, nullptr) : transfer(-1, me + 1, acc);
+      case Stage::Done:
+        break;
+    }
+    return false;
+  }
+
+  /// Sends acc to `to` and receives into `rbuf` from `from` (-1: no such
+  /// half), receive posted first; true if the rank must wait.
+  bool transfer(int to, int from, std::byte* rbuf) {
+    Job& job = *comm.job_;
+    sst = RequestState{.done = to < 0};
+    rst = RequestState{.done = from < 0};
+    if (from >= 0) comm.post_recv(from, tag, rbuf, bytes, job.make_request(&rst));
+    if (to >= 0) {
+      const sim::SimTime sender_free = comm.issue_send(to, tag, acc, bytes, job.make_request(&sst));
+      if (sender_free > job.engine.now()) {
+        comm.arrange_sender_wake(sender_free, &rst);
+        return true;
+      }
+    }
+    return waiting();
+  }
+
+  /// After the NIC wait (if any): waits for the send, then the receive, as
+  /// a blocking call would; true while one is still open.
+  bool waiting() {
+    RequestState* open = !sst.done ? &sst : !rst.done ? &rst : nullptr;
+    if (open == nullptr) return false;
+    open->waiter = comm.proc_;
+    return true;
+  }
+
+  void finish_round() {
+    const int me = comm.rank_;
+    switch (stage) {
+      case Stage::FoldIn:
+        if (me % 2 == 0) {
+          stage = Stage::FoldOut;
+          return;
+        }
+        combine();
+        newrank = me / 2;
+        stage = Stage::Exchange;
+        return;
+      case Stage::Exchange:
+        combine();
+        mask <<= 1;
+        if (mask == pof2) stage = me < 2 * rem ? Stage::FoldOut : Stage::Done;
+        return;
+      case Stage::FoldOut:
+      case Stage::Done:
+        stage = Stage::Done;
+        return;
+    }
+  }
+
+  void combine() {
+    if (op != nullptr) op(acc, scratch, bytes);
+  }
+
+  Comm& comm;
+  std::byte* acc;      // null without data
+  std::byte* scratch;  // likewise
+  std::size_t bytes;
+  detail::Combiner op;  // null: time only
+  int tag;
+  int pof2 = 1;
+  int rem = 0;
+  int newrank = 0;  // rank within the power-of-two exchange
+  int mask = 1;     // the exchange round's partner bit
+  Stage stage = Stage::Done;
+  RequestState sst;
+  RequestState rst;
+};
+
 void Comm::allreduce_bytes(const void* in, void* out, std::size_t bytes, detail::Combiner op) {
-  const int np = size();
   CollTimer timer(*this, *job_, my_world_, ipm::CallKind::Allreduce, bytes);
   CollGuard guard(*in_coll_);
   const bool have_data = in != nullptr;
@@ -1012,41 +1121,9 @@ void Comm::allreduce_bytes(const void* in, void* out, std::size_t bytes, detail:
   std::byte* acc = have_data ? acc_store.reserve(job_->buffers, bytes) : nullptr;
   std::byte* scratch = have_data ? scratch_store.reserve(job_->buffers, bytes) : nullptr;
   if (have_data) std::memcpy(acc, in, bytes);
-  if (np > 1) {
-    const int tag = next_tag();
-    // MPICH-style recursive doubling with a non-power-of-two fold.
-    int pof2 = 1;
-    while (pof2 * 2 <= np) pof2 *= 2;
-    const int rem = np - pof2;
-    int newrank;
-    if (rank_ < 2 * rem) {
-      if (rank_ % 2 == 0) {
-        send_bytes(rank_ + 1, tag, acc, bytes);
-        newrank = -1;
-      } else {
-        recv_bytes(rank_ - 1, tag, scratch, bytes);
-        if (have_data && op != nullptr) op(acc, scratch, bytes);
-        newrank = rank_ / 2;
-      }
-    } else {
-      newrank = rank_ - rem;
-    }
-    if (newrank >= 0) {
-      auto real = [&](int nr) { return nr < rem ? nr * 2 + 1 : nr + rem; };
-      for (int mask = 1; mask < pof2; mask <<= 1) {
-        const int partner = real(newrank ^ mask);
-        sendrecv_bytes(partner, tag, acc, bytes, partner, tag, scratch, bytes);
-        if (have_data && op != nullptr) op(acc, scratch, bytes);
-      }
-    }
-    if (rank_ < 2 * rem) {
-      if (rank_ % 2 == 1) {
-        send_bytes(rank_ - 1, tag, acc, bytes);
-      } else {
-        // The reduced result arrives directly into acc.
-        recv_bytes(rank_ + 1, tag, acc, bytes);
-      }
-    }
+  if (size() > 1) {
+    AllreduceRounds rounds(*this, acc, scratch, bytes, have_data ? op : nullptr);
+    if (!rounds.run()) proc_->suspend(&AllreduceRounds::resume, &rounds);
   }
   if (out != nullptr && have_data) std::memcpy(out, acc, bytes);
   acc_store.release(job_->buffers);

@@ -255,16 +255,32 @@ class Comm {
 
   // Internals (implemented in minimpi.cpp). A non-null `frame` holds the
   // request state on the caller's frame; the caller waits for the request
-  // before that frame ends. A null `frame` takes a pooled state. p2p_send
-  // blocks when `out` is null. A non-null `then_wait` is a receive the
-  // caller waits for right after the send returns (sendrecv); an eager send
-  // that must wait for its NIC waits for that receive at the same time.
+  // before that frame ends. A null `frame` takes a pooled state.
+  //
+  // Issuing never suspends. issue_send routes the envelope, copies an eager
+  // payload and schedules the arrival, and returns when the NIC frees an
+  // eager sender (now or later; `sreq` is then done); a rendezvous send
+  // returns now, and `sreq` completes when its transfer ends. post_recv
+  // matches an unexpected message or posts the receive.
+  sim::SimTime issue_send(int dst, int tag, const void* data, std::size_t bytes,
+                          const std::shared_ptr<detail::RequestState>& sreq);
+  void post_recv(int src, int tag, void* data, std::size_t bytes,
+                 const std::shared_ptr<detail::RequestState>& rreq);
+  /// Arranges this rank's wake at `sender_free` (after now) before it
+  /// suspends. With `then_wait` still open (a sendrecv's receive), resuming
+  /// at sender_free would only wait for it, so the wake is reserved and the
+  /// rank waits for both at once (Engine::reserve_wake); otherwise it is
+  /// queued.
+  void arrange_sender_wake(sim::SimTime sender_free, detail::RequestState* then_wait);
+  /// Suspends until `st` is done (returns at once if it is).
+  void wait_state(detail::RequestState& st);
+  /// A send from the rank's fiber: issues it, waits for the NIC, and for a
+  /// rendezvous transfer too when `blocking`, then books it to IPM.
   void p2p_send(int dst, int tag, const void* data, std::size_t bytes, ipm::CallKind kind,
-                Request* out, detail::RequestState* frame,
-                detail::RequestState* then_wait = nullptr);
+                const std::shared_ptr<detail::RequestState>& sreq, bool blocking);
   Request p2p_recv(int src, int tag, void* data, std::size_t bytes, ipm::CallKind kind,
                    bool blocking, detail::RequestState* frame);
-  void wait_internal(Request& req);
+  struct AllreduceRounds;
   void alltoallv_impl(const void* in, std::span<const std::size_t> send_counts, void* out,
                       std::span<const std::size_t> recv_counts);
   [[nodiscard]] int world_rank_of(int r) const { return group_[static_cast<std::size_t>(r)]; }

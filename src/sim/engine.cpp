@@ -26,6 +26,12 @@ void Process::suspend() {
   state_ = State::Running;
 }
 
+void Process::suspend(ResumeHook hook, void* ctx) {
+  hook_ = hook;
+  hook_ctx_ = ctx;
+  suspend();
+}
+
 Engine::Engine(const Options& opts) : rng_(opts.seed) {}
 
 Engine::~Engine() = default;
@@ -182,9 +188,10 @@ Process* Engine::next_wake() {
     const unsigned tag = payload_tag(entry.payload);
     if (tag == 0u) {
       ++stats_.wake_events;
-      ++stats_.fiber_switches;
       auto* target = reinterpret_cast<Process*>(entry.payload);
       target->wake_pending_ = false;
+      if (target->hook_ != nullptr && !run_hook(*target)) continue;
+      ++stats_.fiber_switches;
       return target;
     }
     if (tag == 1u) {
@@ -206,12 +213,21 @@ Process* Engine::next_wake() {
   return nullptr;
 }
 
+bool Engine::run_hook(Process& p) {
+  current_ = &p;
+  const bool resume = p.hook_(p.hook_ctx_);
+  current_ = nullptr;  // a throwing hook leaves it set; the catch sites reset it
+  if (resume) p.hook_ = nullptr;
+  return resume;
+}
+
 void Engine::hand_off(Process& self) {
   current_ = nullptr;  // events dispatched here run outside any process
   Process* next = nullptr;
   try {
     next = next_wake();
   } catch (...) {
+    current_ = nullptr;
     event_error_ = std::current_exception();
   }
   // Switch only outside the catch block: the C++ runtime keeps its list of
@@ -260,8 +276,10 @@ void Engine::run() {
   try {
     while (Process* p = next_wake()) enter(*p);
   } catch (...) {
-    // A process body or an event threw. Leave the engine in a defined state:
-    // no stale events (their callbacks are destroyed unrun), no pending wakes.
+    // A process body, an event or a resume hook threw. Leave the engine in a
+    // defined state: no stale events (their callbacks are destroyed unrun),
+    // no pending wakes, no process current.
+    current_ = nullptr;
     drain_pending();
     throw;
   }

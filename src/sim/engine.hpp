@@ -27,6 +27,13 @@
 // it would only re-suspend from (reserve_wake): the wake keeps its (time,
 // seq) key and is queued or counted when the waker comes, so the event
 // stream and every event count are those of the plain wake.
+//
+// A process may also suspend with a resume hook (Process::suspend(hook,
+// ctx)): each of its wakes then runs the hook in place, on the dispatching
+// stack, and switches to the fiber only once the hook lets it go. A hook
+// does what the fiber would have done between that wake and its next
+// suspend, so the event stream and every event count stay those of the
+// plain suspends; only fiber switches are saved.
 #pragma once
 
 #include <array>
@@ -46,6 +53,11 @@
 namespace cirrus::sim {
 
 class Engine;
+
+/// A resume hook (see Process::suspend(ResumeHook, void*)): runs at a wake of
+/// its blocked process and returns true to resume the process's fiber, false
+/// to keep it blocked.
+using ResumeHook = bool (*)(void* ctx);
 
 /// Thrown by Engine::run() when the event queue drains while simulated
 /// processes are still blocked — e.g. a receive with no matching send.
@@ -74,6 +86,16 @@ class Process {
   /// one wake per suspend.
   void suspend();
 
+  /// Blocks like suspend(), but each wake of this process first runs
+  /// `hook(ctx)` in place, with this process current and still blocked. A
+  /// hook that returns false has done, without a fiber switch, what the
+  /// process would have done between that wake and its next suspend (it
+  /// arranged exactly one next wake: wake_at, reserve_wake, or a waker's
+  /// wake); the process stays blocked. Once the hook returns true it is
+  /// cleared and this call returns. The hook must not suspend, and `ctx`
+  /// must live until this call returns.
+  void suspend(ResumeHook hook, void* ctx);
+
  private:
   friend class Engine;
   enum class State { Created, Running, Blocked, Finished };
@@ -86,6 +108,8 @@ class Process {
   State state_ = State::Created;
   bool wake_pending_ = false;
   bool reserved_ = false;  // holds a reserved wake (Engine::reserve_wake)
+  ResumeHook hook_ = nullptr;  // set while blocked in suspend(hook, ctx)
+  void* hook_ctx_ = nullptr;
   SimTime reserved_when_ = 0;
   std::uint64_t reserved_seq_ = 0;
   Fiber fiber_;
@@ -108,7 +132,10 @@ class Engine {
     std::uint64_t callback_events = 0;  ///< slab std::function callbacks executed
     std::uint64_t raw_events = 0;       ///< raw fn-pointer events executed
     std::uint64_t fiber_switches = 0;   ///< wakes that resumed a process, on any stack
-                                        ///< (a self-wake counts but switches nothing)
+                                        ///< (a self-wake counts but switches nothing;
+                                        ///< a wake whose resume hook keeps its
+                                        ///< process blocked switches nothing and
+                                        ///< does not count)
     std::uint64_t heap_hwm = 0;         ///< event queue depth high-water mark
                                         ///< (reserved wakes are not queued)
     std::uint64_t slab_slots_hwm = 0;   ///< distinct callback slab slots ever live
@@ -168,9 +195,11 @@ class Engine {
 
   /// Runs the simulation until the event queue is empty. Throws
   /// DeadlockError if processes remain blocked afterwards; rethrows the
-  /// first exception escaping any process body. On such an exception the
-  /// engine is left in a defined state: all pending events are drained
-  /// (their callbacks destroyed, never run) before the rethrow.
+  /// first exception escaping any process body, event or resume hook. On
+  /// such an exception the engine is left in a defined state: all pending
+  /// events are drained (their callbacks destroyed, never run) before the
+  /// rethrow. A hooked process stays blocked with its hook, as a plain
+  /// suspended one stays blocked in suspend().
   void run();
 
   /// Number of processes that have been spawned (finished or not).
@@ -228,10 +257,13 @@ class Engine {
   /// The queue drained with reservations outstanding: counts them as
   /// processed wakes and moves the clock to the last of them.
   void settle_reservations_at_drain() noexcept;
-  /// Pops events in order, running raw and callback events on the calling
-  /// stack, and returns the process of the first wake event (counted as a
-  /// fiber switch), or null once the queue is empty.
+  /// Pops events in order, running raw and callback events and the resume
+  /// hooks of hooked wakes on the calling stack, and returns the process of
+  /// the first wake event to resume (counted as a fiber switch), or null
+  /// once the queue is empty.
   Process* next_wake();
+  /// Runs p's resume hook with p current; true (hook cleared) to resume p.
+  bool run_hook(Process& p);
   std::uint32_t alloc_slot();
   void free_slot(std::uint32_t idx) noexcept;
   FnSlot& slot(std::uint32_t idx) noexcept {

@@ -106,6 +106,7 @@ Topology Topology::build(const TopoSpec& spec, const plat::NicModel& nic, int jo
     t.nodes_ = std::max(job_nodes, spec.fabric_nodes);
     t.groups_ = 1;
     t.per_group_ = t.nodes_;
+    t.group_.assign(static_cast<std::size_t>(t.nodes_), 0);
     const double bw = spec.backplane_Bps > 0 ? spec.backplane_Bps : nic.bandwidth_Bps;
     t.links_.push_back(Link{"backplane", bw, spec.hop_latency_us});
     return t;
@@ -117,11 +118,21 @@ Topology Topology::build(const TopoSpec& spec, const plat::NicModel& nic, int jo
   t.groups_ = groups;
   t.per_group_ = radix;
   t.nodes_ = groups * radix;  // whole leaves/groups only
+  t.group_.resize(static_cast<std::size_t>(t.nodes_));
+  for (int n = 0; n < t.nodes_; ++n) t.group_[static_cast<std::size_t>(n)] = n / radix;
 
   if (spec.kind == Kind::FatTree) {
     const double os = std::max(1.0, spec.oversubscription);
     const int u = std::clamp(static_cast<int>(std::lround(radix / os)), 1, radix);
     t.uplinks_ = u;
+    // Destination-hashed spine plane, as a statically routed fat-tree
+    // resolves by destination LID: every flow towards a node shares one
+    // plane, so incast collides on the same uplink/downlink pair.
+    t.plane_.resize(static_cast<std::size_t>(t.nodes_));
+    for (int n = 0; n < t.nodes_; ++n) {
+      t.plane_[static_cast<std::size_t>(n)] = static_cast<int>(
+          mix64(static_cast<std::uint64_t>(n) ^ spec.route_salt) % static_cast<std::uint64_t>(u));
+    }
     // Layout: leaf l's uplinks are [l*u, l*u + u), then all downlinks follow
     // with the same per-leaf stride.
     t.links_.reserve(static_cast<std::size_t>(2 * groups * u));
@@ -154,11 +165,6 @@ Topology Topology::build(const TopoSpec& spec, const plat::NicModel& nic, int jo
   return t;
 }
 
-int Topology::group_of(int node) const noexcept {
-  if (groups_ <= 0) return -1;
-  return node / per_group_;
-}
-
 Route Topology::route(int src, int dst) const noexcept {
   Route r;
   if (src == dst) return r;
@@ -170,24 +176,19 @@ Route Topology::route(int src, int dst) const noexcept {
       r.n = 1;
       return r;
     case Kind::FatTree: {
-      const int ls = group_of(src);
-      const int ld = group_of(dst);
+      const int ls = group_[static_cast<std::size_t>(src)];
+      const int ld = group_[static_cast<std::size_t>(dst)];
       if (ls == ld) return r;  // same leaf: through the non-blocking leaf switch
-      // Destination-hashed spine plane, as a statically routed fat-tree
-      // resolves by destination LID: every flow towards `dst` shares one
-      // plane, so incast collides on the same uplink/downlink pair.
       const int u = uplinks_;
-      const int plane =
-          static_cast<int>(mix64(static_cast<std::uint64_t>(dst) ^ spec_.route_salt) %
-                           static_cast<std::uint64_t>(u));
+      const int plane = plane_[static_cast<std::size_t>(dst)];
       r.links[0] = ls * u + plane;                // leaf(src) -> spine
       r.links[1] = groups_ * u + ld * u + plane;  // spine -> leaf(dst)
       r.n = 2;
       return r;
     }
     case Kind::PlacementGroups: {
-      const int gs = group_of(src);
-      const int gd = group_of(dst);
+      const int gs = group_[static_cast<std::size_t>(src)];
+      const int gd = group_[static_cast<std::size_t>(dst)];
       if (gs == gd) return r;  // full bisection inside a placement group
       r.links[0] = gs;            // group(src) -> core
       r.links[1] = groups_ + gd;  // core -> group(dst)

@@ -136,8 +136,11 @@ class Topology {
   [[nodiscard]] int uplinks_per_leaf() const noexcept { return uplinks_; }
   [[nodiscard]] const std::vector<Link>& links() const noexcept { return links_; }
 
-  /// Leaf switch / placement group of a fabric node (-1 on the crossbar).
-  [[nodiscard]] int group_of(int node) const noexcept;
+  /// Leaf switch / placement group of fabric node `node` in [0, nodes())
+  /// (-1 on the crossbar).
+  [[nodiscard]] int group_of(int node) const noexcept {
+    return groups_ > 0 ? group_[static_cast<std::size_t>(node)] : -1;
+  }
 
   /// Static route between two distinct fabric nodes. Deterministic: the same
   /// (topology, src, dst) always yields the same links, independent of call
@@ -157,6 +160,11 @@ class Topology {
   int per_group_ = 1;
   int uplinks_ = 0;   // fat-tree uplinks per leaf
   std::vector<Link> links_;
+  // Routing tables, filled by build() so route() divides nothing: each
+  // fabric node's leaf/group (empty on the crossbar) and, on a fat-tree, the
+  // destination-hashed spine plane of the flows towards it.
+  std::vector<int> group_;
+  std::vector<int> plane_;
 };
 
 /// Maps a job's logical nodes [0, job_nodes) onto distinct fabric nodes

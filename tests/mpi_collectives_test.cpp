@@ -2,12 +2,14 @@
 // recursive doubling), alltoall(v), scatter (eager and rendezvous blocks)
 // and split are each checked against a locally computed reference, across a
 // sweep of communicator sizes including non-powers-of-two (parameterised
-// property tests).
+// property tests). Allreduce rounds also have their resume count and a
+// job killed mid-allreduce checked.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "mpi/minimpi.hpp"
@@ -371,6 +373,88 @@ TEST(AllreduceScratch, StackAndPooledScratchMatchSerialFold) {
         EXPECT_EQ(allreduce_mismatches<double>(np, bytes, op), 0) << "double " << where;
         EXPECT_EQ(allreduce_mismatches<int>(np, bytes, op), 0) << "int " << where;
       }
+    }
+  }
+}
+
+// ---- allreduce rounds: carried on by the rank's resume hook ----
+
+TEST(AllreduceRounds, EveryNpSizeAndProtocolMatchesSerialFold) {
+  // Power-of-two exchanges and non-power-of-two folds, eager rounds and
+  // rendezvous ones (20 KB over the 16 KB eager threshold).
+  ASSERT_EQ(cfg(1).eager_threshold_bytes, 16u * 1024u);
+  for (int np = 1; np <= 9; ++np) {
+    for (const std::size_t bytes : {8u, 64u, 20u * 1024u}) {
+      for (const mpi::Op op : {mpi::Op::Sum, mpi::Op::Max, mpi::Op::Min}) {
+        EXPECT_EQ(allreduce_mismatches<double>(np, bytes, op), 0)
+            << "np=" << np << " bytes=" << bytes << " op=" << static_cast<int>(op);
+      }
+    }
+  }
+}
+
+namespace {
+std::uint64_t counter(const mpi::JobResult& r, const std::string& name) {
+  for (const auto& [k, v] : r.telemetry->registry.counter_values()) {
+    if (k == name) return v;
+  }
+  ADD_FAILURE() << "no counter " << name;
+  return 0;
+}
+}  // namespace
+
+TEST(AllreduceRounds, ResumesEachRankOncePerAllreduce) {
+  // However many rounds and waits an allreduce takes, its rank's fiber is
+  // switched to once: at its start event, then once per allreduce.
+  constexpr int kCalls = 12;
+  for (const int np : {2, 5, 8}) {
+    for (const std::size_t bytes : {8u, 20u * 1024u}) {
+      for (const bool data : {false, true}) {
+        mpi::JobConfig config = cfg(np);
+        config.telemetry.enabled = true;
+        config.max_ranks_per_node = 2;  // inter-node rounds too
+        const auto r = mpi::run_job(config, [bytes, data](mpi::RankEnv& env) {
+          std::vector<double> in(bytes / sizeof(double), 1.0);
+          std::vector<double> out(in.size());
+          for (int i = 0; i < kCalls; ++i) {
+            env.world().allreduce_bytes(data ? in.data() : nullptr, data ? out.data() : nullptr,
+                                        bytes, mpi::detail::combiner_for<double>(mpi::Op::Sum));
+          }
+          if (data && out[0] != env.size()) env.report("bad", 1);
+        });
+        const auto where = "np=" + std::to_string(np) + " bytes=" + std::to_string(bytes) +
+                           " data=" + std::to_string(data);
+        EXPECT_EQ(counter(r, "sim_fiber_switches"), static_cast<std::uint64_t>(np) * (1 + kCalls))
+            << where;
+        EXPECT_GT(counter(r, "sim_events_wake"), counter(r, "sim_fiber_switches")) << where;
+        EXPECT_EQ(r.values.count("bad"), 0u) << where;
+      }
+    }
+  }
+}
+
+TEST(AllreduceRounds, JobKilledMidAllreduceEndsCleanly) {
+  // Every rank sits inside an allreduce, blocked with its resume hook and
+  // round state on its frame, when the kill fires; the job must unwind
+  // without touching that state again (the asan preset runs this too).
+  for (const std::size_t bytes : {8u, 20u * 1024u}) {
+    mpi::JobConfig config = cfg(6);
+    config.platform = plat::dcc();
+    config.max_ranks_per_node = 1;
+    const auto body = [bytes](mpi::RankEnv& env) {
+      std::vector<double> in(bytes / sizeof(double), 1.0);
+      std::vector<double> out(in.size());
+      for (int i = 0; i < 400; ++i) {
+        env.world().allreduce(in.data(), out.data(), in.size(), mpi::Op::Sum);
+      }
+    };
+    const double full = mpi::run_job(config, body).elapsed_seconds;
+    config.faults.kill_at_s = full / 2;
+    try {
+      (void)mpi::run_job(config, body);
+      FAIL() << "expected the kill, bytes=" << bytes;
+    } catch (const mpi::JobKilledError& e) {
+      EXPECT_NEAR(e.at_seconds, full / 2, 1e-9);  // the kill lands on a whole ns
     }
   }
 }

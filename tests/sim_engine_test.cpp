@@ -2,8 +2,8 @@
 // process lifecycle, wake/suspend discipline, deadlock detection,
 // determinism, the fiber-to-fiber handoff (events dispatched on a
 // suspending process's stack, errors raised there, self-wakes), reserved
-// wakes, and a seeded property test against a fiber-free reference
-// interpreter.
+// wakes, resume hooks, and a seeded property test against a fiber-free
+// reference interpreter.
 #include "sim/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -478,18 +478,194 @@ TEST(EngineReserve, DrainedQueueReportsTheDeadlockAPlainWakeWould) {
   EXPECT_EQ(reserved.switches + 1, plain.switches);
 }
 
+// ---------------------------------------------------------------------------
+// Resume hooks: each case runs against the plain suspends the hook stands
+// for.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// A hook that stands for `left` more advances of `dt`: at each wake it logs
+/// and re-arms the next advance, then lets the process go at the last one.
+struct AdvanceHook {
+  sim::Engine* eng;
+  sim::Process* self;
+  SimTime dt;
+  int left;
+  std::vector<std::string>* log;
+  bool saw_blocked = true;
+
+  static bool at_wake(void* ctx) {
+    auto& h = *static_cast<AdvanceHook*>(ctx);
+    h.saw_blocked = h.saw_blocked && h.self->blocked();
+    if (h.left == 0) return true;
+    --h.left;
+    h.log->push_back(h.self->name() + "@" + std::to_string(h.eng->now()));
+    h.eng->wake_at(*h.self, h.eng->now() + h.dt);
+    return false;
+  }
+};
+
+}  // namespace
+
+TEST(EngineHook, HookThatStaysBlockedCountsTheWakeButNoSwitch) {
+  // p advances 4 times by 3 while q advances in steps of 2: once with
+  // plain advances, once with a hook standing for the last 3. The logs,
+  // the clock and the event counts agree; the hooked run switches 3 fewer
+  // times.
+  struct Run {
+    std::vector<std::string> log;
+    SimTime now;
+    std::uint64_t events, wakes, switches;
+  };
+  auto run_with = [](bool hooked) {
+    sim::Engine eng;
+    Run out;
+    bool blocked_in_hook = false;
+    eng.spawn("p", [&](sim::Process& self) {
+      if (hooked) {
+        AdvanceHook h{&eng, &self, 3, 3, &out.log};
+        eng.wake_at(self, eng.now() + 3);
+        self.suspend(&AdvanceHook::at_wake, &h);
+        blocked_in_hook = h.saw_blocked;
+      } else {
+        for (int i = 0; i < 3; ++i) {
+          self.advance(3);
+          out.log.push_back("p@" + std::to_string(eng.now()));
+        }
+        self.advance(3);
+        blocked_in_hook = true;
+      }
+      out.log.push_back("p done@" + std::to_string(eng.now()));
+    });
+    eng.spawn("q", [&](sim::Process& self) {
+      for (int i = 0; i < 6; ++i) {
+        self.advance(2);
+        out.log.push_back("q@" + std::to_string(eng.now()));
+      }
+    });
+    eng.run();
+    EXPECT_TRUE(blocked_in_hook);
+    out.now = eng.now();
+    out.events = eng.events_processed();
+    out.wakes = eng.stats().wake_events;
+    out.switches = eng.stats().fiber_switches;
+    return out;
+  };
+  const Run plain = run_with(false);
+  const Run hooked = run_with(true);
+  EXPECT_EQ(hooked.log, plain.log);
+  EXPECT_EQ(hooked.now, plain.now);
+  EXPECT_EQ(hooked.events, plain.events);
+  EXPECT_EQ(hooked.wakes, plain.wakes);
+  EXPECT_EQ(hooked.switches + 3, plain.switches);
+}
+
+TEST(EngineHook, ReleasingHookSwitchesAtTheSameKey) {
+  // r waits for a waker at t=10; events pushed before and after the wake at
+  // that time must run before and after r, as with a plain suspend.
+  for (const bool hooked : {false, true}) {
+    sim::Engine eng;
+    std::vector<std::string> log;
+    sim::Process* r = nullptr;
+    int hook_calls = 0;
+    auto note = [&](const std::string& what) {
+      log.push_back(what + "@" + std::to_string(eng.now()));
+    };
+    eng.schedule_at(10, [&] { note("early"); });
+    eng.schedule_at(10, [&] {
+      note("waker");
+      eng.wake(*r);
+      eng.schedule_at(10, [&] { note("lane"); });
+    });
+    r = &eng.spawn("r", [&](sim::Process& self) {
+      if (hooked) {
+        self.suspend(
+            [](void* calls) {
+              ++*static_cast<int*>(calls);
+              return true;
+            },
+            &hook_calls);
+      } else {
+        self.suspend();
+      }
+      note("r");
+    });
+    eng.run();
+    EXPECT_EQ(log, (std::vector<std::string>{"early@10", "waker@10", "r@10", "lane@10"}))
+        << hooked;
+    EXPECT_EQ(hook_calls, hooked ? 1 : 0);
+    EXPECT_EQ(eng.events_processed(), 5u);
+    EXPECT_EQ(eng.stats().fiber_switches, 2u);  // the start and the release
+  }
+}
+
+TEST(EngineHook, ThrowingHookIsRethrownByRunAndDrainsTheQueue) {
+  // The hooked wake pops on the main stack (q has finished) or inside q's
+  // handoff (q is suspended in an advance); both paths rethrow from run().
+  for (const SimTime q_runs_for : {5, 20}) {
+    sim::Engine eng;
+    bool late_ran = false;
+    sim::Process& p = eng.spawn("p", [&](sim::Process& self) {
+      eng.wake_at(self, 10);
+      self.suspend([](void*) -> bool { throw std::runtime_error("hook failure"); }, nullptr);
+      ADD_FAILURE() << "p resumed";
+    });
+    eng.spawn("q", [&](sim::Process& self) { self.advance(q_runs_for); });
+    eng.schedule_at(30, [&] { late_ran = true; });
+    try {
+      eng.run();
+      FAIL() << "expected the hook's exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "hook failure");
+    }
+    EXPECT_EQ(eng.now(), 10);
+    EXPECT_EQ(eng.events_pending(), 0u);
+    EXPECT_TRUE(p.blocked());
+    EXPECT_FALSE(late_ran);
+  }
+}
+
+TEST(EngineHook, DeadlockWhileHookedNamesTheProcess) {
+  // p's hook keeps waiting for a waker that never comes.
+  sim::Engine eng;
+  int calls = 0;
+  eng.spawn("idle", [](sim::Process& self) { self.advance(1); });
+  eng.spawn("hooked", [&](sim::Process& self) {
+    eng.wake_at(self, 4);
+    self.suspend(
+        [](void* n) {
+          ++*static_cast<int*>(n);
+          return false;
+        },
+        &calls);
+  });
+  try {
+    eng.run();
+    FAIL() << "expected a deadlock";
+  } catch (const sim::DeadlockError& e) {
+    EXPECT_NE(std::string(e.what()).find("1 process(es) still blocked at t=4e-09s: hooked (pid 1)"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(calls, 1);
+}
+
 // Seeded property test: random scripts run on the engine must produce the
 // same dispatch log, clock and counters as a fiber-free interpreter that
 // pops the same (time, seq) queue and runs each process's script inline.
 // The interpreter runs a reserve-then-wait as the plain wake it stands for:
 // the process resumes at the reserved time and, if no waker came first,
-// re-suspends until one does.
+// re-suspends until one does. A hooked op stands for 1 + `target` advances
+// or reserve-then-waits, all but the last carried on by a resume hook; the
+// interpreter runs them as plain ones, and the engine saves the switch of
+// each wake the hook keeps blocked.
 namespace {
 
 struct Op {
-  enum Kind { Advance, Suspend, Wake, Callback, ReserveWait } kind;
+  enum Kind { Advance, Suspend, Wake, Callback, ReserveWait, HookedAdvance, HookedReserveWait } kind;
   sim::SimTime dt;  // Advance: the step; Wake/Callback: the delay; ReserveWait: the reserved delay
-  int target;       // Wake/Callback: the process to wake if it is parked
+  int target;       // Wake/Callback: the process to wake if it is parked; hooked: the rounds
 };
 
 using Script = std::vector<std::vector<Op>>;  // one op list per process
@@ -499,6 +675,7 @@ struct Outcome {
   std::vector<LogEntry> log;
   sim::SimTime now = 0;
   std::uint64_t events = 0, wakes = 0, callbacks = 0, switches = 0;
+  std::uint64_t hooked_wakes = 0;  // wakes a resume hook kept blocked
   bool deadlock = false;
   bool operator==(const Outcome&) const = default;
 };
@@ -509,7 +686,7 @@ Script random_script(std::mt19937_64& rng) {
   for (auto& ops : script) {
     const int n = 1 + static_cast<int>(rng() % 12);
     for (int i = 0; i < n; ++i) {
-      const auto roll = rng() % 23;
+      const auto roll = rng() % 27;
       const auto target = static_cast<int>(rng() % procs);
       if (roll < 5) {
         ops.push_back({Op::Advance, 0, 0});
@@ -521,8 +698,12 @@ Script random_script(std::mt19937_64& rng) {
         ops.push_back({Op::Wake, static_cast<sim::SimTime>(rng() % 3), target});
       } else if (roll < 20) {
         ops.push_back({Op::Callback, static_cast<sim::SimTime>(rng() % 4), target});
-      } else {
+      } else if (roll < 23) {
         ops.push_back({Op::ReserveWait, static_cast<sim::SimTime>(1 + rng() % 4), 0});
+      } else {
+        ops.push_back({roll < 25 ? Op::HookedAdvance : Op::HookedReserveWait,
+                       static_cast<sim::SimTime>(roll < 25 ? rng() % 4 : 1 + rng() % 4),
+                       1 + static_cast<int>(rng() % 3)});
       }
     }
   }
@@ -538,6 +719,37 @@ struct Parking {
     if (!parked[t] || pending[t]) return false;
     pending[t] = true;
     return true;
+  }
+};
+
+/// A hooked op's state on its process's frame: each round re-arms the op's
+/// advance or reserve-then-wait; the last wake lets the process go.
+struct ScriptHook {
+  sim::Engine* eng;
+  sim::Process* self;
+  std::size_t i;
+  const Op* op;
+  int left;
+  Outcome* out;
+  Parking* park;
+
+  void arm() {
+    if (op->kind == Op::HookedAdvance) {
+      eng->wake_at(*self, eng->now() + op->dt);
+    } else {
+      eng->reserve_wake(*self, eng->now() + op->dt);
+      park->parked[i] = true;
+    }
+  }
+  static bool at_wake(void* ctx) {
+    auto& h = *static_cast<ScriptHook*>(ctx);
+    h.park->parked[h.i] = h.park->pending[h.i] = false;
+    if (h.left == 0) return true;
+    --h.left;
+    ++h.out->hooked_wakes;
+    h.out->log.emplace_back(h.eng->now(), static_cast<int>(h.i));
+    h.arm();
+    return false;
   }
 };
 
@@ -566,6 +778,13 @@ Outcome run_on_engine(const Script& script) {
             self.suspend();
             park.parked[i] = park.pending[i] = false;
             break;
+          case Op::HookedAdvance:
+          case Op::HookedReserveWait: {
+            ScriptHook h{&eng, &self, i, &op, op.target, &out, &park};
+            h.arm();
+            self.suspend(&ScriptHook::at_wake, &h);
+            break;
+          }
           case Op::Wake:
             wake_if_parked(op.target, eng.now() + op.dt);
             continue;  // no dispatch, nothing to log
@@ -615,6 +834,17 @@ Outcome run_reference(const Script& script, Reservations& res) {
   // reserved[i]: i waits with its reserved-time wake still queued, so a
   // waker only marks it pending and that wake resumes it.
   std::vector<bool> reserved(script.size(), false);
+  // hooked[i]: the op whose rounds i is in, and the rounds left after the
+  // current one.
+  std::vector<const Op*> hooked(script.size(), nullptr);
+  std::vector<int> rounds_left(script.size(), 0);
+  auto arm = [&](std::size_t i, const Op& op) {
+    push(now + op.dt, static_cast<int>(i));
+    if (op.kind == Op::ReserveWait || op.kind == Op::HookedReserveWait) {
+      reserved[i] = true;
+      park.parked[i] = true;
+    }
+  };
   auto wake_if_parked = [&](int t, sim::SimTime when) {
     if (park.claim(t) && !reserved[t]) push(when, t);
   };
@@ -644,18 +874,26 @@ Outcome run_reference(const Script& script, Reservations& res) {
     }
     park.parked[i] = park.pending[i] = false;
     out.log.emplace_back(now, what);
+    if (hooked[i] != nullptr && rounds_left[i]-- > 0) {
+      ++out.hooked_wakes;
+      arm(i, *hooked[i]);  // the next round
+      continue;
+    }
+    hooked[i] = nullptr;
     bool blocked = false;
     while (!blocked && pc[i] < script[i].size()) {
       const Op& op = script[i][pc[i]++];
       switch (op.kind) {
         case Op::Advance:
-          push(now + op.dt, what);
+        case Op::ReserveWait:
+          arm(i, op);
           blocked = true;
           break;
-        case Op::ReserveWait:
-          push(now + op.dt, what);
-          reserved[i] = true;
-          park.parked[i] = true;
+        case Op::HookedAdvance:
+        case Op::HookedReserveWait:
+          arm(i, op);
+          hooked[i] = &op;
+          rounds_left[i] = op.target;
           blocked = true;
           break;
         case Op::Suspend:
@@ -674,7 +912,9 @@ Outcome run_reference(const Script& script, Reservations& res) {
     if (!blocked) done[i] = true;
   }
   out.now = now;
-  out.switches = out.wakes - (res.passed - passed_before);  // a passed one switches nothing
+  // A passed reservation switches nothing, and neither does a wake a hook
+  // keeps blocked.
+  out.switches = out.wakes - (res.passed - passed_before) - out.hooked_wakes;
   for (const bool d : done) out.deadlock = out.deadlock || !d;
   return out;
 }
@@ -684,6 +924,7 @@ Outcome run_reference(const Script& script, Reservations& res) {
 TEST(EngineHandoff, RandomScriptsMatchFiberFreeReference) {
   std::mt19937_64 rng(20120521);
   int deadlocks = 0;
+  std::uint64_t hooked_wakes = 0;
   Reservations res;
   for (int trial = 0; trial < 300; ++trial) {
     const Script script = random_script(rng);
@@ -692,6 +933,7 @@ TEST(EngineHandoff, RandomScriptsMatchFiberFreeReference) {
     ASSERT_EQ(got.log, want.log) << "trial " << trial;
     ASSERT_EQ(got, want) << "trial " << trial;
     deadlocks += want.deadlock ? 1 : 0;
+    hooked_wakes += want.hooked_wakes;
   }
   // The scripts exercise both endings: a drained queue with processes still
   // parked on a fiber, and every process finishing.
@@ -700,4 +942,6 @@ TEST(EngineHandoff, RandomScriptsMatchFiberFreeReference) {
   // ... and both ends of a reservation: woken before its time and after.
   EXPECT_GT(res.passed, 0u);
   EXPECT_GT(res.queued, 0u);
+  // ... and wakes that resume hooks kept blocked.
+  EXPECT_GT(hooked_wakes, 0u);
 }

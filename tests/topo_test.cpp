@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "net/network.hpp"
@@ -85,6 +87,62 @@ TEST(Topology, FatTreeStaticRoutingIsDestinationHashed) {
   ASSERT_EQ(from_leaf2.n, 2);
   EXPECT_EQ(from_leaf1.links[1], from_leaf2.links[1]);  // shared downlink
   EXPECT_NE(from_leaf1.links[0], from_leaf2.links[0]);  // distinct uplinks
+}
+
+namespace {
+/// splitmix64, restated: the fat-tree's destination hash.
+std::uint64_t splitmix64(std::uint64_t x) {
+  x += 0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+}  // namespace
+
+TEST(Topology, TabledRoutesMatchTheClosedForm) {
+  // Every (src, dst) route of fat-trees and placement groups over several
+  // radixes, oversubscriptions and salts, against the closed form: leaf =
+  // node / radix, plane = splitmix64(dst ^ salt) % uplinks.
+  int cross_leaf = 0;
+  for (const int radix : {1, 3, 4, 8}) {
+    for (const double os : {1.0, 1.5, 2.0, 4.0}) {
+      for (const std::uint64_t salt : {0ULL, 1ULL, 0xDEADBEEFULL}) {
+        topo::TopoSpec spec = fattree(radix, os);
+        spec.route_salt = salt;
+        for (const topo::Kind kind : {topo::Kind::FatTree, topo::Kind::PlacementGroups}) {
+          spec.kind = kind;
+          const auto t = topo::Topology::build(spec, plat::vayu().nic, 13);
+          const int u = std::clamp(static_cast<int>(std::lround(radix / os)), 1, radix);
+          const int groups = t.nodes() / radix;
+          ASSERT_EQ(t.nodes(), (13 + radix - 1) / radix * radix);
+          for (int s = 0; s < t.nodes(); ++s) {
+            ASSERT_EQ(t.group_of(s), s / radix);
+            for (int d = 0; d < t.nodes(); ++d) {
+              const auto r = t.route(s, d);
+              const int ls = s / radix;
+              const int ld = d / radix;
+              if (s == d || ls == ld) {
+                ASSERT_EQ(r.n, 0) << s << "->" << d;
+                continue;
+              }
+              ++cross_leaf;
+              ASSERT_EQ(r.n, 2) << s << "->" << d;
+              if (kind == topo::Kind::PlacementGroups) {
+                EXPECT_EQ(r.links[0], ls);
+                EXPECT_EQ(r.links[1], groups + ld);
+                continue;
+              }
+              const int plane = static_cast<int>(
+                  splitmix64(static_cast<std::uint64_t>(d) ^ salt) % static_cast<std::uint64_t>(u));
+              EXPECT_EQ(r.links[0], ls * u + plane) << s << "->" << d << " salt " << salt;
+              EXPECT_EQ(r.links[1], groups * u + ld * u + plane) << s << "->" << d;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(cross_leaf, 0);
 }
 
 TEST(Topology, ScatteredPlacementIsDeterministicPermutation) {
