@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
+#include <sstream>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -46,7 +46,7 @@ bool fail(std::string* error, std::string msg) {
 
 }  // namespace
 
-std::vector<std::pair<std::string, std::string>> RunRequest::items() const {
+std::string RunRequest::canonical_key() const {
   // Alphabetical by key — the canonical order. Every knob always appears so
   // "np=8" and an omitted np canonicalise identically. `bench` is normalised
   // per workload (npb kernels upper-case, osu tests lower-case) and pinned
@@ -70,42 +70,49 @@ std::vector<std::pair<std::string, std::string>> RunRequest::items() const {
   const RunRequest& shape_knobs = fattree || canon_topo == "pgroups" ? *this : defaults;
   const double canon_oversub = fattree ? std::max(1.0, oversub) : defaults.oversub;
   const std::string placement_read = lower(shape_knobs.placement);
-  const std::string canon_placement = placement_read == "pgroup" ? "contig" : placement_read;
   const RunRequest& fault_knobs = mtbf_s <= 0 && ckpt_s <= 0 ? defaults : *this;
-  const std::string canon_bench = workload == "npb"   ? upper(bench)
-                                  : workload == "osu" ? lower(bench)
-                                                      : std::string("-");
+  const bool is_wf = workload == "wf";
+
+  // The `k=v` pairs go straight into one string, space-separated.
+  std::string out;
+  out.reserve(256);
+  const auto put = [&out](std::string_view k, std::string_view v) {
+    if (!out.empty()) out += ' ';
+    out += k;
+    out += '=';
+    out += v;
+  };
+  put("bench", workload == "npb"   ? upper(bench)
+               : workload == "osu" ? lower(bench)
+                                   : std::string("-"));
+  put("ckpt", obs::format_double(ckpt_s));
+  put("class", upper(cls));
+  put("eager", std::to_string(eager_bytes));
+  put("execute", execute ? "1" : "0");
+  put("horizon", obs::format_double(fault_knobs.horizon_s));
+  put("leaf", std::to_string(shape_knobs.leaf));
+  put("mtbf", obs::format_double(mtbf_s));
+  put("np", std::to_string(np));
+  put("oversub", obs::format_double(canon_oversub));
+  put("placement", placement_read == "pgroup" ? "contig" : placement_read);
+  put("platform", resolved_platform());
+  put("requeue", obs::format_double(fault_knobs.requeue_s));
+  put("rpn", std::to_string(rpn > 0 ? rpn : defaults.rpn));
+  put("sched", "heap4");  // the engine's one scheduler; kept so no key hash moves
+  put("seed", std::to_string(seed));
   // "s3" is an accepted spelling of the object backend; osu moves no file
   // data, so its storage knob is pinned. The wf-* knobs only exist for the
   // workflow workload.
-  const std::string canon_storage =
-      workload == "osu" ? std::string("-")
-                        : (lower(storage) == "s3" ? std::string("object") : lower(storage));
-  const bool is_wf = workload == "wf";
-  return {
-      {"bench", canon_bench},
-      {"ckpt", obs::format_double(ckpt_s)},
-      {"class", upper(cls)},
-      {"eager", std::to_string(eager_bytes)},
-      {"execute", execute ? "1" : "0"},
-      {"horizon", obs::format_double(fault_knobs.horizon_s)},
-      {"leaf", std::to_string(shape_knobs.leaf)},
-      {"mtbf", obs::format_double(mtbf_s)},
-      {"np", std::to_string(np)},
-      {"oversub", obs::format_double(canon_oversub)},
-      {"placement", canon_placement},
-      {"platform", resolved_platform()},
-      {"requeue", obs::format_double(fault_knobs.requeue_s)},
-      {"rpn", std::to_string(rpn > 0 ? rpn : defaults.rpn)},
-      {"sched", "heap4"},  // the engine's one scheduler; kept so no key hash moves
-      {"seed", std::to_string(seed)},
-      {"storage", canon_storage},
-      {"topo", canon_topo},
-      {"wf-sched", is_wf ? lower(wf_sched) : std::string("-")},
-      {"wf-shape", is_wf ? lower(wf_shape) : std::string("-")},
-      {"wf-width", is_wf ? std::to_string(wf_width) : std::string("-")},
-      {"workload", lower(workload)},
-  };
+  const std::string canon_storage = lower(storage);
+  put("storage", workload == "osu"        ? "-"
+                 : canon_storage == "s3" ? "object"
+                                         : std::string_view(canon_storage));
+  put("topo", canon_topo);
+  put("wf-sched", is_wf ? lower(wf_sched) : std::string("-"));
+  put("wf-shape", is_wf ? lower(wf_shape) : std::string("-"));
+  put("wf-width", is_wf ? std::to_string(wf_width) : std::string("-"));
+  put("workload", lower(workload));
+  return out;
 }
 
 std::string RunRequest::resolved_platform() const {
@@ -124,24 +131,29 @@ int RunRequest::generation() const {
   return (p == "vayu2020" || p == "ec2_2020") ? 2020 : 2012;
 }
 
-std::string RunRequest::canonical_key() const {
-  std::string out;
-  for (const auto& [k, v] : items()) {
-    if (!out.empty()) out += ' ';
-    out += k;
-    out += '=';
-    out += v;
+std::vector<std::pair<std::string, std::string>> RunRequest::items() const {
+  // canonical_key() is the grammar's one writer; this splits it. Keys are
+  // lower-case, so a token that does not start a lower-case `k=` continues
+  // the previous value (a non-npb `class` is only upper-cased: it may hold
+  // a space).
+  std::vector<std::pair<std::string, std::string>> out;
+  std::istringstream key(canonical_key());
+  for (std::string tok; std::getline(key, tok, ' ');) {
+    const std::size_t eq = tok.find('=');
+    const bool starts_pair =
+        eq != std::string::npos && std::islower(static_cast<unsigned char>(tok[0])) != 0;
+    if (out.empty() || starts_pair) {
+      out.emplace_back(tok.substr(0, eq), tok.substr(eq + 1));
+    } else {
+      out.back().second += ' ' + tok;
+    }
   }
   return out;
 }
 
 std::uint64_t RunRequest::key_hash() const { return fnv1a64(canonical_key()); }
 
-std::string RunRequest::key_hash_hex() const {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(key_hash()));
-  return buf;
-}
+std::string RunRequest::key_hash_hex() const { return hex16(key_hash()); }
 
 bool RunRequest::set(const std::string& key, const std::string& value, std::string* error) {
   long long i = 0;

@@ -86,23 +86,19 @@ BenchResult run_is(mpi::RankEnv& env, Class cls) {
     }
 
     // --- local histogram + global histogram (Allreduce) ---
-    std::vector<double> hist(static_cast<std::size_t>(n_buckets), 0.0);
-    if (env.execute()) {
-      for (const auto k : keys) hist[static_cast<std::size_t>(k >> bucket_shift)] += 1.0;
-    } else {
-      // Uniform keys: even expected bucket occupancy.
-      const double per =
-          static_cast<double>(my_keys_n) / static_cast<double>(n_buckets);
-      for (auto& h : hist) h = per;
-    }
+    // Model mode moves the histogram's bytes without a histogram: with every
+    // key count modelled, nothing reads it or the owner map it feeds.
+    std::vector<double> hist(env.execute() ? static_cast<std::size_t>(n_buckets) : 0, 0.0);
+    for (const auto k : keys) hist[static_cast<std::size_t>(k >> bucket_shift)] += 1.0;
     env.compute(ref_iter * 0.15 * static_cast<double>(my_keys_n) /
                 static_cast<double>(total_keys));
-    std::vector<double> ghist(static_cast<std::size_t>(n_buckets), 0.0);
-    comm.allreduce(hist.data(), ghist.data(), hist.size(), mpi::Op::Sum);
+    std::vector<int> owner;
+    if (env.execute()) {
+      std::vector<double> ghist(hist.size(), 0.0);
+      comm.allreduce(hist.data(), ghist.data(), hist.size(), mpi::Op::Sum);
 
-    // --- bucket -> owner map: balanced prefix split ---
-    std::vector<int> owner(static_cast<std::size_t>(n_buckets), 0);
-    {
+      // --- bucket -> owner map: balanced prefix split ---
+      owner.assign(hist.size(), 0);
       double cum = 0;
       const double per_rank = static_cast<double>(total_keys) / np;
       for (int b = 0; b < n_buckets; ++b) {
@@ -110,6 +106,9 @@ BenchResult run_is(mpi::RankEnv& env, Class cls) {
             std::min(np - 1, static_cast<int>(cum / per_rank));
         cum += ghist[static_cast<std::size_t>(b)];
       }
+    } else {
+      comm.allreduce_bytes(nullptr, nullptr, static_cast<std::size_t>(n_buckets) * sizeof(double),
+                           nullptr);
     }
 
     // --- redistribute keys to owners (Alltoallv) ---

@@ -1,5 +1,6 @@
 #include "obs/json_writer.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -7,10 +8,21 @@
 
 namespace cirrus::obs::jsonw {
 
-std::string escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
+namespace {
+
+bool needs_escape(char c) noexcept {
+  return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
+
+}  // namespace
+
+void append_escaped(std::string& out, std::string_view s) {
+  // The clean prefix — the whole string, for every key and name the toolkit
+  // emits — goes over in one append; only the rest is walked.
+  const auto first = std::find_if(s.begin(), s.end(), needs_escape);
+  out.append(s.begin(), first);
+  for (auto it = first; it != s.end(); ++it) {
+    const char c = *it;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -27,10 +39,23 @@ std::string escape(std::string_view s) {
         }
     }
   }
+}
+
+std::string escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  append_escaped(out, s);
   return out;
 }
 
-std::string quote(std::string_view s) { return "\"" + escape(s) + "\""; }
+std::string quote(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  out += '"';
+  append_escaped(out, s);
+  out += '"';
+  return out;
+}
 
 std::string number(double v) {
   if (!std::isfinite(v)) return "null";
@@ -39,10 +64,25 @@ std::string number(double v) {
 
 Writer& Writer::key(std::string_view k) {
   comma_if_needed();
-  out_ += quote(k);
-  out_ += ':';
+  out_ += '"';
+  append_escaped(out_, k);
+  out_ += "\":";
   after_key_ = true;
   return *this;
+}
+
+Writer& Writer::value(std::string_view s) {
+  comma_if_needed();
+  out_ += '"';
+  append_escaped(out_, s);
+  out_ += '"';
+  return mark_value();
+}
+
+Writer& Writer::raw(std::string_view json) {
+  comma_if_needed();
+  out_ += json;
+  return mark_value();
 }
 
 Writer& Writer::open(char c) {
@@ -59,9 +99,7 @@ Writer& Writer::close(char c) {
   return *this;
 }
 
-Writer& Writer::token(std::string t) {
-  comma_if_needed();
-  out_ += t;
+Writer& Writer::mark_value() {
   if (!need_comma_.empty()) need_comma_.back() = true;
   return *this;
 }

@@ -20,6 +20,9 @@ namespace cirrus::obs::jsonw {
 /// Escaped string body, without the surrounding quotes.
 std::string escape(std::string_view s);
 
+/// Appends escape(s) to `out` without a temporary.
+void append_escaped(std::string& out, std::string_view s);
+
 /// A complete JSON string literal: quotes included, body escaped.
 std::string quote(std::string_view s);
 
@@ -39,16 +42,16 @@ class Writer {
   /// Object member key; must be followed by exactly one value.
   Writer& key(std::string_view k);
 
-  Writer& value(std::string_view s) { return token(quote(s)); }
-  Writer& value(const char* s) { return token(quote(s)); }
-  Writer& value(double v) { return token(number(v)); }
-  Writer& value(int v) { return token(std::to_string(v)); }
-  Writer& value(long long v) { return token(std::to_string(v)); }
-  Writer& value(unsigned long long v) { return token(std::to_string(v)); }
-  Writer& value(bool b) { return token(b ? "true" : "false"); }
-  Writer& null() { return token("null"); }
+  Writer& value(std::string_view s);
+  Writer& value(const char* s) { return value(std::string_view(s)); }
+  Writer& value(double v) { return raw(number(v)); }
+  Writer& value(int v) { return raw(std::to_string(v)); }
+  Writer& value(long long v) { return raw(std::to_string(v)); }
+  Writer& value(unsigned long long v) { return raw(std::to_string(v)); }
+  Writer& value(bool b) { return raw(b ? "true" : "false"); }
+  Writer& null() { return raw("null"); }
   /// Pre-serialised JSON emitted verbatim (e.g. a cached result blob).
-  Writer& raw(std::string_view json) { return token(std::string(json)); }
+  Writer& raw(std::string_view json);
 
   /// The document built so far. Valid JSON once every open scope is closed.
   [[nodiscard]] const std::string& str() const noexcept { return out_; }
@@ -56,7 +59,7 @@ class Writer {
  private:
   Writer& open(char c);
   Writer& close(char c);
-  Writer& token(std::string t);
+  Writer& mark_value();  // the open scope now needs a comma before its next item
   void comma_if_needed();
 
   std::string out_;

@@ -18,12 +18,6 @@ namespace {
 /// key line is stripped.
 constexpr char kSpillMagic[] = "# cirrus-serve-cache key: ";
 
-std::string hash_hex(std::uint64_t h) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
-  return buf;
-}
-
 }  // namespace
 
 ResultCache::ResultCache(Options opts) : opts_(opts) {
@@ -35,23 +29,19 @@ ResultCache::ResultCache(Options opts) : opts_(opts) {
 
 std::string ResultCache::spill_path(const std::string& key) const {
   if (opts_.spill_dir.empty()) return "";
-  return opts_.spill_dir + "/" + hash_hex(core::fnv1a64(key)) + ".json";
+  return opts_.spill_dir + "/" + core::hex16(core::fnv1a64(key)) + ".json";
 }
 
-void ResultCache::touch(std::uint64_t hash, Entry& e) {
-  lru_.erase(e.lru_it);
-  lru_.push_front(hash);
-  e.lru_it = lru_.begin();
-}
+void ResultCache::touch(Entry& e) { lru_.splice(lru_.begin(), lru_, e.lru_it); }
 
-std::optional<std::string> ResultCache::get(const std::string& key, std::uint64_t hash) {
+BlobRef ResultCache::get(const std::string& key, std::uint64_t hash) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = entries_.find(hash);
     if (it != entries_.end()) {
       if (it->second.key == key) {
         ++stats_.hits;
-        touch(hash, it->second);
+        touch(it->second);
         return it->second.blob;
       }
       // Same 64-bit address, different request: treat as a miss (the entry
@@ -63,24 +53,23 @@ std::optional<std::string> ResultCache::get(const std::string& key, std::uint64_
 
   // Disk fallback outside the lock (I/O latency must not serialise hits).
   const std::string path = spill_path(key);
-  if (path.empty()) return std::nullopt;
+  if (path.empty()) return nullptr;
   std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
+  if (!in) return nullptr;
   std::string first_line;
-  if (!std::getline(in, first_line)) return std::nullopt;
-  if (first_line != kSpillMagic + key) return std::nullopt;  // collision or foreign file
+  if (!std::getline(in, first_line)) return nullptr;
+  if (first_line != kSpillMagic + key) return nullptr;  // collision or foreign file
   std::ostringstream rest;
   rest << in.rdbuf();
-  std::string blob = rest.str();
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.disk_hits;
   }
-  put(key, hash, blob);
-  return blob;
+  return put(key, hash, std::move(rest).str());
 }
 
-void ResultCache::put(const std::string& key, std::uint64_t hash, const std::string& blob) {
+BlobRef ResultCache::put(const std::string& key, std::uint64_t hash, std::string blob) {
+  BlobRef stored = std::make_shared<const std::string>(std::move(blob));
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = entries_.find(hash);
@@ -88,8 +77,8 @@ void ResultCache::put(const std::string& key, std::uint64_t hash, const std::str
       // Overwrite (same key) or keep-first (collision): either way the map
       // stays consistent with exactly one entry per hash.
       if (it->second.key == key) {
-        it->second.blob = blob;
-        touch(hash, it->second);
+        it->second.blob = stored;
+        touch(it->second);
       } else {
         ++stats_.collisions;
       }
@@ -101,13 +90,13 @@ void ResultCache::put(const std::string& key, std::uint64_t hash, const std::str
         ++stats_.evictions;
       }
       lru_.push_front(hash);
-      entries_.emplace(hash, Entry{key, blob, lru_.begin()});
+      entries_.emplace(hash, Entry{key, stored, lru_.begin()});
     }
     stats_.entries = entries_.size();
   }
 
   const std::string path = spill_path(key);
-  if (path.empty()) return;
+  if (path.empty()) return stored;
   // Atomic-enough persistence: write a uniquely named temp file, then
   // rename into place (concurrent writers of one key race benignly — both
   // rename complete, identical blobs).
@@ -115,11 +104,12 @@ void ResultCache::put(const std::string& key, std::uint64_t hash, const std::str
   const std::string tmp = path + ".tmp" + std::to_string(tmp_seq.fetch_add(1));
   {
     std::ofstream out(tmp, std::ios::binary);
-    if (!out) return;
-    out << kSpillMagic << key << '\n' << blob;
-    if (!out.flush()) return;
+    if (!out) return stored;
+    out << kSpillMagic << key << '\n' << *stored;
+    if (!out.flush()) return stored;
   }
   std::rename(tmp.c_str(), path.c_str());
+  return stored;
 }
 
 ResultCache::Stats ResultCache::stats() const {

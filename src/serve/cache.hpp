@@ -20,14 +20,24 @@
 
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 
 #include "core/hash.hpp"
 
 namespace cirrus::serve {
+
+/// A stored blob, shared with the cache: a hit hands out a reference, so no
+/// blob is copied under the cache lock. Null on a miss; has_value() keeps
+/// optional-style callers working.
+struct BlobRef : std::shared_ptr<const std::string> {
+  using std::shared_ptr<const std::string>::shared_ptr;
+  BlobRef(std::shared_ptr<const std::string> p) noexcept  // NOLINT: implicit by design
+      : std::shared_ptr<const std::string>(std::move(p)) {}
+  [[nodiscard]] bool has_value() const noexcept { return get() != nullptr; }
+};
 
 class ResultCache {
  public:
@@ -47,22 +57,20 @@ class ResultCache {
 
   explicit ResultCache(Options opts);
 
-  /// The blob stored for `key`, or nullopt. Thread-safe; refreshes LRU
+  /// The blob stored for `key`, or null. Thread-safe; refreshes LRU
   /// recency on hit. A memory miss consults the spill directory and
   /// re-admits on disk hit.
-  std::optional<std::string> get(const std::string& key) {
-    return get(key, core::fnv1a64(key));
-  }
+  BlobRef get(const std::string& key) { return get(key, core::fnv1a64(key)); }
   /// get() for a caller that already holds the key's hash, core::fnv1a64(key).
-  std::optional<std::string> get(const std::string& key, std::uint64_t hash);
+  BlobRef get(const std::string& key, std::uint64_t hash);
 
   /// Stores (key, blob), evicting the least-recently-used entry when full.
-  /// Overwrites any previous blob for the key.
-  void put(const std::string& key, const std::string& blob) {
-    put(key, core::fnv1a64(key), blob);
+  /// Overwrites any previous blob for the key. Returns the blob as stored.
+  BlobRef put(const std::string& key, std::string blob) {
+    return put(key, core::fnv1a64(key), std::move(blob));
   }
   /// put() for a caller that already holds the key's hash.
-  void put(const std::string& key, std::uint64_t hash, const std::string& blob);
+  BlobRef put(const std::string& key, std::uint64_t hash, std::string blob);
 
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] std::size_t capacity() const noexcept { return opts_.capacity; }
@@ -73,11 +81,11 @@ class ResultCache {
  private:
   struct Entry {
     std::string key;
-    std::string blob;
+    BlobRef blob;
     std::list<std::uint64_t>::iterator lru_it;  // position in lru_ (front = hottest)
   };
 
-  void touch(std::uint64_t hash, Entry& e);  // requires mu_ held
+  void touch(Entry& e);  // moves e to the LRU front; requires mu_ held
 
   Options opts_;
   mutable std::mutex mu_;

@@ -6,21 +6,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
+
+#include "serve/http.hpp"
 
 namespace cirrus::serve {
-
-namespace {
-
-std::string lower(std::string s) {
-  for (auto& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return s;
-}
-
-}  // namespace
 
 HttpClient::~HttpClient() { close(); }
 
@@ -72,10 +65,18 @@ std::optional<ClientResponse> HttpClient::request(const std::string& method,
 std::optional<ClientResponse> HttpClient::request_once(const std::string& method,
                                                        const std::string& target,
                                                        const std::string& body) {
-  std::string req = method + " " + target + " HTTP/1.1\r\nHost: " + host_ + "\r\n";
+  std::string req;
+  req.reserve(method.size() + target.size() + host_.size() + body.size() + 96);
+  req += method;
+  req += ' ';
+  req += target;
+  req += " HTTP/1.1\r\nHost: ";
+  req += host_;
+  req += "\r\n";
   if (!body.empty()) {
-    req += "Content-Type: application/json\r\nContent-Length: " +
-           std::to_string(body.size()) + "\r\n";
+    req += "Content-Type: application/json\r\nContent-Length: ";
+    req += std::to_string(body.size());
+    req += "\r\n";
   }
   req += "\r\n";
   req += body;
@@ -103,31 +104,14 @@ std::optional<ClientResponse> HttpClient::request_once(const std::string& method
   }
 
   ClientResponse resp;
-  const std::string head = buf.substr(0, header_end);
-  const std::size_t line_end = head.find("\r\n");
-  const std::string status_line = head.substr(0, line_end);
-  // "HTTP/1.1 200 OK"
+  std::string_view status_line;  // "HTTP/1.1 200 OK"
+  parse_head(std::string_view(buf).substr(0, header_end), status_line, resp.headers);
   const std::size_t sp = status_line.find(' ');
-  if (sp == std::string::npos) {
+  if (sp == std::string_view::npos) {
     close();
     return std::nullopt;
   }
-  resp.status = std::atoi(status_line.c_str() + sp + 1);
-
-  std::size_t pos = line_end + 2;
-  while (pos < head.size()) {
-    std::size_t eol = head.find("\r\n", pos);
-    if (eol == std::string::npos) eol = head.size();
-    const std::string line = head.substr(pos, eol - pos);
-    const std::size_t colon = line.find(':');
-    if (colon != std::string::npos) {
-      std::string key = lower(line.substr(0, colon));
-      std::string value = line.substr(colon + 1);
-      while (!value.empty() && value.front() == ' ') value.erase(value.begin());
-      resp.headers[key] = value;
-    }
-    pos = eol + 2;
-  }
+  resp.status = std::atoi(buf.c_str() + sp + 1);
 
   std::size_t content_length = 0;
   if (const auto it = resp.headers.find("content-length"); it != resp.headers.end()) {
@@ -142,10 +126,10 @@ std::optional<ClientResponse> HttpClient::request_once(const std::string& method
     }
     buf.append(chunk, static_cast<std::size_t>(n));
   }
-  resp.body = buf.substr(body_start, content_length);
+  resp.body.assign(buf, body_start, content_length);
 
   if (const auto it = resp.headers.find("connection");
-      it != resp.headers.end() && lower(it->second) == "close") {
+      it != resp.headers.end() && iequals(it->second, "close")) {
     close();
   }
   return resp;

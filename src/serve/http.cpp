@@ -6,6 +6,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
@@ -16,17 +17,12 @@ namespace cirrus::serve {
 
 namespace {
 
-std::string lower(std::string s) {
-  for (auto& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+/// `s` without leading and trailing ASCII whitespace.
+std::string_view trim(std::string_view s) noexcept {
+  const auto space = [](char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; };
+  while (!s.empty() && space(s.front())) s.remove_prefix(1);
+  while (!s.empty() && space(s.back())) s.remove_suffix(1);
   return s;
-}
-
-/// Trims ASCII whitespace from both ends.
-std::string trim(const std::string& s) {
-  std::size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b])) != 0) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])) != 0) --e;
-  return s.substr(b, e - b);
 }
 
 int hex_digit(char c) {
@@ -36,7 +32,7 @@ int hex_digit(char c) {
   return -1;
 }
 
-std::string url_decode(const std::string& s) {
+std::string url_decode(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   for (std::size_t i = 0; i < s.size(); ++i) {
@@ -68,24 +64,47 @@ const char* status_text(int status) noexcept {
   }
 }
 
-std::vector<std::pair<std::string, std::string>> parse_query_string(const std::string& q) {
+std::vector<std::pair<std::string, std::string>> parse_query_string(std::string_view q) {
   std::vector<std::pair<std::string, std::string>> out;
-  std::size_t start = 0;
-  while (start < q.size()) {
-    std::size_t amp = q.find('&', start);
-    if (amp == std::string::npos) amp = q.size();
-    const std::string piece = q.substr(start, amp - start);
-    if (!piece.empty()) {
-      const std::size_t eq = piece.find('=');
-      if (eq == std::string::npos) {
-        out.emplace_back(url_decode(piece), "");
-      } else {
-        out.emplace_back(url_decode(piece.substr(0, eq)), url_decode(piece.substr(eq + 1)));
-      }
+  out.reserve(static_cast<std::size_t>(std::count(q.begin(), q.end(), '&')) + 1);
+  while (!q.empty()) {
+    const std::size_t amp = std::min(q.find('&'), q.size());
+    const std::string_view piece = q.substr(0, amp);
+    q.remove_prefix(std::min(amp + 1, q.size()));
+    if (piece.empty()) continue;
+    const std::size_t eq = piece.find('=');
+    if (eq == std::string_view::npos) {
+      out.emplace_back(url_decode(piece), "");
+    } else {
+      out.emplace_back(url_decode(piece.substr(0, eq)), url_decode(piece.substr(eq + 1)));
     }
-    start = amp + 1;
   }
   return out;
+}
+
+bool parse_head(std::string_view head, std::string_view& start_line,
+                std::map<std::string, std::string>& headers) {
+  std::size_t eol = std::min(head.find("\r\n"), head.size());
+  start_line = head.substr(0, eol);
+  while (eol < head.size()) {
+    head.remove_prefix(eol + 2);
+    eol = std::min(head.find("\r\n"), head.size());
+    const std::string_view line = head.substr(0, eol);
+    const std::size_t colon = line.find(':');
+    if (colon == std::string_view::npos) continue;
+    std::string key(trim(line.substr(0, colon)));
+    for (auto& c : key) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    headers.insert_or_assign(std::move(key), std::string(trim(line.substr(colon + 1))));
+  }
+  return !start_line.empty();
+}
+
+bool iequals(std::string_view a, std::string_view b) noexcept {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(), [](char x, char y) {
+           return std::tolower(static_cast<unsigned char>(x)) ==
+                  std::tolower(static_cast<unsigned char>(y));
+         });
 }
 
 HttpServer::HttpServer(Options opts, Handler handler)
@@ -204,7 +223,7 @@ void HttpServer::serve_connection(int fd) {
               std::string(R"({"error":"internal: )") + e.what() + "\"}", {}};
     }
     const auto conn = req.headers.find("connection");
-    const bool keep_alive = conn == req.headers.end() ? true : lower(conn->second) != "close";
+    const bool keep_alive = conn == req.headers.end() || !iequals(conn->second, "close");
     send_response(fd, resp, keep_alive);
     if (!keep_alive) return;
   }
@@ -212,42 +231,31 @@ void HttpServer::serve_connection(int fd) {
 
 int HttpServer::read_request(int fd, std::string& buffered, HttpRequest& out) {
   // Accumulate until the blank line; `buffered` carries any pipelined bytes
-  // from the previous request on this connection.
+  // from the previous request on this connection. A connection that ends or
+  // times out (the idle reaper) between requests closes silently: only bytes
+  // that fail to parse earn a 400.
   std::size_t header_end = std::string::npos;
   char chunk[8192];
   while ((header_end = buffered.find("\r\n\r\n")) == std::string::npos) {
     if (buffered.size() > opts_.max_header_bytes) return -1;
     const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-    if (n == 0) return buffered.empty() ? 0 : -1;
-    if (n < 0) return errno == EINTR ? (buffered.empty() ? 0 : -1) : -1;
+    if (n <= 0) return buffered.empty() ? 0 : -1;
     buffered.append(chunk, static_cast<std::size_t>(n));
   }
 
   // Request line: METHOD SP target SP version.
-  const std::string head = buffered.substr(0, header_end);
-  const std::size_t line_end = head.find("\r\n");
-  const std::string request_line = head.substr(0, line_end);
+  std::string_view request_line;
+  if (!parse_head(std::string_view(buffered).substr(0, header_end), request_line, out.headers)) {
+    return -1;
+  }
   const std::size_t sp1 = request_line.find(' ');
   const std::size_t sp2 = request_line.rfind(' ');
-  if (sp1 == std::string::npos || sp2 == sp1) return -1;
+  if (sp1 == std::string_view::npos || sp2 == sp1) return -1;
   out.method = request_line.substr(0, sp1);
-  std::string target = request_line.substr(sp1 + 1, sp2 - sp1 - 1);
-  const std::size_t qmark = target.find('?');
-  out.path = qmark == std::string::npos ? target : target.substr(0, qmark);
-  out.query = qmark == std::string::npos ? "" : target.substr(qmark + 1);
-
-  // Headers.
-  std::size_t pos = line_end == std::string::npos ? head.size() : line_end + 2;
-  while (pos < head.size()) {
-    std::size_t eol = head.find("\r\n", pos);
-    if (eol == std::string::npos) eol = head.size();
-    const std::string line = head.substr(pos, eol - pos);
-    const std::size_t colon = line.find(':');
-    if (colon != std::string::npos) {
-      out.headers[lower(trim(line.substr(0, colon)))] = trim(line.substr(colon + 1));
-    }
-    pos = eol + 2;
-  }
+  const std::string_view target = request_line.substr(sp1 + 1, sp2 - sp1 - 1);
+  const std::size_t qmark = std::min(target.find('?'), target.size());
+  out.path = target.substr(0, qmark);
+  out.query = target.substr(std::min(qmark + 1, target.size()));
 
   // Body (Content-Length only; no chunked support).
   std::size_t content_length = 0;
@@ -264,17 +272,32 @@ int HttpServer::read_request(int fd, std::string& buffered, HttpRequest& out) {
     if (n <= 0) return -1;
     buffered.append(chunk, static_cast<std::size_t>(n));
   }
-  out.body = buffered.substr(body_start, content_length);
+  out.body.assign(buffered, body_start, content_length);
   buffered.erase(0, body_start + content_length);
   return 1;
 }
 
 void HttpServer::send_response(int fd, const HttpResponse& resp, bool keep_alive) {
-  std::string out = "HTTP/1.1 " + std::to_string(resp.status) + " " + status_text(resp.status) +
-                    "\r\nContent-Type: " + resp.content_type +
-                    "\r\nContent-Length: " + std::to_string(resp.body.size()) +
-                    "\r\nConnection: " + (keep_alive ? "keep-alive" : "close") + "\r\n";
-  for (const auto& [k, v] : resp.headers) out += k + ": " + v + "\r\n";
+  // Head and body in one buffer, one send.
+  std::size_t size = 128 + resp.content_type.size() + resp.body.size();
+  for (const auto& [k, v] : resp.headers) size += k.size() + v.size() + 4;
+  std::string out;
+  out.reserve(size);
+  char status[16];
+  std::snprintf(status, sizeof status, "HTTP/1.1 %d ", resp.status);
+  out += status;
+  out += status_text(resp.status);
+  out += "\r\nContent-Type: ";
+  out += resp.content_type;
+  out += "\r\nContent-Length: ";
+  out += std::to_string(resp.body.size());
+  out += keep_alive ? "\r\nConnection: keep-alive\r\n" : "\r\nConnection: close\r\n";
+  for (const auto& [k, v] : resp.headers) {
+    out += k;
+    out += ": ";
+    out += v;
+    out += "\r\n";
+  }
   out += "\r\n";
   out += resp.body;
   std::size_t sent = 0;

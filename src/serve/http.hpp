@@ -18,6 +18,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -34,7 +35,7 @@ struct HttpRequest {
 
 struct HttpResponse {
   int status = 200;
-  std::string content_type = "application/json";
+  std::string_view content_type = "application/json";  ///< views a string literal
   std::string body;
   /// Extra headers (e.g. {"X-Cirrus-Cache", "hit"}).
   std::vector<std::pair<std::string, std::string>> headers;
@@ -45,7 +46,18 @@ const char* status_text(int status) noexcept;
 
 /// Percent-decodes and splits "a=1&b=2" into pairs (missing '=' -> empty
 /// value). Exposed for the query front end and tests.
-std::vector<std::pair<std::string, std::string>> parse_query_string(const std::string& q);
+std::vector<std::pair<std::string, std::string>> parse_query_string(std::string_view q);
+
+/// Splits an HTTP head (the bytes before the blank line) into its start
+/// line and its header fields, keys lower-cased and values trimmed; the
+/// one header parser of HttpServer and HttpClient. A line without a colon
+/// is skipped; a repeated field keeps its last value. False when the start
+/// line is empty.
+bool parse_head(std::string_view head, std::string_view& start_line,
+                std::map<std::string, std::string>& headers);
+
+/// ASCII case-insensitive equality (header values such as "Close").
+bool iequals(std::string_view a, std::string_view b) noexcept;
 
 class HttpServer {
  public:
@@ -81,8 +93,9 @@ class HttpServer {
  private:
   void accept_loop();
   void serve_connection(int fd);
-  /// Reads one request off `fd`. Returns 1 on success, 0 on clean EOF,
-  /// -1 on error/timeout/overflow (connection must close).
+  /// Reads one request off `fd`. Returns 1 on success, 0 when the
+  /// connection ends, times out or fails between requests (close silently),
+  /// -1 on a malformed, oversized or truncated request (answer 400, close).
   int read_request(int fd, std::string& buffered, HttpRequest& out);
   void send_response(int fd, const HttpResponse& resp, bool keep_alive);
 

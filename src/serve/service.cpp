@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <stdexcept>
@@ -328,13 +327,10 @@ Service::Service(Options opts)
       gate_(opts.max_inflight_jobs > 0
                 ? opts.max_inflight_jobs
                 : 2 * static_cast<int>(std::max(1U, std::thread::hardware_concurrency()))) {
-  req_query_ = registry_.counter("serve_requests_total", {{"route", "query"}});
-  req_advise_ = registry_.counter("serve_requests_total", {{"route", "advise"}});
-  req_healthz_ = registry_.counter("serve_requests_total", {{"route", "healthz"}});
-  req_metrics_ = registry_.counter("serve_requests_total", {{"route", "metrics"}});
-  req_cache_stats_ = registry_.counter("serve_requests_total", {{"route", "cache_stats"}});
-  req_spans_ = registry_.counter("serve_requests_total", {{"route", "spans"}});
-  req_other_ = registry_.counter("serve_requests_total", {{"route", "other"}});
+  for (const char* route :
+       {"query", "advise", "healthz", "metrics", "cache_stats", "spans", "other"}) {
+    requests_[route] = registry_.counter("serve_requests_total", {{"route", route}});
+  }
   resp_ok_ = registry_.counter("serve_responses_total", {{"class", "ok"}});
   resp_client_err_ = registry_.counter("serve_responses_total", {{"class", "client_error"}});
   resp_server_err_ = registry_.counter("serve_responses_total", {{"class", "server_error"}});
@@ -364,27 +360,36 @@ bool Service::should_verify(std::uint64_t key_hash, std::uint64_t nth_hit) const
 }
 
 HttpResponse Service::serve_blob(const std::string& key, std::uint64_t key_hash,
-                                 const std::function<std::string()>& compute, TraceCtx& ctx) {
-  char hash_hex[17];
-  std::snprintf(hash_hex, sizeof hash_hex, "%016llx", static_cast<unsigned long long>(key_hash));
-  const auto envelope = [&](const char* cache_status, const std::string& blob) {
-    const std::uint64_t b = ctx.now_us();
-    Writer w;
-    w.begin_object();
-    w.key("schema").value("cirrus-serve/1");
-    w.key("cache").value(cache_status);
-    w.key("key").value(key);
-    w.key("key_hash").value(hash_hex);
-    w.key("result").raw(blob);
-    w.end_object();
-    std::string body = w.str();
-    ctx.span("serialize", b, ctx.now_us());
-    return body;
+                                 const std::function<std::string()>& compute,
+                                 std::uint64_t parsed_us, TraceCtx& ctx) {
+  char hash_hex[17] = {};
+  core::hex16(key_hash, hash_hex);
+  // The envelope in one pass, byte for byte what jsonw::Writer would emit:
+  // {"schema":"cirrus-serve/1","cache":…,"key":…,"key_hash":…,"result":<blob>}.
+  // The cache status and hash need no escaping.
+  const auto respond = [&](const char* cache_status, const std::string& blob,
+                           std::uint64_t begin_us) {
+    HttpResponse resp{200, "application/json", {}, {}};
+    std::string& body = resp.body;
+    body.reserve(blob.size() + key.size() + 96);
+    body += R"({"schema":"cirrus-serve/1","cache":")";
+    body += cache_status;
+    body += R"(","key":")";
+    obs::jsonw::append_escaped(body, key);
+    body += R"(","key_hash":")";
+    body += hash_hex;
+    body += R"(","result":)";
+    body += blob;
+    body += '}';
+    resp.headers.reserve(4);  // room for the trace id and one front-end header
+    resp.headers.emplace_back("X-Cirrus-Cache", cache_status);
+    resp.headers.emplace_back("X-Cirrus-Key", hash_hex);
+    ctx.span("serialize", begin_us, ctx.now_us());
+    return resp;
   };
 
-  const std::uint64_t cache_b = ctx.now_us();
-  auto blob = cache_.get(key, key_hash);
-  ctx.span("cache", cache_b, ctx.now_us());
+  const BlobRef blob = cache_.get(key, key_hash);
+  std::uint64_t t = ctx.span("cache", parsed_us, ctx.now_us());
   if (blob) {
     ctx.rec.cache = "hit";
     bool verify_failed = false;
@@ -412,7 +417,7 @@ HttpResponse Service::serve_blob(const std::string& key, std::uint64_t key_hash,
           throw;
         }
         gate_.release();
-        ctx.span("verify", verify_b, ctx.now_us());
+        t = ctx.span("verify", verify_b, ctx.now_us());
         const bool ok = recomputed == *blob;
         std::lock_guard<std::mutex> lock(metrics_mu_);
         (ok ? verify_ok_ : verify_mismatch_).inc();
@@ -421,61 +426,42 @@ HttpResponse Service::serve_blob(const std::string& key, std::uint64_t key_hash,
     }
     if (verify_failed) {
       ctx.rec.cache = "verify-failed";
-      std::lock_guard<std::mutex> lock(metrics_mu_);
-      resp_server_err_.inc();
       return {500, "application/json",
               error_body(std::string("cache verify mismatch for key ") + hash_hex +
                          " (determinism violation)"),
               {{"X-Cirrus-Cache", "verify-failed"}}};
     }
-    HttpResponse resp{200, "application/json", envelope("hit", *blob),
-                      {{"X-Cirrus-Cache", "hit"}, {"X-Cirrus-Key", hash_hex}}};
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    resp_ok_.inc();
-    return resp;
+    return respond("hit", *blob, t);
   }
 
   // Miss: bounded admission, then compute + fill.
   ctx.rec.cache = "miss";
-  const auto wait_start = std::chrono::steady_clock::now();
-  const std::uint64_t gate_b = ctx.now_us();
   if (!gate_.acquire_for(std::chrono::milliseconds(opts_.queue_timeout_ms))) {
-    ctx.span("gate-wait", gate_b, ctx.now_us());
+    ctx.span("gate-wait", t, ctx.now_us());
     ctx.rec.cache = "rejected";
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    resp_rejected_.inc();
     return {503, "application/json",
             error_body("compute queue full (in-flight limit " +
                        std::to_string(gate_.capacity()) + ", waited " +
                        std::to_string(opts_.queue_timeout_ms) + " ms)"),
             {{"Retry-After", "1"}, {"X-Cirrus-Cache", "rejected"}}};
   }
-  ctx.span("gate-wait", gate_b, ctx.now_us());
-  const auto queue_us = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(std::chrono::steady_clock::now() -
-                                                            wait_start)
-          .count());
-  const std::uint64_t exec_b = ctx.now_us();
-  std::string blob2;
+  const std::uint64_t admitted = ctx.span("gate-wait", t, ctx.now_us());
+  std::string computed;
   try {
-    blob2 = compute();
+    computed = compute();
   } catch (...) {
     gate_.release();
     throw;
   }
   gate_.release();
-  ctx.span("execute", exec_b, ctx.now_us());
-  cache_.put(key, key_hash, blob2);
+  const std::uint64_t executed = ctx.span("execute", admitted, ctx.now_us());
+  const BlobRef stored = cache_.put(key, key_hash, std::move(computed));
   {
     std::lock_guard<std::mutex> lock(metrics_mu_);
     cache_miss_.inc();
-    queue_wait_us_.observe(queue_us);
+    queue_wait_us_.observe(admitted - t);
   }
-  HttpResponse resp{200, "application/json", envelope("miss", blob2),
-                    {{"X-Cirrus-Cache", "miss"}, {"X-Cirrus-Key", hash_hex}}};
-  std::lock_guard<std::mutex> lock(metrics_mu_);
-  resp_ok_.inc();
-  return resp;
+  return respond("miss", *stored, executed);
 }
 
 namespace {
@@ -538,34 +524,23 @@ bool fits_platform(const core::RunRequest& run, std::string* error) {
 }  // namespace
 
 HttpResponse Service::handle_query(const HttpRequest& req, TraceCtx& ctx) {
-  const std::uint64_t parse_b = ctx.now_us();
   std::vector<std::pair<std::string, std::string>> kvs;
   std::string error;
-  if (!request_kvs(req, kvs, &error)) {
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    resp_client_err_.inc();
-    return {400, "application/json", error_body(error), {}};
-  }
+  if (!request_kvs(req, kvs, &error)) return {400, "application/json", error_body(error), {}};
   core::RunRequest run;
   if (!core::RunRequest::parse(kvs, run, &error) || !fits_platform(run, &error)) {
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    resp_client_err_.inc();
     return {400, "application/json", error_body(error), {}};
   }
-  ctx.span("parse", parse_b, ctx.now_us());
   const std::string key = run.canonical_key();
-  return serve_blob(key, core::fnv1a64(key), [run] { return query_json(run); }, ctx);
+  const std::uint64_t key_hash = core::fnv1a64(key);
+  return serve_blob(key, key_hash, [&run] { return query_json(run); },
+                    ctx.span("parse", 0, ctx.now_us()), ctx);
 }
 
 HttpResponse Service::handle_advise(const HttpRequest& req, TraceCtx& ctx) {
-  const std::uint64_t parse_b = ctx.now_us();
   std::vector<std::pair<std::string, std::string>> kvs;
   std::string error;
-  if (!request_kvs(req, kvs, &error)) {
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    resp_client_err_.inc();
-    return {400, "application/json", error_body(error), {}};
-  }
+  if (!request_kvs(req, kvs, &error)) return {400, "application/json", error_body(error), {}};
   AdvisorRequest areq;
   for (const auto& [k, v] : kvs) {
     char* end = nullptr;
@@ -587,15 +562,12 @@ HttpResponse Service::handle_advise(const HttpRequest& req, TraceCtx& ctx) {
     } else {
       error = "unknown key '" + k + "'";
     }
-    if (!error.empty()) {
-      std::lock_guard<std::mutex> lock(metrics_mu_);
-      resp_client_err_.inc();
-      return {400, "application/json", error_body(error), {}};
-    }
+    if (!error.empty()) return {400, "application/json", error_body(error), {}};
   }
   const std::string key = areq.canonical_key();
-  ctx.span("parse", parse_b, ctx.now_us());
-  return serve_blob(key, core::fnv1a64(key), [areq] { return advise_json(areq); }, ctx);
+  const std::uint64_t key_hash = core::fnv1a64(key);
+  return serve_blob(key, key_hash, [&areq] { return advise_json(areq); },
+                    ctx.span("parse", 0, ctx.now_us()), ctx);
 }
 
 namespace {
@@ -610,12 +582,6 @@ const char* route_name(const std::string& path) noexcept {
   return "other";
 }
 
-std::string trace_hex(std::uint64_t id) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(id));
-  return buf;
-}
-
 }  // namespace
 
 HttpResponse Service::handle(const HttpRequest& req) {
@@ -624,7 +590,7 @@ HttpResponse Service::handle(const HttpRequest& req) {
   ctx.rec.id = ++trace_seq_;
   ctx.rec.route = route_name(req.path);
   HttpResponse resp = route_request(req, ctx);
-  resp.headers.emplace_back("X-Cirrus-Trace", trace_hex(ctx.rec.id));
+  resp.headers.emplace_back("X-Cirrus-Trace", core::hex16(ctx.rec.id));
   finish_trace(ctx, resp);
   return resp;
 }
@@ -633,17 +599,8 @@ HttpResponse Service::route_request(const HttpRequest& req, TraceCtx& ctx) {
   try {
     if (req.path == "/query") return handle_query(req, ctx);
     if (req.path == "/advise") return handle_advise(req, ctx);
-    if (req.path == "/healthz") {
-      std::lock_guard<std::mutex> lock(metrics_mu_);
-      resp_ok_.inc();
-      return {200, "application/json", R"({"status":"ok"})", {}};
-    }
-    if (req.path == "/metrics") {
-      auto text = metrics_text();
-      std::lock_guard<std::mutex> lock(metrics_mu_);
-      resp_ok_.inc();
-      return {200, "text/plain; version=0.0.4", std::move(text), {}};
-    }
+    if (req.path == "/healthz") return {200, "application/json", R"({"status":"ok"})", {}};
+    if (req.path == "/metrics") return {200, "text/plain; version=0.0.4", metrics_text(), {}};
     if (req.path == "/cache/stats") {
       const auto s = cache_.stats();
       Writer w;
@@ -656,22 +613,11 @@ HttpResponse Service::route_request(const HttpRequest& req, TraceCtx& ctx) {
       w.key("entries").value(static_cast<unsigned long long>(s.entries));
       w.key("capacity").value(static_cast<unsigned long long>(cache_.capacity()));
       w.end_object();
-      std::lock_guard<std::mutex> lock(metrics_mu_);
-      resp_ok_.inc();
       return {200, "application/json", w.str(), {}};
     }
-    if (req.path == "/spans") {
-      auto resp = handle_spans();
-      std::lock_guard<std::mutex> lock(metrics_mu_);
-      resp_ok_.inc();
-      return resp;
-    }
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    resp_client_err_.inc();
+    if (req.path == "/spans") return handle_spans();
     return {404, "application/json", error_body("no route for " + req.path), {}};
   } catch (const std::exception& e) {
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    resp_server_err_.inc();
     return {500, "application/json", error_body(e.what()), {}};
   }
 }
@@ -684,7 +630,7 @@ HttpResponse Service::handle_spans() {
   w.begin_array();
   for (const RequestTrace& t : recent_traces()) {
     w.begin_object();
-    w.key("trace").value(trace_hex(t.id));
+    w.key("trace").value(core::hex16(t.id));
     w.key("route").value(t.route);
     w.key("status").value(static_cast<long long>(t.status));
     w.key("cache").value(t.cache);
@@ -716,31 +662,25 @@ void Service::finish_trace(TraceCtx& ctx, const HttpResponse& resp) {
   ctx.rec.total_us = ctx.now_us();
   {
     std::lock_guard<std::mutex> lock(metrics_mu_);
-    obs::Counter* req_ctr = &req_other_;
-    if (ctx.rec.route == "query") {
-      req_ctr = &req_query_;
-    } else if (ctx.rec.route == "advise") {
-      req_ctr = &req_advise_;
-    } else if (ctx.rec.route == "healthz") {
-      req_ctr = &req_healthz_;
-    } else if (ctx.rec.route == "metrics") {
-      req_ctr = &req_metrics_;
-    } else if (ctx.rec.route == "cache_stats") {
-      req_ctr = &req_cache_stats_;
-    } else if (ctx.rec.route == "spans") {
-      req_ctr = &req_spans_;
+    requests_.at(ctx.rec.route).inc();
+    // serve_responses_total by class: 503 is the admission gate's rejection.
+    (resp.status == 200   ? resp_ok_
+     : resp.status == 503 ? resp_rejected_
+     : resp.status >= 500 ? resp_server_err_
+                          : resp_client_err_)
+        .inc();
+    const auto [cell, fresh] = duration_us_.try_emplace({ctx.rec.route, ctx.rec.cache});
+    if (fresh) {
+      cell->second = registry_.histogram(
+          "serve_request_duration_us",
+          {{"route", std::string(ctx.rec.route)}, {"cache", std::string(ctx.rec.cache)}});
     }
-    req_ctr->inc();
-    // One observation per request; the registry re-opens the series' cell.
-    registry_
-        .histogram("serve_request_duration_us",
-                   {{"route", ctx.rec.route}, {"cache", ctx.rec.cache}})
-        .observe(ctx.rec.total_us);
+    cell->second.observe(ctx.rec.total_us);
   }
   const bool slow = opts_.slow_ms > 0 &&
                     ctx.rec.total_us >= static_cast<std::uint64_t>(opts_.slow_ms) * 1000;
   if (access_log_.is_open() || slow) {
-    const std::string id_hex = trace_hex(ctx.rec.id);
+    const std::string id_hex = core::hex16(ctx.rec.id);
     if (access_log_.is_open()) {
       Writer w;
       w.begin_object();

@@ -28,9 +28,12 @@
 #include <deque>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/request.hpp"
@@ -113,9 +116,12 @@ class Gate {
 // ---------------------------------------------------------------------------
 
 /// One wall-clock phase of a request's lifecycle; times are microseconds
-/// since the request entered Service::handle().
+/// since the request entered Service::handle(), where parsing begins. Each
+/// phase begins where the previous one ended, but for a verify audit's wait
+/// for a compute slot. The name views a string literal, as do
+/// RequestTrace's route and cache: a trace copies no text.
 struct RequestSpan {
-  std::string name;  ///< parse | cache | gate-wait | execute | verify | serialize
+  std::string_view name;  ///< parse | cache | gate-wait | execute | verify | serialize
   std::uint64_t begin_us = 0;
   std::uint64_t end_us = 0;
 };
@@ -123,10 +129,10 @@ struct RequestSpan {
 /// The trace record of one handled request, kept in a bounded ring and
 /// exposed at /spans.
 struct RequestTrace {
-  std::uint64_t id = 0;      ///< monotone; rendered as 16-hex X-Cirrus-Trace
-  std::string route;         ///< query | advise | healthz | metrics | cache_stats | spans | other
+  std::uint64_t id = 0;  ///< monotone; rendered as 16-hex X-Cirrus-Trace
+  std::string_view route;  ///< query | advise | healthz | metrics | cache_stats | spans | other
   int status = 0;
-  std::string cache = "-";   ///< hit | miss | rejected | verify-failed | -
+  std::string_view cache = "-";  ///< hit | miss | rejected | verify-failed | -
   std::uint64_t total_us = 0;
   std::vector<RequestSpan> spans;
 };
@@ -179,8 +185,11 @@ class Service {
                                             std::chrono::steady_clock::now() - start)
                                             .count());
     }
-    void span(const char* name, std::uint64_t begin_us, std::uint64_t end_us) {
+    /// Records a phase and returns its end, where the next phase begins.
+    std::uint64_t span(std::string_view name, std::uint64_t begin_us, std::uint64_t end_us) {
+      if (rec.spans.empty()) rec.spans.reserve(6);  // a request has at most six phases
       rec.spans.push_back(RequestSpan{name, begin_us, end_us});
+      return end_us;
     }
   };
 
@@ -190,13 +199,17 @@ class Service {
   HttpResponse handle_spans();
   /// Cache-or-compute for an already-canonicalised key and its
   /// core::fnv1a64 hash (each rendered once per request). `compute` runs
-  /// without the stats lock; sets `status` and returns the envelope body.
+  /// without the stats lock, only on a miss or a verified hit. The
+  /// envelope is rendered once, around the stored blob. Phases are
+  /// contiguous: the cache lookup begins at `parsed_us`, where parsing ended.
   HttpResponse serve_blob(const std::string& key, std::uint64_t key_hash,
-                          const std::function<std::string()>& compute, TraceCtx& ctx);
+                          const std::function<std::string()>& compute, std::uint64_t parsed_us,
+                          TraceCtx& ctx);
   /// Deterministic hit-sampling decision for verify mode.
   bool should_verify(std::uint64_t key_hash, std::uint64_t nth_hit) const;
-  /// Post-routing bookkeeping: per-route counter + duration histogram, the
-  /// /spans ring push, the access-log line and the slow-request log.
+  /// Post-routing bookkeeping: per-route and per-status-class counters, the
+  /// duration histogram, the /spans ring push, the access-log line and the
+  /// slow-request log.
   void finish_trace(TraceCtx& ctx, const HttpResponse& resp);
 
   Options opts_;
@@ -205,8 +218,10 @@ class Service {
 
   mutable std::mutex metrics_mu_;
   obs::MetricsRegistry registry_;
-  obs::Counter req_query_, req_advise_, req_healthz_, req_metrics_, req_cache_stats_,
-      req_spans_, req_other_;
+  std::map<std::string_view, obs::Counter> requests_;  // by route
+  /// serve_request_duration_us{route,cache}, each cell opened on its first
+  /// observation, so /metrics lists only the pairs that occurred.
+  std::map<std::pair<std::string_view, std::string_view>, obs::Histogram> duration_us_;
   obs::Counter resp_ok_, resp_client_err_, resp_server_err_, resp_rejected_;
   obs::Counter cache_hit_, cache_miss_;
   obs::Counter verify_ok_, verify_mismatch_;

@@ -1,6 +1,5 @@
 #include "valid/manifest.hpp"
 
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -53,11 +52,7 @@ std::string telemetry_rows(const std::vector<std::pair<std::string, std::uint64_
   return os.str();
 }
 
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
+using core::hex16;
 
 const char* json_status(CheckStatus s) noexcept {
   switch (s) {

@@ -163,4 +163,22 @@ TEST(ModelModeAllocations, DatalessNpbAllocatesNoProblemArrays) {
         [bench] { npb::run_benchmark(bench, npb::Class::A, plat::vayu(), 8, /*execute=*/false); });
     EXPECT_LT(largest, kMiB) << bench << ".A.8 model mode allocated " << largest << " bytes";
   }
+  // IS moves its 8 KiB bucket histogram dataless too: no histogram, no
+  // pooled payload for it and no owner map. Measured inside the ranks, past
+  // the job's own setup (its per-rank IPM recorders outgrow 8 KiB).
+  const auto& is = npb::benchmark("IS");
+  mpi::JobConfig cfg;
+  cfg.platform = plat::vayu();
+  cfg.np = 8;
+  cfg.execute = false;
+  cfg.traits = is.traits;
+  std::size_t is_largest = 0;
+  mpi::run_job(cfg, [&is, &is_largest](mpi::RankEnv& env) {
+    if (env.rank() == 0) g_largest.store(0);
+    (void)is.fn(env, npb::Class::A);
+    env.world().barrier();
+    if (env.rank() == 0) is_largest = g_largest.load();
+  });
+  EXPECT_LT(is_largest, std::size_t{8} * 1024)
+      << "IS.A.8 model mode ranks allocated " << is_largest << " bytes";
 }

@@ -22,6 +22,17 @@ TEST(JsonEscape, Rfc8259) {
   EXPECT_EQ(jsonw::escape("a\nb\tc\rd"), "a\\nb\\tc\\rd");
   EXPECT_EQ(jsonw::escape(std::string("a\x01z", 3)), "a\\u0001z");
   EXPECT_EQ(jsonw::quote("say \"hi\""), "\"say \\\"hi\\\"\"");
+  // The clean prefix is copied whole, then the walk starts at the first
+  // special character, wherever it sits.
+  EXPECT_EQ(jsonw::escape(""), "");
+  EXPECT_EQ(jsonw::escape("\"start"), "\\\"start");
+  EXPECT_EQ(jsonw::escape("mid\\dle"), "mid\\\\dle");
+  EXPECT_EQ(jsonw::escape("end\n"), "end\\n");
+  EXPECT_EQ(jsonw::escape(std::string("\x1f" "a\x00" "b\x7f", 5)), "\\u001fa\\u0000b\x7f");
+  EXPECT_EQ(jsonw::escape("a\tb=c d\r"), "a\\tb=c d\\r");
+  std::string appended = "kept:";
+  jsonw::append_escaped(appended, "x\"y");
+  EXPECT_EQ(appended, "kept:x\\\"y");
 }
 
 TEST(JsonNumber, ShortestRoundTrip) {

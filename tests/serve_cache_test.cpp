@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <random>
 #include <set>
 #include <thread>
@@ -33,6 +34,40 @@ TEST(RequestKey, AllKnobsPresentAndSorted) {
   for (const auto& [k, v] : items) {
     EXPECT_NE(key.find(k + "=" + v), std::string::npos) << k;
   }
+
+  // items() splits canonical_key(), the grammar's one writer: any request
+  // gives 22 sorted pairs that join back into its key, a value holding a
+  // space included (a non-npb class is only upper-cased).
+  KVs kvs[] = {
+      {{"workload", "wf"}, {"wf-shape", "Diamond"}, {"storage", "s3"}, {"np", "6"}},
+      {{"topo", "fattree"}, {"oversub", "2.5"}, {"mtbf", "7200"}, {"ckpt", "600"}},
+      {{"workload", "metum"}, {"class", "a b=c"}, {"platform", "EC2"}, {"gen", "2020"}},
+  };
+  for (const auto& request : kvs) {
+    RunRequest r;
+    std::string error;
+    ASSERT_TRUE(RunRequest::parse(request, r, &error)) << error;
+    const auto pairs = r.items();
+    ASSERT_EQ(pairs.size(), 22U) << r.canonical_key();
+    EXPECT_TRUE(std::is_sorted(pairs.begin(), pairs.end(),
+                               [](const auto& a, const auto& b) { return a.first < b.first; }));
+    std::string joined;
+    for (const auto& [k, v] : pairs) joined += (joined.empty() ? "" : " ") + k + "=" + v;
+    EXPECT_EQ(joined, r.canonical_key());
+  }
+}
+
+TEST(RequestKey, HashRendersAsPrintfHex) {
+  // The content address's one rendering: printf's %016llx, in headers, spill
+  // file names and the suite digest alike.
+  const std::uint64_t values[] = {0, 0xa, 0x0123456789abcdef, ~std::uint64_t{0},
+                                  RunRequest{}.key_hash()};
+  for (const std::uint64_t v : values) {
+    char want[17];
+    std::snprintf(want, sizeof want, "%016llx", static_cast<unsigned long long>(v));
+    EXPECT_EQ(cirrus::core::hex16(v), want);
+  }
+  EXPECT_EQ(RunRequest{}.key_hash_hex(), cirrus::core::hex16(RunRequest{}.key_hash()));
 }
 
 TEST(RequestKey, OrderInsensitive) {
@@ -343,6 +378,20 @@ TEST(ResultCache, LruEvictionAtCapacity) {
   EXPECT_TRUE(cache.get("c").has_value());
   EXPECT_TRUE(cache.get("d").has_value());
   EXPECT_EQ(cache.stats().entries, 3U);
+}
+
+TEST(ResultCache, HitOutlivesOverwriteAndEviction) {
+  // A hit shares the stored blob rather than copying it: the reference
+  // stays whole after its entry is overwritten or evicted.
+  ResultCache cache({.capacity = 1, .spill_dir = ""});
+  cache.put("a", "A1");
+  const auto first = cache.get("a");
+  cache.put("a", "A2");
+  const auto second = cache.get("a");
+  cache.put("b", "B");  // evicts "a"
+  EXPECT_FALSE(cache.get("a").has_value());
+  EXPECT_EQ(*first, "A1");
+  EXPECT_EQ(*second, "A2");
 }
 
 TEST(ResultCache, HitEqualsRecompute) {

@@ -2,6 +2,10 @@
 // cold-miss/warm-hit contract (byte-identical bodies), POST/GET
 // equivalence, error paths, verify mode and the admission gate.
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -10,6 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/request.hpp"
+#include "obs/json_writer.hpp"
 #include "obs/jsonlite.hpp"
 #include "serve/client.hpp"
 #include "serve/http.hpp"
@@ -83,6 +89,34 @@ TEST_F(ServeTest, ColdMissThenWarmHitByteIdentical) {
   EXPECT_EQ(doc.find("schema")->str, "cirrus-serve/1");
   ASSERT_NE(doc.find("key"), nullptr);
   EXPECT_NE(doc.find("key")->str.find("workload=npb"), std::string::npos);
+}
+
+TEST_F(ServeTest, EnvelopeBytesMatchTheJsonWriter) {
+  // The hit and miss envelopes are rendered in one pass; their bytes must be
+  // exactly what the shared JSON writer gives for the same fields.
+  start();
+  core::RunRequest run;
+  std::string error;
+  const auto kvs = serve::parse_query_string("workload=npb&bench=EP&class=S&np=4");
+  ASSERT_TRUE(core::RunRequest::parse(kvs, run, &error)) << error;
+  const std::string blob = serve::query_json(run);
+  const auto envelope = [&](const char* cache) {
+    obs::jsonw::Writer w;
+    w.begin_object();
+    w.key("schema").value("cirrus-serve/1");
+    w.key("cache").value(cache);
+    w.key("key").value(run.canonical_key());
+    w.key("key_hash").value(run.key_hash_hex());
+    w.key("result").raw(blob);
+    w.end_object();
+    return w.str();
+  };
+  const auto miss = client_.request("GET", kQuery);
+  const auto hit = client_.request("GET", kQuery);
+  ASSERT_TRUE(miss.has_value() && hit.has_value());
+  EXPECT_EQ(miss->body, envelope("miss"));
+  EXPECT_EQ(hit->body, envelope("hit"));
+  EXPECT_EQ(hit->headers.at("x-cirrus-key"), run.key_hash_hex());
 }
 
 TEST_F(ServeTest, PostJsonEqualsGetQueryString) {
@@ -233,6 +267,46 @@ TEST(HttpParsing, QueryString) {
   EXPECT_EQ(kvs[1], (std::pair<std::string, std::string>{"b", "two words"}));
   EXPECT_EQ(kvs[2], (std::pair<std::string, std::string>{"flag", ""}));
   EXPECT_EQ(kvs[3], (std::pair<std::string, std::string>{"c", "="}));
+}
+
+TEST(HttpServerTest, IdleReapedConnectionGetsNoStrayResponse) {
+  // The read timeout reaps an idle keep-alive connection by closing it, with
+  // no reply: a stray 400 would be read as the answer to the client's next
+  // request.
+  serve::HttpServer::Options opts;
+  opts.read_timeout_ms = 100;
+  serve::HttpServer server(opts, [](const serve::HttpRequest&) {
+    return serve::HttpResponse{200, "application/json", R"({"status":"ok"})", {}};
+  });
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  // On a raw socket: after the reaper's timeout, the server's end is closed
+  // and nothing was written to it.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(server.port()));
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  const timeval give_up{5, 0};  // a server that never reaps fails, not hangs
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &give_up, sizeof give_up);
+  char byte = 0;
+  EXPECT_EQ(::recv(fd, &byte, 1, 0), 0) << "reaped connection wrote a response";
+  ::close(fd);
+
+  // Through the client: every request on a reaped connection gets its own
+  // answer (the client reconnects once the server has closed).
+  serve::HttpClient client;
+  ASSERT_TRUE(client.connect(server.port()));
+  for (int i = 0; i < 3; ++i) {
+    if (i > 0) std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    const auto resp = client.request("GET", "/healthz");
+    ASSERT_TRUE(resp.has_value()) << "request " << i;
+    EXPECT_EQ(resp->status, 200) << "request " << i << ": " << resp->body;
+  }
+  server.stop();
 }
 
 TEST(HttpServerTest, ConcurrentClients) {

@@ -52,7 +52,7 @@ constexpr const char* kQuery = "/query?workload=npb&bench=EP&class=S&np=4";
 std::vector<std::string> span_names(const serve::RequestTrace& t) {
   std::vector<std::string> names;
   names.reserve(t.spans.size());
-  for (const auto& s : t.spans) names.push_back(s.name);
+  for (const auto& s : t.spans) names.emplace_back(s.name);
   return names;
 }
 
