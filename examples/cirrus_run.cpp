@@ -3,10 +3,14 @@
 //
 //   cirrus_run npb    --bench CG --class B --platform vayu --np 32 [--execute]
 //   cirrus_run npb    --bench CG --class B --platform vayu --gen 2020 --np 32
-//   cirrus_run osu    --test bw|lat --platform dcc
+//   cirrus_run osu    --bench bw|lat --platform dcc
 //   cirrus_run metum  --platform ec2 --np 32 --rpn 8
 //   cirrus_run chaste --platform dcc --np 16
 //   cirrus_run wf     --wf-shape montage --storage object --np 8 --platform ec2
+//   cirrus_run advise --bench CG --np 16 --queue_wait_hours 4 [--seed S]
+//
+// The workload positional is set before the flags are checked, so each flag
+// is read as that workload reads it (osu's --bench is bw|lat, as in /query).
 //
 // Common options: --platform vayu|dcc|ec2|vayu2020|ec2_2020  --gen 2012|2020
 //                 (generation qualifier: "--platform vayu --gen 2020" runs on
@@ -38,10 +42,15 @@
 // The configuration is carried by core::RunRequest and executed through
 // serve::execute() — the exact plumbing cirrus_serve uses to answer /query
 // requests — so a CLI run and a served query of the same knobs are
-// byte-identical. This driver only parses flags and prints.
+// byte-identical. `advise` parses its flags with serve::AdvisorRequest::parse
+// and prints serve::advise_json(), the `result` object /advise returns for
+// the same keys. This driver only parses flags and prints.
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/options.hpp"
 #include "core/request.hpp"
@@ -60,8 +69,9 @@ int usage(const char* prog) {
   std::fprintf(stderr,
                "usage: %s npb|osu|metum|chaste|wf [--platform vayu|dcc|ec2|vayu2020|ec2_2020]\n"
                "        [--gen 2012|2020] [--np N]\n"
+               "       %s advise [--bench CG] [--np 16] [--queue_wait_hours 4] [--seed 42]\n"
                "  npb:    --bench BT|EP|CG|FT|IS|LU|MG|SP --class T|S|W|A|B|C [--execute]\n"
-               "  osu:    --test bw|lat\n"
+               "  osu:    --bench bw|lat\n"
                "  wf:     --wf-shape diamond|montage|epigenomics|broadband --wf-width W\n"
                "          --wf-sched heft|fifo (np = workers; a master rank is added)\n"
                "  common: --rpn ranks-per-node --seed S --eager bytes --ipm\n"
@@ -71,7 +81,7 @@ int usage(const char* prog) {
                "  faults: --mtbf seconds --ckpt seconds --requeue seconds --horizon seconds\n"
                "  obs:    --metrics [file] --sample-dt seconds --metrics-csv file\n"
                "          --trace file --blame (critical-path blame table)\n",
-               prog);
+               prog, prog);
   return 2;
 }
 
@@ -151,13 +161,7 @@ void print_result(const mpi::JobResult& r, const std::string& name,
 }
 
 int run_job_mode(const std::string& mode, const core::Options& opts) {
-  auto req = core::RunRequest::from_options(opts);
-  req.workload = mode;
-  std::string error;
-  if (!req.validate(&error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return 2;
-  }
+  const auto req = core::RunRequest::from_options(opts, mode);
   const auto out = serve::execute(req, exec_options(opts));
   if (out.resilient_used) {
     const auto& run = out.resilient;
@@ -178,14 +182,9 @@ int run_job_mode(const std::string& mode, const core::Options& opts) {
 
 int run_osu(const core::Options& opts) {
   // Route through RunRequest so --gen folding and validation match /query.
-  auto req = core::RunRequest::from_options(opts);
-  req.workload = "osu";
+  const auto req = core::RunRequest::from_options(opts, "osu");
   const auto platform = plat::by_name(req.resolved_platform());
-  const std::string test = opts.get_or("test", "bw");
-  if (test != "bw" && test != "lat") {
-    std::fprintf(stderr, "error: --test bw|lat expected, got '%s'\n", test.c_str());
-    return 2;
-  }
+  const std::string test = req.bench_key();
   core::Table t(test == "bw" ? std::vector<std::string>{"bytes", "MB/s"}
                              : std::vector<std::string>{"bytes", "usec"});
   if (test == "bw") {
@@ -201,31 +200,46 @@ int run_osu(const core::Options& opts) {
   return 0;
 }
 
+/// `advise`: the flags are /advise's keys, parsed by the one AdvisorRequest
+/// parser, and the output is the blob /advise caches.
+int run_advise(const core::Options& opts, const char* prog) {
+  std::vector<std::pair<std::string, std::string>> kvs;
+  for (const auto& key : opts.keys()) kvs.emplace_back(key, opts.get_or(key, ""));
+  serve::AdvisorRequest req;
+  std::string error;
+  if (!serve::AdvisorRequest::parse(kvs, req, &error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return usage(prog);
+  }
+  std::puts(serve::advise_json(req).c_str());
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const core::Options opts(argc, argv);
-  if (const auto bad = core::unknown_keys(
-          opts, {"platform", "gen",       "np",      "rpn",     "seed",    "execute",
-                 "eager",    "ipm",       "trace",   "blame",   "metrics", "sample-dt", "metrics-csv",
-                 "topo",     "oversub",   "leaf",    "placement", "mtbf",
-                 "ckpt",     "requeue",   "horizon",
-                 "bench",    "class",     "test",    "storage",   "wf-shape",
-                 "wf-width", "wf-sched"});
-      !bad.empty()) {
-    std::fprintf(stderr, "error: unknown option --%s\n", bad.front().c_str());
-    return usage(argv[0]);
-  }
   if (opts.positional().empty()) return usage(argv[0]);
   const std::string& mode = opts.positional()[0];
   try {
+    if (mode == "advise") return run_advise(opts, argv[0]);
+    if (const auto bad = core::unknown_keys(
+            opts, {"platform", "gen", "np", "rpn", "seed", "execute", "eager", "ipm", "trace",
+                   "blame", "metrics", "sample-dt", "metrics-csv", "topo", "oversub", "leaf",
+                   "placement", "mtbf", "ckpt", "requeue", "horizon", "bench", "class",
+                   "storage", "wf-shape", "wf-width", "wf-sched"});
+        !bad.empty()) {
+      std::fprintf(stderr, "error: unknown option --%s\n", bad.front().c_str());
+      return usage(argv[0]);
+    }
     if (mode == "osu") return run_osu(opts);
     if (mode == "npb" || mode == "metum" || mode == "chaste" || mode == "wf") {
       return run_job_mode(mode, opts);
     }
   } catch (const std::invalid_argument& e) {
-    // Bad knob values (unknown platform, gen conflict, ...) are usage errors:
-    // rc 2 like the unknown-flag path, not a generic failure.
+    // Bad knob values (unknown platform, gen conflict, a job that does not
+    // fit, ...) are usage errors: rc 2 like the unknown-flag path, not a
+    // generic failure.
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   } catch (const std::exception& e) {

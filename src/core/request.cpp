@@ -48,10 +48,8 @@ bool fail(std::string* error, std::string msg) {
 
 std::string RunRequest::canonical_key() const {
   // Alphabetical by key — the canonical order. Every knob always appears so
-  // "np=8" and an omitted np canonicalise identically. `bench` is normalised
-  // per workload (npb kernels upper-case, osu tests lower-case) and pinned
-  // to "-" where it cannot affect the result, so irrelevant knobs never
-  // split the cache.
+  // "np=8" and an omitted np canonicalise identically. `bench` renders as
+  // bench_key(), so irrelevant knobs never split the cache.
   //
   // Knobs the run cannot read render as their default value, so a key that
   // was already exact keeps its bytes (topo::Topology::build, place_nodes):
@@ -63,7 +61,8 @@ std::string RunRequest::canonical_key() const {
   // - a fat-tree takes max(1, oversub), so every oversub <= 1 reads as 1;
   // - with mtbf = ckpt = 0, run_with_faults calls plain run_job, which
   //   reads neither requeue nor horizon;
-  // - ranks_per_node() treats every rpn <= 0 as "fill the node".
+  // - ranks_per_node() treats every rpn <= 0 as "fill the node";
+  // - only npb reads the class.
   static const RunRequest defaults;
   const std::string canon_topo = lower(topo);
   const bool fattree = canon_topo == "fattree";
@@ -71,6 +70,7 @@ std::string RunRequest::canonical_key() const {
   const double canon_oversub = fattree ? std::max(1.0, oversub) : defaults.oversub;
   const std::string placement_read = lower(shape_knobs.placement);
   const RunRequest& fault_knobs = mtbf_s <= 0 && ckpt_s <= 0 ? defaults : *this;
+  const bool is_npb = workload == "npb";
   const bool is_wf = workload == "wf";
 
   // The `k=v` pairs go straight into one string, space-separated.
@@ -82,11 +82,9 @@ std::string RunRequest::canonical_key() const {
     out += '=';
     out += v;
   };
-  put("bench", workload == "npb"   ? upper(bench)
-               : workload == "osu" ? lower(bench)
-                                   : std::string("-"));
+  put("bench", bench_key());
   put("ckpt", obs::format_double(ckpt_s));
-  put("class", upper(cls));
+  put("class", is_npb ? upper(cls) : defaults.cls);
   put("eager", std::to_string(eager_bytes));
   put("execute", execute ? "1" : "0");
   put("horizon", obs::format_double(fault_knobs.horizon_s));
@@ -115,6 +113,12 @@ std::string RunRequest::canonical_key() const {
   return out;
 }
 
+std::string RunRequest::bench_key() const {
+  if (workload == "npb") return upper(bench);
+  if (workload == "osu") return lower(bench);
+  return "-";
+}
+
 std::string RunRequest::resolved_platform() const {
   const std::string base = lower(platform);
   // `gen` only ever *upgrades* a base name; asking for gen=2012 with an
@@ -132,21 +136,12 @@ int RunRequest::generation() const {
 }
 
 std::vector<std::pair<std::string, std::string>> RunRequest::items() const {
-  // canonical_key() is the grammar's one writer; this splits it. Keys are
-  // lower-case, so a token that does not start a lower-case `k=` continues
-  // the previous value (a non-npb `class` is only upper-cased: it may hold
-  // a space).
+  // canonical_key() is the grammar's one writer; this splits it.
   std::vector<std::pair<std::string, std::string>> out;
   std::istringstream key(canonical_key());
   for (std::string tok; std::getline(key, tok, ' ');) {
     const std::size_t eq = tok.find('=');
-    const bool starts_pair =
-        eq != std::string::npos && std::islower(static_cast<unsigned char>(tok[0])) != 0;
-    if (out.empty() || starts_pair) {
-      out.emplace_back(tok.substr(0, eq), tok.substr(eq + 1));
-    } else {
-      out.back().second += ' ' + tok;
-    }
+    out.emplace_back(tok.substr(0, eq), tok.substr(eq + 1));
   }
   return out;
 }
@@ -168,8 +163,7 @@ bool RunRequest::set(const std::string& key, const std::string& value, std::stri
   if (key == "workload") {
     workload = lower(value);
   } else if (key == "bench") {
-    // npb kernel names canonicalise upper-case; osu test names lower-case.
-    bench = value;
+    bench = value;  // read through bench_key(), once the workload is known
   } else if (key == "class") {
     cls = upper(value);
   } else if (key == "platform") {
@@ -247,9 +241,10 @@ bool RunRequest::parse(const std::vector<std::pair<std::string, std::string>>& k
   return out.validate(error);
 }
 
-RunRequest RunRequest::from_options(const Options& opts) {
+RunRequest RunRequest::from_options(const Options& opts, const std::string& workload) {
   RunRequest req;
   std::string error;
+  if (!req.set("workload", workload, &error)) throw std::invalid_argument(error);
   for (const auto& key : opts.keys()) {
     const auto value = opts.get(key);
     if (!value) {
@@ -275,14 +270,14 @@ bool RunRequest::validate(std::string* error) const {
     return fail(error, "workload: npb|osu|metum|chaste|wf expected, got '" + workload + "'");
   }
   if (workload == "npb") {
-    if (!one_of(upper(bench), {"BT", "EP", "CG", "FT", "IS", "LU", "MG", "SP"})) {
+    if (!one_of(bench_key(), {"BT", "EP", "CG", "FT", "IS", "LU", "MG", "SP"})) {
       return fail(error, "bench: BT|EP|CG|FT|IS|LU|MG|SP expected, got '" + bench + "'");
     }
     if (!one_of(cls, {"T", "S", "W", "A", "B", "C"})) {
       return fail(error, "class: T|S|W|A|B|C expected, got '" + cls + "'");
     }
   }
-  if (workload == "osu" && !one_of(lower(bench), {"bw", "lat"})) {
+  if (workload == "osu" && !one_of(bench_key(), {"bw", "lat"})) {
     return fail(error, "bench: bw|lat expected for osu, got '" + bench + "'");
   }
   if (!one_of(platform, {"vayu", "dcc", "ec2", "vayu2020", "ec2_2020"})) {

@@ -16,7 +16,7 @@
 // converse holds too: a knob the run cannot read renders as its default
 // value (the topology knobs a fabric does not read, placement=pgroup as
 // contig, a fat-tree's oversub <= 1 as 1, requeue/horizon without faults,
-// rpn <= 0 as -1), so it never splits a cache entry. The key keeps a
+// rpn <= 0 as -1, class outside npb), so it never splits a cache entry. The key keeps a
 // constant `sched=heap4` pair: the engine has one scheduler, and keeping the
 // pair leaves every existing key hash unchanged.
 #pragma once
@@ -33,7 +33,7 @@ namespace cirrus::core {
 
 struct RunRequest {
   std::string workload = "npb";    ///< npb | osu | metum | chaste | wf
-  std::string bench = "CG";        ///< npb: BT|EP|CG|FT|IS|LU|MG|SP; osu: bw|lat
+  std::string bench = "CG";        ///< npb: BT|EP|CG|FT|IS|LU|MG|SP; osu: bw|lat (see bench_key)
   std::string cls = "S";           ///< npb class letter (T|S|W|A|B|C)
   std::string platform = "vayu";   ///< vayu | dcc | ec2 | vayu2020 | ec2_2020
   /// Platform generation selector: 0 follows the platform name as given,
@@ -68,6 +68,12 @@ struct RunRequest {
   /// key_hash() as 16 lower-case hex digits.
   [[nodiscard]] std::string key_hash_hex() const;
 
+  /// `bench` as the key renders it: upper-case for npb (a kernel name),
+  /// lower-case for osu (bw|lat), "-" for the workloads that do not read
+  /// it. Execution reads this value too, so a request runs what its key
+  /// names.
+  [[nodiscard]] std::string bench_key() const;
+
   /// The canonical key split back into (key, value) pairs.
   [[nodiscard]] std::vector<std::pair<std::string, std::string>> items() const;
 
@@ -84,10 +90,11 @@ struct RunRequest {
   /// assignment only. `sched=heap4|calendar` is validated and discarded.
   bool set(const std::string& key, const std::string& value, std::string* error);
 
-  /// Builds a request from parsed command-line options (`--np 16 --topo
-  /// fattree ...`). Keys not present keep their defaults; a bad value
-  /// throws std::invalid_argument.
-  static RunRequest from_options(const Options& opts);
+  /// Builds a `workload` request from parsed command-line options (`--np
+  /// 16 --topo fattree ...`). The workload is set first, so each flag is
+  /// checked as that workload reads it. Keys not present keep their
+  /// defaults; a bad value throws std::invalid_argument.
+  static RunRequest from_options(const Options& opts, const std::string& workload = "npb");
 
   /// Builds a request from (key, value) pairs in any order. On failure
   /// returns false and sets `error`.

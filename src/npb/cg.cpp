@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "npb/npb.hpp"
@@ -158,6 +159,9 @@ BenchResult run_cg(mpi::RankEnv& env, Class cls) {
   auto& comm = env.world();
   const int np = comm.size();
   const int rank = comm.rank();
+  // NPB's rule in both modes: the model exchange's partner rank ^ stride
+  // only stays below np when np is a power of two.
+  if ((np & (np - 1)) != 0) throw std::invalid_argument("CG requires a power-of-two np");
   const auto prm = cg_params(cls);
   const int n = prm.na;
   const int first = static_cast<int>(static_cast<long long>(n) * rank / np);

@@ -1,5 +1,10 @@
 #include "serve/advisor.hpp"
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
 #include <stdexcept>
 
 #include "cloud/cloud.hpp"
@@ -12,6 +17,51 @@ namespace cirrus::serve {
 std::string AdvisorRequest::canonical_key() const {
   return "advise bench=" + bench + " np=" + std::to_string(np) +
          " queue_wait_h=" + obs::format_double(queue_wait_h) + " seed=" + std::to_string(seed);
+}
+
+bool AdvisorRequest::parse(const std::vector<std::pair<std::string, std::string>>& kvs,
+                           AdvisorRequest& out, std::string* error) {
+  out = AdvisorRequest{};
+  for (const auto& [k, v] : kvs) {
+    char* end = nullptr;
+    errno = 0;
+    std::string why;
+    if (k == "bench") {
+      out.bench = v;
+      for (auto& c : out.bench) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+      const auto& all = npb::all_benchmarks();
+      const auto named = [&out](const npb::BenchmarkInfo& b) { return b.name == out.bench; };
+      if (std::none_of(all.begin(), all.end(), named)) {
+        why = "bench: BT|EP|CG|FT|IS|LU|MG|SP expected, got '" + v + "'";
+      }
+    } else if (k == "np") {
+      const long long np = std::strtoll(v.c_str(), &end, 10);
+      if (end == v.c_str() || *end != '\0' || errno == ERANGE || np < 1 || np > (1 << 20)) {
+        why = "np: integer in [1, 1048576] expected, got '" + v + "'";
+      } else {
+        out.np = static_cast<int>(np);
+      }
+    } else if (k == "queue_wait_hours" || k == "queue_wait_h") {
+      out.queue_wait_h = std::strtod(v.c_str(), &end);
+      if (end == v.c_str() || *end != '\0' || !std::isfinite(out.queue_wait_h) ||
+          out.queue_wait_h < 0) {
+        why = "queue_wait_hours: finite number >= 0 expected, got '" + v + "'";
+      }
+    } else if (k == "seed") {
+      out.seed = std::strtoull(v.c_str(), &end, 10);
+      if (end == v.c_str() || *end != '\0' || errno == ERANGE ||
+          std::isdigit(static_cast<unsigned char>(v[0])) == 0) {
+        why = "seed: non-negative integer expected, got '" + v + "'";
+      }
+    } else {
+      why = "unknown key '" + k + "'";
+    }
+    if (!why.empty()) {
+      if (error != nullptr) *error = std::move(why);
+      return false;
+    }
+  }
+  return true;
 }
 
 AdvisorResult advise(const AdvisorRequest& req) {

@@ -1,11 +1,11 @@
 // The cloud-burst advisor pipeline as a library: profile -> package ->
 // provision -> predict -> compare, returning a structured result.
 //
-// This is the paper's end-to-end motivating workflow (previously inlined in
-// examples/cloudburst_advisor.cpp). As a library routine it is shared by
-// the CLI demo (a thin printer) and cirrus_serve's /advise endpoint; it
-// never prints — every intermediate the demo used to printf is a field of
-// AdvisorResult.
+// This is the paper's end-to-end motivating workflow. cirrus_serve's
+// /advise endpoint and `cirrus_run advise` both parse their input with
+// AdvisorRequest::parse and print serve::advise_json(), so the CLI and the
+// server accept the same keys and print the same bytes. advise() never
+// prints: every intermediate of the pipeline is a field of AdvisorResult.
 //
 // Deterministic: fixed request -> byte-stable result (all randomness flows
 // from the request seed), so /advise responses are cacheable exactly like
@@ -14,6 +14,8 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace cirrus::serve {
 
@@ -25,6 +27,14 @@ struct AdvisorRequest {
 
   /// Canonical cache key ("advise bench=CG np=16 queue_wait_h=4 seed=42").
   [[nodiscard]] std::string canonical_key() const;
+
+  /// Builds a request from (key, value) pairs in any order: `bench` (an
+  /// NPB kernel, any case), `np` (1..2^20, the /query range),
+  /// `queue_wait_hours` (alias `queue_wait_h`; finite, >= 0) and `seed`.
+  /// An unknown key or a malformed value returns false and sets `error`,
+  /// which starts with the key.
+  static bool parse(const std::vector<std::pair<std::string, std::string>>& kvs,
+                    AdvisorRequest& out, std::string* error);
 };
 
 struct AdvisorResult {
@@ -65,7 +75,7 @@ struct AdvisorResult {
   Advice advice = Advice::StayQueueShort;
 
   [[nodiscard]] const char* advice_string() const noexcept;
-  /// One-sentence human rationale (the demo's closing line).
+  /// One-sentence human rationale.
   [[nodiscard]] const char* advice_detail() const noexcept;
 };
 

@@ -61,38 +61,44 @@ BlobRef ResultCache::get(const std::string& key, std::uint64_t hash) {
   if (first_line != kSpillMagic + key) return nullptr;  // collision or foreign file
   std::ostringstream rest;
   rest << in.rdbuf();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.disk_hits;
+  // The file already holds this blob: admit it to memory without writing
+  // it back.
+  BlobRef stored = std::make_shared<const std::string>(std::move(rest).str());
+  std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.disk_hits;
+  admit(key, hash, stored);
+  return stored;
+}
+
+void ResultCache::admit(const std::string& key, std::uint64_t hash, const BlobRef& stored) {
+  const auto it = entries_.find(hash);
+  if (it != entries_.end()) {
+    // Overwrite (same key) or keep-first (collision): either way the map
+    // stays consistent with exactly one entry per hash.
+    if (it->second.key == key) {
+      it->second.blob = stored;
+      touch(it->second);
+    } else {
+      ++stats_.collisions;
+    }
+  } else {
+    while (entries_.size() >= opts_.capacity && !lru_.empty()) {
+      const std::uint64_t victim = lru_.back();
+      lru_.pop_back();
+      entries_.erase(victim);
+      ++stats_.evictions;
+    }
+    lru_.push_front(hash);
+    entries_.emplace(hash, Entry{key, stored, lru_.begin()});
   }
-  return put(key, hash, std::move(rest).str());
+  stats_.entries = entries_.size();
 }
 
 BlobRef ResultCache::put(const std::string& key, std::uint64_t hash, std::string blob) {
   BlobRef stored = std::make_shared<const std::string>(std::move(blob));
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const auto it = entries_.find(hash);
-    if (it != entries_.end()) {
-      // Overwrite (same key) or keep-first (collision): either way the map
-      // stays consistent with exactly one entry per hash.
-      if (it->second.key == key) {
-        it->second.blob = stored;
-        touch(it->second);
-      } else {
-        ++stats_.collisions;
-      }
-    } else {
-      while (entries_.size() >= opts_.capacity && !lru_.empty()) {
-        const std::uint64_t victim = lru_.back();
-        lru_.pop_back();
-        entries_.erase(victim);
-        ++stats_.evictions;
-      }
-      lru_.push_front(hash);
-      entries_.emplace(hash, Entry{key, stored, lru_.begin()});
-    }
-    stats_.entries = entries_.size();
+    admit(key, hash, stored);
   }
 
   const std::string path = spill_path(key);

@@ -59,7 +59,7 @@ class ResultCache {
 
   /// The blob stored for `key`, or null. Thread-safe; refreshes LRU
   /// recency on hit. A memory miss consults the spill directory and
-  /// re-admits on disk hit.
+  /// re-admits a disk hit to memory without rewriting its file.
   BlobRef get(const std::string& key) { return get(key, core::fnv1a64(key)); }
   /// get() for a caller that already holds the key's hash, core::fnv1a64(key).
   BlobRef get(const std::string& key, std::uint64_t hash);
@@ -86,6 +86,9 @@ class ResultCache {
   };
 
   void touch(Entry& e);  // moves e to the LRU front; requires mu_ held
+  // Stores `stored` in memory (no spill write), evicting the LRU entry when
+  // full; requires mu_ held.
+  void admit(const std::string& key, std::uint64_t hash, const BlobRef& stored);
 
   Options opts_;
   mutable std::mutex mu_;

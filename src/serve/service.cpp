@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <iostream>
 #include <stdexcept>
 #include <thread>
@@ -100,7 +99,7 @@ RunOutcome execute(const core::RunRequest& req, const ExecOptions& exec) {
   if (!req.validate(&error)) throw std::invalid_argument(error);
 
   if (req.workload == "npb") {
-    const auto& info = npb::benchmark(req.bench);
+    const auto& info = npb::benchmark(req.bench_key());
     const auto cls = npb::class_from_char(req.cls[0]);
     auto cfg = to_job_config(req, exec);
     cfg.traits = info.traits;
@@ -178,12 +177,13 @@ std::string query_json(const core::RunRequest& req) {
   w.begin_object();
   if (req.workload == "osu") {
     const auto platform = plat::by_name(req.resolved_platform());
-    w.key("name").value("osu_" + req.bench + " on " + req.resolved_platform());
+    const std::string test = req.bench_key();
+    w.key("name").value("osu_" + test + " on " + req.resolved_platform());
     w.key("workload").value("osu");
     w.key("platform").value(req.resolved_platform());
     w.key("generation").value(req.generation());
     w.key("points").begin_array();
-    if (req.bench == "bw") {
+    if (test == "bw") {
       for (const auto& p : osu::bandwidth(platform, osu::default_sizes())) {
         w.begin_object()
             .key("bytes")
@@ -542,27 +542,8 @@ HttpResponse Service::handle_advise(const HttpRequest& req, TraceCtx& ctx) {
   std::string error;
   if (!request_kvs(req, kvs, &error)) return {400, "application/json", error_body(error), {}};
   AdvisorRequest areq;
-  for (const auto& [k, v] : kvs) {
-    char* end = nullptr;
-    if (k == "bench") {
-      areq.bench = v;
-    } else if (k == "np") {
-      areq.np = static_cast<int>(std::strtol(v.c_str(), &end, 10));
-      if (end == v.c_str() || *end != '\0' || areq.np < 1) {
-        error = "np: positive integer expected";
-      }
-    } else if (k == "queue_wait_hours" || k == "queue_wait_h") {
-      areq.queue_wait_h = std::strtod(v.c_str(), &end);
-      if (end == v.c_str() || *end != '\0' || areq.queue_wait_h < 0) {
-        error = "queue_wait_hours: non-negative number expected";
-      }
-    } else if (k == "seed") {
-      areq.seed = std::strtoull(v.c_str(), &end, 10);
-      if (end == v.c_str() || *end != '\0') error = "seed: integer expected";
-    } else {
-      error = "unknown key '" + k + "'";
-    }
-    if (!error.empty()) return {400, "application/json", error_body(error), {}};
+  if (!AdvisorRequest::parse(kvs, areq, &error)) {
+    return {400, "application/json", error_body(error), {}};
   }
   const std::string key = areq.canonical_key();
   const std::uint64_t key_hash = core::fnv1a64(key);
@@ -617,6 +598,11 @@ HttpResponse Service::route_request(const HttpRequest& req, TraceCtx& ctx) {
     }
     if (req.path == "/spans") return handle_spans();
     return {404, "application/json", error_body("no route for " + req.path), {}};
+  } catch (const std::invalid_argument& e) {
+    // A shape the workload cannot run (CG or MG at a non-power-of-two np, a
+    // job that does not fit its platform): a client error, as cirrus_run
+    // exits 2 for it.
+    return {400, "application/json", error_body(e.what()), {}};
   } catch (const std::exception& e) {
     return {500, "application/json", error_body(e.what()), {}};
   }

@@ -2,7 +2,6 @@
 # usage string in its output, plus MATCH (when given) naming the problem.
 # Driven from examples/CMakeLists.txt:
 #   cmake -DBIN=<path> "-DCASES=--bogus" -DMATCH=unknown -P cli_reject.cmake
-#   cmake -DBIN=<path> "-DCASES=vayu,abc|azure" -P cli_reject.cmake
 # CASES holds argument lists separated by '|', each with its words joined by
 # commas.
 if(NOT DEFINED BIN OR NOT DEFINED CASES)

@@ -127,4 +127,17 @@ TEST(Options, RequestFlagErrorsNameTheFlagOnce) {
   EXPECT_EQ(what({"--np", "0"}), "--np: positive integer expected");
 }
 
+TEST(Options, RequestFlagsAreCheckedAsTheWorkloadReadsThem) {
+  // The workload is set before the flags, so osu's --bench is bw|lat and a
+  // class no workload but npb reads is never checked.
+  using cirrus::core::RunRequest;
+  const auto osu = RunRequest::from_options(parse({"--bench", "LAT"}), "osu");
+  EXPECT_EQ(osu.workload, "osu");
+  EXPECT_EQ(osu.bench_key(), "lat");
+  EXPECT_THROW((void)RunRequest::from_options(parse({"--bench", "CG"}), "osu"),
+               std::invalid_argument);
+  EXPECT_EQ(RunRequest::from_options(parse({"--class", "X"}), "metum").workload, "metum");
+  EXPECT_THROW((void)RunRequest::from_options(parse({"--class", "X"})), std::invalid_argument);
+}
+
 }  // namespace

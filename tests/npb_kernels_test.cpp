@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "npb/npb.hpp"
 
@@ -115,6 +116,17 @@ TEST(NpbCg, ClassTSelfConsistent) {
   const auto r4 = run("CG", npb::Class::T, 4);
   EXPECT_NEAR(r1.values.at("cg_zeta"), r4.values.at("cg_zeta"), 1e-10);
   EXPECT_GT(r1.values.at("cg_zeta"), 0.0);
+}
+
+TEST(NpbCg, RejectsNonPowerOfTwoNp) {
+  // NPB's rule; the model exchange's partner rank ^ stride would fall off
+  // the communicator.
+  for (const bool execute : {false, true}) {
+    for (const int np : {3, 6, 12}) {
+      EXPECT_THROW(run("CG", npb::Class::S, np, execute), std::invalid_argument)
+          << "np=" << np << " execute=" << execute;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------- FT

@@ -1,6 +1,11 @@
-// The extracted advisor pipeline: deterministic, structurally sane, and
-// reaching the same verdicts the cloudburst demo reached inline.
+// The advisor pipeline: deterministic, structurally sane, reaching the
+// expected verdicts, and fed by the one parser /advise and `cirrus_run
+// advise` share.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "serve/advisor.hpp"
 #include "serve/service.hpp"
@@ -71,6 +76,33 @@ TEST(Advisor, CanonicalKeyAndErrors) {
   AdvisorRequest unknown;
   unknown.bench = "NOPE";
   EXPECT_THROW(advise(unknown), std::exception);
+}
+
+TEST(Advisor, ParseNormalisesAndRejects) {
+  AdvisorRequest req;
+  std::string error;
+  ASSERT_TRUE(AdvisorRequest::parse(
+      {{"bench", "cg"}, {"np", "16"}, {"queue_wait_h", "4"}, {"seed", "42"}}, req, &error))
+      << error;
+  EXPECT_EQ(req.canonical_key(), "advise bench=CG np=16 queue_wait_h=4 seed=42");
+  ASSERT_TRUE(AdvisorRequest::parse({{"queue_wait_hours", "2.5"}}, req, &error)) << error;
+  EXPECT_EQ(req.queue_wait_h, 2.5);
+  EXPECT_EQ(req.bench, "CG") << "keys not given keep their defaults";
+
+  for (const auto& [k, v] : std::vector<std::pair<std::string, std::string>>{
+           {"np", "99999999999"},  // would truncate to 1215752191 as an int
+           {"np", "0"},
+           {"np", "8x"},
+           {"np", ""},
+           {"bench", "XX"},
+           {"queue_wait_hours", "-1"},
+           {"queue_wait_hours", "inf"},
+           {"queue_wait_hours", "nan"},
+           {"seed", "-1"},
+           {"class", "B"}}) {
+    EXPECT_FALSE(AdvisorRequest::parse({{k, v}}, req, &error)) << k << "=" << v;
+    EXPECT_EQ(error.rfind(k == "class" ? "unknown key" : k + ":", 0), 0U) << error;
+  }
 }
 
 }  // namespace

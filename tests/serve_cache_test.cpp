@@ -5,6 +5,7 @@
 // byte for byte, and mixed hit/miss traffic is race-free (this file runs
 // under the TSan preset).
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -36,8 +37,8 @@ TEST(RequestKey, AllKnobsPresentAndSorted) {
   }
 
   // items() splits canonical_key(), the grammar's one writer: any request
-  // gives 22 sorted pairs that join back into its key, a value holding a
-  // space included (a non-npb class is only upper-cased).
+  // gives 22 sorted pairs that join back into its key (a non-npb class
+  // renders as the default whatever its value, a space included).
   KVs kvs[] = {
       {{"workload", "wf"}, {"wf-shape", "Diamond"}, {"storage", "s3"}, {"np", "6"}},
       {{"topo", "fattree"}, {"oversub", "2.5"}, {"mtbf", "7200"}, {"ckpt", "600"}},
@@ -239,7 +240,8 @@ TEST(RequestKey, InertKnobsShareTheKey) {
   // - placement=pgroup packs as contig;
   // - topo=fattree: every oversub <= 1 reads as 1;
   // - mtbf = ckpt = 0: requeue and horizon are inert;
-  // - rpn -1 and 0 both fill the node; sched is accepted and discarded.
+  // - rpn -1 and 0 both fill the node; sched is accepted and discarded;
+  // - only npb reads class.
   std::mt19937 rng(20);
   const auto pick = [&rng](std::initializer_list<const char*> values) {
     return std::string(values.begin()[rng() % values.size()]);
@@ -252,6 +254,7 @@ TEST(RequestKey, InertKnobsShareTheKey) {
     bool low_oversub;    // oversub <= 1 (the base's is 1)
     bool contig;         // contig or pgroup (the base's is contig)
     bool faults_inert;
+    bool class_inert = false;  // a non-npb workload
   };
   // A random perturbation of `base.kvs`'s inert knobs, appended after the
   // base's own pairs (so it overrides them); `all` sets every inert knob.
@@ -271,6 +274,9 @@ TEST(RequestKey, InertKnobsShareTheKey) {
     if (base.faults_inert) {
       if (all || coin()) kvs.emplace_back("requeue", std::to_string(rng() % 100000));
       if (all || coin()) kvs.emplace_back("horizon", std::to_string(rng() % 10000000));
+    }
+    if (base.class_inert && (all || coin())) {
+      kvs.emplace_back("class", pick({"T", "S", "B", "c", "x", "a b=c"}));
     }
     if (all || coin()) kvs.emplace_back("rpn", pick({"-1", "0"}));
     if (all || coin()) kvs.emplace_back("sched", pick({"heap4", "calendar", "Calendar"}));
@@ -303,11 +309,13 @@ TEST(RequestKey, InertKnobsShareTheKey) {
        true},
       {with(ep32, {{"topo", "fattree"}}), false, false, true, true, true},
       {with(ep32, {{"topo", "fattree"}, {"oversub", "4"}}), false, false, false, true, true},
-      {{{"workload", "metum"}, {"np", "4"}}, true, true, false, false, true},
-      {{{"workload", "chaste"}, {"np", "4"}}, true, true, false, false, true},
+      {{{"workload", "metum"}, {"np", "4"}}, true, true, false, false, true, true},
+      {{{"workload", "chaste"}, {"np", "4"}}, true, true, false, false, true, true},
       {{{"workload", "wf"}, {"wf-shape", "diamond"}, {"np", "4"}}, true, true, false, false,
-       true},
+       true, true},
       {{{"workload", "osu"}, {"bench", "lat"}, {"platform", "ec2"}}, true, true, false, false,
+       true, true},
+      {{{"workload", "osu"}, {"bench", "bw"}, {"class", "B"}}, true, true, false, false, true,
        true},
   };
   for (const Base& base : bases) {
@@ -441,15 +449,27 @@ TEST(ResultCache, WfHitEqualsRecompute) {
 
 TEST(ResultCache, SpillDirectorySurvivesRestart) {
   const std::string dir = ::testing::TempDir() + "serve_cache_spill";
+  std::string path;
   {
     ResultCache cache({.capacity = 4, .spill_dir = dir});
     cache.put("k1", "persisted-blob");
+    path = cache.spill_path("k1");
   }
+  struct stat before {};
+  ASSERT_EQ(::stat(path.c_str(), &before), 0);
   ResultCache fresh({.capacity = 4, .spill_dir = dir});
   const auto got = fresh.get("k1");
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, "persisted-blob");
   EXPECT_EQ(fresh.stats().disk_hits, 1U);
+  // The disk hit is admitted to memory without writing the file back: a
+  // write goes to a temp file renamed into place, so the path would name a
+  // new inode.
+  struct stat after {};
+  ASSERT_EQ(::stat(path.c_str(), &after), 0);
+  EXPECT_EQ(after.st_ino, before.st_ino) << "the disk hit rewrote " << path;
+  ASSERT_TRUE(fresh.get("k1").has_value());
+  EXPECT_EQ(fresh.stats().hits, 1U);
   EXPECT_FALSE(fresh.get("never-stored").has_value());
 }
 

@@ -12,6 +12,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/request.hpp"
@@ -175,6 +176,53 @@ TEST_F(ServeTest, ErrorPaths) {
   EXPECT_EQ(too_big->status, 400);
   EXPECT_NE(too_big->body.find("does not fit"), std::string::npos);
   EXPECT_NE(too_big->body.find("at most"), std::string::npos);
+
+  // Shapes a workload cannot run are client errors too, found while
+  // computing (std::invalid_argument), and the server keeps answering.
+  const std::pair<const char*, const char*> shape_errors[] = {
+      {"/query?workload=npb&bench=CG&np=3", "CG requires a power-of-two np"},
+      {"/query?workload=npb&bench=MG&np=3", "MG requires power-of-two np"},
+      {"/advise?np=3", "CG requires a power-of-two np"},
+      {"/advise?np=20000", "at most"},
+      {"/advise?np=99999999999", "np: integer in [1, 1048576] expected"},
+      {"/advise?bench=XX", "bench:"},
+      {"/advise?queue_wait_hours=nan", "queue_wait_hours:"},
+      {"/advise?frobnicate=1", "unknown key"},
+  };
+  for (const auto& [target, why] : shape_errors) {
+    const auto resp = client_.request("GET", target);
+    ASSERT_TRUE(resp.has_value()) << target;
+    EXPECT_EQ(resp->status, 400) << target << ": " << resp->body;
+    EXPECT_NE(resp->body.find(why), std::string::npos) << target << ": " << resp->body;
+  }
+  const auto alive = client_.request("GET", "/healthz");
+  ASSERT_TRUE(alive.has_value());
+  EXPECT_EQ(alive->status, 200);
+}
+
+TEST_F(ServeTest, RunsTheBenchTheKeyNames) {
+  // The key renders osu's bench lower-case and npb's upper-case; the run
+  // must read the same value, whatever case the client sent.
+  start();
+  const auto result_of = [this](const char* target) {
+    const auto resp = client_.request("GET", target);
+    EXPECT_TRUE(resp.has_value()) << target;
+    if (!resp) return std::string();
+    EXPECT_EQ(resp->status, 200) << target << ": " << resp->body;
+    // The envelope ends with "result":<blob>}.
+    const std::size_t at = resp->body.find(R"("result":)");
+    if (at == std::string::npos) return std::string();
+    return resp->body.substr(at + 9, resp->body.size() - at - 10);
+  };
+  for (const char* target : {"/query?workload=osu&bench=BW", "/query?workload=osu&bench=bw"}) {
+    const std::string blob = result_of(target);
+    EXPECT_NE(blob.find("mb_per_s"), std::string::npos) << target << ": " << blob;
+    EXPECT_EQ(blob.find("usec"), std::string::npos) << target << ": " << blob;
+  }
+  EXPECT_EQ(result_of("/query?bench=cg&class=S&np=4"),
+            serve::query_json({.workload = "npb", .bench = "CG", .cls = "S", .np = 4}));
+  EXPECT_EQ(result_of("/advise?bench=cg&np=16&queue_wait_hours=4"),
+            serve::advise_json({.bench = "CG", .np = 16, .queue_wait_h = 4}));
 }
 
 TEST_F(ServeTest, MetricsExposition) {
