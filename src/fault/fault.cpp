@@ -15,16 +15,18 @@ namespace cirrus::fault {
 
 namespace {
 
-// Substream domains per fault class: node n's crashes always come from
-// fork(kCrashDomain + n), so adding nodes or classes never perturbs the
-// events of existing ones.
+// Node n's crashes always come from fork(kCrashDomain + n), so adding nodes
+// never perturbs the crashes of existing ones.
 constexpr std::uint64_t kCrashDomain = 0xFA171000ULL;
-constexpr std::uint64_t kStragglerDomain = 0xFA172000ULL;
-constexpr std::uint64_t kLinkDomain = 0xFA173000ULL;
 
-void draw_poisson(const sim::Rng& root, std::uint64_t domain, int node, double mtbf_s,
-                  double horizon_s, const std::function<void(double)>& emit) {
-  sim::Rng rng = root.fork(domain + static_cast<std::uint64_t>(node));
+// run_resilient's attempt with this number runs crash-free, whatever the
+// schedule holds (a termination guard for schedules denser than any
+// checkpoint interval).
+constexpr int kMaxResilientAttempts = 64;
+
+void draw_poisson(const sim::Rng& root, int node, double mtbf_s, double horizon_s,
+                  const std::function<void(double)>& emit) {
+  sim::Rng rng = root.fork(kCrashDomain + static_cast<std::uint64_t>(node));
   for (double t = rng.exponential(mtbf_s); t < horizon_s; t += rng.exponential(mtbf_s)) {
     emit(t);
   }
@@ -35,36 +37,12 @@ void draw_poisson(const sim::Rng& root, std::uint64_t domain, int node, double m
 FaultSchedule FaultSchedule::generate(const FaultModel& model, int nodes, double horizon_s,
                                       std::uint64_t seed) {
   FaultSchedule s;
-  s.model_ = model;
+  if (model.crash_mtbf_s <= 0) return s;
   const sim::Rng root(seed);
   for (int node = 0; node < nodes; ++node) {
-    if (model.crash_mtbf_s > 0) {
-      draw_poisson(root, kCrashDomain, node, model.crash_mtbf_s, horizon_s, [&](double t) {
-        s.events_.push_back(FaultEvent{.kind = FaultKind::NodeCrash, .at_s = t, .node = node});
-      });
-    }
-    if (model.straggler_mtbf_s > 0) {
-      draw_poisson(root, kStragglerDomain, node, model.straggler_mtbf_s, horizon_s,
-                   [&](double t) {
-                     s.events_.push_back(FaultEvent{.kind = FaultKind::Straggler,
-                                                    .at_s = t,
-                                                    .node = node,
-                                                    .duration_s = model.straggler_duration_s,
-                                                    .magnitude = model.straggler_slowdown});
-                     ++s.stragglers_;
-                   });
-    }
-    if (model.link_mtbf_s > 0) {
-      draw_poisson(root, kLinkDomain, node, model.link_mtbf_s, horizon_s, [&](double t) {
-        s.events_.push_back(FaultEvent{.kind = FaultKind::LinkDegrade,
-                                       .at_s = t,
-                                       .node = node,
-                                       .duration_s = model.link_duration_s,
-                                       .magnitude = model.link_bw_fraction,
-                                       .extra_latency_us = model.link_extra_latency_us});
-        ++s.link_faults_;
-      });
-    }
+    draw_poisson(root, node, model.crash_mtbf_s, horizon_s, [&](double t) {
+      s.events_.push_back(FaultEvent{.at_s = t, .node = node});
+    });
   }
   s.sort_events();
   return s;
@@ -73,94 +51,24 @@ FaultSchedule FaultSchedule::generate(const FaultModel& model, int nodes, double
 void FaultSchedule::sort_events() {
   std::sort(events_.begin(), events_.end(), [](const FaultEvent& a, const FaultEvent& b) {
     if (a.at_s != b.at_s) return a.at_s < b.at_s;
-    if (a.node != b.node) return a.node < b.node;
-    return static_cast<char>(a.kind) < static_cast<char>(b.kind);
+    return a.node < b.node;
   });
 }
 
 void FaultSchedule::add(const FaultEvent& ev) {
   events_.push_back(ev);
-  if (ev.kind == FaultKind::Straggler) ++stragglers_;
-  if (ev.kind == FaultKind::LinkDegrade) ++link_faults_;
   sort_events();
 }
 
 const FaultEvent* FaultSchedule::next_fatal_after(double t_s) const noexcept {
-  for (const auto& ev : events_) {
-    if (ev.at_s > t_s &&
-        (ev.kind == FaultKind::NodeCrash || ev.kind == FaultKind::SpotReclaim)) {
-      return &ev;
-    }
-  }
-  return nullptr;
-}
-
-double FaultSchedule::compute_slowdown(int node, double t_s) const noexcept {
-  double factor = 1.0;
-  for (const auto& ev : events_) {
-    if (ev.at_s > t_s) break;  // sorted: nothing later can cover t_s
-    if (ev.kind == FaultKind::Straggler && ev.node == node && t_s < ev.at_s + ev.duration_s) {
-      factor = std::max(factor, ev.magnitude);
-    }
-  }
-  return factor;
-}
-
-double FaultSchedule::link_bw_factor(int node, double t_s) const noexcept {
-  double factor = 1.0;
-  for (const auto& ev : events_) {
-    if (ev.at_s > t_s) break;
-    if (ev.kind == FaultKind::LinkDegrade && ev.node == node && t_s < ev.at_s + ev.duration_s) {
-      factor = std::min(factor, ev.magnitude);
-    }
-  }
-  return factor;
-}
-
-double FaultSchedule::link_extra_latency_us(int node, double t_s) const noexcept {
-  double us = 0;
-  for (const auto& ev : events_) {
-    if (ev.at_s > t_s) break;
-    if (ev.kind == FaultKind::LinkDegrade && ev.node == node && t_s < ev.at_s + ev.duration_s) {
-      us = std::max(us, ev.extra_latency_us);
-    }
-  }
-  return us;
+  const auto it = std::upper_bound(events_.begin(), events_.end(), t_s,
+                                   [](double t, const FaultEvent& ev) { return t < ev.at_s; });
+  return it != events_.end() ? &*it : nullptr;
 }
 
 // ---------------------------------------------------------------------------
 // Resilient execution.
 // ---------------------------------------------------------------------------
-
-namespace {
-
-/// Installs the attempt-local fault configuration: the schedule's absolute
-/// clock shifted by `offset_s` (the virtual time already consumed by earlier
-/// attempts plus restart delays).
-void install_faults(mpi::JobConfig& cfg, const FaultSchedule& schedule, double offset_s,
-                    const FaultEvent* fatal, int attempt, int max_attempts) {
-  if (fatal != nullptr && attempt < max_attempts) {
-    cfg.faults.kill_at_s = fatal->at_s - offset_s;
-    if (fatal->kind == FaultKind::SpotReclaim && fatal->warning_s > 0) {
-      cfg.faults.warn_at_s = std::max(0.0, cfg.faults.kill_at_s - fatal->warning_s);
-    }
-  }
-  if (schedule.has_stragglers()) {
-    cfg.faults.compute_slowdown = [&schedule, offset_s](int node, double t_s) {
-      return schedule.compute_slowdown(node, t_s + offset_s);
-    };
-  }
-  if (schedule.has_link_faults()) {
-    cfg.faults.link_bw_factor = [&schedule, offset_s](int node, double t_s) {
-      return schedule.link_bw_factor(node, t_s + offset_s);
-    };
-    cfg.faults.link_extra_latency_us = [&schedule, offset_s](int node, double t_s) {
-      return schedule.link_extra_latency_us(node, t_s + offset_s);
-    };
-  }
-}
-
-}  // namespace
 
 ResilientRun run_resilient(const mpi::JobConfig& config,
                            const std::function<void(mpi::RankEnv&)>& body,
@@ -172,15 +80,18 @@ ResilientRun run_resilient(const mpi::JobConfig& config,
   // One trace for the whole run: each attempt's set, shifted once onto the
   // global clock (killed attempts contribute their partial timelines).
   auto merged = config.enable_trace ? std::make_shared<obs::SpanSet>() : nullptr;
-  cloud::Provisioner provisioner(opts.provision_seed);
+  cloud::Provisioner provisioner;
 
   double global_t = 0;  // virtual time consumed so far (runs + restart delays)
   for (int attempt = 1;; ++attempt) {
     mpi::JobConfig cfg = config;
     cfg.checkpoint_store = store;
     store->begin_attempt();
-    install_faults(cfg, schedule, global_t, schedule.next_fatal_after(global_t), attempt,
-                   opts.max_attempts);
+    // The schedule's absolute clock, shifted onto this attempt's clock.
+    const FaultEvent* crash = schedule.next_fatal_after(global_t);
+    if (crash != nullptr && attempt < kMaxResilientAttempts) {
+      cfg.faults.kill_at_s = crash->at_s - global_t;
+    }
     try {
       mpi::JobResult r = mpi::run_job(cfg, body);
       out.cost_usd += opts.hourly_usd * r.elapsed_seconds / 3600.0;
@@ -198,8 +109,7 @@ ResilientRun run_resilient(const mpi::JobConfig& config,
       if (merged && killed.trace) merged->merge(*killed.trace, sim::from_seconds(global_t));
       double delay = opts.requeue_delay_s;
       if (!opts.instance_type.empty()) {
-        delay = provisioner.provision(opts.instance_type, opts.instances, opts.placement_group)
-                    .ready_after_s;
+        delay = provisioner.provision(opts.instance_type, opts.instances, true).ready_after_s;
       }
       out.restart_delay_s += delay;
       global_t += ran + delay;
@@ -224,20 +134,22 @@ ResilientRun run_resilient(const mpi::JobConfig& config,
 cloud::SpotRun run_on_spot(cloud::SpotMarket& market, const mpi::JobConfig& config,
                            const std::function<void(mpi::RankEnv&)>& body,
                            const SpotJobOptions& opts) {
+  constexpr double kHorizonEndS = 90.0 * 86400.0;  // from t = 0: a quarter, then on-demand
+  constexpr double kWarningS = 120.0;              // reclaim notice before the kill
+  constexpr int kMaxAttempts = 200;                // then on-demand too
   cloud::SpotRun out;
   mpi::CheckpointStore store;
   cloud::Provisioner provisioner(opts.provision_seed);
-  const double horizon_end = opts.t0 + opts.horizon_s;
 
-  double now = opts.t0;
+  double now = 0;
   for (int attempt = 1;; ++attempt) {
     mpi::JobConfig cfg = config;
     cfg.checkpoint_store = &store;
     if (cfg.checkpoint_interval_s <= 0) cfg.checkpoint_interval_s = opts.checkpoint_interval_s;
     store.begin_attempt();
 
-    const double start = attempt <= opts.max_attempts
-                             ? market.next_available(now, opts.bid, horizon_end - now)
+    const double start = attempt <= kMaxAttempts
+                             ? market.next_available(now, opts.bid, kHorizonEndS - now)
                              : -1.0;
     if (start < 0) {
       // Spot never comes back (or the attempt budget is spent): finish the
@@ -253,14 +165,14 @@ cloud::SpotRun run_on_spot(cloud::SpotMarket& market, const mpi::JobConfig& conf
 
     // Boot the instances; billing starts when capacity is granted.
     const double boot =
-        provisioner.provision(opts.instance_type, opts.instances, true).ready_after_s;
+        provisioner.provision("cc1.4xlarge", opts.instances, true).ready_after_s;
     out.boot_overhead_s += boot;
     const double run_from = start + boot;
 
-    const double reclaim = market.next_interruption(run_from, opts.bid, horizon_end - run_from);
+    const double reclaim = market.next_interruption(run_from, opts.bid, kHorizonEndS - run_from);
     if (reclaim >= 0) {
       cfg.faults.kill_at_s = reclaim - run_from;
-      cfg.faults.warn_at_s = std::max(0.0, cfg.faults.kill_at_s - opts.warning_s);
+      cfg.faults.warn_at_s = std::max(0.0, cfg.faults.kill_at_s - kWarningS);
     }
     try {
       mpi::JobResult r = mpi::run_job(cfg, body);

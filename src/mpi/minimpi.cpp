@@ -330,13 +330,6 @@ class Job {
       auto node_map = topo::place_nodes(*topo, cfg.placement, node_span(), cfg.seed);
       network.set_topology(std::move(topo), std::move(node_map));
     }
-    if (cfg.faults.any_link_hook()) {
-      network.set_fault_hooks(cfg.faults.link_bw_factor, cfg.faults.link_extra_latency_us);
-    }
-    if (cfg.faults.any_fabric_hook()) {
-      network.set_link_fault_hooks(cfg.faults.fabric_bw_factor,
-                                   cfg.faults.fabric_extra_latency_us);
-    }
     if (cfg.faults.kill_at_s >= 0) {
       // Node crash / spot reclaim: the thrown exception unwinds engine.run()
       // (which drains all pending events first), killing every fiber. A job
@@ -703,12 +696,18 @@ struct CollGuard {
   char& flag_;
   char prev_;
 };
-}  // namespace
 
+[[noreturn]] [[gnu::cold]] [[gnu::noinline]] void throw_bad_destination(int dst, int np) {
+  throw std::invalid_argument("send: destination rank " + std::to_string(dst) +
+                              " out of range for np=" + std::to_string(np));
+}
+}  // namespace
 
 sim::SimTime Comm::issue_send(int dst, int tag, const void* data, std::size_t bytes,
                               const std::shared_ptr<RequestState>& sreq) {
-  assert(dst >= 0 && dst < size() && "send: destination out of range");
+  // Checked in every build: a kernel's partner formula that yields a rank
+  // outside the communicator must fail the job, not index past the peers.
+  if (dst < 0 || dst >= size()) [[unlikely]] throw_bad_destination(dst, size());
   Job& job = *job_;
   const int dst_world = world_rank_of(dst);
   const int src_node = my_node_;
@@ -1332,15 +1331,9 @@ int RankEnv::size() const noexcept { return job_->config.np; }
 void RankEnv::compute(double ref_seconds) {
   if (ref_seconds <= 0) return;
   const sim::SimTime t0 = job_->engine.now();
-  sim::SimTime t = plat::compute_time(
+  const sim::SimTime t = plat::compute_time(
       job_->config.platform, job_->placement[static_cast<std::size_t>(world_rank_)],
       job_->config.traits, ref_seconds, rng_);
-  if (const auto& slow = job_->config.faults.compute_slowdown; slow) {
-    // Straggler / hypervisor-stall injection: the factor is sampled at the
-    // start of the chunk (chunks are short relative to stall windows).
-    const double f = slow(placement().node, sim::to_seconds(t0));
-    if (f > 1.0) t = static_cast<sim::SimTime>(static_cast<double>(t) * f);
-  }
   job_->procs[static_cast<std::size_t>(world_rank_)]->advance(t);
   recorder_->add_compute(t);
   job_->span_rec(world_rank_).interval(t0, job_->engine.now(), obs::kComputeCategory);

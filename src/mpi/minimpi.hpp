@@ -104,9 +104,10 @@ class CheckpointStore {
   double last_commit_s_ = -1.0;
 };
 
-/// Fault-injection knobs for one job attempt. Times are on the job's own
-/// clock (attempt-local); cirrus::fault generates absolute schedules and
-/// shifts them per attempt. All hooks default to "no fault".
+/// Fault injection for one job attempt: a kill and its warning. Times are
+/// on the job's own clock (attempt-local); cirrus::fault generates absolute
+/// crash schedules and spot reclaims and shifts them per attempt. Both
+/// default to "no fault".
 struct FaultInjection {
   /// Virtual time at which the job dies (node crash / spot reclaim); run_job
   /// then throws JobKilledError. Negative: never.
@@ -114,27 +115,6 @@ struct FaultInjection {
   /// Interruption warning (EC2's two-minute notice): from this time on,
   /// RankEnv::interruption_imminent() returns true. Negative: never.
   double warn_at_s = -1.0;
-  /// Multiplies compute durations for (node, time) — straggler / hypervisor
-  /// stall injection. Return 1.0 for nominal speed.
-  net::NodeFactorFn compute_slowdown;
-  /// Fraction of nominal NIC bandwidth available at (node, time) — link
-  /// degradation. Return 1.0 for nominal.
-  net::NodeFactorFn link_bw_factor;
-  /// Extra one-way wire latency in microseconds at (node, time).
-  net::NodeFactorFn link_extra_latency_us;
-  /// Per-fabric-link generalisation of the two hooks above, applied to the
-  /// links of the job's topo::Topology by index: available bandwidth
-  /// fraction and extra per-hop latency for (link, time). No effect on the
-  /// crossbar (no fabric links).
-  net::LinkFactorFn fabric_bw_factor;
-  net::LinkFactorFn fabric_extra_latency_us;
-
-  [[nodiscard]] bool any_link_hook() const noexcept {
-    return static_cast<bool>(link_bw_factor) || static_cast<bool>(link_extra_latency_us);
-  }
-  [[nodiscard]] bool any_fabric_hook() const noexcept {
-    return static_cast<bool>(fabric_bw_factor) || static_cast<bool>(fabric_extra_latency_us);
-  }
 };
 
 namespace detail {
@@ -257,11 +237,12 @@ class Comm {
   // request state on the caller's frame; the caller waits for the request
   // before that frame ends. A null `frame` takes a pooled state.
   //
-  // Issuing never suspends. issue_send routes the envelope, copies an eager
-  // payload and schedules the arrival, and returns when the NIC frees an
-  // eager sender (now or later; `sreq` is then done); a rendezvous send
-  // returns now, and `sreq` completes when its transfer ends. post_recv
-  // matches an unexpected message or posts the receive.
+  // Issuing never suspends. issue_send throws std::invalid_argument for a
+  // destination outside [0, size()); otherwise it routes the envelope,
+  // copies an eager payload and schedules the arrival, and returns when the
+  // NIC frees an eager sender (now or later; `sreq` is then done); a
+  // rendezvous send returns now, and `sreq` completes when its transfer
+  // ends. post_recv matches an unexpected message or posts the receive.
   sim::SimTime issue_send(int dst, int tag, const void* data, std::size_t bytes,
                           const std::shared_ptr<detail::RequestState>& sreq);
   void post_recv(int src, int tag, void* data, std::size_t bytes,

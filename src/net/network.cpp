@@ -18,16 +18,6 @@ Network::Network(sim::Engine& engine, const plat::Platform& platform, int nodes,
       nic_stats_(static_cast<std::size_t>(std::max(1, nodes))),
       rng_(sim::Rng(seed).fork(0x4E7)) {}
 
-void Network::set_fault_hooks(NodeFactorFn bw_factor, NodeFactorFn extra_latency_us) {
-  bw_factor_ = std::move(bw_factor);
-  extra_latency_us_ = std::move(extra_latency_us);
-}
-
-void Network::set_link_fault_hooks(LinkFactorFn bw_factor, LinkFactorFn extra_latency_us) {
-  link_bw_factor_ = std::move(bw_factor);
-  link_extra_latency_us_ = std::move(extra_latency_us);
-}
-
 void Network::set_topology(std::shared_ptr<const topo::Topology> topo,
                            std::vector<int> node_map) {
   topo_ = std::move(topo);
@@ -35,18 +25,6 @@ void Network::set_topology(std::shared_ptr<const topo::Topology> topo,
   const std::size_t n = topo_ != nullptr ? topo_->links().size() : 0;
   link_free_.assign(n, 0);
   link_stats_.assign(n, LinkStats{});
-}
-
-double Network::degraded_bandwidth_Bps(int src_node, int dst_node, double t_s) const {
-  double bw = platform_.nic.bandwidth_Bps;
-  // A flow is limited by the worse of its two endpoints' NICs.
-  const double f = std::min(bw_factor_(src_node, t_s), bw_factor_(dst_node, t_s));
-  if (f > 0.0 && f < 1.0) bw *= f;
-  return bw;
-}
-
-sim::SimTime Network::extra_latency(int src_node, int dst_node, double t_s) const {
-  return sim::from_micros(extra_latency_us_(src_node, t_s) + extra_latency_us_(dst_node, t_s));
 }
 
 sim::SimTime Network::wire_latency(bool internode) {
@@ -82,10 +60,8 @@ TransferTiming Network::transfer(int src_node, int dst_node, std::size_t bytes) 
   assert(src_node >= 0 && static_cast<std::size_t>(src_node) < tx_free_.size());
   assert(dst_node >= 0 && static_cast<std::size_t>(dst_node) < rx_free_.size());
 
-  const double bw = bw_factor_
-                        ? degraded_bandwidth_Bps(src_node, dst_node, sim::to_seconds(now))
-                        : platform_.nic.bandwidth_Bps;
-  sim::SimTime busy = sim::from_seconds(static_cast<double>(bytes) / bw);
+  sim::SimTime busy =
+      sim::from_seconds(static_cast<double>(bytes) / platform_.nic.bandwidth_Bps);
 
   // On half-duplex platforms (software-switched vNICs) one packet-processing
   // resource serves both directions, so RX traffic queues behind TX traffic
@@ -112,8 +88,7 @@ TransferTiming Network::transfer(int src_node, int dst_node, std::size_t bytes) 
 
   // Wire: base latency + jitter; cut-through, so the head of the message
   // reaches the RX port one latency after TX starts.
-  sim::SimTime lat = wire_latency(/*internode=*/true);
-  if (extra_latency_us_) lat += extra_latency(src_node, dst_node, sim::to_seconds(now));
+  const sim::SimTime lat = wire_latency(/*internode=*/true);
 
   // Fabric: walk the static route and reserve every link as a FIFO serial
   // resource. The head advances by each hop's (queueing + latency); the tail
@@ -125,16 +100,11 @@ TransferTiming Network::transfer(int src_node, int dst_node, std::size_t bytes) 
   sim::SimTime fabric_tail = 0;
   if (has_fabric_links()) {
     const topo::Route route = topo_->route(fabric_node(src_node), fabric_node(dst_node));
-    const double t_s = sim::to_seconds(now);
     for (int h = 0; h < route.n; ++h) {
       const int li = route.links[static_cast<std::size_t>(h)];
       const topo::Link& link = topo_->links()[static_cast<std::size_t>(li)];
-      double link_bw = link.bandwidth_Bps;
-      if (link_bw_factor_) {
-        const double f = link_bw_factor_(li, t_s);
-        if (f > 0.0 && f < 1.0) link_bw *= f;
-      }
-      const sim::SimTime link_busy = sim::from_seconds(static_cast<double>(bytes) / link_bw);
+      const sim::SimTime link_busy =
+          sim::from_seconds(static_cast<double>(bytes) / link.bandwidth_Bps);
       auto& free_at = link_free_[static_cast<std::size_t>(li)];
       const sim::SimTime start = std::max(head, free_at);
       ++stats_.routed_hops;
@@ -145,9 +115,7 @@ TransferTiming Network::transfer(int src_node, int dst_node, std::size_t bytes) 
       stats.queued += start - head;
       free_at = start + link_busy;
       fabric_tail = std::max(fabric_tail, start + link_busy);
-      double hop_us = link.latency_us;
-      if (link_extra_latency_us_) hop_us += link_extra_latency_us_(li, t_s);
-      head = start + sim::from_micros(hop_us);
+      head = start + sim::from_micros(link.latency_us);
     }
   }
 
@@ -182,7 +150,6 @@ sim::SimTime Network::control_delay(int src_node, int dst_node) {
   ++stats_.control_messages;
   sim::SimTime d = wire_latency(src_node != dst_node);
   if (src_node != dst_node) {
-    if (extra_latency_us_) d += extra_latency(src_node, dst_node, sim::to_seconds(engine_.now()));
     if (has_fabric_links()) {
       // Control messages ride the same static route but reserve nothing:
       // they only pay each hop's base latency.

@@ -25,7 +25,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -36,16 +35,6 @@
 #include "topo/topo.hpp"
 
 namespace cirrus::net {
-
-/// Per-node, time-varying degradation hook used by fault injection: returns
-/// a factor for `node` at virtual time `t_seconds` on the job's clock.
-using NodeFactorFn = std::function<double(int node, double t_seconds)>;
-
-/// Per-fabric-link counterpart: returns a factor for link index `link` of
-/// the installed topology at virtual time `t_seconds`. This generalises the
-/// per-node NIC hooks — a degraded uplink slows every flow routed over it,
-/// not just one endpoint's traffic.
-using LinkFactorFn = std::function<double(int link, double t_seconds)>;
 
 /// Utilisation counters for one fabric link, exported with IPM output.
 struct LinkStats {
@@ -143,22 +132,7 @@ class Network {
   /// Job-wide intrinsic counters (see NetStats).
   [[nodiscard]] const NetStats& stats() const noexcept { return stats_; }
 
-  /// Installs fault-injection hooks: `bw_factor` returns the available
-  /// fraction of nominal NIC bandwidth for (node, time), `extra_latency_us`
-  /// additional one-way wire latency in microseconds. Either may be null.
-  /// Only inter-node traffic is affected (intra-node goes over shm).
-  void set_fault_hooks(NodeFactorFn bw_factor, NodeFactorFn extra_latency_us);
-
-  /// Per-fabric-link fault hooks (the per-link generalisation of
-  /// set_fault_hooks): `bw_factor` is the available fraction of a link's
-  /// nominal bandwidth, `extra_latency_us` extra per-hop latency. Applied
-  /// only to routed fabric links; no effect without a topology.
-  void set_link_fault_hooks(LinkFactorFn bw_factor, LinkFactorFn extra_latency_us);
-
  private:
-  // Both are called only while the matching fault hook is installed.
-  [[nodiscard]] double degraded_bandwidth_Bps(int src_node, int dst_node, double t_s) const;
-  [[nodiscard]] sim::SimTime extra_latency(int src_node, int dst_node, double t_s) const;
   /// Fabric node of a logical job node (identity without a placement map).
   [[nodiscard]] int fabric_node(int node) const noexcept {
     return node_map_.empty() ? node : node_map_[static_cast<std::size_t>(node)];
@@ -181,14 +155,10 @@ class Network {
   std::vector<NicStats> nic_stats_;    // per node
   NetStats stats_;
   sim::Rng rng_;
-  NodeFactorFn bw_factor_;          // null: nominal bandwidth
-  NodeFactorFn extra_latency_us_;   // null: nominal latency
   std::shared_ptr<const topo::Topology> topo_;  // null: NIC-only model
   std::vector<int> node_map_;                   // logical -> fabric node
   std::vector<sim::SimTime> link_free_;         // per fabric link
   std::vector<LinkStats> link_stats_;           // per fabric link
-  LinkFactorFn link_bw_factor_;          // null: nominal link bandwidth
-  LinkFactorFn link_extra_latency_us_;   // null: nominal hop latency
 };
 
 /// A shared filesystem server: reads/writes are FIFO-serialised, modelling

@@ -8,6 +8,7 @@
 #include <iomanip>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -261,6 +262,37 @@ TEST(P2P, MissingSenderDeadlocks) {
                               }
                             }),
                cirrus::sim::DeadlockError);
+}
+
+TEST(P2P, SendOutsideTheCommunicatorThrows) {
+  // Checked in every build, not only by assert: a destination of np or -1
+  // fails the job with a message naming the rank and np, for a blocking
+  // send, an isend and a sendrecv alike, while the peer is still blocked.
+  for (const int dst : {2, -1}) {
+    for (int call = 0; call < 3; ++call) {
+      SCOPED_TRACE("dst " + std::to_string(dst) + ", call " + std::to_string(call));
+      try {
+        mpi::run_job(cfg(2), [dst, call](mpi::RankEnv& env) {
+          auto& c = env.world();
+          double x = 1.0, y = 0.0;
+          if (c.rank() == 1) {
+            c.recv(0, 1, &y, 1);
+          } else if (call == 0) {
+            c.send(dst, 1, &x, 1);
+          } else if (call == 1) {
+            (void)c.isend(dst, 1, &x, 1);
+          } else {
+            c.sendrecv(dst, 1, &x, 1, 1, 1, &y, 1);
+          }
+        });
+        ADD_FAILURE() << "expected std::invalid_argument";
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("rank " + std::to_string(dst)), std::string::npos) << what;
+        EXPECT_NE(what.find("np=2"), std::string::npos) << what;
+      }
+    }
+  }
 }
 
 TEST(P2P, TimeIsDeterministicAcrossRuns) {

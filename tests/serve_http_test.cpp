@@ -188,6 +188,8 @@ TEST_F(ServeTest, ErrorPaths) {
       {"/advise?bench=XX", "bench:"},
       {"/advise?queue_wait_hours=nan", "queue_wait_hours:"},
       {"/advise?frobnicate=1", "unknown key"},
+      {"/query?workload=osu&bench=xyz", "bench: bw|lat expected for osu, got 'xyz'"},
+      {"/query?workload=osu", "bench: bw|lat expected for osu"},
   };
   for (const auto& [target, why] : shape_errors) {
     const auto resp = client_.request("GET", target);
@@ -195,6 +197,10 @@ TEST_F(ServeTest, ErrorPaths) {
     EXPECT_EQ(resp->status, 400) << target << ": " << resp->body;
     EXPECT_NE(resp->body.find(why), std::string::npos) << target << ": " << resp->body;
   }
+  // An osu query without a bench names the choices, not npb's default CG.
+  const auto osu = client_.request("GET", "/query?workload=osu");
+  ASSERT_TRUE(osu.has_value());
+  EXPECT_EQ(osu->body.find("CG"), std::string::npos) << osu->body;
   const auto alive = client_.request("GET", "/healthz");
   ASSERT_TRUE(alive.has_value());
   EXPECT_EQ(alive->status, 200);

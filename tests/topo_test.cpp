@@ -236,28 +236,6 @@ TEST(NetworkFabric, OversubscribedUplinkQueuesCrossLeafFlows) {
   EXPECT_GT(up.queued, 0);
 }
 
-TEST(NetworkFabric, LinkFaultHookDegradesRoutedBandwidth) {
-  const auto p = quiet(plat::vayu());
-  const std::size_t bytes = 8 << 20;
-  topo::TopoSpec spec;
-  spec.kind = topo::Kind::VSwitch;
-  spec.hop_latency_us = 0.0;
-
-  const auto arrival_with = [&](net::LinkFactorFn bw) {
-    sim::Engine eng;
-    net::Network n(eng, p, 2, 1);
-    auto t = std::make_shared<topo::Topology>(topo::Topology::build(spec, p.nic, 2));
-    n.set_topology(t, {});
-    if (bw) n.set_link_fault_hooks(std::move(bw), nullptr);
-    return sim::to_seconds(n.transfer(0, 1, bytes).arrival);
-  };
-  const double nominal = arrival_with(nullptr);
-  const double degraded = arrival_with([](int, double) { return 0.5; });
-  const double busy = static_cast<double>(bytes) / p.nic.bandwidth_Bps;
-  // Half-speed backplane: the fabric tail, not the RX port, bounds arrival.
-  EXPECT_NEAR(degraded - nominal, busy, 1e-6);
-}
-
 TEST(TopoJob, ExplicitCrossbarMatchesDeterminismGoldens) {
   // The same constants as determinism_golden_test: an explicitly requested
   // crossbar with a scattered placement must be byte-identical to the
@@ -291,23 +269,6 @@ TEST(TopoJob, FatTreeCongestionHurtsAlltoallMoreThanStencil) {
   const double lu_slow = run("LU", topo::Kind::FatTree) / run("LU", topo::Kind::Crossbar);
   EXPECT_GT(ft_slow, 1.0);
   EXPECT_GT(ft_slow, lu_slow);
-}
-
-TEST(TopoJob, FabricFaultHooksSlowRoutedJobs) {
-  // The per-link generalisation of the NIC fault hooks, end to end: a
-  // quartered backplane must stretch a communication-heavy job.
-  const auto& ft = npb::benchmark("FT");
-  const auto run = [&ft](net::LinkFactorFn bw) {
-    auto cfg = npb::make_job(ft, npb::Class::W, plat::vayu(), 8, /*execute=*/false, 1);
-    cfg.max_ranks_per_node = 2;  // 4 nodes
-    cfg.topology.kind = topo::Kind::VSwitch;
-    cfg.faults.fabric_bw_factor = std::move(bw);
-    return mpi::run_job(cfg, [&ft](mpi::RankEnv& env) { ft.fn(env, npb::Class::W); })
-        .elapsed_seconds;
-  };
-  const double nominal = run(nullptr);
-  const double degraded = run([](int, double) { return 0.25; });
-  EXPECT_GT(degraded, nominal * 1.01);
 }
 
 TEST(TopoJob, ResultExportsTopologyAndLinkStats) {

@@ -42,6 +42,13 @@ endforeach()
 expect_reject("ec2_2020" osu --bench bw --platform azure)
 expect_reject("unknown option --test" osu --test bw)
 expect_reject("bench: bw\\|lat" osu --bench CG)
+expect_reject("bench: bw\\|lat" osu --bench xyz)
+# With no bench at all, the error must not quote npb's default kernel.
+expect_reject("bench: bw\\|lat expected for osu" osu)
+execute_process(COMMAND ${BIN} osu OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if("${out}${err}" MATCHES "CG")
+  message(FATAL_ERROR "osu: error quotes a bench the caller never sent:\n${out}${err}")
+endif()
 
 # Counts: not a number, out of int range, below 1, trailing junk; ranks per
 # node below -1 or not a number; more ranks than the platform holds.
