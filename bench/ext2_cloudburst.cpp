@@ -54,11 +54,7 @@ CIRRUS_BENCH_TARGET(ext2, "ext",
       {"suspend-resume + burst @15m", "sr_burst_15m", 900.0, true},
   };
   for (const auto& policy : policies) {
-    cloud::BatchScheduler sched({.local_cores = 64,
-                                 .burst_wait_threshold_s = policy.threshold,
-                                 .max_burst_slowdown = 1.8,
-                                 .cloud_hourly_per_8cores_usd = 1.60,
-                                 .cloud_boot_s = 120,
+    cloud::BatchScheduler sched({.burst_wait_threshold_s = policy.threshold,
                                  .suspend_resume = policy.suspend_resume});
     const auto r = sched.run(jobs);
     // Mean wait of the urgent debugging/validation jobs specifically.
@@ -88,7 +84,7 @@ CIRRUS_BENCH_TARGET(ext2, "ext",
 
   // Spot-pricing the burst capacity (future work in the paper): integrate
   // the seeded spot-price process over each cloud job's runtime.
-  cloud::SpotMarket market({}, 77);
+  cloud::SpotMarket market(77);
   double spot_cost = 0, instance_hours = 0;
   for (const auto& j : burst_result.jobs) {
     if (!j.ran_on_cloud) continue;

@@ -145,7 +145,7 @@ CIRRUS_BENCH_TARGET(ext4, "ext",
   for (std::size_t i = 0; i < std::size(kStrategies); ++i) {
     const auto& s = kStrategies[i];
     for (int seed = 0; seed < kSeeds; ++seed) {
-      cloud::SpotMarket market({}, 100 + static_cast<std::uint64_t>(seed));
+      cloud::SpotMarket market(100 + static_cast<std::uint64_t>(seed));
       analytic[i] += cloud::run_on_spot(market, 0.0, runtime, s.bid, s.ckpt_s, kInstances,
                                         kOnDemand);
     }
@@ -160,7 +160,7 @@ CIRRUS_BENCH_TARGET(ext4, "ext",
       [&](std::size_t i) {
         const auto& s = kStrategies[i / kSeeds];
         const auto seed = static_cast<std::uint64_t>(i % kSeeds);
-        cloud::SpotMarket market({}, 100 + seed);
+        cloud::SpotMarket market(100 + seed);
         fault::SpotJobOptions sopts;
         sopts.bid = s.bid;
         sopts.checkpoint_interval_s = s.ckpt_s;

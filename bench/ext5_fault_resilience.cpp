@@ -48,12 +48,12 @@ CIRRUS_BENCH_TARGET(ext5, "ext",
   struct PlatformSpec {
     plat::Platform platform;
     double hourly_usd;         // holding cost of the 2-node allocation
-    const char* restart_type;  // instance type to re-provision, "" = requeue
+    bool reprovision;          // restarts re-provision + boot; else requeue
   };
   const PlatformSpec specs[] = {
-      {plat::vayu(), 2 * 0.24, ""},           // facility-amortised node rate
-      {plat::dcc(), 2 * 0.18, ""},
-      {plat::ec2(), 2 * 1.60, "cc1.4xlarge"}, // restarts re-provision + boot
+      {plat::vayu(), 2 * 0.24, false},  // facility-amortised node rate
+      {plat::dcc(), 2 * 0.18, false},
+      {plat::ec2(), 2 * 1.60, true},
   };
 
   // Fault-free baselines give each platform its T0.
@@ -108,7 +108,7 @@ CIRRUS_BENCH_TARGET(ext5, "ext",
         fault::ResilientOptions ropts;
         ropts.hourly_usd = spec.hourly_usd;
         ropts.requeue_delay_s = 120.0;
-        ropts.instance_type = spec.restart_type;
+        ropts.reprovision = spec.reprovision;
         ropts.instances = nodes;
         const auto run = fault::run_resilient(cfg, body, schedule, ropts);
         // Only the completing attempt's events are counted: killed attempts

@@ -57,15 +57,6 @@ int register_target(const Target& t);
   static int id##_target_fn([[maybe_unused]] const cirrus::core::Options& opts,    \
                             [[maybe_unused]] cirrus::valid::RunReport& report)
 
-/// Like CIRRUS_BENCH_TARGET, with explicit generation coverage ("2012+2020").
-#define CIRRUS_BENCH_TARGET_GEN(id, suite_, gens, desc)                            \
-  static int id##_target_fn(const cirrus::core::Options& opts,                     \
-                            cirrus::valid::RunReport& report);                     \
-  [[maybe_unused]] static const int id##_registered =                              \
-      cirrus::bench::register_target({#id, suite_, desc, &id##_target_fn, gens});  \
-  static int id##_target_fn([[maybe_unused]] const cirrus::core::Options& opts,    \
-                            [[maybe_unused]] cirrus::valid::RunReport& report)
-
 /// Like CIRRUS_BENCH_TARGET, marking the target as a blame emitter: it runs
 /// traced probe jobs and fills report.critpath via valid::add_blame.
 #define CIRRUS_BENCH_TARGET_BLAME(id, suite_, desc)                                \

@@ -13,17 +13,35 @@ plat::WorkloadTraits traits() { return plat::WorkloadTraits{.mem_intensity = 0.8
 
 namespace {
 
+// Paper-scale (model-mode) problem.
+constexpr long long kMeshNodes = 4'000'000;
+constexpr int kTimesteps = 250;  // 2.0 ms of cardiac time
+constexpr double kMeshFileBytes = 1.4e9;
+constexpr int kKspItersPerStep = 30;
+constexpr double kOutputBytesPerStep = 1.0e6;
+
+// Serial reference work (DCC-core seconds), calibrated so the Vayu/DCC
+// 8-core section times match the paper's Fig 5 (KSp t8: 579 s / 938 s).
+constexpr double kRefKspSeconds = 2898.0;
+constexpr double kRefOdeSeconds = 1302.0;
+constexpr double kRefAssemblySeconds = 551.0;
+constexpr double kRefMeshSeconds = 270.0;     // the replicated-fraction constant
+constexpr double kMeshParallelWeight = 2.37;  // c(np) = a*(1 + weight/np)
+
+// Execute-mode downscaled monodomain grid.
+constexpr int kExecNx = 12, kExecNy = 12, kExecNz = 12;
+constexpr int kExecTimesteps = 30;
+
 /// Execute mode: a real monodomain solve on a small grid.
 ///
 /// dV/dt = div(grad V) - I_ion(V, w),  FitzHugh–Nagumo kinetics:
 ///   I_ion = V (V - a)(V - 1) + w;   dw/dt = eps (V - gamma w).
 /// Diffusion is integrated semi-implicitly: (I/dt + A) V* = V/dt + f.
-Result run_execute(mpi::RankEnv& env, const Config& cfg) {
+Result run_execute(mpi::RankEnv& env) {
   auto& comm = env.world();
   const int np = comm.size();
   const int rank = comm.rank();
-  const long long n =
-      static_cast<long long>(cfg.exec_nx) * cfg.exec_ny * cfg.exec_nz;
+  const long long n = static_cast<long long>(kExecNx) * kExecNy * kExecNz;
   la::Partition part{.n = n, .np = np};
   const auto nloc = static_cast<std::size_t>(part.count(rank));
   const long long first = part.first(rank);
@@ -31,8 +49,7 @@ Result run_execute(mpi::RankEnv& env, const Config& cfg) {
   // System matrix: I/dt + kappa * Laplacian (SPD).
   const double dt = 0.15;
   const double kappa = 0.25;
-  la::DistCsr a = la::grid_laplacian_7pt(cfg.exec_nx, cfg.exec_ny, cfg.exec_nz,
-                                         /*shift=*/0.0, part, rank);
+  la::DistCsr a = la::grid_laplacian_7pt(kExecNx, kExecNy, kExecNz, /*shift=*/0.0, part, rank);
   for (std::size_t i = 0; i < nloc; ++i) {
     for (long long k = a.rowptr[i]; k < a.rowptr[i + 1]; ++k) {
       auto& v = a.values[static_cast<std::size_t>(k)];
@@ -47,16 +64,16 @@ Result run_execute(mpi::RankEnv& env, const Config& cfg) {
   // Stimulus: depolarise the corner octant.
   for (std::size_t i = 0; i < nloc; ++i) {
     const long long g = first + static_cast<long long>(i);
-    const long long gx = g % cfg.exec_nx;
-    const long long gy = (g / cfg.exec_nx) % cfg.exec_ny;
-    const long long gz = g / (static_cast<long long>(cfg.exec_nx) * cfg.exec_ny);
-    if (gx < cfg.exec_nx / 3 && gy < cfg.exec_ny / 3 && gz < cfg.exec_nz / 3) V[i] = 1.0;
+    const long long gx = g % kExecNx;
+    const long long gy = (g / kExecNx) % kExecNy;
+    const long long gz = g / (static_cast<long long>(kExecNx) * kExecNy);
+    if (gx < kExecNx / 3 && gy < kExecNy / 3 && gz < kExecNz / 3) V[i] = 1.0;
   }
 
   const double fhn_a = 0.13, eps = 0.005, gamma = 2.5;
   {
     ipm::Region r(env.ipm(), "InputMesh");
-    env.io_read(static_cast<std::size_t>(cfg.mesh_file_bytes / 1000 / np), true);
+    env.io_read(static_cast<std::size_t>(kMeshFileBytes / 1000 / np), true);
   }
   // Checkpointable state: the packed (V, w) pair — everything carried
   // between timesteps.
@@ -72,7 +89,7 @@ Result run_execute(mpi::RankEnv& env, const Config& cfg) {
     }
   }
   bool bounded = true;
-  for (int step = step0; step < cfg.exec_timesteps; ++step) {
+  for (int step = step0; step < kExecTimesteps; ++step) {
     {
       ipm::Region r(env.ipm(), "Ode");
       for (std::size_t i = 0; i < nloc; ++i) {
@@ -124,7 +141,7 @@ Result run_execute(mpi::RankEnv& env, const Config& cfg) {
 }
 
 /// Model mode: the paper-scale rabbit-heart run as a timing pattern.
-Result run_model(mpi::RankEnv& env, const Config& cfg) {
+Result run_model(mpi::RankEnv& env) {
   auto& comm = env.world();
   const int np = comm.size();
   const double share = 1.0 / np;
@@ -132,7 +149,7 @@ Result run_model(mpi::RankEnv& env, const Config& cfg) {
   // Checkpoint sizing: V, w and rhs over this rank's mesh share (sized but
   // dataless in model mode). A restored run skips mesh input and setup.
   const std::size_t state_bytes =
-      3 * static_cast<std::size_t>(static_cast<double>(cfg.mesh_nodes) / np) * sizeof(double);
+      3 * static_cast<std::size_t>(static_cast<double>(kMeshNodes) / np) * sizeof(double);
   int step0 = 0;
   bool restored = false;
   if (env.checkpointing()) {
@@ -144,24 +161,24 @@ Result run_model(mpi::RankEnv& env, const Config& cfg) {
 
   if (!restored) {
     ipm::Region r(env.ipm(), "InputMesh");
-    env.io_read(static_cast<std::size_t>(cfg.mesh_file_bytes / np), true);
+    env.io_read(static_cast<std::size_t>(kMeshFileBytes / np), true);
     // Partitioning/setup is largely replicated: c(np) = a (1 + weight/np).
-    env.compute(cfg.ref_mesh_seconds * (1.0 + cfg.mesh_parallel_weight / np) / 8.0);
+    env.compute(kRefMeshSeconds * (1.0 + kMeshParallelWeight / np) / 8.0);
   }
 
   // Per-neighbour halo: the surface of a 3-D partition of the mesh.
-  const double local_nodes = static_cast<double>(cfg.mesh_nodes) / np;
+  const double local_nodes = static_cast<double>(kMeshNodes) / np;
   const std::size_t halo_bytes =
       static_cast<std::size_t>(2.0 * std::pow(local_nodes, 2.0 / 3.0)) * sizeof(double);
   const int left = (comm.rank() - 1 + np) % np;
   const int right = (comm.rank() + 1) % np;
 
-  const double ode_per_step = cfg.ref_ode_seconds / cfg.timesteps;
-  const double asm_per_step = cfg.ref_assembly_seconds / cfg.timesteps;
+  const double ode_per_step = kRefOdeSeconds / kTimesteps;
+  const double asm_per_step = kRefAssemblySeconds / kTimesteps;
   const double ksp_per_iter =
-      cfg.ref_ksp_seconds / (static_cast<double>(cfg.timesteps) * cfg.ksp_iters_per_step);
+      kRefKspSeconds / (static_cast<double>(kTimesteps) * kKspItersPerStep);
 
-  for (int step = step0; step < cfg.timesteps; ++step) {
+  for (int step = step0; step < kTimesteps; ++step) {
     {
       ipm::Region r(env.ipm(), "Ode");
       env.compute(ode_per_step * share);
@@ -175,7 +192,7 @@ Result run_model(mpi::RankEnv& env, const Config& cfg) {
     }
     {
       ipm::Region r(env.ipm(), "KSp");
-      for (int it = 0; it < cfg.ksp_iters_per_step; ++it) {
+      for (int it = 0; it < kKspItersPerStep; ++it) {
         if (np > 1) {
           comm.sendrecv_bytes(right, 61, nullptr, halo_bytes, left, 61, nullptr, halo_bytes);
         }
@@ -189,7 +206,7 @@ Result run_model(mpi::RankEnv& env, const Config& cfg) {
     }
     {
       ipm::Region r(env.ipm(), "Output");
-      env.io_write(static_cast<std::size_t>(cfg.output_bytes_per_step / np), true);
+      env.io_write(static_cast<std::size_t>(kOutputBytesPerStep / np), true);
     }
     if (env.checkpointing()) env.maybe_checkpoint(step, nullptr, state_bytes);
   }
@@ -201,8 +218,8 @@ Result run_model(mpi::RankEnv& env, const Config& cfg) {
 
 }  // namespace
 
-Result run(mpi::RankEnv& env, const Config& cfg) {
-  return env.execute() ? run_execute(env, cfg) : run_model(env, cfg);
+Result run(mpi::RankEnv& env) {
+  return env.execute() ? run_execute(env) : run_model(env);
 }
 
 }  // namespace cirrus::chaste

@@ -17,35 +17,15 @@
 // Execute mode runs a real monodomain problem (FitzHugh–Nagumo membrane
 // model, semi-implicit diffusion solved with cirrus::la CG) on a downscaled
 // grid, with physical verification; model mode replays the full-scale
-// communication/computation pattern.
+// communication/computation pattern. The problem sizes and the serial
+// reference work (calibrated against Fig 5) are fixed constants in
+// chaste.cpp: the paper ran one problem.
 #pragma once
 
 #include "mpi/minimpi.hpp"
 #include "platform/platform.hpp"
 
 namespace cirrus::chaste {
-
-struct Config {
-  // Paper-scale (model-mode) problem.
-  long long mesh_nodes = 4'000'000;
-  long long mesh_elements = 24'000'000;
-  int timesteps = 250;  // 2.0 ms of cardiac time
-  double mesh_file_bytes = 1.4e9;
-  int ksp_iters_per_step = 30;
-  double output_bytes_per_step = 1.0e6;
-
-  // Serial reference work (DCC-core seconds), calibrated so the Vayu/DCC
-  // 8-core section times match the paper's Fig 5 (KSp t8: 579 s / 938 s).
-  double ref_ksp_seconds = 2898.0;
-  double ref_ode_seconds = 1302.0;
-  double ref_assembly_seconds = 551.0;
-  double ref_mesh_seconds = 270.0;      // the replicated-fraction constant
-  double mesh_parallel_weight = 2.37;   // c(np) = a*(1 + weight/np)
-
-  // Execute-mode downscaled monodomain grid.
-  int exec_nx = 12, exec_ny = 12, exec_nz = 12;
-  int exec_timesteps = 30;
-};
 
 struct Result {
   bool verified = false;
@@ -57,6 +37,6 @@ struct Result {
 plat::WorkloadTraits traits();
 
 /// Runs the cardiac benchmark inside a rank fiber.
-Result run(mpi::RankEnv& env, const Config& cfg = Config{});
+Result run(mpi::RankEnv& env);
 
 }  // namespace cirrus::chaste

@@ -13,6 +13,27 @@ plat::WorkloadTraits traits() { return plat::WorkloadTraits{.mem_intensity = 0.5
 
 namespace {
 
+// Paper-scale (model-mode) problem: N320L70.
+constexpr int kNx = 640;  // longitudes
+constexpr int kNy = 481;  // latitudes
+constexpr int kNz = 70;   // levels
+constexpr int kTimesteps = 18;
+constexpr int kWarmupSteps = 2;  // excluded from the "warmed" time
+constexpr double kDumpBytes = 1.6e9;
+constexpr int kHelmholtzIters = 60;
+
+// Serial reference work (DCC-core seconds), calibrated against Fig 6
+// (warmed t8: Vayu 963 s) and Table III.
+constexpr double kRefStepSeconds = 350.0;  // per timestep, whole globe
+constexpr double kDynamicsFrac = 0.38;
+constexpr double kHelmholtzFrac = 0.34;
+constexpr double kPhysicsFrac = 0.28;
+constexpr double kTropicsWorkBoost = 0.45;  // extra convection work in tropical bands
+
+// Execute-mode downscaled grid (1-D latitude decomposition).
+constexpr int kExecNx = 48, kExecNy = 24, kExecNz = 3;
+constexpr int kExecTimesteps = 12;
+
 /// 2-D processor grid: py latitude bands x px longitude strips, py >= px.
 void proc_grid(int np, int& px, int& py) {
   py = 1;
@@ -25,7 +46,7 @@ void proc_grid(int np, int& px, int& py) {
 }
 
 /// Model mode: the N320L70 run as a full-scale timing pattern.
-Result run_model(mpi::RankEnv& env, const Config& cfg) {
+Result run_model(mpi::RankEnv& env) {
   auto& comm = env.world();
   const int np = comm.size();
   const int rank = comm.rank();
@@ -33,10 +54,10 @@ Result run_model(mpi::RankEnv& env, const Config& cfg) {
   proc_grid(np, px, py);
   const int band = rank / px;   // latitude band (0 = south pole side)
   const int lon = rank % px;
-  const int lx = cfg.nx / px;
-  const int ly = cfg.ny / py + (band < cfg.ny % py ? 1 : 0);  // uneven bands
+  const int lx = kNx / px;
+  const int ly = kNy / py + (band < kNy % py ? 1 : 0);  // uneven bands
   const double cell_share =
-      static_cast<double>(lx) * ly / (static_cast<double>(cfg.nx) * cfg.ny);
+      static_cast<double>(lx) * ly / (static_cast<double>(kNx) * kNy);
 
   // Neighbours on the torus-ish grid (no wrap in latitude).
   const int east = band * px + (lon + 1) % px;
@@ -45,9 +66,9 @@ Result run_model(mpi::RankEnv& env, const Config& cfg) {
   const int south = band > 0 ? (band - 1) * px + lon : -1;
   // Semi-Lagrangian advection needs wide (4-point) halos.
   const std::size_t ew_bytes =
-      4 * static_cast<std::size_t>(ly) * static_cast<std::size_t>(cfg.nz) * sizeof(double);
+      4 * static_cast<std::size_t>(ly) * static_cast<std::size_t>(kNz) * sizeof(double);
   const std::size_t ns_bytes =
-      4 * static_cast<std::size_t>(lx) * static_cast<std::size_t>(cfg.nz) * sizeof(double);
+      4 * static_cast<std::size_t>(lx) * static_cast<std::size_t>(kNz) * sizeof(double);
 
   auto halo_round = [&](int tag, std::size_t scale_num, std::size_t scale_den) {
     const std::size_t ew = ew_bytes * scale_num / scale_den;
@@ -75,18 +96,18 @@ Result run_model(mpi::RankEnv& env, const Config& cfg) {
 
   // Tropical bands carry extra convection work: the Fig 7 imbalance.
   const bool tropics = band >= py / 4 && band < (3 * py) / 4;
-  const double work_boost = tropics ? 1.0 + cfg.tropics_work_boost : 1.0;
+  const double work_boost = tropics ? 1.0 + kTropicsWorkBoost : 1.0;
   // The physics work removed from the tropics must come from somewhere: the
   // extratropics do correspondingly less, keeping the global total fixed.
   const double boost_norm =
-      1.0 + cfg.tropics_work_boost * 0.5;  // half the bands are tropical
+      1.0 + kTropicsWorkBoost * 0.5;  // half the bands are tropical
 
   // Checkpoint sizing: ~8 prognostic full-level fields per rank (sized but
   // dataless — model mode carries timing, not data). A restored run resumes
   // from the checkpoint instead of re-reading the start dump.
   const std::size_t state_bytes = 8 * static_cast<std::size_t>(lx) *
                                   static_cast<std::size_t>(ly) *
-                                  static_cast<std::size_t>(cfg.nz) * sizeof(double);
+                                  static_cast<std::size_t>(kNz) * sizeof(double);
   int step0 = 0;
   bool restored = false;
   if (env.checkpointing()) {
@@ -98,9 +119,9 @@ Result run_model(mpi::RankEnv& env, const Config& cfg) {
 
   if (!restored) {
     ipm::Region r(env.ipm(), "Read_Dump");
-    if (rank == 0) env.io_read(static_cast<std::size_t>(cfg.dump_bytes), true);
+    if (rank == 0) env.io_read(static_cast<std::size_t>(kDumpBytes), true);
     // Scatter of the dump fields to all ranks.
-    comm.scatter_bytes(nullptr, nullptr, static_cast<std::size_t>(cfg.dump_bytes / np), 0);
+    comm.scatter_bytes(nullptr, nullptr, static_cast<std::size_t>(kDumpBytes / np), 0);
   }
 
   // Polar filter row communicator (built once, like the UM's comm setup).
@@ -108,8 +129,8 @@ Result run_model(mpi::RankEnv& env, const Config& cfg) {
   const bool polar = band == 0 || band == py - 1;
 
   double warm_start = 0.0;
-  for (int step = step0; step < cfg.timesteps; ++step) {
-    if (step == cfg.warmup_steps) {
+  for (int step = step0; step < kTimesteps; ++step) {
+    if (step == kWarmupSteps) {
       comm.barrier();
       warm_start = env.now_seconds();
     }
@@ -119,15 +140,15 @@ Result run_model(mpi::RankEnv& env, const Config& cfg) {
       // wide halo) plus the dynamics compute.
       halo_round(70, 1, 1);
       halo_round(73, 1, 1);
-      env.compute(cfg.ref_step_seconds * cfg.dynamics_frac * cell_share * work_boost /
+      env.compute(kRefStepSeconds * kDynamicsFrac * cell_share * work_boost /
                   boost_norm);
     }
     {
       // Helmholtz solve: per iteration one single-width halo round and the
       // small all-reduces the paper highlights.
       const double per_iter =
-          cfg.ref_step_seconds * cfg.helmholtz_frac * cell_share / cfg.helmholtz_iters;
-      for (int it = 0; it < cfg.helmholtz_iters; ++it) {
+          kRefStepSeconds * kHelmholtzFrac * cell_share / kHelmholtzIters;
+      for (int it = 0; it < kHelmholtzIters; ++it) {
         halo_round(76, 1, 4);
         env.compute(per_iter);
         // Three scalar reductions per solver iteration (as in a
@@ -140,14 +161,14 @@ Result run_model(mpi::RankEnv& env, const Config& cfg) {
     }
     {
       // Physics columns (latitude-dependent work).
-      env.compute(cfg.ref_step_seconds * cfg.physics_frac * cell_share * work_boost /
+      env.compute(kRefStepSeconds * kPhysicsFrac * cell_share * work_boost /
                   boost_norm);
     }
     if (polar && px > 1) {
       // Polar filter: the polar rows exchange full latitude circles.
       row_comm->allgather_bytes(
           nullptr, nullptr,
-          static_cast<std::size_t>(lx) * static_cast<std::size_t>(cfg.nz) * sizeof(double));
+          static_cast<std::size_t>(lx) * static_cast<std::size_t>(kNz) * sizeof(double));
     }
     {
       // Diagnostics: global norms.
@@ -168,11 +189,11 @@ Result run_model(mpi::RankEnv& env, const Config& cfg) {
 
 /// Execute mode: a real advection–diffusion dynamical core on latitude
 /// bands, with conservation verification.
-Result run_execute(mpi::RankEnv& env, const Config& cfg) {
+Result run_execute(mpi::RankEnv& env) {
   auto& comm = env.world();
   const int np = comm.size();
   const int rank = comm.rank();
-  const int nx = cfg.exec_nx, ny = cfg.exec_ny, nz = cfg.exec_nz;
+  const int nx = kExecNx, ny = kExecNy, nz = kExecNz;
   const int y0 = ny * rank / np;
   const int y1 = ny * (rank + 1) / np;
   const int ly = y1 - y0;
@@ -243,7 +264,7 @@ Result run_execute(mpi::RankEnv& env, const Config& cfg) {
   la::Partition part{.n = static_cast<long long>(nx) * ny, .np = np};
   la::DistCsr helm = la::grid_laplacian_7pt(nx, ny, 1, /*shift=*/1.0, part, rank);
 
-  for (int step = step0; step < cfg.exec_timesteps; ++step) {
+  for (int step = step0; step < kExecTimesteps; ++step) {
     ipm::Region atm(env.ipm(), "ATM_STEP");
     // Exchange N/S halos (real data).
     if (np > 1) {
@@ -345,8 +366,8 @@ Result run_execute(mpi::RankEnv& env, const Config& cfg) {
 
 }  // namespace
 
-Result run(mpi::RankEnv& env, const Config& cfg) {
-  return env.execute() ? run_execute(env, cfg) : run_model(env, cfg);
+Result run(mpi::RankEnv& env) {
+  return env.execute() ? run_execute(env) : run_model(env);
 }
 
 }  // namespace cirrus::metum

@@ -19,36 +19,15 @@
 //
 // Execute mode runs a real advection-diffusion dynamical core on a small
 // grid (1-D latitude-band decomposition) with conservation checks; model
-// mode replays the full N320L70 pattern on a 2-D processor grid.
+// mode replays the full N320L70 pattern on a 2-D processor grid. The grid,
+// step count and serial reference work (calibrated against Fig 6 and
+// Table III) are fixed constants in metum.cpp: the paper ran one problem.
 #pragma once
 
 #include "mpi/minimpi.hpp"
 #include "platform/platform.hpp"
 
 namespace cirrus::metum {
-
-struct Config {
-  // Paper-scale (model-mode) problem: N320L70.
-  int nx = 640;   // longitudes
-  int ny = 481;   // latitudes
-  int nz = 70;    // levels
-  int timesteps = 18;
-  int warmup_steps = 2;  // excluded from the "warmed" time
-  double dump_bytes = 1.6e9;
-  int helmholtz_iters = 60;
-
-  // Serial reference work (DCC-core seconds), calibrated against Fig 6
-  // (warmed t8: Vayu 963 s) and Table III.
-  double ref_step_seconds = 350.0;   // per timestep, whole globe
-  double dynamics_frac = 0.38;
-  double helmholtz_frac = 0.34;
-  double physics_frac = 0.28;
-  double tropics_work_boost = 0.45;  // extra convection work in tropical bands
-
-  // Execute-mode downscaled grid (1-D latitude decomposition).
-  int exec_nx = 48, exec_ny = 24, exec_nz = 3;
-  int exec_timesteps = 12;
-};
 
 struct Result {
   bool verified = false;
@@ -60,6 +39,6 @@ struct Result {
 plat::WorkloadTraits traits();
 
 /// Runs the climate benchmark inside a rank fiber.
-Result run(mpi::RankEnv& env, const Config& cfg = Config{});
+Result run(mpi::RankEnv& env);
 
 }  // namespace cirrus::metum

@@ -8,127 +8,32 @@
 namespace cirrus::cloud {
 
 // ---------------------------------------------------------------------------
-// Catalogue / provisioning.
+// Provisioning.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-std::vector<InstanceType> make_catalog() {
-  std::vector<InstanceType> v;
-  {
-    InstanceType t;
-    t.name = "cc1.4xlarge";  // the paper's HPC instance
-    t.phys_cores = 8;
-    t.hw_threads = 16;
-    t.mem_gb = 20;  // usable (23 nominal)
-    t.hourly_usd = 1.60;
-    t.base = plat::ec2();
-    v.push_back(t);
-  }
-  {
-    InstanceType t;
-    t.name = "cc2.8xlarge";
-    t.phys_cores = 16;
-    t.hw_threads = 32;
-    t.mem_gb = 60.5;
-    t.hourly_usd = 2.40;
-    t.boot_median_s = 110;
-    t.base = plat::ec2();
-    t.base.cores_per_node = 16;
-    t.base.hw_threads_per_node = 32;
-    t.base.mem_per_node_GB = 60.5;
-    t.base.nic.bandwidth_Bps = 1.1e9;  // later-generation 10GigE stack
-    t.base.nic.latency_us = 40.0;
-    v.push_back(t);
-  }
-  {
-    InstanceType t;
-    t.name = "m1.xlarge";  // commodity, no placement groups
-    t.phys_cores = 4;
-    t.hw_threads = 4;
-    t.mem_gb = 15;
-    t.hourly_usd = 0.64;
-    t.boot_median_s = 70;
-    t.base = plat::ec2();
-    t.base.cores_per_node = 4;
-    t.base.hw_threads_per_node = 4;
-    t.base.compute.has_smt = false;
-    t.base.mem_per_node_GB = 15;
-    t.base.nic.bandwidth_Bps = 110e6;  // ~GigE class
-    t.base.nic.latency_us = 120.0;
-    t.base.nic.jitter_prob = 0.15;
-    t.base.nic.jitter_mean_us = 400.0;
-    v.push_back(t);
-  }
-  {
-    // The paper's §VI future-work target: an OpenStack private science
-    // cloud run locally (KVM + virtio networking).
-    InstanceType t;
-    t.name = "openstack.kvm8";
-    t.phys_cores = 8;
-    t.hw_threads = 8;
-    t.mem_gb = 32;
-    t.hourly_usd = 0.0;  // internal facility: no marginal dollar cost
-    t.boot_median_s = 45;
-    t.base = plat::dcc();
-    t.base.compute.virt_overhead = 1.05;  // KVM, lighter than ESX's stack
-    t.base.nic.bandwidth_Bps = 280e6;     // virtio-net on 10GigE hosts
-    t.base.nic.latency_us = 45.0;
-    t.base.nic.half_duplex = false;
-    t.base.nic.jitter_prob = 0.04;
-    t.base.nic.jitter_mean_us = 300.0;
-    t.base.fs = plat::FsModel{.read_Bps = 120e6, .write_Bps = 80e6,
-                              .open_latency_ms = 3.0, .name = "Ceph"};
-    v.push_back(t);
-  }
-  return v;
-}
+// On-demand price of the paper's instance (Table I: EC2 cc1.4xlarge), per
+// instance-hour. It also caps the spot price and prices cloud-burst jobs.
+constexpr double kOnDemandHourlyUsd = 1.60;
+constexpr double kBootMedianS = 90.0;  // EC2-style boot latency (lognormal)
+constexpr double kBootSigma = 0.35;
 
 }  // namespace
 
-const std::vector<InstanceType>& instance_catalog() {
-  static const std::vector<InstanceType> catalog = make_catalog();
-  return catalog;
-}
-
-const InstanceType& instance_type(const std::string& name) {
-  for (const auto& t : instance_catalog()) {
-    if (t.name == name) return t;
-  }
-  throw std::invalid_argument("unknown instance type: " + name);
-}
-
-Cluster Provisioner::provision(const std::string& type_name, int n, bool placement_group) {
+Cluster Provisioner::provision(int n) {
   if (n <= 0) throw std::invalid_argument("provision: need at least one instance");
-  const auto& type = instance_type(type_name);
   Cluster c;
-  c.platform = type.base;
-  c.platform.name = type.name + "-x" + std::to_string(n);
+  c.platform = plat::ec2();
+  c.platform.name = "cc1.4xlarge-x" + std::to_string(n);
   c.platform.nodes = n;
-  c.instances = n;
-  c.placement_group = placement_group;
-  c.hourly_usd = type.hourly_usd * n;
-  c.topo.kind = topo::Kind::PlacementGroups;
-  if (placement_group) {
-    // One full-bisection group spanning the whole cluster: the fabric is
-    // non-blocking for this job (all routes stay inside the group).
-    c.topo.leaf_radix = n;
-  } else {
-    // Outside a cluster placement group there is no full-bisection
-    // guarantee: instances land in small pods behind a shared, slower core
-    // (modelled both in the fabric and, for NIC-only consumers, as the
-    // historic flat degradation below).
-    c.topo.leaf_radix = std::max(1, std::min(4, n));
-    c.platform.nic.bandwidth_Bps *= 0.4;
-    c.platform.nic.latency_us *= 2.5;
-    c.platform.nic.jitter_prob = std::min(1.0, c.platform.nic.jitter_prob * 2.0);
-  }
+  c.hourly_usd = kOnDemandHourlyUsd * n;
   // Cluster readiness: the slowest instance boot (images occasionally come
   // up slowly or need a retry — the paper's "images not booting correctly").
   double slowest = 0;
   for (int i = 0; i < n; ++i) {
-    double boot = rng_.lognormal_median(type.boot_median_s, type.boot_sigma);
-    if (rng_.chance(0.03)) boot += type.boot_median_s * 3;  // boot retry
+    double boot = rng_.lognormal_median(kBootMedianS, kBootSigma);
+    if (rng_.chance(0.03)) boot += kBootMedianS * 3;  // boot retry
     slowest = std::max(slowest, boot);
   }
   c.ready_after_s = slowest;
@@ -139,18 +44,26 @@ Cluster Provisioner::provision(const std::string& type_name, int n, bool placeme
 // Spot market.
 // ---------------------------------------------------------------------------
 
-SpotMarket::SpotMarket(const Options& opts, std::uint64_t seed)
-    : opts_(opts), rng_(sim::Rng(seed).fork(0x5707)) {
-  prices_.push_back(opts_.mean_usd);
+namespace {
+
+constexpr double kSpotMeanUsd = 0.60;     // long-run mean price
+constexpr double kSpotReversion = 0.08;   // mean-reversion strength per step
+constexpr double kSpotVolatility = 0.07;  // per-step noise
+constexpr double kSpotStepS = 300.0;      // price update granularity
+
+}  // namespace
+
+SpotMarket::SpotMarket(std::uint64_t seed) : rng_(sim::Rng(seed).fork(0x5707)) {
+  prices_.push_back(kSpotMeanUsd);
 }
 
 void SpotMarket::extend_to(double t_seconds) {
-  const auto need = static_cast<std::size_t>(std::max(0.0, t_seconds / opts_.step_seconds)) + 2;
+  const auto need = static_cast<std::size_t>(std::max(0.0, t_seconds / kSpotStepS)) + 2;
   while (prices_.size() < need) {
     const double p = prices_.back();
-    double next = p + opts_.reversion * (opts_.mean_usd - p) +
-                  opts_.volatility * opts_.mean_usd * rng_.normal();
-    next = std::clamp(next, 0.1 * opts_.mean_usd, opts_.on_demand_usd);
+    double next = p + kSpotReversion * (kSpotMeanUsd - p) +
+                  kSpotVolatility * kSpotMeanUsd * rng_.normal();
+    next = std::clamp(next, 0.1 * kSpotMeanUsd, kOnDemandHourlyUsd);
     prices_.push_back(next);
   }
 }
@@ -158,16 +71,16 @@ void SpotMarket::extend_to(double t_seconds) {
 double SpotMarket::price_at(double t_seconds) {
   if (t_seconds < 0) t_seconds = 0;
   extend_to(t_seconds);
-  return prices_[static_cast<std::size_t>(t_seconds / opts_.step_seconds)];
+  return prices_[static_cast<std::size_t>(t_seconds / kSpotStepS)];
 }
 
 double SpotMarket::next_interruption(double t_seconds, double bid, double horizon_seconds) {
   extend_to(t_seconds + horizon_seconds);
-  auto step = static_cast<std::size_t>(std::max(0.0, t_seconds) / opts_.step_seconds);
-  const auto last = static_cast<std::size_t>((t_seconds + horizon_seconds) / opts_.step_seconds);
+  auto step = static_cast<std::size_t>(std::max(0.0, t_seconds) / kSpotStepS);
+  const auto last = static_cast<std::size_t>((t_seconds + horizon_seconds) / kSpotStepS);
   for (; step <= last; ++step) {
     if (prices_[step] > bid) {
-      return std::max(t_seconds, static_cast<double>(step) * opts_.step_seconds);
+      return std::max(t_seconds, static_cast<double>(step) * kSpotStepS);
     }
   }
   return -1.0;
@@ -175,11 +88,11 @@ double SpotMarket::next_interruption(double t_seconds, double bid, double horizo
 
 double SpotMarket::next_available(double t_seconds, double bid, double horizon_seconds) {
   extend_to(t_seconds + horizon_seconds);
-  auto step = static_cast<std::size_t>(std::max(0.0, t_seconds) / opts_.step_seconds);
-  const auto last = static_cast<std::size_t>((t_seconds + horizon_seconds) / opts_.step_seconds);
+  auto step = static_cast<std::size_t>(std::max(0.0, t_seconds) / kSpotStepS);
+  const auto last = static_cast<std::size_t>((t_seconds + horizon_seconds) / kSpotStepS);
   for (; step <= last; ++step) {
     if (prices_[step] <= bid) {
-      return std::max(t_seconds, static_cast<double>(step) * opts_.step_seconds);
+      return std::max(t_seconds, static_cast<double>(step) * kSpotStepS);
     }
   }
   return -1.0;
@@ -189,8 +102,8 @@ double SpotMarket::cost(double t0, double t1, int instances) {
   if (t1 <= t0) return 0;
   extend_to(t1);
   double usd = 0;
-  for (double t = t0; t < t1; t += opts_.step_seconds) {
-    const double span = std::min(opts_.step_seconds, t1 - t);
+  for (double t = t0; t < t1; t += kSpotStepS) {
+    const double span = std::min(kSpotStepS, t1 - t);
     usd += price_at(t) * instances * span / 3600.0;
   }
   return usd;
@@ -320,9 +233,17 @@ double cloud_slowdown(const ipm::JobReport& profile, const plat::Platform& src,
 // Batch scheduler.
 // ---------------------------------------------------------------------------
 
+namespace {
+
+constexpr int kLocalCores = 64;
+constexpr double kMaxBurstSlowdown = 1.8;
+constexpr double kCloudBootS = 120;
+
+}  // namespace
+
 ScheduleResult BatchScheduler::run(std::vector<JobSpec> jobs) const {
   for (const auto& j : jobs) {
-    if (j.cores > opts_.local_cores) {
+    if (j.cores > kLocalCores) {
       throw std::invalid_argument("job " + j.name + " needs more cores than the facility has");
     }
   }
@@ -339,7 +260,7 @@ ScheduleResult BatchScheduler::run(std::vector<JobSpec> jobs) const {
   };
   std::vector<Live> live;
   std::vector<const JobSpec*> queue;  // not yet started
-  int free_cores = opts_.local_cores;
+  int free_cores = kLocalCores;
   double now = 0;
   double last_update = 0;
   std::size_t next = 0;
@@ -436,7 +357,7 @@ ScheduleResult BatchScheduler::run(std::vector<JobSpec> jobs) const {
       }
       // Cloud-burst the job if the projected wait is too long.
       if (opts_.burst_wait_threshold_s >= 0 && j.cloud_eligible &&
-          j.cloud_slowdown <= opts_.max_burst_slowdown) {
+          j.cloud_slowdown <= kMaxBurstSlowdown) {
         // Project when enough local cores free up (running jobs only).
         std::vector<std::pair<double, int>> finishes;
         for (const auto& l : live) {
@@ -451,7 +372,7 @@ ScheduleResult BatchScheduler::run(std::vector<JobSpec> jobs) const {
           would_free += cores;
         }
         if (would_free >= j.cores && when - now > opts_.burst_wait_threshold_s) {
-          const double start = now + opts_.cloud_boot_s;
+          const double start = now + kCloudBootS;
           const double runtime = j.runtime_local_s * j.cloud_slowdown;
           result.jobs.push_back(JobOutcome{.name = j.name,
                                            .start_s = start,
@@ -459,9 +380,9 @@ ScheduleResult BatchScheduler::run(std::vector<JobSpec> jobs) const {
                                            .wait_s = start - j.submit_s,
                                            .ran_on_cloud = true,
                                            .suspensions = 0});
-          result.cloud_cost_usd += opts_.cloud_hourly_per_8cores_usd *
+          result.cloud_cost_usd += kOnDemandHourlyUsd *
                                    std::ceil(j.cores / 8.0) *
-                                   std::ceil((runtime + opts_.cloud_boot_s) / 3600.0);
+                                   std::ceil((runtime + kCloudBootS) / 3600.0);
           ++result.cloud_jobs;
           queue.erase(best);
           progress = true;

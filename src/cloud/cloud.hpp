@@ -6,9 +6,9 @@
 // ARRIVE-F-style profiles and (future work) EC2 spot pricing. This module
 // implements those pieces:
 //
-//  * Provisioner   — StarCluster-like: instance catalogue, boot latency,
-//                    placement groups, assembling a plat::Platform from
-//                    freshly provisioned instances;
+//  * Provisioner   — StarCluster-like: boots the paper's cc1.4xlarge
+//                    instances (Table I) in one cluster placement group and
+//                    assembles a plat::Platform from them;
 //  * SpotMarket    — a seeded mean-reverting spot-price process with
 //                    bid-based interruption;
 //  * ArriveF       — cross-platform runtime prediction from an IPM profile
@@ -20,14 +20,12 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "ipm/ipm.hpp"
 #include "platform/platform.hpp"
 #include "sim/rng.hpp"
-#include "topo/topo.hpp"
 
 namespace cirrus::cloud {
 
@@ -35,45 +33,22 @@ namespace cirrus::cloud {
 // Provisioning (StarCluster-like).
 // ---------------------------------------------------------------------------
 
-/// A purchasable instance type.
-struct InstanceType {
-  std::string name;
-  int phys_cores = 8;
-  int hw_threads = 16;
-  double mem_gb = 20;
-  double hourly_usd = 1.60;
-  double boot_median_s = 90.0;  ///< EC2-style boot latency (lognormal)
-  double boot_sigma = 0.35;
-  plat::Platform base;  ///< per-node hardware/network template
-};
-
-/// The catalogue the study uses (cc1.4xlarge is the paper's instance).
-const std::vector<InstanceType>& instance_catalog();
-const InstanceType& instance_type(const std::string& name);
-
 /// A provisioned cluster: a Platform plus readiness/cost metadata.
 struct Cluster {
   plat::Platform platform;
   double ready_after_s = 0;  ///< time until the slowest instance booted
   double hourly_usd = 0;
-  int instances = 0;
-  bool placement_group = false;
-  /// Fabric the instances landed on: one full-bisection placement group
-  /// when requested, otherwise small pods behind a congested shared core.
-  /// Feed into mpi::JobConfig::topology to price jobs on this cluster with
-  /// emergent fabric contention.
-  topo::TopoSpec topo;
 };
 
-/// Assembles clusters from the catalogue, StarCluster style.
+/// Assembles cc1.4xlarge clusters, StarCluster style.
 class Provisioner {
  public:
   explicit Provisioner(std::uint64_t seed = 1) : rng_(sim::Rng(seed).fork(0xC10D)) {}
 
-  /// Launches `n` instances of `type`. Without a placement group the
-  /// inter-node bandwidth drops and latency rises (no full-bisection
-  /// guarantee).
-  Cluster provision(const std::string& type_name, int n, bool placement_group);
+  /// Launches `n` cc1.4xlarge instances in one cluster placement group: each
+  /// node is plat::ec2(), billed at $1.60 per instance-hour, and the cluster
+  /// is ready when the slowest instance has booted.
+  Cluster provision(int n);
 
  private:
   sim::Rng rng_;
@@ -83,18 +58,12 @@ class Provisioner {
 // Spot market.
 // ---------------------------------------------------------------------------
 
-/// A seeded mean-reverting spot price process with bid interruptions.
+/// A seeded mean-reverting spot price process with bid interruptions: the
+/// price reverts towards a $0.60 mean, moves every 300 s, and is capped at
+/// the on-demand price.
 class SpotMarket {
  public:
-  struct Options {
-    double mean_usd = 0.60;       ///< long-run mean price
-    double on_demand_usd = 1.60;  ///< price cap
-    double reversion = 0.08;      ///< mean-reversion strength per step
-    double volatility = 0.07;     ///< per-step noise
-    double step_seconds = 300.0;  ///< price update granularity
-  };
-
-  SpotMarket(const Options& opts, std::uint64_t seed);
+  explicit SpotMarket(std::uint64_t seed);
 
   /// Price at time t (piecewise constant per step; deterministic per seed).
   double price_at(double t_seconds);
@@ -113,7 +82,6 @@ class SpotMarket {
  private:
   void extend_to(double t_seconds);
 
-  Options opts_;
   sim::Rng rng_;
   std::vector<double> prices_;  // per step
 };
@@ -201,17 +169,15 @@ struct ScheduleResult {
   int cloud_jobs = 0;
 };
 
-/// FIFO-with-cloudburst facility scheduler (event-driven, standalone).
+/// FIFO-with-cloudburst facility scheduler (event-driven, standalone) for a
+/// 64-core facility. A burst job boots for 120 s and rents one cc1.4xlarge
+/// per 8 cores at the on-demand price, billed by the started hour.
 class BatchScheduler {
  public:
   struct Options {
-    int local_cores = 64;
     /// Burst when the projected queue wait exceeds this and the job's
-    /// cloud_slowdown is below max_burst_slowdown. <0: never burst.
+    /// cloud_slowdown is at most 1.8. <0: never burst.
     double burst_wait_threshold_s = -1;
-    double max_burst_slowdown = 1.8;
-    double cloud_hourly_per_8cores_usd = 1.60;
-    double cloud_boot_s = 120;
     /// Allow higher-priority arrivals to suspend running jobs.
     bool suspend_resume = true;
   };

@@ -130,10 +130,9 @@ wf::Plan plan_workflow(const wf::Dag& dag, int workers, WfPolicy policy,
   return plan;
 }
 
-WfCost price_workflow(const std::string& instance_type, int instances, bool placement_group,
-                      double makespan_s, std::uint64_t seed) {
+WfCost price_workflow(int instances, double makespan_s, std::uint64_t seed) {
   Provisioner prov(seed);
-  const Cluster cluster = prov.provision(instance_type, instances, placement_group);
+  const Cluster cluster = prov.provision(instances);
   WfCost cost;
   cost.ready_after_s = cluster.ready_after_s;
   cost.hourly_usd = cluster.hourly_usd;

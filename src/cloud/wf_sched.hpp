@@ -55,14 +55,14 @@ struct WfCostModel {
 wf::Plan plan_workflow(const wf::Dag& dag, int workers, WfPolicy policy,
                        const WfCostModel& costs);
 
-/// Price of renting a freshly provisioned cloud cluster for one workflow:
-/// boot latency plus makespan, billed at the cluster's hourly rate.
+/// Price of renting a freshly provisioned cc1.4xlarge cluster of `instances`
+/// for one workflow: boot latency plus makespan, billed at the cluster's
+/// hourly rate.
 struct WfCost {
   double ready_after_s = 0;
   double hourly_usd = 0;
   double cost_usd = 0;
 };
-WfCost price_workflow(const std::string& instance_type, int instances, bool placement_group,
-                      double makespan_s, std::uint64_t seed);
+WfCost price_workflow(int instances, double makespan_s, std::uint64_t seed);
 
 }  // namespace cirrus::cloud

@@ -108,9 +108,7 @@ ResilientRun run_resilient(const mpi::JobConfig& config,
       out.cost_usd += opts.hourly_usd * ran / 3600.0;
       if (merged && killed.trace) merged->merge(*killed.trace, sim::from_seconds(global_t));
       double delay = opts.requeue_delay_s;
-      if (!opts.instance_type.empty()) {
-        delay = provisioner.provision(opts.instance_type, opts.instances, true).ready_after_s;
-      }
+      if (opts.reprovision) delay = provisioner.provision(opts.instances).ready_after_s;
       out.restart_delay_s += delay;
       global_t += ran + delay;
     }
@@ -164,8 +162,7 @@ cloud::SpotRun run_on_spot(cloud::SpotMarket& market, const mpi::JobConfig& conf
     }
 
     // Boot the instances; billing starts when capacity is granted.
-    const double boot =
-        provisioner.provision("cc1.4xlarge", opts.instances, true).ready_after_s;
+    const double boot = provisioner.provision(opts.instances).ready_after_s;
     out.boot_overhead_s += boot;
     const double run_from = start + boot;
 

@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "cloud/cloud.hpp"
@@ -64,10 +63,10 @@ class FaultSchedule {
 
 /// How run_resilient charges restarts.
 struct ResilientOptions {
-  /// When non-empty, each restart re-provisions `instances` of this type
+  /// When set, each restart re-provisions `instances` cc1.4xlarge instances
   /// (in a placement group) through cloud::Provisioner and waits out the
-  /// boot; when empty, a fixed HPC-style requeue delay applies instead.
-  std::string instance_type;
+  /// boot; otherwise a fixed HPC-style requeue delay applies instead.
+  bool reprovision = false;
   int instances = 1;
   double requeue_delay_s = 60.0;
   /// Cost of holding the allocation, per hour (whole job, not per node).

@@ -128,21 +128,4 @@ CgResult cg_solve(mpi::RankEnv& env, const DistCsr& a, const std::vector<double>
   return result;
 }
 
-void cg_solve_pattern(mpi::RankEnv& env, long long n, int iters, const CgOptions& opts) {
-  auto& comm = env.world();
-  const int np = comm.size();
-  const std::size_t block =
-      static_cast<std::size_t>((n + np - 1) / np) * sizeof(double);
-  for (int it = 0; it < iters; ++it) {
-    comm.allgather_bytes(nullptr, nullptr, block);
-    if (opts.ref_seconds_per_iter > 0.0) {
-      env.compute(opts.ref_seconds_per_iter / static_cast<double>(np));
-    }
-    double v = 1.0;
-    v = comm.allreduce_one(v, mpi::Op::Sum);   // p.q
-    v = comm.allreduce_one(v, mpi::Op::Sum);   // r.z
-    (void)comm.allreduce_one(v, mpi::Op::Sum); // r.r
-  }
-}
-
 }  // namespace cirrus::la

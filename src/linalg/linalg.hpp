@@ -5,10 +5,10 @@
 // dominates the Chaste cardiac benchmark (paper §V-C1) and the Helmholtz
 // solve inside MetUM's ATM_STEP.
 //
-// Like the rest of cirrus, the solver runs in two modes:
-//  * solve(): real math on a real matrix (execute mode, tests);
-//  * solve_pattern(): the same communication pattern and compute charges for
-//    a problem too large to materialise (paper-scale model mode).
+// The solver is execute-mode only: real math on a real matrix (the apps'
+// downscaled problems, tests). The paper-scale model-mode runs do not call
+// it: Chaste's KSp and MetUM's Helmholtz solve replay their own per-iteration
+// pattern (a halo exchange plus three scalar allreduces) inline.
 #pragma once
 
 #include <cstddef>
@@ -68,11 +68,6 @@ struct CgResult {
 /// identifies as entirely small all-reduce bound on high-latency networks.
 CgResult cg_solve(mpi::RankEnv& env, const DistCsr& a, const std::vector<double>& b,
                   std::vector<double>& x, const CgOptions& opts);
-
-/// Model-mode twin of cg_solve: performs `iters` iterations of the identical
-/// message pattern for an n-unknown system (no data), charging
-/// `opts.ref_seconds_per_iter` per iteration.
-void cg_solve_pattern(mpi::RankEnv& env, long long n, int iters, const CgOptions& opts);
 
 // Small local helpers (exposed for tests).
 double dot_local(const std::vector<double>& a, const std::vector<double>& b);

@@ -34,6 +34,7 @@
 #include "obs/telemetry.hpp"
 #include "platform/platform.hpp"
 #include "sim/engine.hpp"
+#include "sim/rng.hpp"
 #include "storage/storage.hpp"
 
 namespace cirrus::mpi {

@@ -100,7 +100,7 @@ AdvisorResult advise(const AdvisorRequest& req) {
   //    (the paper's EC2-4 lesson: never oversubscribe).
   cloud::Provisioner prov(req.seed);
   out.instances = (req.np + 7) / 8;
-  const auto cluster = prov.provision("cc1.4xlarge", out.instances, /*placement_group=*/true);
+  const auto cluster = prov.provision(out.instances);
   out.cluster_ready_s = cluster.ready_after_s;
   out.hourly_usd = cluster.hourly_usd;
 
@@ -116,7 +116,7 @@ AdvisorResult advise(const AdvisorRequest& req) {
   // 5. Compare turnarounds and price the cloud run at spot.
   out.local_turnaround_s = req.queue_wait_h * 3600 + out.local_runtime_s;
   out.cloud_turnaround_s = deployment.ready_seconds + cluster.ready_after_s + pred.seconds;
-  cloud::SpotMarket market({}, 7);
+  cloud::SpotMarket market(7);
   out.spot_cost_usd = market.cost(0, out.cloud_turnaround_s, out.instances);
   out.on_demand_cost_usd = cluster.hourly_usd * (out.cloud_turnaround_s / 3600.0);
 

@@ -159,9 +159,7 @@ RunOutcome execute(const core::RunRequest& req, const ExecOptions& exec) {
                                                cfg.max_ranks_per_node, cfg.traits, cfg.seed);
       int instances = 1;
       for (const auto& p : placement) instances = std::max(instances, p.node + 1);
-      const auto price = cloud::price_workflow("cc1.4xlarge", instances,
-                                               /*placement_group=*/true, res.makespan_s,
-                                               req.seed);
+      const auto price = cloud::price_workflow(instances, res.makespan_s, req.seed);
       v["wf_cost_usd"] = price.cost_usd;
     }
     out.display_name = "wf " + dag.name + " (" + req.wf_sched + ", " +

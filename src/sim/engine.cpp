@@ -32,7 +32,7 @@ void Process::suspend(ResumeHook hook, void* ctx) {
   suspend();
 }
 
-Engine::Engine(const Options& opts) : rng_(opts.seed) {}
+Engine::Engine() = default;
 
 Engine::~Engine() = default;
 

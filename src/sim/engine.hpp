@@ -1,8 +1,8 @@
 // The cirrus discrete-event simulation engine.
 //
 // A single OS thread multiplexes any number of simulated processes (fibers).
-// Events are executed in strict (time, sequence) order, so a given program +
-// seed always produces bit-identical virtual timings.
+// Events are executed in strict (time, sequence) order, so a given program
+// always produces bit-identical virtual timings.
 //
 // Pending events sit in a 4-ary min-heap over SoA storage
 // (sim/event_queue.hpp). Three event kinds share it:
@@ -47,7 +47,6 @@
 
 #include "sim/event_queue.hpp"
 #include "sim/fiber.hpp"
-#include "sim/rng.hpp"
 #include "sim/time.hpp"
 
 namespace cirrus::sim {
@@ -118,10 +117,6 @@ class Process {
 /// The event-driven simulator core.
 class Engine {
  public:
-  struct Options {
-    std::uint64_t seed = 1;
-  };
-
   /// Intrinsic self-profiling counters, maintained inline by the hot loop
   /// (a handful of predictable adds per event — cheap enough to keep always
   /// on). Deterministic: derived purely from the event stream, never from
@@ -143,15 +138,13 @@ class Engine {
     std::uint64_t deadlock_scans = 0;   ///< end-of-run blocked-process scans
   };
 
-  Engine() : Engine(Options{}) {}
-  explicit Engine(const Options& opts);
+  Engine();
   ~Engine();
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
-  [[nodiscard]] Rng& rng() noexcept { return rng_; }
   [[nodiscard]] std::uint64_t events_processed() const noexcept { return events_processed_; }
   /// Queued events plus reserved wakes not yet due.
   [[nodiscard]] std::size_t events_pending() const noexcept;
@@ -285,7 +278,6 @@ class Engine {
   void schedule_raw(SimTime when, void (*fn)(void*), void* ctx);
   friend struct EngineInternal;
 
-  Rng rng_;
   Stats stats_;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;

@@ -27,6 +27,10 @@ std::uint64_t mix64(std::uint64_t x) {
 
 int ceil_div(int a, int b) { return (a + b - 1) / b; }
 
+constexpr double kHopLatencyUs = 0.5;         // per-fabric-link store latency (switch hop)
+constexpr double kCoreBwFraction = 0.4;       // placement-group core link vs NIC bandwidth
+constexpr double kCoreExtraLatencyUs = 80.0;  // one-way, split over the up and down links
+
 }  // namespace
 
 const char* to_string(Kind k) noexcept {
@@ -96,25 +100,23 @@ Topology Topology::build(const TopoSpec& spec, const plat::NicModel& nic, int jo
   if (spec.kind == Kind::Crossbar) {
     // Non-blocking: no fabric links, every route empty. The cost model
     // reduces exactly to the per-node NIC ports.
-    t.nodes_ = std::max(job_nodes, spec.fabric_nodes);
+    t.nodes_ = job_nodes;
     t.groups_ = 0;
     t.per_group_ = t.nodes_;
     return t;
   }
 
   if (spec.kind == Kind::VSwitch) {
-    t.nodes_ = std::max(job_nodes, spec.fabric_nodes);
+    t.nodes_ = job_nodes;
     t.groups_ = 1;
     t.per_group_ = t.nodes_;
     t.group_.assign(static_cast<std::size_t>(t.nodes_), 0);
-    const double bw = spec.backplane_Bps > 0 ? spec.backplane_Bps : nic.bandwidth_Bps;
-    t.links_.push_back(Link{"backplane", bw, spec.hop_latency_us});
+    t.links_.push_back(Link{"backplane", nic.bandwidth_Bps, kHopLatencyUs});
     return t;
   }
 
   const int radix = std::max(1, spec.leaf_radix);
-  const int want = std::max(job_nodes, spec.fabric_nodes);
-  const int groups = ceil_div(want, radix);
+  const int groups = ceil_div(job_nodes, radix);
   t.groups_ = groups;
   t.per_group_ = radix;
   t.nodes_ = groups * radix;  // whole leaves/groups only
@@ -130,8 +132,8 @@ Topology Topology::build(const TopoSpec& spec, const plat::NicModel& nic, int jo
     // plane, so incast collides on the same uplink/downlink pair.
     t.plane_.resize(static_cast<std::size_t>(t.nodes_));
     for (int n = 0; n < t.nodes_; ++n) {
-      t.plane_[static_cast<std::size_t>(n)] = static_cast<int>(
-          mix64(static_cast<std::uint64_t>(n) ^ spec.route_salt) % static_cast<std::uint64_t>(u));
+      t.plane_[static_cast<std::size_t>(n)] =
+          static_cast<int>(mix64(static_cast<std::uint64_t>(n)) % static_cast<std::uint64_t>(u));
     }
     // Layout: leaf l's uplinks are [l*u, l*u + u), then all downlinks follow
     // with the same per-leaf stride.
@@ -139,13 +141,13 @@ Topology Topology::build(const TopoSpec& spec, const plat::NicModel& nic, int jo
     for (int l = 0; l < groups; ++l) {
       for (int i = 0; i < u; ++i) {
         t.links_.push_back(Link{"leaf" + std::to_string(l) + ".up" + std::to_string(i),
-                                nic.bandwidth_Bps, spec.hop_latency_us});
+                                nic.bandwidth_Bps, kHopLatencyUs});
       }
     }
     for (int l = 0; l < groups; ++l) {
       for (int i = 0; i < u; ++i) {
         t.links_.push_back(Link{"leaf" + std::to_string(l) + ".down" + std::to_string(i),
-                                nic.bandwidth_Bps, spec.hop_latency_us});
+                                nic.bandwidth_Bps, kHopLatencyUs});
       }
     }
     return t;
@@ -153,8 +155,8 @@ Topology Topology::build(const TopoSpec& spec, const plat::NicModel& nic, int jo
 
   // PlacementGroups: one shared up/down pair per group onto the core; the
   // core link speed is what a flow gets with no full-bisection guarantee.
-  const double core_bw = spec.core_Bps > 0 ? spec.core_Bps : 0.4 * nic.bandwidth_Bps;
-  const double hop_us = spec.hop_latency_us + 0.5 * spec.core_extra_latency_us;
+  const double core_bw = kCoreBwFraction * nic.bandwidth_Bps;
+  const double hop_us = kHopLatencyUs + 0.5 * kCoreExtraLatencyUs;
   t.links_.reserve(static_cast<std::size_t>(2 * groups));
   for (int l = 0; l < groups; ++l) {
     t.links_.push_back(Link{"pg" + std::to_string(l) + ".up", core_bw, hop_us});

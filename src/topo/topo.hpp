@@ -71,7 +71,13 @@ const char* to_string(Placement p) noexcept;
 /// std::invalid_argument otherwise.
 Placement placement_from_string(const std::string& s);
 
-/// Parameters describing a fabric to build. Plain data; sweepable.
+/// Parameters describing a fabric to build. Plain data; sweepable. The
+/// link speeds and latencies are fixed: every switch hop costs 0.5 us, the
+/// VSwitch backplane runs at the NIC's bandwidth, and a placement group's
+/// core links run at 0.4x the NIC's bandwidth (the no-placement-group
+/// degradation the paper observed) with 80 us extra one-way latency, split
+/// evenly over the up and down links. The fabric spans the job's nodes
+/// rounded up to whole leaves/groups.
 struct TopoSpec {
   Kind kind = Kind::Crossbar;
   /// Nodes per leaf switch (FatTree) or per placement group (PlacementGroups).
@@ -79,22 +85,6 @@ struct TopoSpec {
   /// FatTree: ratio of leaf downlink to uplink capacity; uplinks per leaf =
   /// max(1, round(leaf_radix / oversubscription)). 1.0 = full bisection.
   double oversubscription = 1.0;
-  /// VSwitch backplane bandwidth; 0 = the platform's NIC bandwidth.
-  double backplane_Bps = 0;
-  /// PlacementGroups cross-group link bandwidth; 0 = 0.4x NIC bandwidth (the
-  /// no-placement-group degradation the paper observed).
-  double core_Bps = 0;
-  /// Extra one-way latency for crossing the core between placement groups,
-  /// split evenly over the group's up and down links (microseconds).
-  double core_extra_latency_us = 80.0;
-  /// Per-fabric-link store latency (switch hop cost), microseconds.
-  double hop_latency_us = 0.5;
-  /// Fabric size in nodes; 0 = the job's node span rounded up to whole
-  /// leaves/groups. Larger fabrics give Scattered placement room to spread.
-  int fabric_nodes = 0;
-  /// Salt for the destination-hashed static route choice: different salts
-  /// model different (equally deterministic) routing tables.
-  std::uint64_t route_salt = 0;
 };
 
 /// Short self-describing tag for sweep tables, e.g. "fattree-2:1",
@@ -121,8 +111,8 @@ struct Route {
 class Topology {
  public:
   /// Builds the fabric described by `spec` for a job spanning `job_nodes`
-  /// nodes with NICs of `nic`. The fabric may be larger than the job (see
-  /// TopoSpec::fabric_nodes); it is never smaller.
+  /// nodes with NICs of `nic`. A fat-tree or placement-group fabric rounds
+  /// the job up to whole leaves/groups; it is never smaller.
   static Topology build(const TopoSpec& spec, const plat::NicModel& nic, int job_nodes);
 
   [[nodiscard]] Kind kind() const noexcept { return spec_.kind; }

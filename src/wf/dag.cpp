@@ -20,7 +20,7 @@ std::string lower(std::string s) {
 class Builder {
  public:
   Builder(const GenOptions& opts, std::string shape_tag)
-      : scale_(opts.data_scale), rng_(sim::Rng(opts.seed).fork(0xDA6)) {
+      : rng_(sim::Rng(opts.seed).fork(0xDA6)) {
     dag_.shape = opts.shape;
     dag_.name = std::move(shape_tag);
   }
@@ -38,8 +38,8 @@ class Builder {
     t.name = base + "_" + std::to_string(id);
     t.stage = stage;
     t.ref_seconds = ref_s * jc;
-    t.out_bytes = static_cast<std::size_t>(out_bytes * scale_ * jd);
-    t.ext_in_bytes = static_cast<std::size_t>(ext_in_bytes * scale_ * jd);
+    t.out_bytes = static_cast<std::size_t>(out_bytes * jd);
+    t.ext_in_bytes = static_cast<std::size_t>(ext_in_bytes * jd);
     for (const int d : deps) {
       if (d < 0 || d >= id) throw std::logic_error("wf::generate: bad dependency");
     }
@@ -58,7 +58,6 @@ class Builder {
 
  private:
   Dag dag_;
-  double scale_;
   sim::Rng rng_;
 };
 
@@ -179,7 +178,6 @@ std::size_t Dag::total_bytes() const {
 
 Dag generate(const GenOptions& opts) {
   if (opts.width < 0) throw std::invalid_argument("wf width: must be >= 0");
-  if (opts.data_scale <= 0) throw std::invalid_argument("wf data_scale: must be > 0");
   switch (opts.shape) {
     case Shape::Montage:
       return gen_montage(opts, opts.width > 0 ? opts.width : 16);

@@ -64,13 +64,11 @@ struct GenOptions {
   /// Parallel width (branches per fan-out stage). 0: the shape's default
   /// (Montage 16, Epigenomics 8, Broadband 8, Diamond 8).
   int width = 0;
-  /// Multiplies every file size (data-footprint scaling study knob).
-  double data_scale = 1.0;
   std::uint64_t seed = 1;
 };
 
 /// Builds the DAG for `opts`. Deterministic per options; throws
-/// std::invalid_argument on nonsensical options (width < 0, scale <= 0).
+/// std::invalid_argument on a negative width.
 Dag generate(const GenOptions& opts);
 
 /// One-line structural summary ("montage-16: 50 tasks / 7 stages / ...")

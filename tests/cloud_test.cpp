@@ -15,46 +15,41 @@ namespace plat = cirrus::plat;
 namespace npb = cirrus::npb;
 
 // ----------------------------------------------------------- provisioning
-TEST(Provisioner, CatalogHasThePapersInstance) {
-  const auto& t = cloud::instance_type("cc1.4xlarge");
-  EXPECT_EQ(t.phys_cores, 8);
-  EXPECT_EQ(t.hw_threads, 16);
-  EXPECT_NEAR(t.hourly_usd, 1.60, 0.01);
-  EXPECT_THROW(cloud::instance_type("p5.48xlarge"), std::invalid_argument);
-}
-
-TEST(Provisioner, BuildsClusterPlatform) {
-  cloud::Provisioner prov(7);
-  const auto c = prov.provision("cc1.4xlarge", 4, /*placement_group=*/true);
-  EXPECT_EQ(c.platform.nodes, 4);
-  EXPECT_EQ(c.platform.hw_threads_per_node, 16);
-  EXPECT_GT(c.ready_after_s, 10.0);    // instances take time to boot
-  EXPECT_LT(c.ready_after_s, 1200.0);
-  EXPECT_NEAR(c.hourly_usd, 6.40, 0.01);
-}
-
-TEST(Provisioner, NoPlacementGroupDegradesNetwork) {
-  cloud::Provisioner prov(7);
-  const auto pg = prov.provision("cc1.4xlarge", 4, true);
-  const auto no_pg = prov.provision("cc1.4xlarge", 4, false);
-  EXPECT_LT(no_pg.platform.nic.bandwidth_Bps, 0.5 * pg.platform.nic.bandwidth_Bps);
-  EXPECT_GT(no_pg.platform.nic.latency_us, 2.0 * pg.platform.nic.latency_us);
+TEST(Provisioner, BuildsThePapersEc2Cluster) {
+  // n cc1.4xlarge instances in one placement group: plat::ec2() nodes,
+  // billed at the on-demand $1.60 per instance-hour.
+  for (const int n : {1, 4, 9}) {
+    cloud::Provisioner prov(7);
+    const auto c = prov.provision(n);
+    const auto want = plat::ec2();
+    EXPECT_EQ(c.platform.nodes, n);
+    EXPECT_EQ(c.platform.cores_per_node, want.cores_per_node);
+    EXPECT_EQ(c.platform.hw_threads_per_node, want.hw_threads_per_node);
+    EXPECT_EQ(c.platform.mem_per_node_GB, want.mem_per_node_GB);
+    EXPECT_EQ(c.platform.nic.bandwidth_Bps, want.nic.bandwidth_Bps);
+    EXPECT_EQ(c.platform.nic.latency_us, want.nic.latency_us);
+    EXPECT_EQ(c.platform.nic.jitter_prob, want.nic.jitter_prob);
+    EXPECT_EQ(c.platform.name, "cc1.4xlarge-x" + std::to_string(n));
+    EXPECT_DOUBLE_EQ(c.hourly_usd, 1.60 * n);
+    EXPECT_GT(c.ready_after_s, 10.0);  // instances take time to boot
+    EXPECT_LT(c.ready_after_s, 1200.0);
+  }
 }
 
 TEST(Provisioner, DeterministicPerSeed) {
-  const auto a = cloud::Provisioner(3).provision("cc1.4xlarge", 8, true);
-  const auto b = cloud::Provisioner(3).provision("cc1.4xlarge", 8, true);
+  const auto a = cloud::Provisioner(3).provision(8);
+  const auto b = cloud::Provisioner(3).provision(8);
   EXPECT_DOUBLE_EQ(a.ready_after_s, b.ready_after_s);
 }
 
 TEST(Provisioner, ZeroInstancesRejected) {
   cloud::Provisioner prov(1);
-  EXPECT_THROW(prov.provision("cc1.4xlarge", 0, true), std::invalid_argument);
+  EXPECT_THROW(prov.provision(0), std::invalid_argument);
 }
 
 // ------------------------------------------------------------ spot market
 TEST(SpotMarket, PricesStayInBand) {
-  cloud::SpotMarket m({}, 11);
+  cloud::SpotMarket m(11);
   for (double t = 0; t < 7 * 86400; t += 1800) {
     const double p = m.price_at(t);
     EXPECT_GE(p, 0.06 - 1e-12);
@@ -63,7 +58,7 @@ TEST(SpotMarket, PricesStayInBand) {
 }
 
 TEST(SpotMarket, MeanRevertsToConfiguredMean) {
-  cloud::SpotMarket m({}, 13);
+  cloud::SpotMarket m(13);
   double sum = 0;
   int n = 0;
   for (double t = 0; t < 30 * 86400; t += 900) {
@@ -74,25 +69,25 @@ TEST(SpotMarket, MeanRevertsToConfiguredMean) {
 }
 
 TEST(SpotMarket, HighBidAvoidsInterruption) {
-  cloud::SpotMarket m({}, 17);
+  cloud::SpotMarket m(17);
   EXPECT_LT(m.next_interruption(0, 1.60, 86400), 0);  // bid at on-demand: safe
 }
 
 TEST(SpotMarket, LowBidGetsInterrupted) {
-  cloud::SpotMarket m({}, 17);
+  cloud::SpotMarket m(17);
   const double t = m.next_interruption(0, 0.30, 30 * 86400);
   EXPECT_GE(t, 0);  // well below the mean: interruption is near-certain
 }
 
 TEST(SpotMarket, CostIntegratesPriceOverTime) {
-  cloud::SpotMarket m({}, 19);
+  cloud::SpotMarket m(19);
   const double c1 = m.cost(0, 3600, 1);
   EXPECT_NEAR(c1, 0.60, 0.35);  // ~1 instance-hour near the mean price
   EXPECT_NEAR(m.cost(0, 3600, 4), 4 * c1, 1e-9);
 }
 
 TEST(SpotRun, HighBidRunsUninterrupted) {
-  cloud::SpotMarket m({}, 23);
+  cloud::SpotMarket m(23);
   const auto r = cloud::run_on_spot(m, 0, 3600, /*bid=*/1.60, 900, 2, 1.60);
   EXPECT_EQ(r.interruptions, 0);
   EXPECT_NEAR(r.finish_s, 3600, 1e-9);
@@ -100,7 +95,7 @@ TEST(SpotRun, HighBidRunsUninterrupted) {
 }
 
 TEST(SpotRun, LowBidGetsInterruptedButFinishes) {
-  cloud::SpotMarket m({}, 23);
+  cloud::SpotMarket m(23);
   const auto r = cloud::run_on_spot(m, 0, 4 * 3600, /*bid=*/0.5, 600, 2, 1.60);
   EXPECT_GT(r.interruptions, 0);
   EXPECT_GT(r.finish_s, 4 * 3600);  // interruptions stretch the makespan
@@ -108,17 +103,15 @@ TEST(SpotRun, LowBidGetsInterruptedButFinishes) {
 }
 
 TEST(SpotRun, TighterCheckpointsLoseLessWork) {
-  const auto coarse = cloud::run_on_spot(*std::make_unique<cloud::SpotMarket>(
-                                             cloud::SpotMarket::Options{}, 29),
+  const auto coarse = cloud::run_on_spot(*std::make_unique<cloud::SpotMarket>(29),
                                          0, 6 * 3600, 0.5, 1800, 1, 1.60);
-  const auto fine = cloud::run_on_spot(*std::make_unique<cloud::SpotMarket>(
-                                           cloud::SpotMarket::Options{}, 29),
+  const auto fine = cloud::run_on_spot(*std::make_unique<cloud::SpotMarket>(29),
                                        0, 6 * 3600, 0.5, 300, 1, 1.60);
   EXPECT_LE(fine.finish_s, coarse.finish_s);
 }
 
 TEST(SpotMarket, NextAvailableFindsCheapWindow) {
-  cloud::SpotMarket m({}, 31);
+  cloud::SpotMarket m(31);
   const double t = m.next_available(0, 0.60, 7 * 86400);
   EXPECT_GE(t, 0);
   EXPECT_LE(m.price_at(t), 0.60);
@@ -127,8 +120,8 @@ TEST(SpotMarket, NextAvailableFindsCheapWindow) {
 TEST(SpotMarket, NextInterruptionDeterministicPerSeed) {
   // The fault layer replays interruption times into FaultSchedules: two
   // markets with the same seed must yield the identical sequence.
-  cloud::SpotMarket a({}, 23);
-  cloud::SpotMarket b({}, 23);
+  cloud::SpotMarket a(23);
+  cloud::SpotMarket b(23);
   double ta = 0;
   double tb = 0;
   for (int i = 0; i < 8 && ta >= 0; ++i) {
@@ -141,8 +134,8 @@ TEST(SpotMarket, NextInterruptionDeterministicPerSeed) {
 TEST(SpotMarket, QueryOrderDoesNotPerturbPrices) {
   // Prices are a pure function of (seed, t): probing one market heavily must
   // not shift it relative to an untouched twin.
-  cloud::SpotMarket a({}, 37);
-  cloud::SpotMarket b({}, 37);
+  cloud::SpotMarket a(37);
+  cloud::SpotMarket b(37);
   (void)a.next_interruption(0, 0.5, 7 * 86400);
   (void)a.next_available(3 * 86400, 0.5, 7 * 86400);
   EXPECT_DOUBLE_EQ(a.price_at(5 * 86400), b.price_at(5 * 86400));
@@ -151,24 +144,13 @@ TEST(SpotMarket, QueryOrderDoesNotPerturbPrices) {
 TEST(SpotRun, AnalyticAccountingFieldsFilled) {
   // The analytic path must report the same accounting fields the simulated
   // fault::run_on_spot path does, so ext4 can print them side by side.
-  cloud::SpotMarket m({}, 23);
+  cloud::SpotMarket m(23);
   const auto r = cloud::run_on_spot(m, 0, 4 * 3600, /*bid=*/0.5, 600, 2, 1.60);
   EXPECT_EQ(r.attempts, r.interruptions + 1);
   EXPECT_GE(r.lost_work_s, 0.0);
   EXPECT_LE(r.lost_work_s, 600.0 * r.interruptions + 1e-9);  // ckpt bounds it
   EXPECT_FALSE(r.finished_on_demand);
   EXPECT_NEAR(r.on_demand_s, 0.0, 1e-12);
-}
-
-TEST(Provisioner, OpenStackPresetExists) {
-  // The paper's stated future work: burst onto local OpenStack resources.
-  const auto& t = cloud::instance_type("openstack.kvm8");
-  EXPECT_EQ(t.hourly_usd, 0.0);
-  EXPECT_FALSE(t.base.nic.half_duplex);
-  cloud::Provisioner prov(2);
-  const auto c = prov.provision("openstack.kvm8", 6, false);
-  EXPECT_EQ(c.platform.nodes, 6);
-  EXPECT_NEAR(c.hourly_usd, 0.0, 1e-12);
 }
 
 // ----------------------------------------------------------------- ARRIVE-F
@@ -281,7 +263,7 @@ std::vector<cloud::JobSpec> burst_workload() {
 }  // namespace
 
 TEST(BatchScheduler, FifoWithoutBurstingQueuesUp) {
-  cloud::BatchScheduler sched({.local_cores = 64, .burst_wait_threshold_s = -1});
+  cloud::BatchScheduler sched({.burst_wait_threshold_s = -1});
   const auto r = sched.run(burst_workload());
   ASSERT_EQ(r.jobs.size(), 12u);
   EXPECT_EQ(r.cloud_jobs, 0);
@@ -290,8 +272,8 @@ TEST(BatchScheduler, FifoWithoutBurstingQueuesUp) {
 }
 
 TEST(BatchScheduler, CloudBurstingCutsWaits) {
-  cloud::BatchScheduler local({.local_cores = 64, .burst_wait_threshold_s = -1});
-  cloud::BatchScheduler burst({.local_cores = 64, .burst_wait_threshold_s = 1800});
+  cloud::BatchScheduler local({.burst_wait_threshold_s = -1});
+  cloud::BatchScheduler burst({.burst_wait_threshold_s = 1800});
   const auto r_local = local.run(burst_workload());
   const auto r_burst = burst.run(burst_workload());
   EXPECT_LT(r_burst.mean_wait_s, 0.5 * r_local.mean_wait_s);
@@ -303,7 +285,7 @@ TEST(BatchScheduler, CloudBurstingCutsWaits) {
 TEST(BatchScheduler, IneligibleJobsStayLocal) {
   auto jobs = burst_workload();
   for (auto& j : jobs) j.cloud_eligible = false;
-  cloud::BatchScheduler burst({.local_cores = 64, .burst_wait_threshold_s = 1800});
+  cloud::BatchScheduler burst({.burst_wait_threshold_s = 1800});
   const auto r = burst.run(jobs);
   EXPECT_EQ(r.cloud_jobs, 0);
 }
@@ -311,7 +293,7 @@ TEST(BatchScheduler, IneligibleJobsStayLocal) {
 TEST(BatchScheduler, HighSlowdownJobsStayLocal) {
   auto jobs = burst_workload();
   for (auto& j : jobs) j.cloud_slowdown = 5.0;  // comm-bound: bad candidates
-  cloud::BatchScheduler burst({.local_cores = 64, .burst_wait_threshold_s = 1800});
+  cloud::BatchScheduler burst({.burst_wait_threshold_s = 1800});
   const auto r = burst.run(jobs);
   EXPECT_EQ(r.cloud_jobs, 0);
 }
@@ -326,7 +308,7 @@ TEST(BatchScheduler, HighPriorityArrivalSuspendsRunningJob) {
   jobs.push_back(cloud::JobSpec{.name = "urgent", .cores = 64, .runtime_local_s = 600,
                                 .cloud_slowdown = 9, .submit_s = 600, .cloud_eligible = false,
                                 .priority = 10});
-  cloud::BatchScheduler sched({.local_cores = 64, .burst_wait_threshold_s = -1});
+  cloud::BatchScheduler sched({.burst_wait_threshold_s = -1});
   const auto r = sched.run(jobs);
   ASSERT_EQ(r.jobs.size(), 2u);
   const auto& urgent = r.jobs[0].name == "urgent" ? r.jobs[0] : r.jobs[1];
@@ -345,8 +327,7 @@ TEST(BatchScheduler, SuspendResumeDisabledQueuesUrgentJob) {
   jobs.push_back(cloud::JobSpec{.name = "urgent", .cores = 64, .runtime_local_s = 600,
                                 .cloud_slowdown = 9, .submit_s = 600, .cloud_eligible = false,
                                 .priority = 10});
-  cloud::BatchScheduler sched(
-      {.local_cores = 64, .burst_wait_threshold_s = -1, .suspend_resume = false});
+  cloud::BatchScheduler sched({.burst_wait_threshold_s = -1, .suspend_resume = false});
   const auto r = sched.run(jobs);
   const auto& urgent = r.jobs[0].name == "urgent" ? r.jobs[0] : r.jobs[1];
   EXPECT_NEAR(urgent.start_s, 7200, 1e-6);  // had to wait for the long job
@@ -358,7 +339,7 @@ TEST(BatchScheduler, EqualPriorityDoesNotPreempt) {
                                 .cloud_slowdown = 9, .submit_s = 0, .cloud_eligible = false});
   jobs.push_back(cloud::JobSpec{.name = "b", .cores = 64, .runtime_local_s = 3600,
                                 .cloud_slowdown = 9, .submit_s = 10, .cloud_eligible = false});
-  cloud::BatchScheduler sched({.local_cores = 64, .burst_wait_threshold_s = -1});
+  cloud::BatchScheduler sched({.burst_wait_threshold_s = -1});
   const auto r = sched.run(jobs);
   for (const auto& j : r.jobs) EXPECT_EQ(j.suspensions, 0);
 }
@@ -373,7 +354,7 @@ TEST(BatchScheduler, PartialPreemptionTakesOnlyWhatIsNeeded) {
   jobs.push_back(cloud::JobSpec{.name = "urgent", .cores = 32, .runtime_local_s = 60,
                                 .cloud_slowdown = 9, .submit_s = 100, .cloud_eligible = false,
                                 .priority = 5});
-  cloud::BatchScheduler sched({.local_cores = 64, .burst_wait_threshold_s = -1});
+  cloud::BatchScheduler sched({.burst_wait_threshold_s = -1});
   const auto r = sched.run(jobs);
   int suspended = 0;
   for (const auto& j : r.jobs) suspended += j.suspensions;
@@ -381,13 +362,13 @@ TEST(BatchScheduler, PartialPreemptionTakesOnlyWhatIsNeeded) {
 }
 
 TEST(BatchScheduler, OversizedJobRejected) {
-  cloud::BatchScheduler sched({.local_cores = 64});
+  cloud::BatchScheduler sched({});
   EXPECT_THROW(sched.run({cloud::JobSpec{.name = "huge", .cores = 128}}),
                std::invalid_argument);
 }
 
 TEST(BatchScheduler, EmptyQueueIsFine) {
-  cloud::BatchScheduler sched({.local_cores = 64});
+  cloud::BatchScheduler sched({});
   const auto r = sched.run({});
   EXPECT_EQ(r.jobs.size(), 0u);
   EXPECT_DOUBLE_EQ(r.mean_wait_s, 0);

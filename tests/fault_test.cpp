@@ -218,7 +218,7 @@ TEST(Resilience, ProvisionerRestartChargesBootTime) {
   fault::FaultSchedule s;
   s.add({.at_s = 0.5 * t0, .node = 0});
   fault::ResilientOptions opts;
-  opts.instance_type = "cc1.4xlarge";
+  opts.reprovision = true;
   opts.instances = 2;
   opts.hourly_usd = 3.20;
   const auto run = fault::run_resilient(cfg, cg_body, s, opts);
@@ -305,7 +305,7 @@ TEST(Resilience, MergedTraceCoversAllAttempts) {
 
 // ------------------------------------------------------------- emergent spot
 TEST(SpotSim, HighBidMatchesPlainRun) {
-  cloud::SpotMarket m({}, 23);
+  cloud::SpotMarket m(23);
   auto cfg = cg_config(false);
   fault::SpotJobOptions opts;
   opts.bid = 1.60;  // never interrupted at on-demand price
@@ -320,7 +320,7 @@ TEST(SpotSim, HighBidMatchesPlainRun) {
 
 TEST(SpotSim, SameSeedSameRun) {
   const auto go = [] {
-    cloud::SpotMarket m({}, 101);
+    cloud::SpotMarket m(101);
     auto cfg = cg_config(false);
     fault::SpotJobOptions opts;
     opts.bid = 0.45;

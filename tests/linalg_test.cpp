@@ -152,18 +152,6 @@ TEST(CgSolve, ChargesComputeWhenConfigured) {
   EXPECT_GT(elapsed_with(0.1), elapsed_with(0.0) + 0.05);
 }
 
-TEST(CgPattern, ModelModeHasCommCost) {
-  mpi::JobConfig c = cfg(16);
-  c.platform = plat::dcc();
-  c.execute = false;
-  auto r = mpi::run_job(c, [](mpi::RankEnv& env) {
-    la::cg_solve_pattern(env, 4'000'000, 100, {});
-  });
-  // 100 iterations x 3 small allreduces over GigE: dominated by latency.
-  EXPECT_GT(r.elapsed_seconds, 0.01);
-  EXPECT_GT(r.ipm.comm_pct(), 90.0);
-}
-
 TEST(DotLocal, HandlesUnequalLengthsDefensively) {
   EXPECT_DOUBLE_EQ(la::dot_local({1, 2, 3}, {4, 5}), 14.0);
   EXPECT_DOUBLE_EQ(la::dot_local({}, {}), 0.0);

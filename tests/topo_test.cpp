@@ -1,7 +1,7 @@
 // Unit tests for the switch-fabric topology subsystem: builders, static
 // routing, placement policies, the Network fabric stage, and end-to-end
 // equivalences (ideal crossbar == legacy NIC-only model; vSwitch backplane
-// queueing == legacy per-NIC RX queueing).
+// queueing == legacy per-NIC RX queueing, one switch hop later).
 #include "topo/topo.hpp"
 
 #include <gtest/gtest.h>
@@ -101,42 +101,39 @@ std::uint64_t splitmix64(std::uint64_t x) {
 
 TEST(Topology, TabledRoutesMatchTheClosedForm) {
   // Every (src, dst) route of fat-trees and placement groups over several
-  // radixes, oversubscriptions and salts, against the closed form: leaf =
-  // node / radix, plane = splitmix64(dst ^ salt) % uplinks.
+  // radixes and oversubscriptions, against the closed form: leaf =
+  // node / radix, plane = splitmix64(dst) % uplinks.
   int cross_leaf = 0;
   for (const int radix : {1, 3, 4, 8}) {
     for (const double os : {1.0, 1.5, 2.0, 4.0}) {
-      for (const std::uint64_t salt : {0ULL, 1ULL, 0xDEADBEEFULL}) {
-        topo::TopoSpec spec = fattree(radix, os);
-        spec.route_salt = salt;
-        for (const topo::Kind kind : {topo::Kind::FatTree, topo::Kind::PlacementGroups}) {
-          spec.kind = kind;
-          const auto t = topo::Topology::build(spec, plat::vayu().nic, 13);
-          const int u = std::clamp(static_cast<int>(std::lround(radix / os)), 1, radix);
-          const int groups = t.nodes() / radix;
-          ASSERT_EQ(t.nodes(), (13 + radix - 1) / radix * radix);
-          for (int s = 0; s < t.nodes(); ++s) {
-            ASSERT_EQ(t.group_of(s), s / radix);
-            for (int d = 0; d < t.nodes(); ++d) {
-              const auto r = t.route(s, d);
-              const int ls = s / radix;
-              const int ld = d / radix;
-              if (s == d || ls == ld) {
-                ASSERT_EQ(r.n, 0) << s << "->" << d;
-                continue;
-              }
-              ++cross_leaf;
-              ASSERT_EQ(r.n, 2) << s << "->" << d;
-              if (kind == topo::Kind::PlacementGroups) {
-                EXPECT_EQ(r.links[0], ls);
-                EXPECT_EQ(r.links[1], groups + ld);
-                continue;
-              }
-              const int plane = static_cast<int>(
-                  splitmix64(static_cast<std::uint64_t>(d) ^ salt) % static_cast<std::uint64_t>(u));
-              EXPECT_EQ(r.links[0], ls * u + plane) << s << "->" << d << " salt " << salt;
-              EXPECT_EQ(r.links[1], groups * u + ld * u + plane) << s << "->" << d;
+      topo::TopoSpec spec = fattree(radix, os);
+      for (const topo::Kind kind : {topo::Kind::FatTree, topo::Kind::PlacementGroups}) {
+        spec.kind = kind;
+        const auto t = topo::Topology::build(spec, plat::vayu().nic, 13);
+        const int u = std::clamp(static_cast<int>(std::lround(radix / os)), 1, radix);
+        const int groups = t.nodes() / radix;
+        ASSERT_EQ(t.nodes(), (13 + radix - 1) / radix * radix);
+        for (int s = 0; s < t.nodes(); ++s) {
+          ASSERT_EQ(t.group_of(s), s / radix);
+          for (int d = 0; d < t.nodes(); ++d) {
+            const auto r = t.route(s, d);
+            const int ls = s / radix;
+            const int ld = d / radix;
+            if (s == d || ls == ld) {
+              ASSERT_EQ(r.n, 0) << s << "->" << d;
+              continue;
             }
+            ++cross_leaf;
+            ASSERT_EQ(r.n, 2) << s << "->" << d;
+            if (kind == topo::Kind::PlacementGroups) {
+              EXPECT_EQ(r.links[0], ls);
+              EXPECT_EQ(r.links[1], groups + ld);
+              continue;
+            }
+            const int plane = static_cast<int>(splitmix64(static_cast<std::uint64_t>(d)) %
+                                               static_cast<std::uint64_t>(u));
+            EXPECT_EQ(r.links[0], ls * u + plane) << s << "->" << d;
+            EXPECT_EQ(r.links[1], groups * u + ld * u + plane) << s << "->" << d;
           }
         }
       }
@@ -187,9 +184,10 @@ TEST(NetworkFabric, CrossbarIsBitIdenticalToLegacyNicOnlyModel) {
 }
 
 TEST(NetworkFabric, VSwitchBackplaneMatchesLegacyRxQueueingOnIncast) {
-  // With the backplane at NIC speed and zero hop latency, per-link FIFO
-  // queueing must reproduce the legacy per-NIC RX-port serialisation
-  // exactly: N->1 arrivals spaced one serialisation time apart.
+  // The backplane runs at NIC speed, so its per-link FIFO queueing must
+  // reproduce the legacy per-NIC RX-port serialisation: N->1 arrivals spaced
+  // one serialisation time apart, each one switch hop (0.5 us) behind the
+  // NIC-only model.
   auto p = quiet(plat::ec2());
   p.nic.incast_penalty = 1.0;  // isolate FIFO queueing in both models
   sim::Engine e1, e2;
@@ -197,16 +195,25 @@ TEST(NetworkFabric, VSwitchBackplaneMatchesLegacyRxQueueingOnIncast) {
   net::Network fabric(e2, p, 5, 1);
   topo::TopoSpec spec;
   spec.kind = topo::Kind::VSwitch;
-  spec.backplane_Bps = p.nic.bandwidth_Bps;
-  spec.hop_latency_us = 0.0;
   auto t = std::make_shared<topo::Topology>(topo::Topology::build(spec, p.nic, 5));
+  ASSERT_EQ(t->links().size(), 1U);
+  EXPECT_EQ(t->links()[0].bandwidth_Bps, p.nic.bandwidth_Bps);
+  EXPECT_EQ(t->links()[0].latency_us, 0.5);
   fabric.set_topology(t, {});
 
   const std::size_t bytes = 1 << 20;
+  const sim::SimTime hop = sim::from_micros(0.5);
+  const sim::SimTime busy =
+      sim::from_seconds(static_cast<double>(bytes) / p.nic.bandwidth_Bps);
+  sim::SimTime prev = 0;
   for (int src = 0; src < 4; ++src) {  // 4-way incast into node 4
     const auto a = legacy.transfer(src, 4, bytes);
     const auto b = fabric.transfer(src, 4, bytes);
-    EXPECT_EQ(a.arrival, b.arrival) << "src " << src;
+    EXPECT_EQ(b.arrival, a.arrival + hop) << "src " << src;
+    if (src > 0) {
+      EXPECT_EQ(b.arrival - prev, busy) << "src " << src;
+    }
+    prev = b.arrival;
   }
   const auto& s = fabric.link_stats().at(0);
   EXPECT_EQ(s.transfers, 4U);
